@@ -4,8 +4,7 @@ package sigfim
 // (Tables 1-5; the paper has no figures). Each benchmark regenerates the
 // table's rows for a scaled benchmark profile; `go test -bench Table -v`
 // prints the actual values via b.Log. cmd/experiments runs the same
-// computations over all profiles with configurable scale, and EXPERIMENTS.md
-// records paper-vs-measured.
+// computations over all profiles with configurable scale.
 //
 // The profiles are scaled (t divided by benchScale) so the full suite runs
 // in minutes; the qualitative shape — which (dataset, k) pairs admit finite

@@ -315,17 +315,16 @@ func TestMineReplicateRangeHashCheck(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Fault injection. chaosWorker is a proxy in front of a real sigfimd worker
-// that mangles POST /v1/partials traffic according to a cycling fault
-// schedule: dropped connections, latency spikes past the per-range deadline,
-// mid-body truncation, corrupt JSON, wrong-range echoes, 500s, and 503
-// load-shedding bursts. The tests below drive whole analyses through the
+// that mangles POST /v1/partials traffic according to a fault schedule:
+// dropped connections, latency spikes past the per-range deadline, mid-body
+// truncation, corrupt JSON, wrong-range echoes, 500s, and 503 load
+// shedding. The tests below drive whole analyses through the
 // proxy and assert the merged report stays byte-identical to a
 // single-process run under every injected fault class — the fabric's
 // supervision, retry, validation, and local-fallback machinery may change
 // where a range is mined, never what it computes.
 
 const (
-	faultNone       = "none"
 	faultDrop       = "drop"       // connection severed before any response
 	faultLatency    = "latency"    // response delayed past the client deadline
 	faultTruncate   = "truncate"   // 200 with a mid-body truncated payload
@@ -335,22 +334,34 @@ const (
 	fault503        = "503"        // load shedding with Retry-After
 )
 
-// chaosSchedule interleaves every fault class with clean requests so the
-// proxy keeps cycling instead of tripping the circuit breaker; the shedding
-// burst sits last so its backoff window cannot starve later fault classes.
+// chaosSchedule lists every fault class once. The proxy injects them in
+// this order into the first requests it receives, whatever their range, and
+// forwards every later request cleanly. Each class is therefore injected
+// exactly once per run, however the coordinator schedules its ranges,
+// provided the pool keeps dispatching until the last class: chaosPool never
+// ejects the worker over the six hard faults, and the shedding fault sits
+// last so its Retry-After window cannot divert an uninjected class to the
+// local fallback.
 var chaosSchedule = []string{
-	faultNone, faultDrop,
-	faultNone, faultLatency,
-	faultNone, faultTruncate,
-	faultNone, faultCorrupt,
-	faultNone, faultWrongRange,
-	faultNone, fault500,
-	faultNone, fault503,
+	faultDrop, faultLatency, faultTruncate, faultCorrupt, faultWrongRange, fault500, fault503,
+}
+
+// chaosPool supervises the chaos proxy with an ejection threshold above the
+// number of hard faults in the schedule, so no interleaving of their
+// outcomes can eject the worker before every class was injected.
+func chaosPool(t *testing.T, chaos string) *sigfim.WorkerPool {
+	t.Helper()
+	pool := sigfim.NewWorkerPool([]string{chaos}, sigfim.WorkerPoolOptions{
+		Timeout:    500 * time.Millisecond,
+		EjectAfter: len(chaosSchedule),
+	})
+	t.Cleanup(pool.Close)
+	return pool
 }
 
 // chaosWorker proxies /v1/partials to target, applying the schedule one
 // entry per request. The returned map counts injections per fault so tests
-// can assert coverage of every class.
+// can assert that every class was injected exactly once.
 func chaosWorker(t *testing.T, target string) (string, *sync.Map) {
 	t.Helper()
 	var idx atomic.Int64
@@ -383,14 +394,17 @@ func chaosWorker(t *testing.T, target string) (string, *sync.Map) {
 			w.WriteHeader(http.StatusOK)
 			return
 		}
-		fault := chaosSchedule[int(idx.Add(1)-1)%len(chaosSchedule)]
-		count(fault)
-		switch fault {
-		case faultNone:
+		i := int(idx.Add(1) - 1)
+		if i >= len(chaosSchedule) {
 			if out, ok := forward(w, r); ok {
 				w.Header().Set("Content-Type", "application/json")
 				w.Write(out)
 			}
+			return
+		}
+		fault := chaosSchedule[i]
+		count(fault)
+		switch fault {
 		case faultDrop:
 			conn, _, err := w.(http.Hijacker).Hijack()
 			if err == nil {
@@ -442,13 +456,16 @@ func chaosWorker(t *testing.T, target string) (string, *sync.Map) {
 }
 
 // assertChaosCoverage fails unless every fault class in the schedule was
-// injected at least once — otherwise the bit-identity claim silently shrank.
+// injected exactly once — otherwise the bit-identity claim silently shrank.
 func assertChaosCoverage(t *testing.T, injected *sync.Map) {
 	t.Helper()
 	for _, fault := range chaosSchedule {
-		v, ok := injected.Load(fault)
-		if !ok || v.(*atomic.Int64).Load() == 0 {
-			t.Errorf("fault class %q was never injected; shrink the range size or raise Delta", fault)
+		n := int64(0)
+		if v, ok := injected.Load(fault); ok {
+			n = v.(*atomic.Int64).Load()
+		}
+		if n != 1 {
+			t.Errorf("fault class %q injected %d times, want exactly once", fault, n)
 		}
 	}
 }
@@ -484,9 +501,8 @@ func TestDistributedChaosBitIdentity(t *testing.T) {
 
 			chaos, injected := chaosWorker(t, live[0])
 			cfg := null.cfg()
-			cfg.RemoteWorkers = []string{chaos}
+			cfg.RemotePool = chaosPool(t, chaos)
 			cfg.RemoteRangeSize = 3
-			cfg.RemoteTimeout = 500 * time.Millisecond
 			dist, err := d.Significant(2, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -512,8 +528,7 @@ func TestDistributedChaosFindSMin(t *testing.T) {
 	chaos, injected := chaosWorker(t, live[0])
 	gotS, err := d.FindSMin(2, &sigfim.Config{
 		Delta: 120, Seed: 9,
-		RemoteWorkers: []string{chaos}, RemoteRangeSize: 3,
-		RemoteTimeout: 500 * time.Millisecond,
+		RemotePool: chaosPool(t, chaos), RemoteRangeSize: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

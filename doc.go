@@ -88,13 +88,25 @@
 // Baseline.Correction field records which mode produced the family.
 //
 // Mining engine. internal/mining implements the miners every stage above
-// consumes: Eclat over sorted tid lists or dense bitsets (layout chosen by
-// density), level-wise Apriori with a candidate prefix trie, FP-Growth with
-// sharded conditional pattern trees, a hash-based path for very low
-// thresholds on sparse data, closed and maximal itemset enumeration, and
-// counting primitives (CountK, SupportHistogram) that avoid materializing
-// enormous families. internal/dataset supplies the horizontal and vertical
-// layouts plus FIMI I/O; internal/bitset the intersection kernels.
+// consumes — Eclat over sorted tid lists or dense bitsets, level-wise
+// Apriori with a candidate prefix trie, FP-Growth with sharded conditional
+// pattern trees, a hash-based path for very low thresholds on sparse data,
+// closed and maximal itemset enumeration — behind one entry point per
+// operation the method needs, each over every algorithm:
+//
+//   - Stream (Algorithm 1, Procedure 1): mining.VisitKAlgoScratch emits
+//     every k-itemset at a floor.
+//   - Count (Procedure 2): mining.SupportHistogramAlgoScratch plus
+//     mining.CumulativeQ give Q_{k,s} at every threshold from one pass,
+//     without materializing the possibly enormous family.
+//   - Materialize (the report): mining.Mine / mining.MineVertical; fixed-k
+//     runs collect the stream.
+//
+// The default algorithm, Auto, has one policy everywhere: the hash path at
+// floors <= 8 when enumerating transaction subsets is cheap, Eclat over tid
+// lists otherwise; bitsets are used only when EclatBits is forced.
+// internal/dataset supplies the horizontal and vertical layouts plus FIMI
+// I/O; internal/bitset the intersection kernels.
 // Exported as Dataset.Mine (MineOptions selects algorithm, K, threshold,
 // workers), Dataset.CountK, Dataset.ClosedItemsets, Dataset.MaximalItemsets,
 // and Dataset.TopKItemsets.
@@ -288,7 +300,7 @@
 //     (mining.ItemsetTable) instead of a map keyed by per-itemset strings,
 //     and replicate outputs travel in flat recycled arrays.
 //
-// BENCH_montecarlo.json records the measured effect (about 30-400x fewer
-// allocations per mineAll, with end-to-end speedups where the merge
-// dominated) and the commands to regenerate the numbers.
+// The cmd/sigfimbench ledger measures the effect end to end
+// (alloc_mb_per_job, cpu_s_per_job) and per layer (montecarlo.*, mining.*,
+// randmodel.*).
 package sigfim

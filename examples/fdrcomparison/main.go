@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 
 	"sigfim"
 )
@@ -67,7 +66,7 @@ func main() {
 		if report.Baseline != nil && !report.Infinite {
 			if report.Baseline.NumSignificant == 0 {
 				ratio = "inf"
-			} else if !math.IsInf(report.PowerRatio, 0) {
+			} else {
 				ratio = fmt.Sprintf("%.2f", report.PowerRatio)
 			}
 		}

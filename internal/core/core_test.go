@@ -274,7 +274,11 @@ func TestAnalyzeEmpiricalFDROnPlanted(t *testing.T) {
 		if !a.Proc2.Found {
 			continue
 		}
-		for _, res := range mining.EclatK(v, 2, a.Proc2.SStar) {
+		discovered, err := mining.MineVertical(v, mining.Options{K: 2, MinSupport: a.Proc2.SStar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range discovered {
 			totalDisc++
 			if !plantedKeys[res.Items.Key()] {
 				totalFalse++
@@ -366,7 +370,10 @@ func TestProcedure1StreamingMatchesDirectBY(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Direct recomputation.
-	mined := mining.MineK(v, 2, 5)
+	mined, err := mining.MineVertical(v, mining.Options{K: 2, MinSupport: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fr := v.Frequencies()
 	pvals := make([]float64, len(mined))
 	for i, r := range mined {

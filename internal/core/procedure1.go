@@ -108,7 +108,8 @@ func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction str
 
 	// Pass 1: p-values only.
 	var pvals []float64
-	mining.VisitK(v, k, sMin, func(items mining.Itemset, sup int) {
+	s := mining.NewScratch()
+	mining.VisitKAlgoScratch(v, k, sMin, 1, mining.Auto, s, func(items mining.Itemset, sup int) {
 		pvals = append(pvals, pvalOf(items, sup))
 	})
 	m := math.Exp(stats.LogChoose(n, k))
@@ -165,7 +166,7 @@ func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction str
 	res.FamilySize = sort.SearchFloat64s(pvals, math.Nextafter(threshold, 2))
 
 	// Pass 2: materialize the rejected itemsets (capped).
-	mining.VisitK(v, k, sMin, func(items mining.Itemset, sup int) {
+	mining.VisitKAlgoScratch(v, k, sMin, 1, mining.Auto, s, func(items mining.Itemset, sup int) {
 		if len(res.Family) >= maxMaterializedFamily {
 			return
 		}

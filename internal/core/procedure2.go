@@ -114,7 +114,7 @@ func Procedure2Ex(v *dataset.Vertical, k, sMin int, lambda LambdaFunc, alpha, be
 	weights := split.splitWeights(h)
 
 	// One histogram pass at s_min yields every Q_{k,s_i}.
-	hist := mining.SupportHistogramAlgoParallel(v, k, sMin, workers, algo)
+	hist := mining.SupportHistogramAlgoScratch(v, k, sMin, workers, algo, nil)
 	qCurve := mining.CumulativeQ(hist)
 	qAt := func(s int) int64 {
 		if s >= len(qCurve) {

@@ -11,42 +11,12 @@ import (
 // (l-2)-prefix, pruned by the downward-closure property, and counted with a
 // single dataset scan per level using a candidate prefix trie.
 
-// AprioriK mines all k-itemsets with support >= minSupport.
-func AprioriK(d *dataset.Dataset, k, minSupport int) []Result {
-	return AprioriKParallel(d, k, minSupport, 1)
-}
-
-// AprioriKParallel is AprioriK with a parallel candidate-counting pass
-// (workers <= 0: NumCPU). Candidate generation stays serial; counting each
-// level shards the transactions over the workers with per-worker count
-// arrays merged by integer addition, so output is identical to AprioriK for
+// aprioriLevels returns frequent itemsets level by level, each level
+// lexicographically sorted, stopping after maxLevel levels (maxLevel <= 0:
+// until no candidates survive). Candidate generation is serial; each level's
+// counting pass shards the transactions over the workers with per-worker
+// count arrays merged by integer addition, so the output is identical for
 // any worker count.
-func AprioriKParallel(d *dataset.Dataset, k, minSupport, workers int) []Result {
-	levels := aprioriLevels(d, k, minSupport, workers)
-	if len(levels) < k {
-		return nil
-	}
-	return levels[k-1]
-}
-
-// AprioriAll mines every itemset of size 1..maxLen (maxLen <= 0: unbounded)
-// with support >= minSupport.
-func AprioriAll(d *dataset.Dataset, minSupport, maxLen int) []Result {
-	return AprioriAllParallel(d, minSupport, maxLen, 1)
-}
-
-// AprioriAllParallel is AprioriAll with a parallel candidate-counting pass.
-func AprioriAllParallel(d *dataset.Dataset, minSupport, maxLen, workers int) []Result {
-	levels := aprioriLevels(d, maxLen, minSupport, workers)
-	var out []Result
-	for _, lv := range levels {
-		out = append(out, lv...)
-	}
-	return out
-}
-
-// aprioriLevels returns frequent itemsets level by level, stopping after
-// maxLevel levels (maxLevel <= 0: until no candidates survive).
 func aprioriLevels(d *dataset.Dataset, maxLevel, minSupport, workers int) [][]Result {
 	if minSupport < 1 {
 		panic("mining: Apriori requires minSupport >= 1")
@@ -194,7 +164,6 @@ func buildCandidateTrie(cands []Itemset) trieRoot {
 // into its own flat array (the trie is read-only during the pass) and the
 // arrays are summed into the leaves afterwards.
 func countCandidates(trie trieRoot, txs [][]uint32, l, workers int) {
-	workers = ResolveWorkers(workers)
 	const chunkSize = 1024
 	numChunks := (len(txs) + chunkSize - 1) / chunkSize
 	if workers <= 1 || numChunks <= 1 {

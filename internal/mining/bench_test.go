@@ -8,9 +8,9 @@ import (
 	"sigfim/internal/stats"
 )
 
-// Ablation benchmarks for the mining engine: the algorithm choices DESIGN.md
-// calls out (tid-list vs bitset Eclat, Apriori vs FP-Growth, hash path vs
-// DFS at low thresholds, counting vs materializing).
+// Ablation benchmarks for the mining engine's three entry points: tid-list
+// vs bitset Eclat vs Apriori vs FP-Growth on the stream, hash path vs DFS at
+// low thresholds, worker scaling, and counting vs materializing.
 
 // benchDataset builds a power-law dataset with planted pairs: 800 items,
 // 20000 transactions, mean length ~8.
@@ -54,72 +54,44 @@ func sparseDataset(b *testing.B) *dataset.Dataset {
 	return dataset.MustNew(400, tx)
 }
 
-func BenchmarkEclatTidListK2(b *testing.B) {
+// benchVisit streams one mine and discards it.
+func benchVisit(b *testing.B, v *dataset.Vertical, k, minSupport, workers int, algo Algorithm) {
+	b.Helper()
+	n := 0
+	VisitKAlgoScratch(v, k, minSupport, workers, algo, nil, func(Itemset, int) { n++ })
+	if n == 0 {
+		b.Fatalf("%v k=%d s=%d mined nothing", algo, k, minSupport)
+	}
+}
+
+// benchAlgorithms compares the miners on one fixed-k stream.
+func benchAlgorithms(b *testing.B, k, minSupport int) {
 	v := benchDataset(b).Vertical()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EclatKTidList(v, 2, 200)
+	for _, algo := range []Algorithm{EclatTids, EclatBits, Apriori, FPGrowth} {
+		b.Run(algo.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchVisit(b, v, k, minSupport, 1, algo)
+			}
+		})
 	}
 }
 
-func BenchmarkEclatBitsetK2(b *testing.B) {
-	v := benchDataset(b).Vertical()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EclatKBitset(v, 2, 200)
-	}
-}
+func BenchmarkAlgorithmsK2(b *testing.B) { benchAlgorithms(b, 2, 200) }
 
-func BenchmarkAprioriK2(b *testing.B) {
-	d := benchDataset(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AprioriK(d, 2, 200)
-	}
-}
+func BenchmarkAlgorithmsK3(b *testing.B) { benchAlgorithms(b, 3, 60) }
 
-func BenchmarkFPGrowthK2(b *testing.B) {
-	d := benchDataset(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FPGrowthK(d, 2, 200)
-	}
-}
-
-func BenchmarkEclatTidListK3(b *testing.B) {
-	v := benchDataset(b).Vertical()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EclatKTidList(v, 3, 60)
-	}
-}
-
-func BenchmarkEclatBitsetK3(b *testing.B) {
-	v := benchDataset(b).Vertical()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EclatKBitset(v, 3, 60)
-	}
-}
-
-// Low-threshold regime: the VisitK dispatcher should pick the hash path and
-// beat raw Eclat by a wide margin.
+// Low-threshold regime: the stream should pick the hash path and beat the
+// tid-list DFS by a wide margin.
 func BenchmarkLowThresholdHashPath(b *testing.B) {
 	v := sparseDataset(b).Vertical()
-	if !useHashPath(v, 3, 1) {
+	if !useHashPath(v, 3, 1, NewScratch()) {
 		b.Fatal("expected hash path to be selected")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		VisitK(v, 3, 1, func(Itemset, int) { n++ })
+		benchVisit(b, v, 3, 1, 1, Auto)
 	}
 }
 
@@ -129,57 +101,36 @@ func BenchmarkLowThresholdEclat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		eclatKTidList(v, 3, 1, nil, func(Itemset, int) { n++ })
+		newEclatShards(v, 3, 1, 1, false, NewScratch()).stream(func(Itemset, int) { n++ })
 	}
 }
 
-// Parallel-engine scaling on the dense synthetic profile. On multi-core
-// hardware workers=4 should be >= 2x workers=1; on a single-core runner the
-// sub-benchmarks collapse to roughly equal times (the engine adds only
-// buffer-merge overhead).
-func BenchmarkEclatParallel(b *testing.B) {
+// Parallel-engine scaling on the dense synthetic profile, per algorithm. On
+// multi-core hardware workers=4 should be >= 2x workers=1; on a single-core
+// runner the sub-benchmarks collapse to roughly equal times (the engine adds
+// only shard-buffer overhead). FP-Growth's serial global-tree build is a
+// fixed cost, so its speedup ceiling is set by the mining fraction (Amdahl)
+// and by header-item skew.
+func BenchmarkStreamParallel(b *testing.B) {
 	v := benchDataset(b).Vertical()
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				EclatKTidListParallel(v, 3, 60, w)
-			}
-		})
+	for _, algo := range []Algorithm{EclatTids, EclatBits, FPGrowth} {
+		for _, w := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%v/workers=%d", algo, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchVisit(b, v, 3, 60, w, algo)
+				}
+			})
+		}
 	}
 }
 
-func BenchmarkEclatBitsetParallel(b *testing.B) {
-	v := benchDataset(b).Vertical()
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				EclatKBitsetParallel(v, 3, 60, w)
-			}
-		})
-	}
-}
-
-// BenchmarkFPGrowthParallel measures the sharded conditional-tree miner next
-// to the Eclat scaling benchmarks: the serial global-tree build is a fixed
-// cost, so the per-worker speedup ceiling is set by the mining fraction
-// (Amdahl) and by header-item skew.
-func BenchmarkFPGrowthParallel(b *testing.B) {
-	d := benchDataset(b)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				FPGrowthKParallel(d, 3, 60, w)
-			}
-		})
-	}
-}
-
-func BenchmarkCountKParallel(b *testing.B) {
+func BenchmarkHistogramParallel(b *testing.B) {
 	v := benchDataset(b).Vertical()
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				CountKParallel(v, 2, 50, w)
+				SupportHistogramAlgoScratch(v, 2, 50, w, Auto, nil)
 			}
 		})
 	}
@@ -187,25 +138,18 @@ func BenchmarkCountKParallel(b *testing.B) {
 
 func BenchmarkCountVsMaterialize(b *testing.B) {
 	v := benchDataset(b).Vertical()
-	b.Run("CountK", func(b *testing.B) {
+	b.Run("count", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			CountK(v, 2, 50)
+			SupportHistogramAlgoScratch(v, 2, 50, 1, Auto, nil)
 		}
 	})
-	b.Run("MineK", func(b *testing.B) {
+	b.Run("materialize", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MineK(v, 2, 50)
+			if _, err := MineVertical(v, Options{K: 2, MinSupport: 50, Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
-}
-
-func BenchmarkSupportHistogram(b *testing.B) {
-	v := benchDataset(b).Vertical()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SupportHistogram(v, 2, 50)
-	}
 }
 
 func BenchmarkClosedEnumeration(b *testing.B) {

@@ -11,7 +11,7 @@ import (
 // with no strict superset of equal support.
 func bruteClosed(d *dataset.Dataset, minSupport int) []Result {
 	v := d.Vertical()
-	all := EclatAll(v, minSupport, 0)
+	all := eclatAll(v, minSupport, 0, 1)
 	var out []Result
 	for _, r := range all {
 		closed := true
@@ -70,7 +70,7 @@ func TestClosedCountNeverExceedsFrequent(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		d := randomDataset(r, 8, 25)
 		v := d.Vertical()
-		all := EclatAll(v, 2, 0)
+		all := mustMine(t, v, Options{MinSupport: 2})
 		closed := ClosedAll(v, 2)
 		if len(closed) > len(all) {
 			t.Fatalf("more closed than frequent: %d > %d", len(closed), len(all))

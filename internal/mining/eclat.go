@@ -18,11 +18,6 @@ import (
 // reused Scratch makes repeated mines — the Monte Carlo replicate loop —
 // allocation-free in steady state.
 
-// eclatDensityThreshold selects the bitset representation when average item
-// support exceeds this fraction of t (dense columns intersect faster as
-// words), and tid lists otherwise.
-const eclatDensityThreshold = 1.0 / 16
-
 // ensureScratch returns s, or a fresh Scratch when s is nil (the un-pooled
 // entry points).
 func ensureScratch(s *Scratch) *Scratch {
@@ -30,34 +25,6 @@ func ensureScratch(s *Scratch) *Scratch {
 		return NewScratch()
 	}
 	return s
-}
-
-// EclatK mines all k-itemsets with support >= minSupport, choosing the
-// physical representation automatically.
-func EclatK(v *dataset.Vertical, k, minSupport int) []Result {
-	if dense(v, minSupport) {
-		return EclatKBitset(v, k, minSupport)
-	}
-	return EclatKTidList(v, k, minSupport)
-}
-
-// dense estimates whether frequent columns are dense enough for bitsets.
-func dense(v *dataset.Vertical, minSupport int) bool {
-	if v.NumTransactions == 0 {
-		return false
-	}
-	total, cnt := 0, 0
-	for _, l := range v.Tids {
-		if len(l) >= minSupport {
-			total += len(l)
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return false
-	}
-	avg := float64(total) / float64(cnt)
-	return avg/float64(v.NumTransactions) > eclatDensityThreshold
 }
 
 // frequentItems returns items with support >= minSupport sorted by ascending
@@ -88,32 +55,6 @@ func frequentItemsInto(items []uint32, v *dataset.Vertical, minSupport int) []ui
 		return items[a] < items[b]
 	})
 	return items
-}
-
-// EclatKTidList is EclatK with sorted tid-list intersections.
-func EclatKTidList(v *dataset.Vertical, k, minSupport int) []Result {
-	var out []Result
-	eclatKTidList(v, k, minSupport, nil, func(items Itemset, support int) {
-		out = append(out, Result{Items: items.Clone(), Support: support})
-	})
-	return out
-}
-
-// eclatKTidList runs the DFS, invoking emit for every size-k itemset found.
-// emit receives a scratch slice valid only during the call.
-func eclatKTidList(v *dataset.Vertical, k, minSupport int, s *Scratch, emit func(Itemset, int)) {
-	if k <= 0 || minSupport < 1 {
-		panic("mining: EclatK requires k >= 1 and minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	s.items = frequentItemsInto(s.items[:0], v, minSupport)
-	if len(s.items) < k {
-		return
-	}
-	items := s.items
-	for first := 0; first <= len(items)-k; first++ {
-		eclatKTidListSubtree(v, items, k, minSupport, first, s, emit)
-	}
 }
 
 // eclatKTidListSubtree mines the prefix-tree subtree rooted at items[first]:
@@ -155,43 +96,6 @@ func eclatKTidListSubtree(v *dataset.Vertical, items []uint32, k, minSupport, fi
 	rec(first+1, base)
 }
 
-// emitSorted hands emit a freshly allocated, id-sorted copy of the prefix
-// (items were visited in support order, not id order); the callee owns it.
-// The all-sizes miners use it because their collectors retain the slice.
-func emitSorted(prefix Itemset, sup int, emit func(Itemset, int)) {
-	tmp := prefix.Clone()
-	sortSmall(tmp)
-	emit(tmp, sup)
-}
-
-// EclatKBitset is EclatK with dense bitset intersections.
-func EclatKBitset(v *dataset.Vertical, k, minSupport int) []Result {
-	var out []Result
-	eclatKBitset(v, k, minSupport, nil, func(items Itemset, support int) {
-		out = append(out, Result{Items: items.Clone(), Support: support})
-	})
-	return out
-}
-
-// eclatKBitset runs the dense-bitset DFS, invoking emit for every size-k
-// itemset found. emit receives a scratch slice valid only during the call.
-func eclatKBitset(v *dataset.Vertical, k, minSupport int, s *Scratch, emit func(Itemset, int)) {
-	if k <= 0 || minSupport < 1 {
-		panic("mining: EclatK requires k >= 1 and minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	s.items = frequentItemsInto(s.items[:0], v, minSupport)
-	if len(s.items) < k {
-		return
-	}
-	items := s.items
-	cols := s.columns(v, items)
-	s.ensureBits(v.NumTransactions, k)
-	for first := 0; first <= len(items)-k; first++ {
-		eclatKBitsetSubtree(v, items, cols, s, k, minSupport, first, emit)
-	}
-}
-
 // eclatKBitsetSubtree is eclatKTidListSubtree over dense bitset columns;
 // cols[i] is the column of items[i]. The caller must have sized s's bitset
 // scratch via ensureBits.
@@ -228,33 +132,31 @@ func eclatKBitsetSubtree(v *dataset.Vertical, items []uint32, cols []*bitset.Bit
 	rec(first+1, cols[first])
 }
 
-// EclatAll mines every itemset (any size >= 1 up to maxLen; maxLen <= 0 means
-// unbounded) with support >= minSupport using tid lists.
-func EclatAll(v *dataset.Vertical, minSupport, maxLen int) []Result {
-	if minSupport < 1 {
-		panic("mining: EclatAll requires minSupport >= 1")
-	}
+// eclatAll mines every itemset (any size >= 1 up to maxLen; maxLen <= 0
+// means unbounded) with support >= minSupport over tid lists, sharding the
+// first-item subtrees over the worker pool; the output, in DFS order, is
+// identical for every worker count.
+func eclatAll(v *dataset.Vertical, minSupport, maxLen, workers int) []Result {
 	items := frequentItems(v, minSupport)
-	var out []Result
-	for first := range items {
-		out = eclatAllSubtree(v, items, minSupport, maxLen, first, out)
-	}
-	return out
+	bufs := make([][]Result, len(items))
+	parallelShards(len(items), workers, func(_, first int) {
+		bufs[first] = eclatAllSubtree(v, items, minSupport, maxLen, first)
+	})
+	return mergeShardResults(bufs)
 }
 
 // eclatAllSubtree mines every itemset (all sizes) whose eclat-least item is
-// items[first], appending to out. Like the fixed-k subtrees, ascending first
-// reproduces the serial DFS order.
-func eclatAllSubtree(v *dataset.Vertical, items []uint32, minSupport, maxLen, first int, out []Result) []Result {
+// items[first], each as a freshly allocated, id-sorted Result (items are
+// visited in support order, not id order). Like the fixed-k subtrees,
+// ascending first reproduces the serial DFS order.
+func eclatAllSubtree(v *dataset.Vertical, items []uint32, minSupport, maxLen, first int) []Result {
 	base := v.Tids[items[first]]
 	if len(base) < minSupport {
-		return out
+		return nil
 	}
 	prefix := make(Itemset, 1, 16)
 	prefix[0] = items[first]
-	emitSorted(prefix, len(base), func(is Itemset, s int) {
-		out = append(out, Result{Items: is, Support: s})
-	})
+	out := []Result{{Items: prefix.Clone(), Support: len(base)}}
 	var rec func(start int, tids bitset.TidList)
 	rec = func(start int, tids bitset.TidList) {
 		depth := len(prefix)
@@ -268,9 +170,9 @@ func eclatAllSubtree(v *dataset.Vertical, items []uint32, minSupport, maxLen, fi
 				continue
 			}
 			prefix = append(prefix, items[i])
-			emitSorted(prefix, sup, func(is Itemset, s int) {
-				out = append(out, Result{Items: is, Support: s})
-			})
+			sorted := prefix.Clone()
+			sortSmall(sorted)
+			out = append(out, Result{Items: sorted, Support: sup})
 			rec(i+1, next)
 			prefix = prefix[:depth]
 		}

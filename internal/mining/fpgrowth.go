@@ -99,17 +99,17 @@ func (t *fpTree) insert(ranks []int32, count int32) {
 // global tree of the current mine, the per-depth conditional tree pool, and
 // the pattern/path buffers of one mining descent.
 type fpScratch struct {
-	rank     []int32   // item -> rank, -1 when infrequent
-	rankItem []uint32  // rank -> item
-	global   fpTree    // the global tree of the current mine
-	cond     []*fpTree // pooled conditional trees, by recursion depth
-	pattern  []uint32  // suffix item stack of the descent
-	sortBuf  []uint32  // emit-time sort buffer
-	pathBuf  []int32   // prefix-path buffer for conditional builds
-	ranksBuf []int32   // per-transaction filter/sort buffer for builds
-	flat     []uint32  // flat pattern collection (fixed-k streaming)
-	sups     []int32   // supports parallel to flat
-	order    []int32   // sort permutation over the flat collection
+	rank     []int32    // item -> rank, -1 when infrequent
+	rankItem []uint32   // rank -> item
+	global   fpTree     // the global tree of the current mine
+	cond     []*fpTree  // pooled conditional trees, by recursion depth
+	pattern  []uint32   // suffix item stack of the descent
+	sortBuf  []uint32   // emit-time sort buffer
+	pathBuf  []int32    // prefix-path buffer for conditional builds
+	ranksBuf []int32    // per-transaction filter/sort buffer for builds
+	ranks    []int32    // frequent top-level ranks in mining order
+	buf      itemsetBuf // pattern collection (fixed-k streaming)
+	order    []int32    // sort permutation over buf
 }
 
 // condTree returns the pooled conditional tree for the given recursion depth.
@@ -118,37 +118,6 @@ func (f *fpScratch) condTree(depth int) *fpTree {
 		f.cond = append(f.cond, &fpTree{})
 	}
 	return f.cond[depth]
-}
-
-// FPGrowthAll mines every itemset of size 1..maxLen (maxLen <= 0: unbounded)
-// with support >= minSupport, serially.
-func FPGrowthAll(d *dataset.Dataset, minSupport, maxLen int) []Result {
-	return FPGrowthAllParallel(d, minSupport, maxLen, 1)
-}
-
-// FPGrowthAllParallel is FPGrowthAll with a worker pool (workers <= 0:
-// NumCPU): the support-counting scan and the per-transaction filter-and-sort
-// shard over transaction chunks, and the conditional-tree mining shards the
-// header ranks. Output is identical (including order) to FPGrowthAll for any
-// worker count.
-func FPGrowthAllParallel(d *dataset.Dataset, minSupport, maxLen, workers int) []Result {
-	return fpGrowthCollect(d, minSupport, maxLen, workers, 0, nil)
-}
-
-// FPGrowthK mines exactly the k-itemsets with support >= minSupport,
-// serially.
-func FPGrowthK(d *dataset.Dataset, k, minSupport int) []Result {
-	return FPGrowthKParallel(d, k, minSupport, 1)
-}
-
-// FPGrowthKParallel is FPGrowthK with a worker pool; output is identical
-// (including order) to FPGrowthK for any worker count. Sub-k patterns are
-// filtered out inside the emit path, before any Result is allocated.
-func FPGrowthKParallel(d *dataset.Dataset, k, minSupport, workers int) []Result {
-	if k < 1 {
-		panic("mining: FPGrowthK requires k >= 1")
-	}
-	return fpGrowthCollect(d, minSupport, k, workers, k, nil)
 }
 
 // fpBuild computes the rank order and builds the global FP-tree into s.fp,
@@ -187,7 +156,6 @@ func fpBuild(d *dataset.Dataset, minSupport, workers int, s *Scratch) int {
 	txs := d.Transactions()
 	const chunkSize = 1024
 	numChunks := (len(txs) + chunkSize - 1) / chunkSize
-	workers = ResolveWorkers(workers)
 	if workers <= 1 || numChunks <= 1 {
 		for _, tr := range txs {
 			fs.ranksBuf = fpFilterSortRanks(fs.ranksBuf[:0], tr, fs.rank)
@@ -346,108 +314,82 @@ func fpMineRank(t *fpTree, rk int32, depth int, ws *fpScratch, rankItem []uint32
 	ws.pattern = ws.pattern[:len(ws.pattern)-1]
 }
 
-// fpGrowthCollect is the shared materializing FP-Growth driver: it mines the
-// patterns up to maxLen, keeping only those of length onlyLen when
-// onlyLen > 0, and returns them lexicographically sorted (freshly allocated;
-// the caller owns them). The mine shards the top-level suffix ranks over the
-// worker pool; the final total sort over distinct itemsets makes the output
-// independent of the shard schedule, so it is bit-identical to a serial run.
-func fpGrowthCollect(d *dataset.Dataset, minSupport, maxLen, workers, onlyLen int, s *Scratch) []Result {
-	if minSupport < 1 {
-		panic("mining: FPGrowth requires minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	workers = ResolveWorkers(workers)
+// fpShards builds the global FP-tree into s and returns its frequent
+// top-level ranks in mining order — descending rank, least frequent first,
+// the traditional bottom-up visit — with the worker count capped at their
+// number. Each rank's suffix class is one shard.
+func fpShards(d *dataset.Dataset, minSupport, workers int, s *Scratch) ([]int32, int) {
 	numRanks := fpBuild(d, minSupport, workers, s)
-	ranks := fpMiningRanks(&s.fp, numRanks, minSupport)
-	collect := func(out *[]Result) func(Itemset, int) {
+	fs := &s.fp
+	fs.ranks = fs.ranks[:0]
+	for rk := int32(numRanks) - 1; rk >= 0; rk-- {
+		if fs.global.support[rk] >= int32(minSupport) {
+			fs.ranks = append(fs.ranks, rk)
+		}
+	}
+	return fs.ranks, shardWorkers(s, len(fs.ranks), workers)
+}
+
+// fpMineShards mines every rank's suffix class — patterns up to maxLen,
+// emitted only at length onlyLen when it is positive — serially on s.fp or
+// across the worker pool on per-worker child scratches; sink(w, shard)
+// returns the emit callback of one shard mined by worker w.
+func fpMineShards(s *Scratch, ranks []int32, workers, minSupport, maxLen, onlyLen int, sink func(w, shard int) func(Itemset, int)) {
+	fs := &s.fp
+	parallelShards(len(ranks), workers, func(w, shard int) {
+		ws := fs
+		if workers > 1 {
+			ws = &s.child(w).fp
+		}
+		fpMineRank(&fs.global, ranks[shard], 0, ws, fs.rankItem, minSupport, maxLen, onlyLen, sink(w, shard))
+	})
+}
+
+// fpGrowthAll mines every pattern of size 1..maxLen (maxLen <= 0:
+// unbounded) and returns them lexicographically sorted and freshly
+// allocated. The final total sort over distinct itemsets makes the output
+// independent of the shard schedule, so it is identical for every worker
+// count.
+func fpGrowthAll(d *dataset.Dataset, minSupport, maxLen, workers int, s *Scratch) []Result {
+	ranks, workers := fpShards(d, minSupport, workers, s)
+	bufs := make([][]Result, len(ranks))
+	fpMineShards(s, ranks, workers, minSupport, maxLen, 0, func(_, shard int) func(Itemset, int) {
 		return func(pattern Itemset, sup int) {
-			*out = append(*out, Result{Items: pattern.Clone(), Support: sup})
+			bufs[shard] = append(bufs[shard], Result{Items: pattern.Clone(), Support: sup})
 		}
-	}
-	var out []Result
-	if workers <= 1 || len(ranks) <= 1 {
-		for _, rk := range ranks {
-			fpMineRank(&s.fp.global, rk, 0, &s.fp, s.fp.rankItem, minSupport, maxLen, onlyLen, collect(&out))
-		}
-	} else {
-		workers = shardWorkers(s, len(ranks), workers)
-		bufs := make([][]Result, len(ranks))
-		parallelShards(len(ranks), workers, func(w, shard int) {
-			ws := &s.child(w).fp
-			fpMineRank(&s.fp.global, ranks[shard], 0, ws, s.fp.rankItem, minSupport, maxLen, onlyLen, collect(&bufs[shard]))
-		})
-		out = mergeShardResults(bufs)
-	}
+	})
+	out := mergeShardResults(bufs)
 	sortByItems(out)
 	return out
 }
 
-// fpMiningRanks returns the tree's frequent ranks in mining order: descending
-// rank (least frequent first, the traditional bottom-up visit).
-func fpMiningRanks(fs *fpScratch, numRanks, minSupport int) []int32 {
-	ranks := make([]int32, 0, numRanks)
-	for rk := int32(numRanks) - 1; rk >= 0; rk-- {
-		if fs.global.support[rk] >= int32(minSupport) {
-			ranks = append(ranks, rk)
-		}
-	}
-	return ranks
-}
-
 // fpGrowthVisitK streams the k-itemsets with support >= minSupport to emit
 // in lexicographic order, using only scratch storage in the serial case: the
-// patterns collect into a flat stride-k buffer that is permutation-sorted
-// and replayed. emit receives a scratch slice valid only during the call.
+// patterns collect into a flat buffer that is permutation-sorted and
+// replayed. emit receives a scratch slice valid only during the call.
 func fpGrowthVisitK(d *dataset.Dataset, k, minSupport, workers int, s *Scratch, emit func(Itemset, int)) {
-	if k < 1 || minSupport < 1 {
-		panic("mining: FPGrowth requires k >= 1 and minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	workers = ResolveWorkers(workers)
-	numRanks := fpBuild(d, minSupport, workers, s)
-	ranks := fpMiningRanks(&s.fp, numRanks, minSupport)
+	ranks, workers := fpShards(d, minSupport, workers, s)
 	fs := &s.fp
-	fs.flat = fs.flat[:0]
-	fs.sups = fs.sups[:0]
-	if workers <= 1 || len(ranks) <= 1 {
-		for _, rk := range ranks {
-			fpMineRank(&fs.global, rk, 0, fs, fs.rankItem, minSupport, k, k, func(items Itemset, sup int) {
-				fs.flat = append(fs.flat, items...)
-				fs.sups = append(fs.sups, int32(sup))
-			})
-		}
+	fs.buf = itemsetBuf{items: fs.buf.items[:0], sups: fs.buf.sups[:0]}
+	if workers <= 1 {
+		add := fs.buf.add
+		fpMineShards(s, ranks, workers, minSupport, k, k, func(int, int) func(Itemset, int) { return add })
 	} else {
-		type shardOut struct {
-			flat []uint32
-			sups []int32
-		}
-		workers = shardWorkers(s, len(ranks), workers)
-		bufs := make([]shardOut, len(ranks))
-		parallelShards(len(ranks), workers, func(w, shard int) {
-			ws := &s.child(w).fp
-			b := &bufs[shard]
-			fpMineRank(&fs.global, ranks[shard], 0, ws, fs.rankItem, minSupport, k, k, func(items Itemset, sup int) {
-				b.flat = append(b.flat, items...)
-				b.sups = append(b.sups, int32(sup))
-			})
-		})
+		bufs := make([]itemsetBuf, len(ranks))
+		fpMineShards(s, ranks, workers, minSupport, k, k, func(_, shard int) func(Itemset, int) { return bufs[shard].add })
 		for _, b := range bufs {
-			fs.flat = append(fs.flat, b.flat...)
-			fs.sups = append(fs.sups, b.sups...)
+			fs.buf.items = append(fs.buf.items, b.items...)
+			fs.buf.sups = append(fs.buf.sups, b.sups...)
 		}
 	}
-	// Lexicographic permutation sort over the flat collection; itemsets are
+	// Lexicographic permutation sort over the collection; itemsets are
 	// distinct, so the order is total and shard-schedule independent.
-	n := len(fs.sups)
 	fs.order = fs.order[:0]
-	for i := 0; i < n; i++ {
+	for i := range fs.buf.sups {
 		fs.order = append(fs.order, int32(i))
 	}
-	flat := fs.flat
 	sort.Slice(fs.order, func(a, b int) bool {
-		x := flat[int(fs.order[a])*k : int(fs.order[a])*k+k]
-		y := flat[int(fs.order[b])*k : int(fs.order[b])*k+k]
+		x, y := fs.buf.at(int(fs.order[a]), k), fs.buf.at(int(fs.order[b]), k)
 		for i := 0; i < k; i++ {
 			if x[i] != y[i] {
 				return x[i] < y[i]
@@ -456,46 +398,21 @@ func fpGrowthVisitK(d *dataset.Dataset, k, minSupport, workers int, s *Scratch, 
 		return false
 	})
 	for _, id := range fs.order {
-		emit(Itemset(flat[int(id)*k:int(id)*k+k]), int(fs.sups[id]))
+		emit(fs.buf.at(int(id), k), int(fs.buf.sups[id]))
 	}
 }
 
-// fpGrowthSupportHistogram fills a support histogram of the k-itemsets with
-// support >= minSupport (hist[s] = count at support s, len(hist) = size)
-// without materializing any itemset: the rank shards stream into per-worker
-// integer histograms merged by addition — order is irrelevant to a
-// histogram, so no buffers and no pattern allocations survive the mine.
-func fpGrowthSupportHistogram(d *dataset.Dataset, k, minSupport, workers, size int, s *Scratch) []int64 {
-	if k < 1 || minSupport < 1 {
-		panic("mining: fpGrowthSupportHistogram requires k >= 1 and minSupport >= 1")
+// fpGrowthCount adds the k-itemsets with support >= minSupport into hist by
+// support without materializing any itemset: the rank shards count into
+// per-worker histograms merged by addition — order is irrelevant to a
+// histogram, so nothing is buffered.
+func fpGrowthCount(d *dataset.Dataset, k, minSupport, workers int, s *Scratch, hist []int64) {
+	ranks, workers := fpShards(d, minSupport, workers, s)
+	hists := workerHistograms(hist, workers)
+	counters := make([]func(Itemset, int), len(hists))
+	for w, h := range hists {
+		counters[w] = func(_ Itemset, sup int) { h[sup]++ }
 	}
-	s = ensureScratch(s)
-	workers = ResolveWorkers(workers)
-	numRanks := fpBuild(d, minSupport, workers, s)
-	ranks := fpMiningRanks(&s.fp, numRanks, minSupport)
-	if workers > len(ranks) {
-		workers = len(ranks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	hists := newWorkerHistograms(workers, size)
-	if workers <= 1 {
-		hist := hists[0]
-		for _, rk := range ranks {
-			fpMineRank(&s.fp.global, rk, 0, &s.fp, s.fp.rankItem, minSupport, k, k, func(_ Itemset, sup int) {
-				hist[sup]++
-			})
-		}
-		return hists[0]
-	}
-	workers = shardWorkers(s, len(ranks), workers)
-	parallelShards(len(ranks), workers, func(w, shard int) {
-		ws := &s.child(w).fp
-		hist := hists[w]
-		fpMineRank(&s.fp.global, ranks[shard], 0, ws, s.fp.rankItem, minSupport, k, k, func(_ Itemset, sup int) {
-			hist[sup]++
-		})
-	})
-	return mergeWorkerHistograms(hists)
+	fpMineShards(s, ranks, workers, minSupport, k, k, func(w, _ int) func(Itemset, int) { return counters[w] })
+	mergeWorkerHistograms(hists)
 }

@@ -10,8 +10,8 @@ import (
 // intersections. For sparse datasets (short transactions) the k-itemsets
 // with support >= 1 are exactly the k-subsets occurring inside transactions,
 // so enumerating each transaction's C(len, k) subsets into a hash table is
-// dramatically cheaper. The dispatcher VisitK estimates that enumeration
-// cost from the transaction length histogram and picks the faster strategy.
+// dramatically cheaper. useHashPath estimates that enumeration cost from the
+// transaction lengths, and visitShortcut takes the hash path when it wins.
 //
 // The counting table is a string-free ItemsetTable (open addressing over the
 // packed item tuples) with a parallel count array, both pooled in the
@@ -27,15 +27,14 @@ const subsetBudget = 3_000_000
 // considered; at higher thresholds Eclat's pruning works fine.
 const hashPathMaxSupport = 8
 
-// transactionLengths recovers the per-transaction lengths from the vertical
-// layout in O(total occurrences).
-func transactionLengths(v *dataset.Vertical) []int {
-	return transactionLengthsInto(make([]int, v.NumTransactions), v)
-}
-
-// transactionLengthsInto is transactionLengths into a caller-sized buffer
-// (len must be v.NumTransactions; contents are overwritten).
-func transactionLengthsInto(lens []int, v *dataset.Vertical) []int {
+// scratchLengths recovers the per-transaction lengths from the vertical
+// layout in O(total occurrences), into the pooled buffer.
+func (s *Scratch) scratchLengths(v *dataset.Vertical) []int {
+	if cap(s.lens) < v.NumTransactions {
+		s.lens = make([]int, v.NumTransactions)
+	}
+	lens := s.lens[:v.NumTransactions]
+	s.lens = lens
 	for i := range lens {
 		lens[i] = 0
 	}
@@ -45,15 +44,6 @@ func transactionLengthsInto(lens []int, v *dataset.Vertical) []int {
 		}
 	}
 	return lens
-}
-
-// scratchLengths returns the pooled transaction-length buffer.
-func (s *Scratch) scratchLengths(v *dataset.Vertical) []int {
-	if cap(s.lens) < v.NumTransactions {
-		s.lens = make([]int, v.NumTransactions)
-	}
-	s.lens = s.lens[:v.NumTransactions]
-	return transactionLengthsInto(s.lens, v)
 }
 
 // subsetEnumerationCost returns sum over transactions of C(len, k), capped
@@ -80,21 +70,14 @@ func subsetEnumerationCost(lens []int, k int, limit int64) int64 {
 	return total
 }
 
-// useHashPath decides whether transaction-subset enumeration beats Eclat.
-func useHashPath(v *dataset.Vertical, k, minSupport int) bool {
+// useHashPath decides whether transaction-subset enumeration beats Eclat;
+// the transaction lengths are only computed (into s) at floors low enough
+// for the hash path to be considered at all.
+func useHashPath(v *dataset.Vertical, k, minSupport int, s *Scratch) bool {
 	if k < 2 || minSupport > hashPathMaxSupport {
 		return false
 	}
-	lens := transactionLengths(v)
-	return useHashPathLens(lens, k, minSupport)
-}
-
-// useHashPathLens is useHashPath against precomputed transaction lengths.
-func useHashPathLens(lens []int, k, minSupport int) bool {
-	if k < 2 || minSupport > hashPathMaxSupport {
-		return false
-	}
-	return subsetEnumerationCost(lens, k, subsetBudget) <= subsetBudget
+	return subsetEnumerationCost(s.scratchLengths(v), k, subsetBudget) <= subsetBudget
 }
 
 // hashMineK enumerates every k-subset of every transaction, counts them in
@@ -143,42 +126,27 @@ func hashMineK(v *dataset.Vertical, k, minSupport int, s *Scratch, emit func(Ite
 	}
 }
 
-// VisitK streams every k-itemset with support >= minSupport to emit,
-// choosing between Eclat DFS and transaction-subset enumeration by cost.
-// The itemset slice passed to emit is only valid during the call.
-func VisitK(v *dataset.Vertical, k, minSupport int, emit func(items Itemset, support int)) {
-	visitK(v, k, minSupport, nil, emit)
-}
-
-// visitK is VisitK with a threaded Scratch (nil allowed).
-func visitK(v *dataset.Vertical, k, minSupport int, s *Scratch, emit func(items Itemset, support int)) {
-	if k < 1 || minSupport < 1 {
-		panic("mining: VisitK requires k >= 1 and minSupport >= 1")
-	}
-	if k == 1 {
+// visitShortcut streams the fixed-k mines that bypass the Eclat DFS on the
+// tid-list layout — k = 1, read off the item supports in item order, and the
+// low-floor hash path — and reports whether it handled the mine. EclatBits
+// always runs the DFS.
+func visitShortcut(v *dataset.Vertical, k, minSupport int, algo Algorithm, s *Scratch, emit func(Itemset, int)) bool {
+	switch {
+	case algo == EclatBits:
+		return false
+	case k == 1:
+		s.ensureDepth(1)
+		item := s.prefix[:1]
 		for it, l := range v.Tids {
 			if len(l) >= minSupport {
-				emit(Itemset{uint32(it)}, len(l))
+				item[0] = uint32(it)
+				emit(item, len(l))
 			}
 		}
-		return
+		return true
+	case useHashPath(v, k, minSupport, s):
+		hashMineK(v, k, minSupport, s, emit)
+		return true
 	}
-	s = ensureScratch(s)
-	if minSupport <= hashPathMaxSupport {
-		if useHashPathLens(s.scratchLengths(v), k, minSupport) {
-			hashMineK(v, k, minSupport, s, emit)
-			return
-		}
-	}
-	eclatKTidList(v, k, minSupport, s, emit)
-}
-
-// MineK mines size-k itemsets with the automatic strategy choice,
-// materializing the results.
-func MineK(v *dataset.Vertical, k, minSupport int) []Result {
-	var out []Result
-	VisitK(v, k, minSupport, func(items Itemset, sup int) {
-		out = append(out, Result{Items: items.Clone(), Support: sup})
-	})
-	return out
+	return false
 }

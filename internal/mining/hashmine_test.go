@@ -32,7 +32,7 @@ func TestHashMineAgreesWithEclat(t *testing.T) {
 		for k := 2; k <= 4; k++ {
 			for _, minSup := range []int{1, 2, 3} {
 				want := map[string]int{}
-				eclatKTidList(v, k, minSup, nil, func(items Itemset, sup int) {
+				newEclatShards(v, k, minSup, 1, false, NewScratch()).stream(func(items Itemset, sup int) {
 					want[items.Key()] = sup
 				})
 				got := map[string]int{}
@@ -58,16 +58,16 @@ func TestVisitKDispatch(t *testing.T) {
 	r := stats.NewRNG(11)
 	// Sparse data at low threshold must select the hash path.
 	sparse := sparseRandom(r, 50, 500, 2).Vertical()
-	if !useHashPath(sparse, 3, 1) {
+	if !useHashPath(sparse, 3, 1, NewScratch()) {
 		t.Error("sparse low-threshold input should use hash path")
 	}
 	// High thresholds must not.
-	if useHashPath(sparse, 3, 100) {
+	if useHashPath(sparse, 3, 100, NewScratch()) {
 		t.Error("high threshold should use Eclat")
 	}
 	// k = 1 is answered directly from item supports.
 	count := 0
-	VisitK(sparse, 1, 3, func(items Itemset, sup int) {
+	VisitKAlgoScratch(sparse, 1, 3, 1, Auto, nil, func(items Itemset, sup int) {
 		if len(items) != 1 || sup < 3 {
 			t.Fatalf("bad k=1 emission: %v %d", items, sup)
 		}
@@ -90,10 +90,18 @@ func TestVisitKPanicsOnBadArgs(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("VisitK(%v) should panic", bad)
+					t.Errorf("VisitKAlgoScratch(%v) should panic", bad)
 				}
 			}()
-			VisitK(v, bad[0], bad[1], func(Itemset, int) {})
+			VisitKAlgoScratch(v, bad[0], bad[1], 1, Auto, nil, func(Itemset, int) {})
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SupportHistogramAlgoScratch(%v) should panic", bad)
+				}
+			}()
+			SupportHistogramAlgoScratch(v, bad[0], bad[1], 1, Auto, nil)
 		}()
 	}
 }
@@ -114,14 +122,21 @@ func TestSubsetEnumerationCost(t *testing.T) {
 	}
 }
 
+// TestMineKMatchesEclatOnDense: on dense data Auto keeps the tid-list DFS
+// (bitsets are never picked automatically); its materialization must equal
+// the forced-bitset run as a set.
 func TestMineKMatchesEclatOnDense(t *testing.T) {
-	// Dense data routes through Eclat; MineK must agree with EclatK.
 	r := stats.NewRNG(5)
 	d := randomDataset(r, 8, 40)
-	v := d.Vertical()
-	a := MineK(v, 2, 2)
-	b := EclatKTidList(v, 2, 2)
-	if !resultsEqual(a, b) {
-		t.Fatal("MineK disagrees with EclatK")
+	a, err := Mine(d, Options{K: 2, MinSupport: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Mine(d, Options{K: 2, MinSupport: 2, Algorithm: EclatBits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) == 0 || !resultsEqual(a, b) {
+		t.Fatalf("Auto (%d results) disagrees with EclatBits (%d)", len(a), len(b))
 	}
 }

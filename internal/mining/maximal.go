@@ -70,13 +70,14 @@ func TopK(v *dataset.Vertical, k, K int) []Result {
 	if threshold < 1 {
 		return nil
 	}
+	s := NewScratch()
 	for threshold > 1 {
-		if CountK(v, k, threshold) >= int64(K) {
+		if CumulativeQ(SupportHistogramAlgoScratch(v, k, threshold, 1, Auto, s))[threshold] >= int64(K) {
 			break
 		}
 		threshold /= 2
 	}
-	VisitK(v, k, threshold, func(items Itemset, sup int) {
+	VisitKAlgoScratch(v, k, threshold, 1, Auto, s, func(items Itemset, sup int) {
 		if h.Len() < K {
 			heap.Push(h, Result{Items: items.Clone(), Support: sup})
 			return

@@ -36,7 +36,7 @@ func TestMaximalAgainstBrute(t *testing.T) {
 		d := randomDataset(r, 8, 30)
 		v := d.Vertical()
 		for _, minSup := range []int{1, 2, 4} {
-			all := EclatAll(v, minSup, 0)
+			all := mustMine(t, v, Options{MinSupport: minSup})
 			want := bruteMaximal(v, all)
 			got := MaximalAll(v, minSup)
 			if !resultsEqual(got, want) {
@@ -66,7 +66,7 @@ func TestTopK(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		d := randomDataset(r, 8, 40)
 		v := d.Vertical()
-		all := EclatKTidList(v, 2, 1)
+		all := mustMine(t, v, Options{K: 2, MinSupport: 1})
 		SortResults(all)
 		for _, K := range []int{1, 3, 10, 1000} {
 			got := TopK(v, 2, K)

@@ -10,9 +10,12 @@ import (
 type Algorithm int
 
 const (
-	// Auto picks Eclat with an automatically chosen physical layout.
+	// Auto mines vertically with one policy everywhere: the hash path at
+	// floors <= 8 when enumerating transaction subsets is cheap, Eclat over
+	// tid lists otherwise.
 	Auto Algorithm = iota
-	// EclatTids forces vertical mining over sorted tid lists.
+	// EclatTids selects vertical mining over sorted tid lists; for fixed k
+	// it shares Auto's dispatch, including the low-floor hash path.
 	EclatTids
 	// EclatBits forces vertical mining over dense bitsets.
 	EclatBits
@@ -81,135 +84,159 @@ type Options struct {
 	Workers int
 }
 
-// Mine runs the configured algorithm against the dataset. Both layouts are
-// accepted; whichever the algorithm does not need is derived on the fly.
+// validate rejects options no miner accepts.
+func (o Options) validate() error {
+	if o.MinSupport < 1 {
+		return fmt.Errorf("mining: MinSupport must be >= 1, got %d", o.MinSupport)
+	}
+	if o.K < 0 {
+		return fmt.Errorf("mining: K must be >= 0, got %d", o.K)
+	}
+	if o.Algorithm < Auto || o.Algorithm > FPGrowth {
+		return fmt.Errorf("mining: unknown algorithm %v", o.Algorithm)
+	}
+	return nil
+}
+
+// Mine materializes the itemsets the options select. Fixed-k runs (K > 0)
+// collect VisitKAlgoScratch's stream; all-sizes runs use the algorithm's
+// all-sizes miner. Apriori and FP-Growth mine d as-is; Eclat mines its
+// vertical layout.
 func Mine(d *dataset.Dataset, opts Options) ([]Result, error) {
-	if opts.MinSupport < 1 {
-		return nil, fmt.Errorf("mining: MinSupport must be >= 1, got %d", opts.MinSupport)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
-	if opts.K < 0 {
-		return nil, fmt.Errorf("mining: K must be >= 0, got %d", opts.K)
+	if opts.Algorithm == Apriori || opts.Algorithm == FPGrowth {
+		return mine(d, nil, opts), nil
 	}
-	switch opts.Algorithm {
-	case Auto, EclatTids, EclatBits:
-		return MineVertical(d.Vertical(), opts)
-	case Apriori:
-		if opts.K > 0 {
-			return AprioriKParallel(d, opts.K, opts.MinSupport, opts.Workers), nil
-		}
-		return AprioriAllParallel(d, opts.MinSupport, opts.MaxLen, opts.Workers), nil
-	case FPGrowth:
-		if opts.K > 0 {
-			return FPGrowthKParallel(d, opts.K, opts.MinSupport, opts.Workers), nil
-		}
-		return FPGrowthAllParallel(d, opts.MinSupport, opts.MaxLen, opts.Workers), nil
-	default:
-		return nil, fmt.Errorf("mining: unknown algorithm %v", opts.Algorithm)
-	}
+	return mine(nil, d.Vertical(), opts), nil
 }
 
-// MineVertical mines directly from the vertical layout (the natural input
-// when datasets come from the random generator). Only the Eclat variants
-// apply; Auto picks the layout by density.
+// MineVertical is Mine over the vertical layout (the natural input when
+// datasets come from the random generator); Apriori and FP-Growth convert it
+// to transactions first.
 func MineVertical(v *dataset.Vertical, opts Options) ([]Result, error) {
-	if opts.MinSupport < 1 {
-		return nil, fmt.Errorf("mining: MinSupport must be >= 1, got %d", opts.MinSupport)
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	return mine(nil, v, opts), nil
+}
+
+// mine runs validated options against whichever layout the caller holds: d
+// (horizontal algorithms only) or v.
+func mine(d *dataset.Dataset, v *dataset.Vertical, opts Options) []Result {
+	workers := resolveWorkers(opts.Workers)
+	s := NewScratch()
+	if opts.K > 0 {
+		var out []Result
+		visitK(d, v, opts.K, opts.MinSupport, workers, opts.Algorithm, s, func(items Itemset, sup int) {
+			out = append(out, Result{Items: items.Clone(), Support: sup})
+		})
+		return out
 	}
 	switch opts.Algorithm {
-	case Auto:
-		if opts.K > 0 {
-			return EclatKParallel(v, opts.K, opts.MinSupport, opts.Workers), nil
+	case Apriori:
+		var out []Result
+		for _, level := range aprioriLevels(horizontal(d, v, s), opts.MaxLen, opts.MinSupport, workers) {
+			out = append(out, level...)
 		}
-		return EclatAllParallel(v, opts.MinSupport, opts.MaxLen, opts.Workers), nil
-	case EclatTids:
-		if opts.K > 0 {
-			return EclatKTidListParallel(v, opts.K, opts.MinSupport, opts.Workers), nil
-		}
-		return EclatAllParallel(v, opts.MinSupport, opts.MaxLen, opts.Workers), nil
-	case EclatBits:
-		if opts.K > 0 {
-			return EclatKBitsetParallel(v, opts.K, opts.MinSupport, opts.Workers), nil
-		}
-		return EclatAllParallel(v, opts.MinSupport, opts.MaxLen, opts.Workers), nil
-	case Apriori, FPGrowth:
-		d := v.Horizontal()
-		return Mine(d, opts)
+		return out
+	case FPGrowth:
+		return fpGrowthAll(horizontal(d, v, s), opts.MinSupport, opts.MaxLen, workers, s)
 	default:
-		return nil, fmt.Errorf("mining: unknown algorithm %v", opts.Algorithm)
+		return eclatAll(v, opts.MinSupport, opts.MaxLen, workers)
 	}
 }
 
-// VisitKAlgoParallel streams every k-itemset with support >= minSupport to
-// emit using the selected algorithm with a worker pool. emit is never called
-// concurrently, and — for every algorithm — the itemset it receives is a
-// scratch slice valid only during the call (clone it to retain it), as with
-// VisitK. For a fixed algorithm the emission order is identical for every
-// worker count (orders differ BETWEEN algorithms: Eclat variants emit DFS
-// order, Apriori and FP-Growth emit lexicographically sorted output).
-func VisitKAlgoParallel(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, emit func(items Itemset, support int)) {
-	VisitKAlgoScratch(v, k, minSupport, workers, algo, nil, emit)
+// horizontal returns d when the caller holds it, else v converted into s.
+func horizontal(d *dataset.Dataset, v *dataset.Vertical, s *Scratch) *dataset.Dataset {
+	if d != nil {
+		return d
+	}
+	return s.horizontal(v)
 }
 
-// VisitKAlgoScratch is VisitKAlgoParallel with a threaded Scratch (nil
-// allowed); output — values and order — is identical to VisitKAlgoParallel.
-// This is the entry point of the Monte Carlo replicate engine: with a reused
-// per-worker Scratch the serial paths of every algorithm (Eclat over tid
-// lists or bitsets, FP-Growth, the hash path) stream straight from pooled
-// buffers, so a worker's second replicate allocates nothing.
+// VisitKAlgoScratch streams every k-itemset with support >= minSupport to
+// emit — the one fixed-k mining entry point; Mine collects it, and counting
+// goes through SupportHistogramAlgoScratch. emit is never called
+// concurrently and receives a scratch slice valid only during the call
+// (clone it to retain it). For a fixed algorithm the emission order is
+// identical for every worker count (orders differ BETWEEN algorithms: Eclat
+// variants emit DFS order, the hash path table insertion order, Apriori and
+// FP-Growth lexicographically sorted output).
+//
+// s may be nil. This is the entry point of the Monte Carlo replicate engine:
+// with a reused per-worker Scratch the serial paths of every algorithm
+// stream straight from pooled buffers, so a worker's second replicate
+// allocates nothing.
 func VisitKAlgoScratch(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch, emit func(items Itemset, support int)) {
-	s = ensureScratch(s)
+	visitK(nil, v, k, minSupport, resolveWorkers(workers), algo, ensureScratch(s), emit)
+}
+
+// visitK is VisitKAlgoScratch over either layout (see mine) with resolved
+// workers and a non-nil Scratch.
+func visitK(d *dataset.Dataset, v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch, emit func(Itemset, int)) {
+	checkK(k, minSupport)
 	switch algo {
-	case EclatBits:
-		if workers = ResolveWorkers(workers); workers <= 1 {
-			// Streaming the serial kernel emits the exact DFS order the
-			// sharded merge reproduces, so both branches agree bit for bit.
-			eclatKBitset(v, k, minSupport, s, emit)
-			return
-		}
-		for _, r := range eclatKBitsetParallel(v, k, minSupport, workers, s) {
-			emit(r.Items, r.Support)
-		}
 	case Apriori:
-		for _, r := range AprioriKParallel(s.horizontal(v), k, minSupport, workers) {
-			emit(r.Items, r.Support)
+		if levels := aprioriLevels(horizontal(d, v, s), k, minSupport, workers); len(levels) == k {
+			for _, r := range levels[k-1] {
+				emit(r.Items, r.Support)
+			}
 		}
 	case FPGrowth:
-		// fpGrowthVisitK streams the lexicographically sorted patterns from
-		// the scratch's flat collection — the same values and order
-		// FPGrowthKParallel materializes, without the per-Result allocations.
-		fpGrowthVisitK(s.horizontal(v), k, minSupport, workers, s, emit)
+		fpGrowthVisitK(horizontal(d, v, s), k, minSupport, workers, s, emit)
 	default:
-		visitKParallel(v, k, minSupport, workers, s, emit)
+		if !visitShortcut(v, k, minSupport, algo, s, emit) {
+			newEclatShards(v, k, minSupport, workers, algo == EclatBits, s).stream(emit)
+		}
 	}
 }
 
-// SupportHistogramAlgoParallel is SupportHistogramParallel with an explicit
-// algorithm choice; every algorithm yields the exact same histogram, so the
-// choice only affects performance. FP-Growth streams shard-local counts
-// without materializing itemsets; EclatBits streams over the dense bitset
-// kernels; Apriori counts from its k-th level, which level-wise mining
-// materializes regardless.
-func SupportHistogramAlgoParallel(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm) []int64 {
-	return SupportHistogramAlgoScratch(v, k, minSupport, workers, algo, nil)
+// SupportHistogramAlgoScratch counts the k-itemsets with support >=
+// minSupport by support level without materializing them: hist[s] is the
+// number of k-itemsets of support exactly s, len(hist) is the largest item
+// support plus one, and CumulativeQ turns it into Q_{k,s} for every s >=
+// minSupport. Every algorithm yields the same histogram, so the choice only
+// affects speed; shards count into per-worker histograms merged by integer
+// addition, never through the stream's replay buffers. s may be nil; a
+// reused Scratch pools the horizontal conversion, the dense columns, the
+// FP-tree arenas and the DFS buffers across calls.
+func SupportHistogramAlgoScratch(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch) []int64 {
+	checkK(k, minSupport)
+	s = ensureScratch(s)
+	workers = resolveWorkers(workers)
+	hist := make([]int64, v.MaxItemSupport()+1)
+	count := func(_ Itemset, sup int) { hist[sup]++ }
+	switch algo {
+	case Apriori:
+		visitK(nil, v, k, minSupport, workers, algo, s, count)
+	case FPGrowth:
+		fpGrowthCount(s.horizontal(v), k, minSupport, workers, s, hist)
+	default:
+		if !visitShortcut(v, k, minSupport, algo, s, count) {
+			newEclatShards(v, k, minSupport, workers, algo == EclatBits, s).count(hist)
+		}
+	}
+	return hist
 }
 
-// SupportHistogramAlgoScratch is SupportHistogramAlgoParallel with a threaded
-// Scratch (nil allowed): a reused Scratch pools the horizontal conversion,
-// the dense columns, the FP-tree arenas, and the DFS buffers across calls.
-func SupportHistogramAlgoScratch(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch) []int64 {
-	s = ensureScratch(s)
-	switch algo {
-	case EclatBits:
-		return supportHistogramBitsetParallel(v, k, minSupport, workers, s)
-	case FPGrowth:
-		return fpGrowthSupportHistogram(s.horizontal(v), k, minSupport, workers, v.MaxItemSupport()+1, s)
-	case Apriori:
-		hist := make([]int64, v.MaxItemSupport()+1)
-		for _, r := range AprioriKParallel(s.horizontal(v), k, minSupport, workers) {
-			hist[r.Support]++
-		}
-		return hist
-	default:
-		return supportHistogramParallel(v, k, minSupport, workers, s)
+// CumulativeQ converts a support histogram into the full Q curve:
+// out[s] = Q_{k,s} = sum_{j >= s} hist[j] for every s in [0, len(hist)).
+// Procedure 2 reads every threshold of its ladder off one histogram pass.
+func CumulativeQ(hist []int64) []int64 {
+	out := make([]int64, len(hist))
+	var acc int64
+	for s := len(hist) - 1; s >= 0; s-- {
+		acc += hist[s]
+		out[s] = acc
+	}
+	return out
+}
+
+// checkK panics on arguments no fixed-k miner accepts.
+func checkK(k, minSupport int) {
+	if k < 1 || minSupport < 1 {
+		panic("mining: fixed-k mining requires k >= 1 and minSupport >= 1")
 	}
 }

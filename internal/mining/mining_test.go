@@ -1,11 +1,11 @@
 package mining
 
 import (
-	"sort"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
-	"sigfim/internal/bitset"
 	"sigfim/internal/dataset"
 	"sigfim/internal/stats"
 )
@@ -70,28 +70,93 @@ func resultsEqual(a, b []Result) bool {
 	return true
 }
 
+// mustMine is MineVertical for options known to be valid.
+func mustMine(t *testing.T, v *dataset.Vertical, opts Options) []Result {
+	t.Helper()
+	rs, err := MineVertical(v, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// allAlgorithms lists every Algorithm value.
+var allAlgorithms = []Algorithm{Auto, EclatTids, EclatBits, Apriori, FPGrowth}
+
+// collect materializes one stream into owned Results, in emission order.
+func collect(v *dataset.Vertical, k, minSup, workers int, algo Algorithm, s *Scratch) []Result {
+	var out []Result
+	VisitKAlgoScratch(v, k, minSup, workers, algo, s, func(is Itemset, sup int) {
+		out = append(out, Result{Items: is.Clone(), Support: sup})
+	})
+	return out
+}
+
+// histogramOf is the support histogram of a result list, sized like
+// SupportHistogramAlgoScratch's.
+func histogramOf(v *dataset.Vertical, rs []Result) []int64 {
+	hist := make([]int64, v.MaxItemSupport()+1)
+	for _, r := range rs {
+		hist[r.Support]++
+	}
+	return hist
+}
+
+// TestAllAlgorithmsAgreeWithBruteForce is the one table over the three entry
+// points: every algorithm × workers {1, 4} × k {1, 2, 3} × floors on both
+// sides of hashPathMaxSupport, on dense and sparse random datasets. Sorted
+// Mine, the sorted stream and brute force must agree; the histogram must be
+// the stream's histogram; and each algorithm's stream order must not depend
+// on the worker count.
 func TestAllAlgorithmsAgreeWithBruteForce(t *testing.T) {
 	r := stats.NewRNG(2025)
-	for trial := 0; trial < 40; trial++ {
-		d := randomDataset(r, 9, 40)
+	var datasets []*dataset.Dataset
+	for trial := 0; trial < 8; trial++ {
+		datasets = append(datasets, randomDataset(r, 12, 60), sparseRandom(r, 14, 120, 4))
+	}
+	floors := []int{1, hashPathMaxSupport, hashPathMaxSupport + 1, 20}
+	hashPaths, dfsPaths := 0, 0
+	for trial, d := range datasets {
 		v := d.Vertical()
-		for k := 1; k <= 4; k++ {
-			for _, minSup := range []int{1, 2, 5} {
-				want := bruteMineK(d, k, minSup)
-				algos := map[string][]Result{
-					"eclat-tids": EclatKTidList(v, k, minSup),
-					"eclat-bits": EclatKBitset(v, k, minSup),
-					"apriori":    AprioriK(d, k, minSup),
-					"fpgrowth":   FPGrowthK(d, k, minSup),
+		for k := 1; k <= 3; k++ {
+			for _, minSup := range floors {
+				if useHashPath(v, k, minSup, NewScratch()) {
+					hashPaths++
+				} else if k > 1 {
+					dfsPaths++
 				}
-				for name, got := range algos {
-					if !resultsEqual(got, append([]Result(nil), want...)) {
-						t.Fatalf("trial %d %s k=%d minSup=%d: got %d results, want %d",
-							trial, name, k, minSup, len(got), len(want))
+				want := bruteMineK(d, k, minSup)
+				for _, algo := range allAlgorithms {
+					var serial []Result
+					for _, workers := range []int{1, 4} {
+						name := fmt.Sprintf("trial %d k=%d s=%d %v workers=%d", trial, k, minSup, algo, workers)
+						stream := collect(v, k, minSup, workers, algo, NewScratch())
+						if workers == 1 {
+							serial = stream
+						} else if !reflect.DeepEqual(stream, serial) {
+							t.Fatalf("%s: stream order differs from workers=1", name)
+						}
+						hist := SupportHistogramAlgoScratch(v, k, minSup, workers, algo, nil)
+						if !reflect.DeepEqual(hist, histogramOf(v, stream)) {
+							t.Fatalf("%s: histogram differs from the stream's", name)
+						}
+						mined, err := Mine(d, Options{K: k, MinSupport: minSup, Algorithm: algo, Workers: workers})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !resultsEqual(mined, append([]Result(nil), want...)) {
+							t.Fatalf("%s: Mine has %d results, brute force %d", name, len(mined), len(want))
+						}
+						if !resultsEqual(append([]Result(nil), stream...), append([]Result(nil), want...)) {
+							t.Fatalf("%s: stream has %d results, brute force %d", name, len(stream), len(want))
+						}
 					}
 				}
 			}
 		}
+	}
+	if hashPaths == 0 || dfsPaths == 0 {
+		t.Fatalf("table is vacuous: %d hash-path cases, %d DFS cases", hashPaths, dfsPaths)
 	}
 }
 
@@ -99,18 +164,18 @@ func TestAllSizesAgree(t *testing.T) {
 	r := stats.NewRNG(77)
 	for trial := 0; trial < 20; trial++ {
 		d := randomDataset(r, 8, 30)
-		v := d.Vertical()
 		for _, minSup := range []int{1, 3} {
-			eclat := EclatAll(v, minSup, 0)
-			apriori := AprioriAll(d, minSup, 0)
-			fp := FPGrowthAll(d, minSup, 0)
-			if !resultsEqual(eclat, apriori) {
-				t.Fatalf("trial %d minSup=%d: eclat %d vs apriori %d results",
-					trial, minSup, len(eclat), len(apriori))
-			}
-			if !resultsEqual(eclat, fp) {
-				t.Fatalf("trial %d minSup=%d: eclat %d vs fpgrowth %d results",
-					trial, minSup, len(eclat), len(fp))
+			var want []Result
+			for _, algo := range allAlgorithms {
+				got, err := Mine(d, Options{MinSupport: minSup, Algorithm: algo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !resultsEqual(got, want) {
+					t.Fatalf("trial %d minSup=%d: %v has %d results, auto %d", trial, minSup, algo, len(got), len(want))
+				}
 			}
 		}
 	}
@@ -119,16 +184,15 @@ func TestAllSizesAgree(t *testing.T) {
 func TestMaxLenCap(t *testing.T) {
 	r := stats.NewRNG(31)
 	d := randomDataset(r, 8, 30)
-	v := d.Vertical()
 	for _, maxLen := range []int{1, 2, 3} {
-		for _, rs := range [][]Result{
-			EclatAll(v, 2, maxLen),
-			AprioriAll(d, 2, maxLen),
-			FPGrowthAll(d, 2, maxLen),
-		} {
+		for _, algo := range allAlgorithms {
+			rs, err := Mine(d, Options{MinSupport: 2, MaxLen: maxLen, Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, res := range rs {
 				if len(res.Items) > maxLen {
-					t.Fatalf("maxLen=%d violated by %v", maxLen, res.Items)
+					t.Fatalf("%v maxLen=%d violated by %v", algo, maxLen, res.Items)
 				}
 			}
 		}
@@ -139,7 +203,7 @@ func TestMineFacade(t *testing.T) {
 	r := stats.NewRNG(99)
 	d := randomDataset(r, 8, 40)
 	want := bruteMineK(d, 2, 3)
-	for _, algo := range []Algorithm{Auto, EclatTids, EclatBits, Apriori, FPGrowth} {
+	for _, algo := range allAlgorithms {
 		got, err := Mine(d, Options{K: 2, MinSupport: 3, Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -148,14 +212,19 @@ func TestMineFacade(t *testing.T) {
 			t.Fatalf("%v disagrees with brute force", algo)
 		}
 	}
-	if _, err := Mine(d, Options{K: 2, MinSupport: 0}); err == nil {
-		t.Error("MinSupport 0 accepted")
-	}
-	if _, err := Mine(d, Options{K: -1, MinSupport: 1}); err == nil {
-		t.Error("negative K accepted")
-	}
-	if _, err := Mine(d, Options{K: 1, MinSupport: 1, Algorithm: Algorithm(99)}); err == nil {
-		t.Error("unknown algorithm accepted")
+	for _, mine := range []func(Options) ([]Result, error){
+		func(o Options) ([]Result, error) { return Mine(d, o) },
+		func(o Options) ([]Result, error) { return MineVertical(d.Vertical(), o) },
+	} {
+		if _, err := mine(Options{K: 2, MinSupport: 0}); err == nil {
+			t.Error("MinSupport 0 accepted")
+		}
+		if _, err := mine(Options{K: -1, MinSupport: 1}); err == nil {
+			t.Error("negative K accepted")
+		}
+		if _, err := mine(Options{K: 1, MinSupport: 1, Algorithm: Algorithm(99)}); err == nil {
+			t.Error("unknown algorithm accepted")
+		}
 	}
 	// Vertical facade with horizontal algorithms round-trips.
 	got, err := MineVertical(d.Vertical(), Options{K: 2, MinSupport: 3, Algorithm: FPGrowth})
@@ -167,91 +236,45 @@ func TestMineFacade(t *testing.T) {
 	}
 }
 
+// TestCountKMatchesMine pins counting as the public CountK does it — the
+// histogram's total — to the materialized family size.
 func TestCountKMatchesMine(t *testing.T) {
 	r := stats.NewRNG(123)
 	for trial := 0; trial < 20; trial++ {
-		d := randomDataset(r, 9, 40)
-		v := d.Vertical()
+		v := randomDataset(r, 9, 40).Vertical()
 		for k := 1; k <= 3; k++ {
 			for _, s := range []int{1, 2, 4} {
-				if got, want := CountK(v, k, s), int64(len(EclatKTidList(v, k, s))); got != want {
-					t.Fatalf("CountK(k=%d,s=%d) = %d, want %d", k, s, got, want)
+				rs, err := MineVertical(v, Options{K: k, MinSupport: s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := CumulativeQ(SupportHistogramAlgoScratch(v, k, s, 0, Auto, nil))[0]; got != int64(len(rs)) {
+					t.Fatalf("count(k=%d,s=%d) = %d, want %d", k, s, got, len(rs))
 				}
 			}
 		}
 	}
 }
 
+// TestSupportHistogram checks Procedure 2's use of one histogram pass: Q
+// read off CumulativeQ at every threshold above the floor must match mining
+// at that threshold.
 func TestSupportHistogram(t *testing.T) {
 	r := stats.NewRNG(321)
-	d := randomDataset(r, 8, 50)
-	v := d.Vertical()
+	v := randomDataset(r, 8, 50).Vertical()
 	k, minSup := 2, 1
-	hist := SupportHistogram(v, k, minSup)
-	// Q from histogram must match direct counting at every threshold.
+	hist := SupportHistogramAlgoScratch(v, k, minSup, 1, Auto, nil)
+	if len(hist) != v.MaxItemSupport()+1 {
+		t.Fatalf("len(hist) = %d, want %d", len(hist), v.MaxItemSupport()+1)
+	}
 	q := CumulativeQ(hist)
 	for s := minSup; s < len(hist); s++ {
-		want := CountK(v, k, s)
-		if got := QFromHistogram(hist, s); got != want {
-			t.Fatalf("QFromHistogram(%d) = %d, want %d", s, got, want)
+		rs, err := MineVertical(v, Options{K: k, MinSupport: s})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if q[s] != want {
-			t.Fatalf("CumulativeQ[%d] = %d, want %d", s, q[s], want)
-		}
-	}
-	if got := QFromHistogram(hist, -5); got != QFromHistogram(hist, 0) {
-		t.Error("negative threshold should clamp to 0")
-	}
-}
-
-func TestTopSupports(t *testing.T) {
-	d := dataset.MustNew(4, [][]uint32{
-		{0, 1}, {0, 1}, {0, 1}, {0, 2}, {1, 2}, {2, 3},
-	})
-	v := d.Vertical()
-	top := TopSupports(v, 2, 1, 3)
-	if len(top) != 3 || top[0] != 3 {
-		t.Fatalf("TopSupports = %v", top)
-	}
-	if !sort.SliceIsSorted(top, func(i, j int) bool { return top[i] > top[j] }) {
-		t.Fatalf("TopSupports not descending: %v", top)
-	}
-}
-
-func TestMineKWithTids(t *testing.T) {
-	d := dataset.MustNew(3, [][]uint32{
-		{0, 1, 2}, {0, 1}, {1, 2}, {0, 1, 2},
-	})
-	v := d.Vertical()
-	got := map[string]int{}
-	MineKWithTids(v, 2, 2, func(items Itemset, tids bitset.TidList) {
-		got[items.Key()] = len(tids)
-		// Tids must actually be the supporting transactions.
-		for _, tid := range tids {
-			for _, it := range items {
-				found := false
-				for _, x := range d.Transaction(int(tid)) {
-					if x == it {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("tid %d does not contain item %d", tid, it)
-				}
-			}
-		}
-	})
-	want := map[string]int{
-		NewItemset(0, 1).Key(): 3,
-		NewItemset(0, 2).Key(): 2,
-		NewItemset(1, 2).Key(): 3,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d itemsets, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("support mismatch for %v: %d vs %d", KeyToItemset(k), got[k], v)
+		if q[s] != int64(len(rs)) {
+			t.Fatalf("CumulativeQ[%d] = %d, want %d", s, q[s], len(rs))
 		}
 	}
 }

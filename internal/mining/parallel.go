@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sigfim/internal/bitset"
 	"sigfim/internal/dataset"
 )
 
@@ -12,14 +13,15 @@ import (
 // subtrees, one per first item (in eclat support order); those subtrees are
 // the sharding unit. Workers claim subtrees dynamically off an atomic counter
 // (subtree sizes are wildly skewed, so static striping would load-balance
-// poorly), write into per-subtree result buffers, and the driver concatenates
-// the buffers in subtree order — which is exactly the serial DFS emission
-// order, so parallel mining is identical to serial mining for every worker
-// count, including output order.
+// poorly). One set-up, eclatShards, feeds two sinks: the stream collects each
+// subtree into its own buffer and replays the buffers in subtree order —
+// exactly the serial DFS emission order, so parallel mining is identical to
+// serial mining for every worker count, including output order — and the
+// count adds into per-worker histograms merged by integer addition.
 
-// ResolveWorkers maps a Workers knob value to a concrete goroutine count:
+// resolveWorkers maps a Workers knob value to a concrete goroutine count:
 // values <= 0 select runtime.NumCPU().
-func ResolveWorkers(w int) int {
+func resolveWorkers(w int) int {
 	if w <= 0 {
 		return runtime.NumCPU()
 	}
@@ -27,14 +29,17 @@ func ResolveWorkers(w int) int {
 }
 
 // shardWorkers caps the worker count at the shard count (a worker beyond that
-// would never claim work) and pre-creates the per-worker child scratches —
-// child() mutates the parent and must not be called from concurrent shards.
+// would never claim work) and, for a parallel run, pre-creates the per-worker
+// child scratches — child() mutates the parent and must not be called from
+// concurrent shards.
 func shardWorkers(s *Scratch, n, workers int) int {
 	if workers > n {
 		workers = n
 	}
-	for w := 0; w < workers; w++ {
-		s.child(w)
+	if workers > 1 {
+		for w := 0; w < workers; w++ {
+			s.child(w)
+		}
 	}
 	return workers
 }
@@ -71,299 +76,134 @@ func parallelShards(n, workers int, fn func(worker, shard int)) {
 	wg.Wait()
 }
 
-// EclatKParallel is EclatK with a worker pool (workers <= 0: NumCPU); the
-// physical representation is chosen automatically, as in EclatK.
-func EclatKParallel(v *dataset.Vertical, k, minSupport, workers int) []Result {
-	if dense(v, minSupport) {
-		return EclatKBitsetParallel(v, k, minSupport, workers)
-	}
-	return EclatKTidListParallel(v, k, minSupport, workers)
+// eclatShards is the fixed-k Eclat search split into its first-item
+// subtrees over either layout: the frequent items in eclat order, n subtrees
+// (zero when fewer than k items are frequent), the worker count capped at n
+// with its scratches ready, and — for the bitset layout — the dense columns,
+// built once and shared read-only.
+type eclatShards struct {
+	v             *dataset.Vertical
+	items         []uint32
+	cols          []*bitset.Bitset // bitset layout only; cols[i] is items[i]'s column
+	bits          bool
+	k, minSupport int
+	n, workers    int
+	s             *Scratch
 }
 
-// EclatKTidListParallel mines k-itemsets over tid lists with a worker pool.
-// Output is identical (including order) to EclatKTidList for any worker count.
-func EclatKTidListParallel(v *dataset.Vertical, k, minSupport, workers int) []Result {
-	if k <= 0 || minSupport < 1 {
-		panic("mining: EclatK requires k >= 1 and minSupport >= 1")
+func newEclatShards(v *dataset.Vertical, k, minSupport, workers int, bits bool, s *Scratch) eclatShards {
+	s.items = frequentItemsInto(s.items[:0], v, minSupport)
+	e := eclatShards{v: v, items: s.items, bits: bits, k: k, minSupport: minSupport, s: s}
+	if len(e.items) < k {
+		return e
 	}
-	if workers = ResolveWorkers(workers); workers <= 1 {
-		return EclatKTidList(v, k, minSupport)
+	e.n = len(e.items) - k + 1
+	e.workers = shardWorkers(s, e.n, workers)
+	if bits {
+		e.cols = s.columns(v, e.items)
+		for w := 0; w < e.workers; w++ {
+			e.scratch(w).ensureBits(v.NumTransactions, k)
+		}
 	}
-	s := NewScratch()
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return nil
+	return e
+}
+
+// scratch returns worker w's scratch: the parent itself on a serial run.
+func (e eclatShards) scratch(w int) *Scratch {
+	if e.workers <= 1 {
+		return e.s
 	}
-	n := len(items) - k + 1
-	if n <= 1 {
-		return EclatKTidList(v, k, minSupport)
+	return e.s.child(w)
+}
+
+// subtree mines the subtree rooted at items[first] on worker w's scratch.
+func (e eclatShards) subtree(w, first int, emit func(Itemset, int)) {
+	if e.bits {
+		eclatKBitsetSubtree(e.v, e.items, e.cols, e.scratch(w), e.k, e.minSupport, first, emit)
+		return
 	}
-	workers = shardWorkers(s, n, workers)
-	bufs := make([][]Result, n)
-	parallelShards(n, workers, func(w, first int) {
-		bufs[first] = collectSubtree(func(emit func(Itemset, int)) {
-			eclatKTidListSubtree(v, items, k, minSupport, first, s.child(w), emit)
-		})
+	eclatKTidListSubtree(e.v, e.items, e.k, e.minSupport, first, e.scratch(w), emit)
+}
+
+// stream emits every itemset in subtree order. A serial run streams
+// straight from the kernel and allocates nothing once the Scratch is warm; a
+// parallel run collects each subtree into a flat buffer and replays the
+// buffers in order.
+func (e eclatShards) stream(emit func(Itemset, int)) {
+	if e.workers <= 1 {
+		for first := 0; first < e.n; first++ {
+			e.subtree(0, first, emit)
+		}
+		return
+	}
+	bufs := make([]itemsetBuf, e.n)
+	parallelShards(e.n, e.workers, func(w, first int) {
+		e.subtree(w, first, bufs[first].add)
 	})
-	return mergeShardResults(bufs)
+	for i := range bufs {
+		bufs[i].replay(e.k, emit)
+		bufs[i] = itemsetBuf{} // release as we replay; emit may retain copies of its own
+	}
 }
 
-// EclatKBitsetParallel mines k-itemsets over dense bitsets with a worker
-// pool; the columns are shared read-only, intersection scratch is per worker.
-func EclatKBitsetParallel(v *dataset.Vertical, k, minSupport, workers int) []Result {
-	if workers = ResolveWorkers(workers); workers > 1 {
-		return eclatKBitsetParallel(v, k, minSupport, workers, nil)
-	}
-	return EclatKBitset(v, k, minSupport)
-}
-
-// eclatKBitsetParallel is the scratch-threaded parallel bitset miner: the
-// parent Scratch supplies the pooled dense columns (built serially, shared
-// read-only across the shards) and one child Scratch per worker carries the
-// per-depth intersection bitsets.
-func eclatKBitsetParallel(v *dataset.Vertical, k, minSupport, workers int, s *Scratch) []Result {
-	if k <= 0 || minSupport < 1 {
-		panic("mining: EclatK requires k >= 1 and minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return nil
-	}
-	n := len(items) - k + 1
-	if n <= 1 {
-		return EclatKBitset(v, k, minSupport)
-	}
-	workers = shardWorkers(s, n, workers)
-	cols := s.columns(v, items)
-	for w := 0; w < workers; w++ {
-		s.child(w).ensureBits(v.NumTransactions, k)
-	}
-	bufs := make([][]Result, n)
-	parallelShards(n, workers, func(w, first int) {
-		bufs[first] = collectSubtree(func(emit func(Itemset, int)) {
-			eclatKBitsetSubtree(v, items, cols, s.child(w), k, minSupport, first, emit)
-		})
+// count adds every itemset into hist by support.
+func (e eclatShards) count(hist []int64) {
+	hists := workerHistograms(hist, e.workers)
+	parallelShards(e.n, e.workers, func(w, first int) {
+		h := hists[w]
+		e.subtree(w, first, func(_ Itemset, sup int) { h[sup]++ })
 	})
-	return mergeShardResults(bufs)
+	mergeWorkerHistograms(hists)
 }
 
-// EclatAllParallel mines all sizes (up to maxLen; <= 0 unbounded) with a
-// worker pool. Output is identical to EclatAll for any worker count.
-func EclatAllParallel(v *dataset.Vertical, minSupport, maxLen, workers int) []Result {
-	if minSupport < 1 {
-		panic("mining: EclatAll requires minSupport >= 1")
-	}
-	if workers = ResolveWorkers(workers); workers <= 1 {
-		return EclatAll(v, minSupport, maxLen)
-	}
-	items := frequentItems(v, minSupport)
-	if len(items) <= 1 {
-		return EclatAll(v, minSupport, maxLen)
-	}
-	bufs := make([][]Result, len(items))
-	parallelShards(len(items), workers, func(_, first int) {
-		bufs[first] = eclatAllSubtree(v, items, minSupport, maxLen, first, nil)
-	})
-	return mergeShardResults(bufs)
-}
-
-// CountKParallel is CountK with a worker pool: per-worker counters over the
-// sharded eclat search, summed at the end. The hash-mining path (which wins
-// at very low thresholds on sparse data) is kept serial — it is selected
-// precisely when the total work is small.
-func CountKParallel(v *dataset.Vertical, k, minSupport, workers int) int64 {
-	if k < 1 || minSupport < 1 {
-		panic("mining: CountK requires k >= 1 and minSupport >= 1")
-	}
-	workers = ResolveWorkers(workers)
-	if workers <= 1 || k == 1 || useHashPath(v, k, minSupport) {
-		return CountK(v, k, minSupport)
-	}
-	s := NewScratch()
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return 0
-	}
-	n := len(items) - k + 1
-	workers = shardWorkers(s, n, workers)
-	counts := make([]int64, workers)
-	parallelShards(n, workers, func(w, first int) {
-		// Accumulate into a shard-local counter: counts' adjacent slots
-		// share cache lines, and incrementing them per emission would
-		// false-share across workers in the engine's hottest loop.
-		var local int64
-		eclatKTidListSubtree(v, items, k, minSupport, first, s.child(w), func(Itemset, int) {
-			local++
-		})
-		counts[w] += local
-	})
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total
-}
-
-// newWorkerHistograms allocates one int64 histogram of the given size per
-// worker.
-func newWorkerHistograms(workers, size int) [][]int64 {
-	hists := make([][]int64, workers)
-	for w := range hists {
-		hists[w] = make([]int64, size)
+// workerHistograms returns one histogram per worker, hist itself first and
+// zeroed copies of its size for the rest. A worker counts into its own
+// histogram only: adjacent shared counters would false-share across workers
+// in the engine's hottest loop.
+func workerHistograms(hist []int64, workers int) [][]int64 {
+	hists := [][]int64{hist}
+	for w := 1; w < workers; w++ {
+		hists = append(hists, make([]int64, len(hist)))
 	}
 	return hists
 }
 
 // mergeWorkerHistograms sums the per-worker histograms into the first one by
-// integer addition and returns it; the merged result is therefore identical
-// for any worker count.
-func mergeWorkerHistograms(hists [][]int64) []int64 {
-	out := hists[0]
+// integer addition, so the merged result is identical for any worker count.
+func mergeWorkerHistograms(hists [][]int64) {
 	for _, h := range hists[1:] {
 		for s, c := range h {
-			out[s] += c
+			hists[0][s] += c
 		}
 	}
-	return out
 }
 
-// SupportHistogramParallel is SupportHistogram with a worker pool:
-// per-worker histograms over the sharded eclat search, merged by integer
-// addition, so the result is exactly SupportHistogram's for any worker count.
-func SupportHistogramParallel(v *dataset.Vertical, k, minSupport, workers int) []int64 {
-	return supportHistogramParallel(v, k, minSupport, workers, nil)
+// itemsetBuf is a flat collection of fixed-size itemsets: k items per entry
+// in items, the supports parallel in sups. Sharded streams collect each
+// shard into one so that collecting costs no per-itemset allocation.
+type itemsetBuf struct {
+	items []uint32
+	sups  []int32
 }
 
-// supportHistogramParallel is SupportHistogramParallel with a threaded
-// Scratch (nil allowed); a reused Scratch makes repeated histogram runs
-// allocation-free apart from the returned histogram itself.
-func supportHistogramParallel(v *dataset.Vertical, k, minSupport, workers int, s *Scratch) []int64 {
-	if k < 1 || minSupport < 1 {
-		panic("mining: SupportHistogram requires k >= 1 and minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	workers = ResolveWorkers(workers)
-	if workers <= 1 || k == 1 ||
-		(minSupport <= hashPathMaxSupport && useHashPathLens(s.scratchLengths(v), k, minSupport)) {
-		return supportHistogram(v, k, minSupport, s)
-	}
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	size := v.MaxItemSupport() + 1
-	if len(items) < k {
-		return make([]int64, size)
-	}
-	n := len(items) - k + 1
-	workers = shardWorkers(s, n, workers)
-	hists := newWorkerHistograms(workers, size)
-	parallelShards(n, workers, func(w, first int) {
-		eclatKTidListSubtree(v, items, k, minSupport, first, s.child(w), func(_ Itemset, sup int) {
-			hists[w][sup]++
-		})
-	})
-	return mergeWorkerHistograms(hists)
+func (b *itemsetBuf) add(items Itemset, sup int) {
+	b.items = append(b.items, items...)
+	b.sups = append(b.sups, int32(sup))
 }
 
-// supportHistogram is the serial histogram with a threaded Scratch.
-func supportHistogram(v *dataset.Vertical, k, minSupport int, s *Scratch) []int64 {
-	hist := make([]int64, v.MaxItemSupport()+1)
-	visitK(v, k, minSupport, s, func(_ Itemset, sup int) {
-		hist[sup]++
-	})
-	return hist
+// at returns entry i of a buffer of k-itemsets (a view into the buffer).
+func (b *itemsetBuf) at(i, k int) Itemset {
+	return b.items[i*k : i*k+k]
 }
 
-// supportHistogramBitsetParallel is supportHistogramParallel with the dense
-// bitset kernels forced, for Algorithm = EclatBits callers: per-worker
-// histograms over the sharded bitset subtrees, merged by addition. The
-// histogram is identical to every other miner's; only the intersection
-// representation differs. k = 1 falls back to the generic path (no
-// intersections happen at size one).
-func supportHistogramBitsetParallel(v *dataset.Vertical, k, minSupport, workers int, s *Scratch) []int64 {
-	if k < 1 || minSupport < 1 {
-		panic("mining: SupportHistogram requires k >= 1 and minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	if k == 1 {
-		return supportHistogram(v, k, minSupport, s)
-	}
-	workers = ResolveWorkers(workers)
-	size := v.MaxItemSupport() + 1
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return make([]int64, size)
-	}
-	n := len(items) - k + 1
-	workers = shardWorkers(s, n, workers)
-	cols := s.columns(v, items)
-	for w := 0; w < workers; w++ {
-		s.child(w).ensureBits(v.NumTransactions, k)
-	}
-	hists := newWorkerHistograms(workers, size)
-	parallelShards(n, workers, func(w, first int) {
-		eclatKBitsetSubtree(v, items, cols, s.child(w), k, minSupport, first, func(_ Itemset, sup int) {
-			hists[w][sup]++
-		})
-	})
-	return mergeWorkerHistograms(hists)
-}
-
-// VisitKParallel streams every k-itemset with support >= minSupport to emit
-// in exactly VisitK's order, mining the eclat subtrees with a worker pool and
-// replaying the per-subtree buffers sequentially. emit itself is never called
-// concurrently, and the itemset it receives is owned by the callee only for
-// the duration of the call, as with VisitK. The hash-mining path and k = 1
-// stay serial (both are trivial fractions of the total work when selected).
-func VisitKParallel(v *dataset.Vertical, k, minSupport, workers int, emit func(items Itemset, support int)) {
-	visitKParallel(v, k, minSupport, workers, nil, emit)
-}
-
-// visitKParallel is VisitKParallel with a threaded Scratch (nil allowed).
-// The serial case (the Monte Carlo replicate engine's steady state) streams
-// straight through visitK and allocates nothing once the Scratch has warmed
-// up; the sharded case still materializes per-subtree buffers for the ordered
-// replay.
-func visitKParallel(v *dataset.Vertical, k, minSupport, workers int, s *Scratch, emit func(items Itemset, support int)) {
-	if k < 1 || minSupport < 1 {
-		panic("mining: VisitK requires k >= 1 and minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	workers = ResolveWorkers(workers)
-	if workers <= 1 || k == 1 ||
-		(minSupport <= hashPathMaxSupport && useHashPathLens(s.scratchLengths(v), k, minSupport)) {
-		visitK(v, k, minSupport, s, emit)
-		return
-	}
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return
-	}
-	n := len(items) - k + 1
-	workers = shardWorkers(s, n, workers)
-	bufs := make([][]Result, n)
-	parallelShards(n, workers, func(w, first int) {
-		bufs[first] = collectSubtree(func(emit func(Itemset, int)) {
-			eclatKTidListSubtree(v, items, k, minSupport, first, s.child(w), emit)
-		})
-	})
-	for i, b := range bufs {
-		for _, r := range b {
-			emit(r.Items, r.Support)
-		}
-		bufs[i] = nil // release as we replay; emit may retain copies of its own
+// replay emits the entries in collection order.
+func (b *itemsetBuf) replay(k int, emit func(Itemset, int)) {
+	for i, sup := range b.sups {
+		emit(b.at(i, k), int(sup))
 	}
 }
 
-// collectSubtree materializes one subtree's emissions.
-func collectSubtree(run func(emit func(Itemset, int))) []Result {
-	var out []Result
-	run(func(is Itemset, sup int) {
-		out = append(out, Result{Items: is.Clone(), Support: sup})
-	})
-	return out
-}
-
-// mergeShardResults concatenates per-subtree buffers in subtree order.
+// mergeShardResults concatenates per-shard buffers in shard order.
 func mergeShardResults(bufs [][]Result) []Result {
 	total := 0
 	for _, b := range bufs {

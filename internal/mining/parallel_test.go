@@ -64,7 +64,7 @@ var crossAlgoCases = []struct {
 
 // TestCrossAlgorithmEquivalenceAcrossWorkers mines the same datasets with
 // every algorithm at Workers 1, 4, and 8 and asserts identical sorted result
-// sets; serial FP-Growth anchors the comparison.
+// sets and counts; serial FP-Growth anchors the comparison.
 func TestCrossAlgorithmEquivalenceAcrossWorkers(t *testing.T) {
 	for _, tc := range crossAlgoCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,25 +72,25 @@ func TestCrossAlgorithmEquivalenceAcrossWorkers(t *testing.T) {
 			v := d.Vertical()
 			for _, k := range tc.ks {
 				for _, s := range tc.sups {
-					want := FPGrowthK(d, k, s)
-					sortByItems(want)
+					want, err := Mine(d, Options{K: k, MinSupport: s, Algorithm: FPGrowth, Workers: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
 					for _, workers := range []int{1, 4, 8} {
-						for _, algo := range []Algorithm{Apriori, EclatTids, EclatBits, FPGrowth} {
+						for _, algo := range allAlgorithms {
 							got, err := MineVertical(v, Options{
 								K: k, MinSupport: s, Algorithm: algo, Workers: workers,
 							})
 							if err != nil {
 								t.Fatalf("k=%d s=%d %v workers=%d: %v", k, s, algo, workers, err)
 							}
-							sortByItems(got)
 							if !resultsEqual(got, append([]Result(nil), want...)) {
 								t.Fatalf("k=%d s=%d %v workers=%d: %d results, fpgrowth has %d",
 									k, s, algo, workers, len(got), len(want))
 							}
-						}
-						// CountK must agree with the materialized size.
-						if got, want := CountKParallel(v, k, s, workers), int64(len(want)); got != want {
-							t.Fatalf("CountKParallel(k=%d,s=%d,w=%d) = %d, want %d", k, s, workers, got, want)
+							if got := CumulativeQ(SupportHistogramAlgoScratch(v, k, s, workers, algo, nil))[0]; got != int64(len(want)) {
+								t.Fatalf("count(k=%d,s=%d,%v,w=%d) = %d, want %d", k, s, algo, workers, got, len(want))
+							}
 						}
 					}
 				}
@@ -100,148 +100,69 @@ func TestCrossAlgorithmEquivalenceAcrossWorkers(t *testing.T) {
 }
 
 // TestParallelMatchesSerialExactly pins the stronger guarantee the engine is
-// built around: parallel output equals serial output including order, for
-// every worker count.
+// built around: for a fixed algorithm, parallel output equals serial output
+// including order, for every worker count — the stream at fixed k and Mine
+// at all sizes.
 func TestParallelMatchesSerialExactly(t *testing.T) {
 	for _, tc := range crossAlgoCases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.gen()
 			v := d.Vertical()
-			for _, k := range tc.ks {
-				for _, s := range tc.sups {
-					for _, workers := range []int{2, 3, 8} {
-						if got, want := EclatKTidListParallel(v, k, s, workers), EclatKTidList(v, k, s); !reflect.DeepEqual(got, want) {
-							t.Fatalf("tids k=%d s=%d w=%d: parallel order differs from serial", k, s, workers)
-						}
-						if got, want := EclatKBitsetParallel(v, k, s, workers), EclatKBitset(v, k, s); !reflect.DeepEqual(got, want) {
-							t.Fatalf("bits k=%d s=%d w=%d: parallel order differs from serial", k, s, workers)
+			for _, algo := range allAlgorithms {
+				for _, k := range tc.ks {
+					for _, s := range tc.sups {
+						want := collect(v, k, s, 1, algo, nil)
+						for _, workers := range []int{2, 3, 8} {
+							if got := collect(v, k, s, workers, algo, nil); !reflect.DeepEqual(got, want) {
+								t.Fatalf("%v k=%d s=%d w=%d: parallel order differs from serial", algo, k, s, workers)
+							}
 						}
 					}
+				}
+				want, err := Mine(d, Options{MinSupport: 5, MaxLen: 3, Algorithm: algo, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 {
+					t.Fatalf("%v: empty all-sizes output, test is vacuous", algo)
 				}
 				for _, workers := range []int{2, 8} {
-					if got, want := AprioriKParallel(d, k, 3, workers), AprioriK(d, k, 3); !reflect.DeepEqual(got, want) {
-						t.Fatalf("apriori k=%d w=%d: parallel differs from serial", k, workers)
+					got, err := Mine(d, Options{MinSupport: 5, MaxLen: 3, Algorithm: algo, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			}
-			for _, workers := range []int{2, 8} {
-				if got, want := EclatAllParallel(v, 5, 3, workers), EclatAll(v, 5, 3); !reflect.DeepEqual(got, want) {
-					t.Fatalf("eclat-all w=%d: parallel order differs from serial", workers)
-				}
-				if got, want := AprioriAllParallel(d, 5, 3, workers), AprioriAll(d, 5, 3); !reflect.DeepEqual(got, want) {
-					t.Fatalf("apriori-all w=%d: parallel differs from serial", workers)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v all sizes w=%d: parallel order differs from serial", algo, workers)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestFPGrowthParallelMatchesSerialExactly pins the tentpole guarantee for
-// the FP-Growth engine: sharding the header-table suffix classes across the
-// worker pool yields output bit-identical to the serial miner — values AND
-// order — at Workers 1, 4, and 8.
+// TestFPGrowthParallelMatchesSerialExactly pins the sharded FP-Growth
+// engine: sharding the header-table suffix classes across the worker pool
+// yields materialized output bit-identical to the serial miner — values AND
+// order — at Workers 1, 4, and 8, for fixed k and all sizes.
 func TestFPGrowthParallelMatchesSerialExactly(t *testing.T) {
 	for _, tc := range crossAlgoCases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.gen()
-			for _, k := range tc.ks {
+			for _, opts := range []Options{{K: 1}, {K: 2}, {K: 3}, {MaxLen: 3}} {
 				for _, s := range tc.sups {
-					want := FPGrowthK(d, k, s)
-					for _, workers := range []int{1, 4, 8} {
-						if got := FPGrowthKParallel(d, k, s, workers); !reflect.DeepEqual(got, want) {
-							t.Fatalf("FPGrowthK k=%d s=%d w=%d: parallel output differs from serial", k, s, workers)
+					opts.MinSupport, opts.Algorithm, opts.Workers = s, FPGrowth, 1
+					want, err := Mine(d, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{4, 8} {
+						opts.Workers = workers
+						if got, _ := Mine(d, opts); !reflect.DeepEqual(got, want) {
+							t.Fatalf("FPGrowth k=%d s=%d w=%d: parallel output differs from serial", opts.K, s, workers)
 						}
 					}
 				}
 			}
-			wantAll := FPGrowthAll(d, 5, 3)
-			if len(wantAll) == 0 {
-				t.Fatal("empty FPGrowthAll output, test is vacuous")
-			}
-			for _, workers := range []int{1, 4, 8} {
-				if got := FPGrowthAllParallel(d, 5, 3, workers); !reflect.DeepEqual(got, wantAll) {
-					t.Fatalf("FPGrowthAll w=%d: parallel output differs from serial", workers)
-				}
-			}
 		})
-	}
-}
-
-// TestAlgoDispatchers checks the algorithm-generic visit and histogram
-// dispatchers: every algorithm must produce the same itemset collection and
-// the exact same support histogram for every worker count.
-func TestAlgoDispatchers(t *testing.T) {
-	d := plantedDataset(71, 20, 300, 0.15, []uint32{1, 4, 9}, 5)
-	v := d.Vertical()
-	for _, k := range []int{2, 3} {
-		for _, s := range []int{5, 30} {
-			wantHist := SupportHistogram(v, k, s)
-			want := MineK(v, k, s)
-			sortByItems(want)
-			for _, algo := range []Algorithm{Auto, EclatTids, EclatBits, Apriori, FPGrowth} {
-				for _, workers := range []int{1, 4} {
-					if got := SupportHistogramAlgoParallel(v, k, s, workers, algo); !reflect.DeepEqual(got, wantHist) {
-						t.Fatalf("SupportHistogramAlgoParallel(k=%d,s=%d,%v,w=%d) differs", k, s, algo, workers)
-					}
-					var got []Result
-					VisitKAlgoParallel(v, k, s, workers, algo, func(is Itemset, sup int) {
-						got = append(got, Result{Items: is.Clone(), Support: sup})
-					})
-					sortByItems(got)
-					if !resultsEqual(got, want) {
-						t.Fatalf("VisitKAlgoParallel(k=%d,s=%d,%v,w=%d): %d results, want %d",
-							k, s, algo, workers, len(got), len(want))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCountAndHistogramParallel checks the counting reductions against their
-// serial counterparts on random datasets (property-style, many shapes).
-func TestCountAndHistogramParallel(t *testing.T) {
-	r := stats.NewRNG(404)
-	for trial := 0; trial < 25; trial++ {
-		d := randomDataset(r, 12, 60)
-		v := d.Vertical()
-		for k := 1; k <= 3; k++ {
-			for _, s := range []int{1, 2, 6} {
-				for _, workers := range []int{2, 5} {
-					if got, want := CountKParallel(v, k, s, workers), CountK(v, k, s); got != want {
-						t.Fatalf("trial %d CountK(k=%d,s=%d,w=%d) = %d, want %d", trial, k, s, workers, got, want)
-					}
-					got := SupportHistogramParallel(v, k, s, workers)
-					want := SupportHistogram(v, k, s)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d SupportHistogram(k=%d,s=%d,w=%d) differs", trial, k, s, workers)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestVisitKParallelOrder asserts the streaming variant replays emissions in
-// exactly VisitK's order on a dataset dense enough to take the eclat path.
-func TestVisitKParallelOrder(t *testing.T) {
-	d := plantedDataset(55, 25, 500, 0.25, []uint32{2, 9, 17}, 5)
-	v := d.Vertical()
-	for _, k := range []int{2, 3} {
-		for _, s := range []int{20, 60} {
-			var serial, par []Result
-			VisitK(v, k, s, func(is Itemset, sup int) {
-				serial = append(serial, Result{Items: is.Clone(), Support: sup})
-			})
-			VisitKParallel(v, k, s, 4, func(is Itemset, sup int) {
-				par = append(par, Result{Items: is.Clone(), Support: sup})
-			})
-			if len(serial) == 0 {
-				t.Fatalf("k=%d s=%d: empty mining output, test is vacuous", k, s)
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("k=%d s=%d: VisitKParallel order differs from VisitK", k, s)
-			}
-		}
 	}
 }

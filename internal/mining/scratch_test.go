@@ -36,16 +36,16 @@ func TestScratchReuseAcrossDatasets(t *testing.T) {
 	}
 	runs := []run{
 		{"eclatTidList/A", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { eclatKTidList(vA, 2, 3, s, emit) })
+			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vA, 2, 3, 1, false, s).stream(emit) })
 		}},
 		{"eclatTidList/B", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { eclatKTidList(vB, 3, 2, s, emit) })
+			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vB, 3, 2, 1, false, s).stream(emit) })
 		}},
 		{"eclatBitset/A", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { eclatKBitset(vA, 2, 3, s, emit) })
+			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vA, 2, 3, 1, true, s).stream(emit) })
 		}},
 		{"eclatBitset/B", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { eclatKBitset(vB, 3, 2, s, emit) })
+			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vB, 3, 2, 1, true, s).stream(emit) })
 		}},
 		{"hashMine/B", func(s *Scratch) interface{} {
 			return collectScratch(func(emit func(Itemset, int)) { hashMineK(vB, 2, 1, s, emit) })
@@ -81,25 +81,20 @@ func TestScratchReuseAcrossDatasets(t *testing.T) {
 	}
 }
 
-// TestVisitKAlgoScratchMatchesDispatcher pins the scratch-threaded dispatcher
-// to the public one for every algorithm and several worker counts: same
-// values AND same order.
+// TestVisitKAlgoScratchMatchesDispatcher pins the stream over one shared,
+// reused Scratch to the stream over a fresh one for every algorithm and
+// several worker counts: same values AND same order.
 func TestVisitKAlgoScratchMatchesDispatcher(t *testing.T) {
 	r := stats.NewRNG(77)
 	v := randomDataset(r, 30, 400).Vertical()
 	s := NewScratch()
-	for _, algo := range []Algorithm{Auto, EclatTids, EclatBits, Apriori, FPGrowth} {
+	for _, algo := range allAlgorithms {
 		for _, workers := range []int{1, 4} {
-			want := collectScratch(func(emit func(Itemset, int)) {
-				VisitKAlgoParallel(v, 2, 2, workers, algo, emit)
-			})
+			want := collect(v, 2, 2, workers, algo, nil)
 			// Run twice with the same shared scratch: both the first (cold)
 			// and second (warm) pass must match.
 			for pass := 0; pass < 2; pass++ {
-				got := collectScratch(func(emit func(Itemset, int)) {
-					VisitKAlgoScratch(v, 2, 2, workers, algo, s, emit)
-				})
-				if !resultsEqual(got, want) {
+				if got := collect(v, 2, 2, workers, algo, s); !reflect.DeepEqual(got, want) {
 					t.Fatalf("algo %v workers %d pass %d: scratch dispatcher differs", algo, workers, pass)
 				}
 			}

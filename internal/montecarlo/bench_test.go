@@ -36,8 +36,8 @@ func BenchmarkFindPoissonThresholdK3(b *testing.B) {
 	}
 }
 
-// BenchmarkFindPoissonThreshold is the end-to-end Algorithm 1 benchmark the
-// pooled replicate engine is measured by (see BENCH_montecarlo.json).
+// BenchmarkFindPoissonThreshold is the end-to-end Algorithm 1 benchmark of
+// the pooled replicate engine.
 func BenchmarkFindPoissonThreshold(b *testing.B) {
 	m := benchModelMC()
 	b.ReportAllocs()
@@ -133,8 +133,7 @@ func benchSwapBase() *dataset.Dataset {
 // swap chain, mine, merge) the in-place generator is measured by: 40
 // replicates at 4 proposals per occurrence, k=2, floor=s-tilde, workers=1.
 // Before the pooled chain scratch this path allocated a full dataset (t
-// membership maps, horizontal + vertical materialization) per replicate; see
-// BENCH_montecarlo.json for the recorded numbers.
+// membership maps, horizontal + vertical materialization) per replicate.
 func BenchmarkSwapReplicates(b *testing.B) {
 	m := &randmodel.SwapModel{Base: benchSwapBase(), ProposalsPerOccurrence: 4}
 	root := stats.NewRNG(1)

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"sigfim/internal/dataset"
 	"sigfim/internal/mining"
 	"sigfim/internal/randmodel"
 	"sigfim/internal/stats"
@@ -19,14 +20,14 @@ func EstimateLambda(m randmodel.Model, k, s, reps int, seed uint64) float64 {
 	var total int64
 	for i := 0; i < reps; i++ {
 		v := m.Generate(r.Split())
-		total += mining.CountK(v, k, s)
+		total += countK(v, k, s)
 	}
 	return float64(total) / float64(reps)
 }
 
 // SampleQ draws the distribution of Q̂_{k,s} across reps replicates,
-// returning one count per replicate. The null-calibration example feeds
-// this to the Poisson goodness-of-fit tests.
+// returning one count per replicate — the sample the Poisson
+// goodness-of-fit test checks (TestSampleQPoissonAboveSMin).
 func SampleQ(m randmodel.Model, k, s, reps int, seed uint64) []int {
 	if s < 1 || reps < 1 {
 		panic("montecarlo: SampleQ requires s >= 1 and reps >= 1")
@@ -35,7 +36,13 @@ func SampleQ(m randmodel.Model, k, s, reps int, seed uint64) []int {
 	out := make([]int, reps)
 	for i := range out {
 		v := m.Generate(r.Split())
-		out[i] = int(mining.CountK(v, k, s))
+		out[i] = int(countK(v, k, s))
 	}
 	return out
+}
+
+// countK returns Q_{k,s} of one replicate, counted serially without
+// materializing the itemsets.
+func countK(v *dataset.Vertical, k, s int) int64 {
+	return mining.CumulativeQ(mining.SupportHistogramAlgoScratch(v, k, s, 1, mining.Auto, nil))[0]
 }

@@ -69,7 +69,12 @@ func Generate(v *dataset.Vertical, opts Options) ([]Rule, error) {
 	if maxLen < 2 {
 		return nil, fmt.Errorf("rules: MaxLen must be >= 2, got %d", maxLen)
 	}
-	frequent := mining.EclatAll(v, opts.MinSupport, maxLen)
+	frequent, err := mining.MineVertical(v, mining.Options{
+		MinSupport: opts.MinSupport, MaxLen: maxLen, Algorithm: mining.EclatTids, Workers: 1,
+	})
+	if err != nil {
+		return nil, err
+	}
 	supportOf := make(map[string]int, len(frequent))
 	for _, r := range frequent {
 		supportOf[r.Items.Key()] = r.Support

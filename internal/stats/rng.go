@@ -17,7 +17,8 @@ import "math"
 //
 // A hand-rolled generator (rather than math/rand) keeps replicate streams
 // reproducible across Go versions, which matters for the Monte Carlo
-// experiments: EXPERIMENTS.md records numbers tied to specific seeds.
+// experiments: the golden fixtures and the benchmark oracle pin results
+// tied to specific seeds.
 type RNG struct {
 	s [4]uint64
 }

@@ -220,10 +220,13 @@ type Pattern struct {
 // Every algorithm mines exactly the same itemsets; the choice affects
 // performance only.
 const (
-	// AlgoAuto picks Eclat with an automatically chosen physical layout
-	// (tid lists on sparse data, dense bitsets otherwise).
+	// AlgoAuto mines vertically: fixed-k runs at floors <= 8 take the
+	// transaction-subset hash path when that is cheap, everything else
+	// runs Eclat over sorted tid lists.
 	AlgoAuto = "auto"
-	// AlgoEclat forces vertical depth-first mining over sorted tid lists.
+	// AlgoEclat selects vertical depth-first mining over sorted tid lists;
+	// for fixed k it takes AlgoAuto's dispatch, low-floor hash path
+	// included.
 	AlgoEclat = "eclat"
 	// AlgoEclatBit forces vertical mining over dense bitsets.
 	AlgoEclatBit = "eclat-bits"
@@ -297,12 +300,13 @@ func (ds *Dataset) mineParsed(algo mining.Algorithm, opts MineOptions) ([]Patter
 // counted without materializing them. The count runs on every CPU; use
 // CountKWorkers to bound the parallelism.
 func (ds *Dataset) CountK(k, minSupport int) int64 {
-	return mining.CountKParallel(ds.vertical(), k, minSupport, 0)
+	return ds.CountKWorkers(k, minSupport, 0)
 }
 
 // CountKWorkers is CountK with an explicit worker bound (1 = serial).
 func (ds *Dataset) CountKWorkers(k, minSupport, workers int) int64 {
-	return mining.CountKParallel(ds.vertical(), k, minSupport, workers)
+	hist := mining.SupportHistogramAlgoScratch(ds.vertical(), k, minSupport, workers, mining.Auto, nil)
+	return mining.CumulativeQ(hist)[0]
 }
 
 // ClosedItemsets mines all closed itemsets with support >= minSupport.

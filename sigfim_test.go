@@ -2,6 +2,7 @@ package sigfim
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -234,6 +235,30 @@ func TestSignificantEndToEndPlanted(t *testing.T) {
 	}
 	if rep.Baseline == nil {
 		t.Fatal("baseline missing")
+	}
+}
+
+// TestPowerRatioEmptyBaseline: with Δ < 19 replicates no Westfall-Young
+// adjusted p-value can reach beta, so |R| = 0 while s* stays finite. The
+// ratio is then undefined; the report carries 0 and must still encode as
+// JSON (sigfimd serves reports as JSON).
+func TestPowerRatioEmptyBaseline(t *testing.T) {
+	d, err := OpenFIMI("testdata/golden_input.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := d.Significant(2, &Config{Delta: 10, Seed: 9, Correction: CorrectionWestfallYoung})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Infinite || rep.Baseline == nil || rep.Baseline.NumSignificant != 0 {
+		t.Fatalf("want finite s* with an empty baseline, got infinite=%v baseline=%+v", rep.Infinite, rep.Baseline)
+	}
+	if rep.PowerRatio != 0 {
+		t.Errorf("PowerRatio = %v, want 0", rep.PowerRatio)
+	}
+	if _, err := json.Marshal(rep); err != nil {
+		t.Errorf("report does not encode: %v", err)
 	}
 }
 

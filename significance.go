@@ -245,7 +245,9 @@ type Report struct {
 	// Baseline is the Procedure 1 comparison (nil unless requested).
 	Baseline *BaselineReport
 	// PowerRatio is NumSignificant / |R| when the baseline ran and both
-	// families are nonempty; the paper's Table 5 ratio r.
+	// families are nonempty; the paper's Table 5 ratio r. It is 0 otherwise,
+	// including when s* is finite but |R| = 0 (the report must stay
+	// JSON-encodable, and JSON has no infinity).
 	PowerRatio float64
 }
 
@@ -331,7 +333,9 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 			b.Significant = append(b.Significant, Pattern{Items: s.Items, Support: s.Support})
 		}
 		rep.Baseline = b
-		rep.PowerRatio = a.PowerRatio()
+		if a.Proc1.FamilySize > 0 {
+			rep.PowerRatio = a.PowerRatio()
+		}
 	}
 	return rep, nil
 }

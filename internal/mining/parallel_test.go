@@ -166,3 +166,77 @@ func TestFPGrowthParallelMatchesSerialExactly(t *testing.T) {
 		})
 	}
 }
+
+// TestAlgoDispatchers checks the algorithm-generic stream and histogram entry
+// points: every algorithm must produce the same itemset collection and the
+// exact same support histogram for every worker count.
+func TestAlgoDispatchers(t *testing.T) {
+	d := plantedDataset(71, 20, 300, 0.15, []uint32{1, 4, 9}, 5)
+	v := d.Vertical()
+	for _, k := range []int{2, 3} {
+		for _, s := range []int{5, 30} {
+			wantHist := SupportHistogramAlgoScratch(v, k, s, 1, Auto, nil)
+			want := mustMine(t, v, Options{K: k, MinSupport: s, Workers: 1})
+			for _, algo := range allAlgorithms {
+				for _, workers := range []int{1, 4} {
+					if got := SupportHistogramAlgoScratch(v, k, s, workers, algo, nil); !reflect.DeepEqual(got, wantHist) {
+						t.Fatalf("SupportHistogramAlgoScratch(k=%d,s=%d,%v,w=%d) differs", k, s, algo, workers)
+					}
+					got := collect(v, k, s, workers, algo, nil)
+					if !resultsEqual(got, append([]Result(nil), want...)) {
+						t.Fatalf("VisitKAlgoScratch(k=%d,s=%d,%v,w=%d): %d results, want %d",
+							k, s, algo, workers, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCountAndHistogramParallel checks the parallel counting reduction
+// against the serial one on random datasets (property-style, many shapes):
+// the histogram, and the count read off it, must not depend on the worker
+// count.
+func TestCountAndHistogramParallel(t *testing.T) {
+	r := stats.NewRNG(404)
+	for trial := 0; trial < 25; trial++ {
+		v := randomDataset(r, 12, 60).Vertical()
+		for k := 1; k <= 3; k++ {
+			for _, s := range []int{1, 2, 6} {
+				want := SupportHistogramAlgoScratch(v, k, s, 1, Auto, nil)
+				wantCount := CumulativeQ(want)[0]
+				for _, algo := range allAlgorithms {
+					for _, workers := range []int{2, 5} {
+						got := SupportHistogramAlgoScratch(v, k, s, workers, algo, nil)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("trial %d histogram(k=%d,s=%d,%v,w=%d) differs", trial, k, s, algo, workers)
+						}
+						if c := CumulativeQ(got)[0]; c != wantCount {
+							t.Fatalf("trial %d count(k=%d,s=%d,%v,w=%d) = %d, want %d", trial, k, s, algo, workers, c, wantCount)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVisitKParallelOrder asserts the parallel stream replays emissions in
+// exactly the serial stream's order on a dataset dense enough to take the
+// eclat path.
+func TestVisitKParallelOrder(t *testing.T) {
+	d := plantedDataset(55, 25, 500, 0.25, []uint32{2, 9, 17}, 5)
+	v := d.Vertical()
+	for _, k := range []int{2, 3} {
+		for _, s := range []int{20, 60} {
+			serial := collect(v, k, s, 1, Auto, nil)
+			par := collect(v, k, s, 4, Auto, nil)
+			if len(serial) == 0 {
+				t.Fatalf("k=%d s=%d: empty mining output, test is vacuous", k, s)
+			}
+			if !reflect.DeepEqual(serial, par) {
+				t.Fatalf("k=%d s=%d: parallel stream order differs from serial", k, s)
+			}
+		}
+	}
+}

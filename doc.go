@@ -104,7 +104,10 @@
 //
 // The default algorithm, Auto, has one policy everywhere: the hash path at
 // floors <= 8 when enumerating transaction subsets is cheap, Eclat over tid
-// lists otherwise; bitsets are used only when EclatBits is forced.
+// lists otherwise; bitsets are used only when EclatBits is forced. At k = 2
+// the tid-list Eclat counts each subtree's pair supports over a rank-mapped
+// transaction index instead of intersecting tid lists, emitting exactly the
+// itemsets, supports and order the intersections would.
 // internal/dataset supplies the horizontal and vertical layouts plus FIMI
 // I/O; internal/bitset the intersection kernels.
 // Exported as Dataset.Mine (MineOptions selects algorithm, K, threshold,
@@ -294,7 +297,10 @@
 //     a reusable per-worker mining.Scratch carrying its DFS buffers, dense
 //     columns, tree arenas, and tables. A Scratch is single-goroutine but
 //     reusable across calls and dataset shapes; a worker's second replicate
-//     allocates nothing.
+//     allocates nothing. At k = 2 the tid-list kernel is a pair count: one
+//     index of each transaction's frequent-item ranks per mine, then one
+//     pass over each item's transactions counting its later-ranked
+//     partners, scanned in the order the Eclat DFS would emit them.
 //   - Collection: the union set W is indexed by a string-free
 //     open-addressing table over the packed item tuples
 //     (mining.ItemsetTable) instead of a map keyed by per-itemset strings,

@@ -1,7 +1,8 @@
 package mining
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sigfim/internal/bitset"
 	"sigfim/internal/dataset"
@@ -11,7 +12,10 @@ import (
 // items ordered by ascending support; each node carries the tid list (or
 // bitset) of its prefix, refined by intersection as the search descends.
 // Fixed-size-k mining prunes the tree at depth k, which is what the paper's
-// procedures need (they mine k-itemsets for one k at a time).
+// procedures need (they mine k-itemsets for one k at a time). At k = 2 over
+// tid lists the depth-1 level is counted from the transactions instead
+// (pairCountSubtree), the way Zaki's Eclat computes L2: same itemsets, same
+// supports, same order.
 //
 // Every kernel threads a *Scratch carrying its mutable buffers (per-depth
 // intersection storage, prefix and sort stacks, pooled dense columns), so a
@@ -47,12 +51,11 @@ func frequentItemsInto(items []uint32, v *dataset.Vertical, minSupport int) []ui
 			items = append(items, uint32(it))
 		}
 	}
-	sort.Slice(items, func(a, b int) bool {
-		la, lb := len(v.Tids[items[a]]), len(v.Tids[items[b]])
-		if la != lb {
-			return la < lb
+	slices.SortFunc(items, func(a, b uint32) int {
+		if c := cmp.Compare(len(v.Tids[a]), len(v.Tids[b])); c != 0 {
+			return c
 		}
-		return items[a] < items[b]
+		return cmp.Compare(a, b)
 	})
 	return items
 }
@@ -94,6 +97,65 @@ func eclatKTidListSubtree(v *dataset.Vertical, items []uint32, k, minSupport, fi
 		}
 	}
 	rec(first+1, base)
+}
+
+// pairIndex builds the transaction-major index the k = 2 pair-count kernel
+// reads, in O(occurrences), into s.pairOff and s.pairRks:
+// pairRks[pairOff[t]:pairOff[t+1]] holds, ascending, the eclat ranks of the
+// frequent items transaction t contains (items[r] has rank r). The index is
+// valid until the next call.
+func (s *Scratch) pairIndex(v *dataset.Vertical, items []uint32) {
+	t := v.NumTransactions
+	off := grow(s.pairOff, t+1)
+	clear(off)
+	for _, it := range items {
+		for _, tid := range v.Tids[it] {
+			off[tid]++
+		}
+	}
+	// Prefix sums leave off[t] at the end of transaction t's run. Filling
+	// the ranks in descending order with each cursor walking down from its
+	// run's end leaves every run ascending and off[t] at its start.
+	total := 0
+	for i := 0; i < t; i++ {
+		total += off[i]
+		off[i] = total
+	}
+	off[t] = total
+	ranks := grow(s.pairRks, total)
+	for r := len(items) - 1; r >= 0; r-- {
+		for _, tid := range v.Tids[items[r]] {
+			off[tid]--
+			ranks[off[tid]] = uint32(r)
+		}
+	}
+	s.pairOff, s.pairRks = off, ranks
+}
+
+// pairCountSubtree is eclatKTidListSubtree at k = 2, read off the pair
+// index instead of intersecting tid lists. One pass over items[first]'s
+// transactions counts into s's zeroed row every later-ranked item each one
+// holds; the scan over ranks b = first+1.. then emits {items[first],
+// items[b]} in the DFS's order with the DFS's supports and re-zeroes the
+// row. Its work is at most the DFS's: the counting touches only the
+// co-occurrences the intersections would find.
+func pairCountSubtree(v *dataset.Vertical, items []uint32, off []int, ranks []uint32, minSupport, first int, s *Scratch, emit func(Itemset, int)) {
+	row := s.pairRow
+	a := uint32(first)
+	for _, tid := range v.Tids[items[first]] {
+		// The run is ascending and holds a itself, which stops the walk.
+		for j := off[tid+1] - 1; ranks[j] > a; j-- {
+			row[ranks[j]]++
+		}
+	}
+	prefix := append(s.prefix[:0], items[first], 0)
+	for b := first + 1; b < len(items); b++ {
+		if sup := int(row[b]); sup >= minSupport {
+			prefix[1] = items[b]
+			s.emitSortedScratch(prefix, sup, emit)
+		}
+		row[b] = 0
+	}
 }
 
 // eclatKBitsetSubtree is eclatKTidListSubtree over dense bitset columns;

@@ -80,7 +80,12 @@ func parallelShards(n, workers int, fn func(worker, shard int)) {
 // subtrees over either layout: the frequent items in eclat order, n subtrees
 // (zero when fewer than k items are frequent), the worker count capped at n
 // with its scratches ready, and — for the bitset layout — the dense columns,
-// built once and shared read-only.
+// or — for tid lists at k = 2 — the pair index in the parent scratch s, built
+// once and shared read-only.
+//
+// The struct stays under 128 bytes so the parallel stream's closure captures
+// it by value: a larger one moves the receiver to the heap on every call,
+// and the serial replicate loop would allocate.
 type eclatShards struct {
 	v             *dataset.Vertical
 	items         []uint32
@@ -99,10 +104,16 @@ func newEclatShards(v *dataset.Vertical, k, minSupport, workers int, bits bool, 
 	}
 	e.n = len(e.items) - k + 1
 	e.workers = shardWorkers(s, e.n, workers)
-	if bits {
+	switch {
+	case bits:
 		e.cols = s.columns(v, e.items)
 		for w := 0; w < e.workers; w++ {
 			e.scratch(w).ensureBits(v.NumTransactions, k)
+		}
+	case k == 2:
+		s.pairIndex(v, e.items)
+		for w := 0; w < e.workers; w++ {
+			e.scratch(w).ensurePairRow(len(e.items))
 		}
 	}
 	return e
@@ -118,11 +129,14 @@ func (e eclatShards) scratch(w int) *Scratch {
 
 // subtree mines the subtree rooted at items[first] on worker w's scratch.
 func (e eclatShards) subtree(w, first int, emit func(Itemset, int)) {
-	if e.bits {
+	switch {
+	case e.bits:
 		eclatKBitsetSubtree(e.v, e.items, e.cols, e.scratch(w), e.k, e.minSupport, first, emit)
-		return
+	case e.k == 2:
+		pairCountSubtree(e.v, e.items, e.s.pairOff, e.s.pairRks, e.minSupport, first, e.scratch(w), emit)
+	default:
+		eclatKTidListSubtree(e.v, e.items, e.k, e.minSupport, first, e.scratch(w), emit)
 	}
-	eclatKTidListSubtree(e.v, e.items, e.k, e.minSupport, first, e.scratch(w), emit)
 }
 
 // stream emits every itemset in subtree order. A serial run streams

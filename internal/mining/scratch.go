@@ -1,17 +1,20 @@
 package mining
 
 import (
+	"slices"
+
 	"sigfim/internal/bitset"
 	"sigfim/internal/dataset"
 )
 
 // Scratch is the reusable per-worker mining state: frequent-item and DFS
 // prefix buffers, per-depth tid-list and bitset intersection buffers, the
-// pooled dense columns, the hash-path table, the FP-Growth node arena, and a
-// pooled horizontal conversion target. A Scratch is single-goroutine — it
-// must never be shared between concurrently mining goroutines — but it is
-// reusable across calls and across datasets of any shape: every buffer is
-// re-sized (capacity-preserving) per call, so a worker's second mine of a
+// k = 2 pair index and counting row, the pooled dense columns, the hash-path
+// table, the FP-Growth node arena, and a pooled horizontal conversion
+// target. A Scratch is single-goroutine — it must never be shared between
+// concurrently mining goroutines — but it is reusable across calls and
+// across datasets of any shape: every buffer is re-sized
+// (capacity-preserving) per call, so a worker's second mine of a
 // similar dataset allocates nothing. The Monte Carlo replicate engine keeps
 // one Scratch per worker for the whole run; this is what makes the replicate
 // pipeline allocation-free in steady state.
@@ -24,6 +27,9 @@ type Scratch struct {
 	prefix  []uint32         // DFS prefix stack
 	sorted  []uint32         // emit-time sort buffer
 	lens    []int            // per-transaction lengths (hash-path dispatch)
+	pairOff []int            // pair index: per-transaction offsets into pairRks
+	pairRks []uint32         // pair index: each transaction's eclat ranks, ascending
+	pairRow []int32          // pair-count kernel: per-rank co-occurrence counts
 	tidBufs [][]uint32       // per-depth tid-list intersection buffers
 	bits    []*bitset.Bitset // per-depth bitset intersection scratch
 	cols    []*bitset.Bitset // pooled dense columns, parallel to items
@@ -57,6 +63,22 @@ func (s *Scratch) ensureDepth(k int) {
 	if cap(s.sorted) < k {
 		s.sorted = make([]uint32, 0, k)
 	}
+}
+
+// grow returns buf resized to n with unspecified contents. When buf is too
+// small it regrows the way append does, with geometric headroom, so a buffer
+// sized by fluctuating replicates settles instead of reallocating at every
+// new maximum.
+func grow[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// ensurePairRow guarantees a zeroed pair-count row of m ranks and the
+// two-item prefix and sort buffers the pair-count kernel emits from.
+func (s *Scratch) ensurePairRow(m int) {
+	s.pairRow = grow(s.pairRow, m)
+	clear(s.pairRow)
+	s.ensureDepth(2)
 }
 
 // ensureBits guarantees k per-depth bitset buffers of capacity t bits.

@@ -16,12 +16,8 @@ func EstimateLambda(m randmodel.Model, k, s, reps int, seed uint64) float64 {
 	if s < 1 || reps < 1 {
 		panic("montecarlo: EstimateLambda requires s >= 1 and reps >= 1")
 	}
-	r := stats.NewRNG(seed)
 	var total int64
-	for i := 0; i < reps; i++ {
-		v := m.Generate(r.Split())
-		total += countK(v, k, s)
-	}
+	eachReplicateQ(m, k, s, reps, seed, func(_ int, q int64) { total += q })
 	return float64(total) / float64(reps)
 }
 
@@ -32,17 +28,21 @@ func SampleQ(m randmodel.Model, k, s, reps int, seed uint64) []int {
 	if s < 1 || reps < 1 {
 		panic("montecarlo: SampleQ requires s >= 1 and reps >= 1")
 	}
-	r := stats.NewRNG(seed)
 	out := make([]int, reps)
-	for i := range out {
-		v := m.Generate(r.Split())
-		out[i] = int(countK(v, k, s))
-	}
+	eachReplicateQ(m, k, s, reps, seed, func(i int, q int64) { out[i] = int(q) })
 	return out
 }
 
-// countK returns Q_{k,s} of one replicate, counted serially without
-// materializing the itemsets.
-func countK(v *dataset.Vertical, k, s int) int64 {
-	return mining.CumulativeQ(mining.SupportHistogramAlgoScratch(v, k, s, 1, mining.Auto, nil))[0]
+// eachReplicateQ hands fn Q_{k,s} of each of reps replicates drawn from
+// seed, counted serially without materializing the itemsets. One Vertical
+// and one Scratch serve every replicate; pooled generation consumes the
+// random stream fresh generation does, so reuse never changes a count.
+func eachReplicateQ(m randmodel.Model, k, s, reps int, seed uint64, fn func(i int, q int64)) {
+	r := stats.NewRNG(seed)
+	var v *dataset.Vertical
+	scratch := mining.NewScratch()
+	for i := 0; i < reps; i++ {
+		v = randmodel.GenerateReusing(m, r.Split(), v)
+		fn(i, mining.CumulativeQ(mining.SupportHistogramAlgoScratch(v, k, s, 1, mining.Auto, scratch))[0])
+	}
 }

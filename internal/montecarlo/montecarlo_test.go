@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sigfim/internal/chenstein"
@@ -229,6 +230,34 @@ func TestSampleQPoissonAboveSMin(t *testing.T) {
 	tv := stats.TotalVariationPoisson(sample, lam)
 	if tv > 0.08 {
 		t.Errorf("TV distance to Poisson at ŝ_min = %v", tv)
+	}
+}
+
+// TestSampleQPooledMatchesFresh pins EstimateLambda and SampleQ, which reuse
+// one Vertical and one Scratch across replicates, to replicates generated
+// and counted afresh each time at the same seed, under both null models.
+func TestSampleQPooledMatchesFresh(t *testing.T) {
+	indep := randmodel.IndependentModel{T: 400, Freqs: []float64{0.3, 0.05, 0.2, 0.15, 0.35, 0.1, 0.25, 0.02}}
+	swap := &randmodel.SwapModel{Base: indep.Generate(stats.NewRNG(5)).Horizontal(), Proposals: 600}
+	const k, s, reps, seed = 2, 12, 40, 77
+	for _, m := range []randmodel.Model{indep, swap} {
+		r := stats.NewRNG(seed)
+		want := make([]int, reps)
+		total := 0
+		for i := range want {
+			hist := mining.SupportHistogramAlgoScratch(m.Generate(r.Split()), k, s, 1, mining.Auto, nil)
+			want[i] = int(mining.CumulativeQ(hist)[0])
+			total += want[i]
+		}
+		if total == 0 {
+			t.Fatalf("%T: every replicate counted 0; the test is vacuous", m)
+		}
+		if got := SampleQ(m, k, s, reps, seed); !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: SampleQ = %v, fresh replicates give %v", m, got, want)
+		}
+		if got, wantL := EstimateLambda(m, k, s, reps, seed), float64(total)/reps; got != wantL {
+			t.Errorf("%T: EstimateLambda = %v, fresh replicates give %v", m, got, wantL)
+		}
 	}
 }
 

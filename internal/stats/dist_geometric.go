@@ -56,9 +56,11 @@ type SkipSampler struct {
 }
 
 // NewSkipSampler returns a sampler over positions [0, n) with success
-// probability p per position.
-func NewSkipSampler(n int, p float64, rng *RNG) *SkipSampler {
-	s := &SkipSampler{n: n, pos: -1, rng: rng}
+// probability p per position. It returns a value, so a sampler held in a
+// local variable stays off the heap: the generator draws one per column per
+// replicate.
+func NewSkipSampler(n int, p float64, rng *RNG) SkipSampler {
+	s := SkipSampler{n: n, pos: -1, rng: rng}
 	switch {
 	case p <= 0:
 		s.done = true

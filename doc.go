@@ -238,7 +238,17 @@
 // Config.SwapProposalsPerOccurrence sets it relative to the number of ones
 // in the transaction matrix (default 8; Gionis et al. report mixing after a
 // small constant), and Config.SwapProposals, when positive, fixes the
-// absolute per-replicate proposal count instead.
+// absolute per-replicate proposal count instead. Negative values of either
+// are an error.
+//
+// The chain state is one item per occurrence slot. Occurrences are
+// enumerated in (transaction, ascending item) order, so transaction t owns
+// a contiguous slot range and a swap only rewrites the items of two slots:
+// the range always holds exactly t's current item set, membership is a
+// linear scan of it, and walking the slots in order materializes sorted
+// tid lists directly. The random draws and accept/reject decisions are
+// those of the textbook chain step for step, so replicates are fixed by
+// the seed alone.
 //
 // The swap null drives Significant and SignificantCtx only. FindSMin is
 // independence-only by contract: it reproduces the paper's published

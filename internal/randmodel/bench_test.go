@@ -3,6 +3,7 @@ package randmodel
 import (
 	"testing"
 
+	"sigfim/internal/dataset"
 	"sigfim/internal/stats"
 )
 
@@ -51,6 +52,27 @@ func BenchmarkSwapRandomizeChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SwapRandomize(d, 4, r)
 	}
+}
+
+// BenchmarkSwapGenerateInto times the pooled swap-replicate path the Monte
+// Carlo engine runs (SwapModel.GenerateInto at the default 8 proposals per
+// occurrence) on a Retail-shaped base: the synth Retail/8 profile's
+// universe, frequency range and mean length (n=16470, t=88162/8=11020,
+// mean length 10.2). It reports the chain cost per proposal.
+func BenchmarkSwapGenerateInto(b *testing.B) {
+	z := stats.FitPowerLaw(16470, 1.13e-05, 0.57, 10.2)
+	im := IndependentModel{T: 88162 / 8, Freqs: z.Frequencies()}
+	m := &SwapModel{Base: im.Generate(stats.NewRNG(7)).Horizontal()}
+	v := &dataset.Vertical{}
+	m.GenerateInto(stats.NewRNG(8), v) // build the shared snapshot, warm the pool
+	proposals := m.proposals(len(m.prepare().occTid))
+	r := stats.NewRNG(9)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.GenerateInto(r.Split(), v)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*proposals), "ns/proposal")
 }
 
 func BenchmarkVerticalToHorizontal(b *testing.B) {

@@ -2,6 +2,7 @@ package randmodel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sigfim/internal/dataset"
@@ -243,11 +244,14 @@ func TestSwapActuallyMixes(t *testing.T) {
 	}
 	d := dataset.MustNew(20, tx)
 	sr := NewSwapRandomizer(d)
-	applied := sr.Run(10*len(sr.occTid), r)
-	if applied == 0 {
+	oracleRNG := *r // the oracle and SwapRandomize run the same stream
+	if applied := sr.Run(10*len(sr.occTid), &oracleRNG); applied == 0 {
 		t.Fatal("no swap ever applied")
 	}
-	randomized := sr.Dataset()
+	randomized := SwapRandomize(d, 10, r)
+	if !reflect.DeepEqual(randomized.Transactions(), sr.Dataset().Transactions()) {
+		t.Fatal("SwapRandomize diverged from the oracle chain")
+	}
 	// At least one transaction must differ from the original.
 	differs := false
 	for i := 0; i < d.NumTransactions() && !differs; i++ {

@@ -1,7 +1,6 @@
 package randmodel
 
 import (
-	"sort"
 	"sync"
 
 	"sigfim/internal/dataset"
@@ -18,98 +17,19 @@ import (
 // null model of [10]; we ship it as a first-class null for the significance
 // pipeline alongside the independence model.
 
-// SwapRandomizer holds the mutable occurrence structures of the chain.
-type SwapRandomizer struct {
-	numItems int
-	occTid   []uint32          // occurrence -> transaction id
-	occItem  []uint32          // occurrence -> item id
-	member   []map[uint32]bool // per transaction: item membership
-	applied  int               // successful swaps so far
-	proposed int               // proposals so far
-}
-
-// NewSwapRandomizer initializes the chain at the given dataset.
-func NewSwapRandomizer(d *dataset.Dataset) *SwapRandomizer {
-	sr := &SwapRandomizer{numItems: d.NumItems()}
-	sr.member = make([]map[uint32]bool, d.NumTransactions())
-	for tid := 0; tid < d.NumTransactions(); tid++ {
-		tr := d.Transaction(tid)
-		sr.member[tid] = make(map[uint32]bool, len(tr))
-		for _, it := range tr {
-			sr.member[tid][it] = true
-			sr.occTid = append(sr.occTid, uint32(tid))
-			sr.occItem = append(sr.occItem, it)
-		}
-	}
-	return sr
-}
-
-// Step proposes one swap; it returns true when the proposal was applied.
-func (sr *SwapRandomizer) Step(r *stats.RNG) bool {
-	sr.proposed++
-	n := len(sr.occTid)
-	if n < 2 {
-		return false
-	}
-	a := r.Intn(n)
-	b := r.Intn(n)
-	if a == b {
-		return false
-	}
-	t1, i1 := sr.occTid[a], sr.occItem[a]
-	t2, i2 := sr.occTid[b], sr.occItem[b]
-	if t1 == t2 || i1 == i2 {
-		return false
-	}
-	if sr.member[t1][i2] || sr.member[t2][i1] {
-		return false
-	}
-	// Rewire.
-	delete(sr.member[t1], i1)
-	delete(sr.member[t2], i2)
-	sr.member[t1][i2] = true
-	sr.member[t2][i1] = true
-	sr.occItem[a], sr.occItem[b] = i2, i1
-	sr.applied++
-	return true
-}
-
-// Run performs the given number of proposals and returns how many applied.
-func (sr *SwapRandomizer) Run(proposals int, r *stats.RNG) int {
-	applied := 0
-	for i := 0; i < proposals; i++ {
-		if sr.Step(r) {
-			applied++
-		}
-	}
-	return applied
-}
-
-// Applied returns the number of successful swaps so far.
-func (sr *SwapRandomizer) Applied() int { return sr.applied }
-
-// Dataset materializes the current chain state.
-func (sr *SwapRandomizer) Dataset() *dataset.Dataset {
-	tx := make([][]uint32, len(sr.member))
-	for tid, set := range sr.member {
-		tr := make([]uint32, 0, len(set))
-		for it := range set {
-			tr = append(tr, it)
-		}
-		sort.Slice(tr, func(a, b int) bool { return tr[a] < tr[b] })
-		tx[tid] = tr
-	}
-	return dataset.MustNew(sr.numItems, tx)
-}
-
 // SwapRandomize runs the chain for proposalsPerOccurrence * |occurrences|
 // proposals starting from d and returns the randomized dataset. Gionis et
 // al. report mixing after a small constant times the number of ones; 4-10
-// proposals per occurrence is customary.
+// proposals per occurrence is customary. Zero (or negative) proposals per
+// occurrence runs no chain: the result equals d and r is not drawn from.
 func SwapRandomize(d *dataset.Dataset, proposalsPerOccurrence int, r *stats.RNG) *dataset.Dataset {
-	sr := NewSwapRandomizer(d)
-	sr.Run(proposalsPerOccurrence*len(sr.occTid), r)
-	return sr.Dataset()
+	b := newSwapBase(d)
+	sc := &swapScratch{}
+	sc.reset(b)
+	sc.run(b, proposalsPerOccurrence*len(b.occTid), r)
+	v := &dataset.Vertical{}
+	sc.materialize(b, v)
+	return v.Horizontal()
 }
 
 // SwapModel adapts swap randomization to the Model interface: every Generate
@@ -161,21 +81,17 @@ func (m *SwapModel) proposals(occ int) int {
 	return ppo * occ
 }
 
-// Generate runs a fresh chain through the allocating SwapRandomizer and
-// returns the vertical layout. GenerateInto consumes the identical random
-// stream and produces the identical dataset; keeping this independent
-// implementation alive lets the tests cross-check the two against each other.
+// Generate runs a fresh chain and returns the vertical layout in a newly
+// allocated Vertical; it is GenerateInto on a fresh target.
 func (m *SwapModel) Generate(r *stats.RNG) *dataset.Vertical {
-	sr := NewSwapRandomizer(m.Base)
-	sr.Run(m.proposals(len(sr.occTid)), r)
-	return sr.Dataset().Vertical()
+	v := &dataset.Vertical{}
+	m.GenerateInto(r, v)
+	return v
 }
 
 // GenerateInto runs a fresh chain in pooled scratch space and materializes
 // the result into v (reshaped via Reuse, per-item column backing arrays
-// retained). The proposal sequence, the accept/reject decisions, and the
-// resulting dataset are bit-identical to Generate for the same r, so pooled
-// and allocating generation are interchangeable at every worker count.
+// retained).
 func (m *SwapModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
 	b := m.prepare()
 	sc, _ := m.pool.Get().(*swapScratch)
@@ -191,103 +107,76 @@ func (m *SwapModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
 // prepare builds (once) the immutable chain-start snapshot shared by every
 // worker's scratch.
 func (m *SwapModel) prepare() *swapBase {
-	m.prepOnce.Do(func() {
-		d := m.Base
-		t := d.NumTransactions()
-		total := 0
-		for tid := 0; tid < t; tid++ {
-			total += len(d.Transaction(tid))
-		}
-		b := &swapBase{
-			numItems: d.NumItems(),
-			numTx:    t,
-			occTid:   make([]uint32, 0, total),
-			arena:    make([]uint32, 0, total),
-			txOff:    make([]int, t+1),
-		}
-		for tid := 0; tid < t; tid++ {
-			tr := d.Transaction(tid)
-			b.txOff[tid] = len(b.arena)
-			b.arena = append(b.arena, tr...)
-			for range tr {
-				b.occTid = append(b.occTid, uint32(tid))
-			}
-		}
-		b.txOff[t] = len(b.arena)
-		m.prep = b
-	})
+	m.prepOnce.Do(func() { m.prep = newSwapBase(m.Base) })
 	return m.prep
 }
 
-// swapBase is the immutable chain-start state: the occurrence->transaction
-// map and the flat sorted-transaction arena. Transactions are enumerated in
-// the same (tid, ascending item) order NewSwapRandomizer uses, so occurrence
-// j starts at item arena[j] — the arena doubles as the initial occurrence->
-// item array.
+// swapBase is the immutable chain-start state. Occurrences are enumerated
+// in (tid, ascending item) order, so transaction t owns the contiguous slot
+// range [txOff[t], txOff[t+1]) and slot j starts at item occItem[j]. A swap
+// rewrites the items of two slots and never moves an occurrence to another
+// transaction, so occTid and txOff hold for every chain state.
 type swapBase struct {
 	numItems int
 	numTx    int
-	occTid   []uint32 // occurrence -> transaction id (never mutated by the chain)
-	arena    []uint32 // concatenated sorted transactions at the chain start
-	txOff    []int    // transaction t occupies arena[txOff[t]:txOff[t+1]]
+	occTid   []uint32 // slot -> transaction id (non-decreasing in the slot)
+	occItem  []uint32 // slot -> item id at the chain start
+	txOff    []int    // transaction t owns slots [txOff[t], txOff[t+1])
 }
 
-// swapScratch is one worker's mutable chain state, reset from the base
-// snapshot with two bulk copies per replicate. Transaction windows stay
-// sorted across swaps (membership tests are binary searches; an applied swap
-// shifts at most one window's worth of items), which also keeps the
-// materialized vertical columns sorted for free: transactions are visited in
-// ascending tid order, so each item's tid list is appended in order.
+// newSwapBase snapshots d as the chain-start state.
+func newSwapBase(d *dataset.Dataset) *swapBase {
+	t := d.NumTransactions()
+	total := 0
+	for tid := 0; tid < t; tid++ {
+		total += len(d.Transaction(tid))
+	}
+	b := &swapBase{
+		numItems: d.NumItems(),
+		numTx:    t,
+		occTid:   make([]uint32, 0, total),
+		occItem:  make([]uint32, 0, total),
+		txOff:    make([]int, t+1),
+	}
+	for tid := 0; tid < t; tid++ {
+		tr := d.Transaction(tid)
+		b.txOff[tid] = len(b.occItem)
+		b.occItem = append(b.occItem, tr...)
+		for range tr {
+			b.occTid = append(b.occTid, uint32(tid))
+		}
+	}
+	b.txOff[t] = len(b.occItem)
+	return b
+}
+
+// swapScratch is one worker's mutable chain state: the current item of every
+// occurrence slot, reset from the base with one bulk copy per replicate.
+// Transaction t's current item set is exactly occItem[txOff[t]:txOff[t+1]]
+// (in no particular order once swaps apply), so membership is a linear scan
+// of that short range and an accepted swap rewrites two slots.
 type swapScratch struct {
-	occItem []uint32 // occurrence -> item id (chain state)
-	arena   []uint32 // per-transaction sorted item windows (chain state)
+	occItem []uint32 // slot -> item id (chain state)
 }
 
 // reset restores the scratch to the chain-start state.
 func (sc *swapScratch) reset(b *swapBase) {
-	sc.occItem = append(sc.occItem[:0], b.arena...)
-	sc.arena = append(sc.arena[:0], b.arena...)
-}
-
-// searchU32 returns the first index in w whose value is >= x.
-func searchU32(w []uint32, x uint32) int {
-	lo, hi := 0, len(w)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if w[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	sc.occItem = append(sc.occItem[:0], b.occItem...)
 }
 
 // contains reports whether transaction t currently holds item x.
 func (sc *swapScratch) contains(b *swapBase, t uint32, x uint32) bool {
-	w := sc.arena[b.txOff[t]:b.txOff[t+1]]
-	i := searchU32(w, x)
-	return i < len(w) && w[i] == x
-}
-
-// replace swaps item old for item new in transaction t, keeping the window
-// sorted. old must be present and new absent (the chain checks both).
-func (sc *swapScratch) replace(b *swapBase, t uint32, old, new uint32) {
-	w := sc.arena[b.txOff[t]:b.txOff[t+1]]
-	p := searchU32(w, old)
-	q := searchU32(w, new)
-	if q > p {
-		copy(w[p:q-1], w[p+1:q])
-		w[q-1] = new
-	} else {
-		copy(w[q+1:p+1], w[q:p])
-		w[q] = new
+	for _, it := range sc.occItem[b.txOff[t]:b.txOff[t+1]] {
+		if it == x {
+			return true
+		}
 	}
+	return false
 }
 
-// run executes the Markov chain: the same proposal loop as
-// SwapRandomizer.Step, consuming the identical RNG stream (two Intn draws
-// per proposal, none when fewer than two occurrences exist).
+// run executes the Markov chain: two Intn draws per proposal (none when
+// fewer than two occurrences exist), rejecting same-slot, same-transaction,
+// same-item and already-present proposals.
 func (sc *swapScratch) run(b *swapBase, proposals int, r *stats.RNG) {
 	n := len(b.occTid)
 	if n < 2 {
@@ -307,18 +196,17 @@ func (sc *swapScratch) run(b *swapBase, proposals int, r *stats.RNG) {
 		if sc.contains(b, t1, i2) || sc.contains(b, t2, i1) {
 			continue
 		}
-		sc.replace(b, t1, i1, i2)
-		sc.replace(b, t2, i2, i1)
 		sc.occItem[a], sc.occItem[c] = i2, i1
 	}
 }
 
 // materialize writes the current chain state into v in vertical layout.
+// Slots are visited in order, so each item's tids arrive non-decreasing —
+// strictly increasing, since a transaction holds an item at most once —
+// and every column comes out sorted without a sort.
 func (sc *swapScratch) materialize(b *swapBase, v *dataset.Vertical) {
 	v.Reuse(b.numTx, b.numItems)
-	for tid := 0; tid < b.numTx; tid++ {
-		for _, it := range sc.arena[b.txOff[tid]:b.txOff[tid+1]] {
-			v.Tids[it] = append(v.Tids[it], uint32(tid))
-		}
+	for j, it := range sc.occItem {
+		v.Tids[it] = append(v.Tids[it], b.occTid[j])
 	}
 }

@@ -110,6 +110,31 @@ func TestPartialShedsOverInflightCap(t *testing.T) {
 	}
 }
 
+// TestPartialRejectsNegativeSwapChainLength: the worker answers 400 to a
+// negative swap chain length instead of mining with the default chain.
+func TestPartialRejectsNegativeSwapChainLength(t *testing.T) {
+	s := shedTestServer(t, Options{Workers: 1})
+	ds, _, ok := s.Registry().Get("golden")
+	if !ok {
+		t.Fatal("golden dataset missing")
+	}
+	for _, field := range []string{"swap_ppo", "swap_proposals"} {
+		b, err := json.Marshal(map[string]any{
+			"dataset_hash": ds.Hash(),
+			"from":         0, "to": 1, "k": 2, "floor": 2,
+			"seeds":     []uint64{1},
+			"swap_null": true,
+			field:       -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := postPartialReq(s, string(b)); rec.Code != 400 {
+			t.Fatalf("negative %s: HTTP %d, want 400: %s", field, rec.Code, rec.Body)
+		}
+	}
+}
+
 func TestNegativePartialsInflightDisablesCap(t *testing.T) {
 	s := shedTestServer(t, Options{Workers: 1, PartialsInflight: -1})
 	if rec := postPartialReq(s, validPartialBody(t, s)); rec.Code != 200 {

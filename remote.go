@@ -143,6 +143,9 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest) (
 	if err != nil {
 		return nil, fmt.Errorf("sigfim: unknown algorithm %q", req.Algorithm)
 	}
+	if err := checkSwapChainLengths(req.SwapProposalsPerOccurrence, req.SwapProposals); err != nil {
+		return nil, err
+	}
 	mreq := montecarlo.RangeRequest{
 		Range:     montecarlo.ReplicateRange{From: req.From, To: req.To},
 		K:         req.K,

@@ -79,11 +79,12 @@ type Config struct {
 	// replicate runs SwapProposalsPerOccurrence * |occurrences| swap
 	// proposals before the randomized dataset is mined (default 8 when zero;
 	// Gionis et al. report mixing after a small constant). Ignored unless
-	// SwapNull is set.
+	// SwapNull is set; a negative value is an error either way.
 	SwapProposalsPerOccurrence int
 	// SwapProposals, when positive, fixes the absolute number of swap
 	// proposals per replicate and overrides SwapProposalsPerOccurrence.
-	// Ignored unless SwapNull is set.
+	// Ignored unless SwapNull is set; a negative value is an error either
+	// way.
 	SwapProposals int
 	// Workers bounds the goroutines of every parallel stage (Monte Carlo
 	// replicate mining, observed-dataset counting, pattern materialization):
@@ -181,6 +182,9 @@ func (c *Config) withDefaults() (core.Options, error) {
 		o.RunProcedure1 = c.WithBaseline || c.Correction != ""
 		o.Workers = c.Workers
 		o.Progress = c.Progress
+		if err := checkSwapChainLengths(c.SwapProposalsPerOccurrence, c.SwapProposals); err != nil {
+			return o, err
+		}
 		algo, err := mining.ParseAlgorithm(c.Algorithm)
 		if err != nil {
 			return o, fmt.Errorf("sigfim: unknown algorithm %q", c.Algorithm)
@@ -193,6 +197,15 @@ func (c *Config) withDefaults() (core.Options, error) {
 		o.Correction = correction
 	}
 	return o, nil
+}
+
+// checkSwapChainLengths rejects negative swap chain lengths, which would
+// otherwise fall back to the chain's defaults without notice.
+func checkSwapChainLengths(perOccurrence, proposals int) error {
+	if perOccurrence < 0 || proposals < 0 {
+		return fmt.Errorf("sigfim: swap chain lengths must be >= 0, got %d proposals per occurrence and %d proposals", perOccurrence, proposals)
+	}
+	return nil
 }
 
 // LadderStep reports one comparison of the support-threshold ladder.

@@ -1,6 +1,7 @@
 package sigfim
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -53,5 +54,29 @@ func TestFindSMinRejectsSwapNull(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "independence null") {
 		t.Errorf("rejection error %q does not explain the independence-only contract", err)
+	}
+}
+
+// TestNegativeSwapChainLengthRejected: a negative chain length is an error
+// in the library and at the worker entry point, never a silent fallback to
+// the default of 8 proposals per occurrence.
+func TestNegativeSwapChainLengthRejected(t *testing.T) {
+	d, err := OpenFIMI("testdata/golden_input.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ ppo, proposals int }{{-1, 0}, {0, -5}, {4, -1}} {
+		_, err := d.Significant(2, &Config{Delta: 4, Seed: 1, SwapNull: true,
+			SwapProposalsPerOccurrence: c.ppo, SwapProposals: c.proposals})
+		if err == nil || !strings.Contains(err.Error(), "swap chain lengths") {
+			t.Errorf("Significant(ppo=%d, proposals=%d): err = %v, want a swap chain length error", c.ppo, c.proposals, err)
+		}
+		_, err = d.MineReplicateRange(context.Background(), PartialRequest{
+			From: 0, To: 1, K: 2, Floor: 2, Seeds: []uint64{42},
+			SwapNull: true, SwapProposalsPerOccurrence: c.ppo, SwapProposals: c.proposals,
+		})
+		if err == nil || !strings.Contains(err.Error(), "swap chain lengths") {
+			t.Errorf("MineReplicateRange(ppo=%d, proposals=%d): err = %v, want a swap chain length error", c.ppo, c.proposals, err)
+		}
 	}
 }

@@ -301,7 +301,12 @@
 //   - Generation: models implementing randmodel.InPlaceGenerator refill a
 //     per-worker vertical dataset in place, reusing the per-item column
 //     arrays across replicates; the consumed random stream is identical to
-//     fresh generation, so results cannot differ.
+//     fresh generation, so results cannot differ. The independence null
+//     builds each item's geometric-gap constants once per job
+//     (randmodel.Prepare) and draws gaps through stats.GeometricGap: a
+//     table log whose result is trusted only when a margin ~10^4 times its
+//     worst error cannot move the integer gap, and recomputed with
+//     math.Log otherwise, so every replicate keeps its exact bytes.
 //   - Mining: every kernel (Eclat over tid lists or bitsets, FP-Growth,
 //     Apriori's horizontal conversion, the low-threshold hash path) threads
 //     a reusable per-worker mining.Scratch carrying its DFS buffers, dense

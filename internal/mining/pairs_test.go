@@ -150,9 +150,11 @@ func TestReplicateLoopZeroAllocs(t *testing.T) {
 		}
 		v := &dataset.Vertical{}
 		randmodel.IndependentModel{T: m.T, Freqs: ones}.GenerateInto(r, v)
-		allocs := testing.AllocsPerRun(10, func() { m.GenerateInto(r, v) })
-		if allocs != 0 {
-			t.Errorf("IndependentModel.GenerateInto on a warm Vertical: %v allocations per replicate, want 0", allocs)
+		for _, m := range []randmodel.IndependentModel{m, m.Prepare()} {
+			allocs := testing.AllocsPerRun(10, func() { m.GenerateInto(r, v) })
+			if allocs != 0 {
+				t.Errorf("IndependentModel.GenerateInto on a warm Vertical: %v allocations per replicate, want 0", allocs)
+			}
 		}
 	})
 }

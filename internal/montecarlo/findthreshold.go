@@ -318,6 +318,9 @@ func FindPoissonThresholdCtx(ctx context.Context, m randmodel.Model, cfg Config)
 			return nil, err
 		}
 	}
+	// Per-job model state is built here, inside the job, once for every
+	// halving and executor.
+	m = randmodel.Prepare(m)
 
 	// Per-replicate seeds: deterministic regeneration without retaining the
 	// datasets lets the floor drop by re-mining instead of re-storing.

@@ -38,6 +38,7 @@ func SampleQ(m randmodel.Model, k, s, reps int, seed uint64) []int {
 // and one Scratch serve every replicate; pooled generation consumes the
 // random stream fresh generation does, so reuse never changes a count.
 func eachReplicateQ(m randmodel.Model, k, s, reps int, seed uint64, fn func(i int, q int64)) {
+	m = randmodel.Prepare(m)
 	r := stats.NewRNG(seed)
 	var v *dataset.Vertical
 	scratch := mining.NewScratch()

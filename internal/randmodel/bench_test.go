@@ -75,6 +75,28 @@ func BenchmarkSwapGenerateInto(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*proposals), "ns/proposal")
 }
 
+// BenchmarkIndependentGenerateInto times the pooled independence-replicate
+// path the Monte Carlo engine runs (a prepared IndependentModel's
+// GenerateInto) on the synth Retail/8 null: n=16470, t=88162/8=11020,
+// mean length 10.2. It reports the cost per generated occurrence.
+func BenchmarkIndependentGenerateInto(b *testing.B) {
+	z := stats.FitPowerLaw(16470, 1.13e-05, 0.57, 10.2)
+	m := IndependentModel{T: 88162 / 8, Freqs: z.Frequencies()}.Prepare()
+	v := &dataset.Vertical{}
+	r := stats.NewRNG(10)
+	m.GenerateInto(r.Split(), v) // grow the pooled columns
+	occ := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.GenerateInto(r.Split(), v)
+		for _, col := range v.Tids {
+			occ += len(col)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(occ), "ns/occurrence")
+}
+
 func BenchmarkVerticalToHorizontal(b *testing.B) {
 	m := benchModel()
 	v := m.Generate(stats.NewRNG(5))

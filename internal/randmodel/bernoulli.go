@@ -14,6 +14,11 @@ import (
 type IndependentModel struct {
 	T     int
 	Freqs []float64
+
+	// gaps, set by Prepare, holds stats.NewGeometricGap(Freqs[i]) for every
+	// item, so a job builds each item's constants once instead of once per
+	// column of every replicate.
+	gaps []stats.GeometricGap
 }
 
 // FromProfile builds the null model matching a measured dataset profile —
@@ -29,7 +34,7 @@ func (m IndependentModel) Validate() error {
 		return fmt.Errorf("randmodel: negative transaction count %d", m.T)
 	}
 	for i, f := range m.Freqs {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) {
 			return fmt.Errorf("randmodel: frequency %v of item %d outside [0,1]", f, i)
 		}
 	}
@@ -55,33 +60,72 @@ func (m IndependentModel) Generate(r *stats.RNG) *dataset.Vertical {
 	return v
 }
 
+// Prepare returns m with every item's geometric-gap constants built, for a
+// caller about to draw many replicates: the Monte Carlo engine prepares once
+// per job, a fabric worker once per range request. The constants are a
+// function of Freqs at the time of the call, so Freqs must not change
+// afterwards. A prepared model draws exactly the datasets the unprepared
+// one does; preparing a prepared model returns it unchanged.
+func (m IndependentModel) Prepare() IndependentModel {
+	if m.gaps != nil {
+		return m
+	}
+	m.gaps = make([]stats.GeometricGap, len(m.Freqs))
+	for i, f := range m.Freqs {
+		m.gaps[i] = stats.NewGeometricGap(f)
+	}
+	return m
+}
+
 // GenerateInto draws one dataset into v, reusing v's column backing arrays
 // (see randmodel.InPlaceGenerator). The random stream consumed is identical
 // to Generate's, so for a fixed seed the pooled and fresh paths produce the
-// same dataset.
+// same dataset, prepared or not.
+//
+// Column i draws one uniform per occurrence plus one that ends the column,
+// through stats.GeometricGap, whose certified fast path returns exactly the
+// integers of the reference floor(log(u)/log1p(-f)). A frequency that is not
+// above 0 (NaN included) gives an empty column and one at or above 1 a full
+// column, neither drawing; Validate rejects every value outside [0, 1].
 func (m IndependentModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
 	v.Reuse(m.T, len(m.Freqs))
+	if m.T == 0 {
+		return
+	}
 	for i, f := range m.Freqs {
-		v.Tids[i] = sampleColumn(v.Tids[i], m.T, f, r)
+		switch {
+		case !(f > 0):
+		case f >= 1:
+			v.Tids[i] = fullColumn(v.Tids[i], m.T)
+		case m.gaps != nil:
+			v.Tids[i] = sampleColumn(v.Tids[i], m.T, f, m.gaps[i], r)
+		default:
+			v.Tids[i] = sampleColumn(v.Tids[i], m.T, f, stats.NewGeometricGap(f), r)
+		}
 	}
 }
 
-// sampleColumn appends the sorted tids of a Bernoulli(f) column of height t
-// to col (passed with length zero) and returns it.
-func sampleColumn(col bitset.TidList, t int, f float64, r *stats.RNG) bitset.TidList {
-	if f <= 0 || t == 0 {
-		return col
-	}
+// sampleColumn appends the sorted tids of a Bernoulli(f) column of height t,
+// 0 < f < 1, to col (passed with length zero) and returns it. g holds f's
+// gap constants.
+func sampleColumn(col bitset.TidList, t int, f float64, g stats.GeometricGap, r *stats.RNG) bitset.TidList {
 	if col == nil {
 		col = make(bitset.TidList, 0, int(float64(t)*f)+4)
 	}
-	s := stats.NewSkipSampler(t, f, r)
-	for {
-		pos, ok := s.Next()
+	for pos := -1; ; {
+		gap, ok := g.Below(r.Float64Open(), t-pos-1)
 		if !ok {
-			break
+			return col
 		}
+		pos += gap + 1
 		col = append(col, uint32(pos))
+	}
+}
+
+// fullColumn appends every tid of a column of height t to col.
+func fullColumn(col bitset.TidList, t int) bitset.TidList {
+	for tid := 0; tid < t; tid++ {
+		col = append(col, uint32(tid))
 	}
 	return col
 }

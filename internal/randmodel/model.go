@@ -5,7 +5,12 @@
 //     item i appears in each of t transactions independently with its
 //     observed frequency f_i. Generation runs in O(sum_i t*f_i) expected
 //     time (that is, proportional to the output size, not to t*n) by
-//     placing each item's occurrences with geometric skips.
+//     placing each item's occurrences with geometric skips. The skips come
+//     from stats.GeometricGap, whose certified fast path (a table log
+//     checked against a wide error margin, with the exact expression as
+//     fallback) returns the same integers as floor(log(u)/log1p(-f_i)), so
+//     a seed draws the same dataset however the gaps are computed. Prepare
+//     builds every item's gap constants once per job.
 //   - MixtureModel — the Theorem 3 regime: each item's frequency R_x is
 //     itself drawn from a distribution R, then occurrences are placed
 //     independently. Used to validate the analytic Chen–Stein bounds.
@@ -62,6 +67,17 @@ func GenerateReusing(m Model, r *stats.RNG, v *dataset.Vertical) *dataset.Vertic
 		return v
 	}
 	return m.Generate(r)
+}
+
+// Prepare returns m ready to draw many replicates: an IndependentModel with
+// its per-item constants built (IndependentModel.Prepare), any other model
+// as it is. It never changes the datasets a seed draws, so callers prepare
+// once per job or range request, before the replicate loop.
+func Prepare(m Model) Model {
+	if im, ok := m.(IndependentModel); ok {
+		return im.Prepare()
+	}
+	return m
 }
 
 // Replicates draws count independent datasets from the model, splitting the

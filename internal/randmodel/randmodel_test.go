@@ -19,6 +19,9 @@ func TestIndependentModelValidate(t *testing.T) {
 	if err := (IndependentModel{T: 1, Freqs: []float64{1.5}}).Validate(); err == nil {
 		t.Error("f > 1 accepted")
 	}
+	if err := (IndependentModel{T: 1, Freqs: []float64{math.NaN()}}).Validate(); err == nil {
+		t.Error("f = NaN accepted")
+	}
 }
 
 func TestGenerateShape(t *testing.T) {

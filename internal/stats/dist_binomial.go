@@ -115,7 +115,7 @@ func (b Binomial) Quantile(q float64) int {
 // skips, costing O(np) expected time; for p > 1/2 it samples the complement.
 // Exact (no normal approximation), which the statistical tests rely on.
 func (b Binomial) Sample(r *RNG) int {
-	if b.P <= 0 {
+	if !(b.P > 0) {
 		return 0
 	}
 	if b.P >= 1 {
@@ -125,16 +125,15 @@ func (b Binomial) Sample(r *RNG) int {
 		return b.N - Binomial{N: b.N, P: 1 - b.P}.Sample(r)
 	}
 	// Successive gaps between successes are Geometric(p); position advances
-	// by gap+1 each success.
-	count := 0
-	pos := 0
-	logq := math.Log1p(-b.P)
+	// by gap+1 each success, and the walk ends once it would pass N.
+	g := NewGeometricGap(b.P)
+	count, pos := 0, 0
 	for {
-		gap := int(math.Floor(math.Log(r.Float64Open()) / logq))
-		pos += gap + 1
-		if pos > b.N {
+		gap, ok := g.Below(r.Float64Open(), b.N-pos)
+		if !ok {
 			return count
 		}
+		pos += gap + 1
 		count++
 	}
 }

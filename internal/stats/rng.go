@@ -9,7 +9,10 @@
 // would be both slow and numerically unstable.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, seedable pseudo-random generator based on
 // xoshiro256**. It is deliberately not safe for concurrent use; callers that
@@ -95,25 +98,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	tmp := a1*b0 + w0>>32
-	w1, w2 := tmp&mask, tmp>>32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }
 
 // Int63 returns a non-negative 63-bit integer.

@@ -114,7 +114,9 @@ type RangePartial struct {
 
 // nullModelFor builds the null model a PartialRequest names, constructed
 // from the same dataset state the single-process pipeline uses — the worker
-// and the coordinator therefore generate value-identical replicates.
+// and the coordinator therefore generate value-identical replicates. The
+// independence model comes prepared (randmodel.IndependentModel.Prepare):
+// one request draws a whole range of replicates from it.
 func (ds *Dataset) nullModelFor(req PartialRequest) randmodel.Model {
 	if req.SwapNull {
 		return &randmodel.SwapModel{
@@ -126,7 +128,7 @@ func (ds *Dataset) nullModelFor(req PartialRequest) randmodel.Model {
 	return randmodel.IndependentModel{
 		T:     ds.d.NumTransactions(),
 		Freqs: ds.frequencies(),
-	}
+	}.Prepare()
 }
 
 // MineReplicateRange executes one replicate-range request against this

@@ -151,6 +151,20 @@ func TestRandomTwinPreservesProfile(t *testing.T) {
 	}
 }
 
+// TestGenerateRandomOutOfRangeFrequencies: a NaN frequency once reached
+// generation unchecked and panicked sizing the item's column.
+func TestGenerateRandomOutOfRangeFrequencies(t *testing.T) {
+	d := GenerateRandom(Profile{NumTransactions: 10, Freqs: []float64{math.NaN(), 0.5, 2, -1}}, 1)
+	if d.NumTransactions() != 10 || d.NumItems() != 4 {
+		t.Fatalf("dims %d x %d, want 10 x 4", d.NumTransactions(), d.NumItems())
+	}
+	for item, want := range map[uint32]int{0: 0, 2: 10, 3: 0} {
+		if got := d.Support([]uint32{item}); got != want {
+			t.Errorf("item %d support %d, want %d", item, got, want)
+		}
+	}
+}
+
 func TestSwapTwinPreservesMarginsExactly(t *testing.T) {
 	d := toyDataset(t)
 	twin := d.SwapTwin(3)

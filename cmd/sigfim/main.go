@@ -188,8 +188,8 @@ func splitWorkers(s string) []string {
 }
 
 // parseRangeSize maps a -workers-remote-rangesize value onto
-// Config.RemoteRangeSize: "auto" selects latency-driven autotuning (0), a
-// positive integer pins the replicates per remote range.
+// WorkerPoolOptions.RangeSize: "auto" selects latency-driven autotuning
+// (0), a positive integer pins the replicates per remote range.
 func parseRangeSize(v string) (int, error) {
 	if v == "" || v == "auto" {
 		return 0, nil
@@ -199,6 +199,30 @@ func parseRangeSize(v string) (int, error) {
 		return 0, fmt.Errorf("invalid -workers-remote-rangesize %q (want auto or a positive integer)", v)
 	}
 	return n, nil
+}
+
+// remoteFlags registers the -workers-remote* flags on fs. After parsing,
+// the returned function builds the WorkerPool they describe, or nil when
+// -workers-remote lists no worker; the caller closes a non-nil pool.
+func remoteFlags(fs *flag.FlagSet) func() (*sigfim.WorkerPool, error) {
+	remote := fs.String("workers-remote", "", "comma-separated sigfimd worker URLs to shard replicates across")
+	timeout := fs.Duration("workers-remote-timeout", 0, "per-range HTTP deadline for remote workers (0 = 2m)")
+	hedge := fs.Duration("workers-remote-hedge", 0, "hedge a straggling range onto a second worker after this delay (0 disables)")
+	rangeSize := fs.String("workers-remote-rangesize", "auto", "replicates per remote range: auto (latency-driven) or a positive integer")
+	rangeTarget := fs.Duration("workers-remote-rangetarget", 0, "target wall time per autotuned remote range (0 = 2s)")
+	return func() (*sigfim.WorkerPool, error) {
+		size, err := parseRangeSize(*rangeSize)
+		if err != nil {
+			return nil, err
+		}
+		urls := splitWorkers(*remote)
+		if len(urls) == 0 {
+			return nil, nil
+		}
+		return sigfim.NewWorkerPool(urls, sigfim.WorkerPoolOptions{
+			Timeout: *timeout, HedgeDelay: *hedge, RangeSize: size, RangeTarget: *rangeTarget,
+		}), nil
+	}
 }
 
 // parseNull maps a -null flag value onto Config.SwapNull.
@@ -222,11 +246,7 @@ func cmdSMin(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all CPUs, 1 = serial)")
 	algo := fs.String("algo", "auto", "mining algorithm: auto|eclat|eclat-bits|apriori|fpgrowth")
 	null := fs.String("null", "independence", "null model: independence (swap is rejected — see doc)")
-	remote := fs.String("workers-remote", "", "comma-separated sigfimd worker URLs to shard replicates across")
-	remoteTimeout := fs.Duration("workers-remote-timeout", 0, "per-range HTTP deadline for remote workers (0 = 2m)")
-	remoteHedge := fs.Duration("workers-remote-hedge", 0, "hedge a straggling range onto a second worker after this delay (0 disables)")
-	remoteRangeSize := fs.String("workers-remote-rangesize", "auto", "replicates per remote range: auto (latency-driven) or a positive integer")
-	remoteRangeTarget := fs.Duration("workers-remote-rangetarget", 0, "target wall time per autotuned remote range (0 = 2s)")
+	remotePool := remoteFlags(fs)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -234,9 +254,12 @@ func cmdSMin(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rangeSize, err := parseRangeSize(*remoteRangeSize)
+	pool, err := remotePool()
 	if err != nil {
 		return err
+	}
+	if pool != nil {
+		defer pool.Close()
 	}
 	d, err := load(*in)
 	if err != nil {
@@ -244,9 +267,7 @@ func cmdSMin(args []string, stdout, stderr io.Writer) error {
 	}
 	s, err := d.FindSMin(*k, &sigfim.Config{
 		Delta: *delta, Epsilon: *eps, Seed: *seed, Workers: *workers, Algorithm: *algo,
-		SwapNull: swap, RemoteWorkers: splitWorkers(*remote),
-		RemoteTimeout: *remoteTimeout, RemoteHedgeDelay: *remoteHedge,
-		RemoteRangeSize: rangeSize, RemoteRangeTarget: *remoteRangeTarget,
+		SwapNull: swap, RemotePool: pool,
 	})
 	if err != nil {
 		return err
@@ -271,11 +292,7 @@ func cmdSignificant(args []string, stdout, stderr io.Writer) error {
 	null := fs.String("null", "independence", "null model: independence|swap")
 	swapPPO := fs.Int("swap-ppo", 0, "swap null: proposals per matrix occurrence per replicate (0 = 8)")
 	swapProposals := fs.Int("swap-proposals", 0, "swap null: absolute proposals per replicate (overrides -swap-ppo)")
-	remote := fs.String("workers-remote", "", "comma-separated sigfimd worker URLs to shard replicates across")
-	remoteTimeout := fs.Duration("workers-remote-timeout", 0, "per-range HTTP deadline for remote workers (0 = 2m)")
-	remoteHedge := fs.Duration("workers-remote-hedge", 0, "hedge a straggling range onto a second worker after this delay (0 disables)")
-	remoteRangeSize := fs.String("workers-remote-rangesize", "auto", "replicates per remote range: auto (latency-driven) or a positive integer")
-	remoteRangeTarget := fs.Duration("workers-remote-rangetarget", 0, "target wall time per autotuned remote range (0 = 2s)")
+	remotePool := remoteFlags(fs)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -283,9 +300,12 @@ func cmdSignificant(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rangeSize, err := parseRangeSize(*remoteRangeSize)
+	pool, err := remotePool()
 	if err != nil {
 		return err
+	}
+	if pool != nil {
+		defer pool.Close()
 	}
 	d, err := load(*in)
 	if err != nil {
@@ -295,9 +315,7 @@ func cmdSignificant(args []string, stdout, stderr io.Writer) error {
 		Alpha: *alpha, Beta: *beta, Delta: *delta, Seed: *seed,
 		WithBaseline: *baseline, Correction: *correction, Workers: *workers, Algorithm: *algo,
 		SwapNull: swap, SwapProposalsPerOccurrence: *swapPPO, SwapProposals: *swapProposals,
-		RemoteWorkers: splitWorkers(*remote),
-		RemoteTimeout: *remoteTimeout, RemoteHedgeDelay: *remoteHedge,
-		RemoteRangeSize: rangeSize, RemoteRangeTarget: *remoteRangeTarget,
+		RemotePool: pool,
 	})
 	if err != nil {
 		return err

@@ -115,7 +115,7 @@ func TestDistributedSignificantBitIdentity(t *testing.T) {
 			for _, w := range []int{1, 4, 8} {
 				cfg := null.cfg()
 				cfg.Workers = w
-				cfg.RemoteWorkers = workers
+				cfg.RemotePool = testPool(t, workers, sigfim.WorkerPoolOptions{})
 				dist, err := d.Significant(2, cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
@@ -207,7 +207,7 @@ func TestDistributedFindSMin(t *testing.T) {
 	for _, rangeSize := range []int{0, 1, 13} {
 		got, err := d.FindSMin(2, &sigfim.Config{
 			Delta: 120, Seed: 9,
-			RemoteWorkers: workers, RemoteRangeSize: rangeSize,
+			RemotePool: testPool(t, workers, sigfim.WorkerPoolOptions{RangeSize: rangeSize}),
 		})
 		if err != nil {
 			t.Fatalf("rangeSize=%d: %v", rangeSize, err)
@@ -238,7 +238,7 @@ func TestDistributedWorkerFailure(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dist, err := d.Significant(2, &sigfim.Config{
 				Delta: 120, Seed: 9, WithBaseline: true,
-				RemoteWorkers: pool,
+				RemotePool: testPool(t, pool, sigfim.WorkerPoolOptions{}),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -346,17 +346,24 @@ var chaosSchedule = []string{
 	faultDrop, faultLatency, faultTruncate, faultCorrupt, faultWrongRange, fault500, fault503,
 }
 
+// testPool supervises urls for the rest of the test.
+func testPool(t *testing.T, urls []string, opts sigfim.WorkerPoolOptions) *sigfim.WorkerPool {
+	t.Helper()
+	pool := sigfim.NewWorkerPool(urls, opts)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
 // chaosPool supervises the chaos proxy with an ejection threshold above the
 // number of hard faults in the schedule, so no interleaving of their
 // outcomes can eject the worker before every class was injected.
 func chaosPool(t *testing.T, chaos string) *sigfim.WorkerPool {
 	t.Helper()
-	pool := sigfim.NewWorkerPool([]string{chaos}, sigfim.WorkerPoolOptions{
+	return testPool(t, []string{chaos}, sigfim.WorkerPoolOptions{
 		Timeout:    500 * time.Millisecond,
 		EjectAfter: len(chaosSchedule),
+		RangeSize:  3,
 	})
-	t.Cleanup(pool.Close)
-	return pool
 }
 
 // chaosWorker proxies /v1/partials to target, applying the schedule one
@@ -502,7 +509,6 @@ func TestDistributedChaosBitIdentity(t *testing.T) {
 			chaos, injected := chaosWorker(t, live[0])
 			cfg := null.cfg()
 			cfg.RemotePool = chaosPool(t, chaos)
-			cfg.RemoteRangeSize = 3
 			dist, err := d.Significant(2, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -528,7 +534,7 @@ func TestDistributedChaosFindSMin(t *testing.T) {
 	chaos, injected := chaosWorker(t, live[0])
 	gotS, err := d.FindSMin(2, &sigfim.Config{
 		Delta: 120, Seed: 9,
-		RemotePool: chaosPool(t, chaos), RemoteRangeSize: 3,
+		RemotePool: chaosPool(t, chaos),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -576,14 +582,12 @@ func TestHungWorkerCannotStallJob(t *testing.T) {
 	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.WorkerPoolOptions{
 		Timeout:    300 * time.Millisecond,
 		EjectAfter: 2,
+		RangeSize:  10,
 	})
 	defer pool.Close()
 
 	start := time.Now()
-	dist, err := d.Significant(2, &sigfim.Config{
-		Delta: 120, Seed: 9,
-		RemotePool: pool, RemoteRangeSize: 10,
-	})
+	dist, err := d.Significant(2, &sigfim.Config{Delta: 120, Seed: 9, RemotePool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,14 +636,12 @@ func TestHedgedDispatch(t *testing.T) {
 	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.WorkerPoolOptions{
 		Timeout:    10 * time.Second, // deadline alone would be slow; hedging wins first
 		EjectAfter: 1000,             // keep the hung worker in rotation so hedges keep firing
+		RangeSize:  10,
+		HedgeDelay: 50 * time.Millisecond,
 	})
 	defer pool.Close()
 
-	dist, err := d.Significant(2, &sigfim.Config{
-		Delta: 120, Seed: 9,
-		RemotePool: pool, RemoteRangeSize: 10,
-		RemoteHedgeDelay: 50 * time.Millisecond,
-	})
+	dist, err := d.Significant(2, &sigfim.Config{Delta: 120, Seed: 9, RemotePool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,10 +161,11 @@
 // Partial that the coordinator folds back replicate-by-replicate in index
 // order. The in-process worker pool and remote workers run this same code
 // path — "distributed" is only a dispatch decision. Setting
-// Config.RemoteWorkers to sigfimd base URLs makes Significant/FindSMin fan
-// ranges out over those workers via POST /v1/partials (every sigfimd
-// instance serves it; cmd/sigfimd -workers-remote configures a coordinator
-// service, and the sigfim smin/significant CLIs take the same flag). A
+// Config.RemotePool to a WorkerPool over sigfimd base URLs (NewWorkerPool)
+// makes Significant/FindSMin fan ranges out over those workers via POST
+// /v1/partials (every sigfimd instance serves it; cmd/sigfimd
+// -workers-remote configures a coordinator service, and the sigfim
+// smin/significant CLIs take the same flag). A
 // PartialRequest addresses the dataset by its SHA-256 content hash, so a
 // worker provably mines the same bytes or refuses. Because each replicate
 // index derives its RNG from its own per-replicate seed and partials merge
@@ -172,19 +173,19 @@
 // single-process run for both null models, any worker count, and any range
 // size — the same bit-identity contract the in-process pool honors, pinned
 // end to end by distributed_determinism_test.go. Remote topology is a
-// deployment concern, not part of the query: RemoteWorkers, RemoteRangeSize,
-// and the supervision knobs below are excluded from job-request JSON and
-// from the result-cache key.
+// deployment concern, not part of the query: RemotePool, and with it every
+// supervision knob below, is excluded from job-request JSON and from the
+// result-cache key.
 //
 // Fault tolerance. Dispatch runs through a WorkerPool supervisor that
 // tracks per-worker health from request outcomes plus periodic /healthz
 // probes: every range request carries a hard HTTP deadline
-// (Config.RemoteTimeout), a failed range is retried on the next eligible
+// (WorkerPoolOptions.Timeout), a failed range is retried on the next eligible
 // worker and finally mined locally through the identical MineRange path, a
 // worker that fails repeatedly is ejected and re-probed with exponential
 // backoff and jitter until it answers again (then re-admitted with a clean
 // slate), a 503/429 shed response backs the worker off for its Retry-After
-// window without counting toward ejection, and Config.RemoteHedgeDelay
+// window without counting toward ejection, and WorkerPoolOptions.HedgeDelay
 // optionally re-dispatches a straggling range to a second worker with the
 // first valid partial winning. The worker side sheds load rather than queue
 // unboundedly: POST /v1/partials answers 503 + Retry-After while draining
@@ -195,9 +196,8 @@
 // holds under every failure mode, which a chaos-proxy fault-injection
 // harness (connection drops, latency spikes, truncation, corrupt JSON,
 // wrong-range echoes, 5xx bursts) pins in distributed_determinism_test.go.
-// A shared supervisor can be passed via Config.RemotePool; a sigfimd
-// coordinator keeps one pool across all jobs so health state persists
-// between them.
+// One pool can serve many analyses; a sigfimd coordinator keeps one pool
+// across all jobs so health state persists between them.
 //
 // Observability closes the loop on the fabric. Every job records a span
 // trace (internal/trace, dependency-free): queue wait, dataset warm-up, the
@@ -211,8 +211,8 @@
 // ("sigfim jobs trace" renders the tree). The same per-worker latency that
 // the trace records feeds a range-latency histogram and EWMA
 // (sigfimd_fabric_range_seconds, sigfimd_fabric_replicate_seconds_ewma),
-// and when Config.RemoteRangeSize is 0 the pool autotunes range sizes from
-// that EWMA toward Config.RemoteRangeTarget of wall time per range
+// and when WorkerPoolOptions.RangeSize is 0 the pool autotunes range sizes
+// from that EWMA toward WorkerPoolOptions.RangeTarget of wall time per range
 // (default 2s, clamped to [1, Delta/workers]) — sizing changes batching
 // only, never bytes. An opt-in net/http/pprof listener (sigfimd
 // -debug-addr) completes the surface.

@@ -42,29 +42,29 @@ func uniformFreqs(n int, p float64) []float64 {
 func TestProcedure2Validation(t *testing.T) {
 	v := genNull(50, uniformFreqs(5, 0.2), 1)
 	lam := func(int) float64 { return 1 }
-	if _, err := Procedure2(v, 0, 1, lam, 0.05, 0.05); err == nil {
+	if _, err := Procedure2Ex(v, 0, 1, lam, 0.05, 0.05, SplitEqual, 0, mining.Auto); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Procedure2(v, 2, 0, lam, 0.05, 0.05); err == nil {
+	if _, err := Procedure2Ex(v, 2, 0, lam, 0.05, 0.05, SplitEqual, 0, mining.Auto); err == nil {
 		t.Error("sMin=0 accepted")
 	}
-	if _, err := Procedure2(v, 2, 1, lam, 0, 0.05); err == nil {
+	if _, err := Procedure2Ex(v, 2, 1, lam, 0, 0.05, SplitEqual, 0, mining.Auto); err == nil {
 		t.Error("alpha=0 accepted")
 	}
-	if _, err := Procedure2(v, 2, 1, lam, 0.05, 1); err == nil {
+	if _, err := Procedure2Ex(v, 2, 1, lam, 0.05, 1, SplitEqual, 0, mining.Auto); err == nil {
 		t.Error("beta=1 accepted")
 	}
 }
 
 func TestProcedure1Validation(t *testing.T) {
 	v := genNull(50, uniformFreqs(5, 0.2), 1)
-	if _, err := Procedure1(v, 0, 1, 0.05); err == nil {
+	if _, err := Procedure1Ex(v, 0, 1, 0.05, CorrectionBY, nil); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Procedure1(v, 2, 0, 0.05); err == nil {
+	if _, err := Procedure1Ex(v, 2, 0, 0.05, CorrectionBY, nil); err == nil {
 		t.Error("sMin=0 accepted")
 	}
-	if _, err := Procedure1(v, 2, 1, 0); err == nil {
+	if _, err := Procedure1Ex(v, 2, 1, 0, CorrectionBY, nil); err == nil {
 		t.Error("beta=0 accepted")
 	}
 }
@@ -74,7 +74,7 @@ func TestProcedure2LadderShape(t *testing.T) {
 	sMin := 5
 	sMax := v.MaxItemSupport()
 	lam := func(s int) float64 { return 1000 } // impossible null: never reject
-	res, err := Procedure2(v, 2, sMin, lam, 0.05, 0.05)
+	res, err := Procedure2Ex(v, 2, sMin, lam, 0.05, 0.05, SplitEqual, 0, mining.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestProcedure2LadderShape(t *testing.T) {
 
 func TestProcedure2SMaxBelowSMin(t *testing.T) {
 	v := genNull(50, uniformFreqs(5, 0.1), 3)
-	res, err := Procedure2(v, 2, v.MaxItemSupport()+5, func(int) float64 { return 0.1 }, 0.05, 0.05)
+	res, err := Procedure2Ex(v, 2, v.MaxItemSupport()+5, func(int) float64 { return 0.1 }, 0.05, 0.05, SplitEqual, 0, mining.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestProcedure2RejectsPlantedSignal(t *testing.T) {
 		tail := p.UpperTail(s)
 		return 435 * tail // C(30,2)
 	}
-	res, err := Procedure2(v, 2, 10, lam, 0.05, 0.05)
+	res, err := Procedure2Ex(v, 2, 10, lam, 0.05, 0.05, SplitEqual, 0, mining.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestProcedure1FlagsPlantedPair(t *testing.T) {
 		tids[i] = uint32(100 + i)
 	}
 	v = plant(v, []uint32{2, 3}, tids)
-	res, err := Procedure1(v, 2, 10, 0.05)
+	res, err := Procedure1Ex(v, 2, 10, 0.05, CorrectionBY, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestProcedure1NullYieldsNothing(t *testing.T) {
 	totalFlagged := 0
 	for seed := uint64(0); seed < 5; seed++ {
 		v := genNull(400, uniformFreqs(30, 0.1), 10+seed)
-		res, err := Procedure1(v, 2, 10, 0.05)
+		res, err := Procedure1Ex(v, 2, 10, 0.05, CorrectionBY, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +365,7 @@ func TestProcedure1StreamingMatchesDirectBY(t *testing.T) {
 		tids[i] = uint32(i)
 	}
 	v = plant(v, []uint32{3, 4}, tids)
-	res, err := Procedure1(v, 2, 5, 0.05)
+	res, err := Procedure1Ex(v, 2, 5, 0.05, CorrectionBY, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestProcedure1StreamingMatchesDirectBY(t *testing.T) {
 func TestProcedure1EmptyFamily(t *testing.T) {
 	// Mining threshold above every support: nothing mined, nothing flagged.
 	v := genNull(100, uniformFreqs(5, 0.1), 9)
-	res, err := Procedure1(v, 2, 99, 0.05)
+	res, err := Procedure1Ex(v, 2, 99, 0.05, CorrectionBY, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,11 +455,11 @@ func TestProcedure2SplitGeometricFindsEarlySignal(t *testing.T) {
 	lam := func(s int) float64 {
 		return 435 * stats.Binomial{N: 400, P: 0.01}.UpperTail(s)
 	}
-	eq, err := Procedure2Split(v, 2, 10, lam, 0.05, 0.05, SplitEqual)
+	eq, err := Procedure2Ex(v, 2, 10, lam, 0.05, 0.05, SplitEqual, 0, mining.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	geo, err := Procedure2Split(v, 2, 10, lam, 0.05, 0.05, SplitGeometric)
+	geo, err := Procedure2Ex(v, 2, 10, lam, 0.05, 0.05, SplitGeometric, 0, mining.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,14 +78,14 @@ func TestProcedure1ExFamilyOrdering(t *testing.T) {
 			size[CorrectionBonferroni], size[CorrectionHolm])
 	}
 
-	// BY via the dispatch must agree exactly with the legacy entry point.
-	legacy, err := Procedure1(v, 2, 10, 0.05)
+	// The empty correction must normalize to BY, the paper's default.
+	def, err := Procedure1Ex(v, 2, 10, 0.05, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.FamilySize != size[CorrectionBY] || legacy.Correction != CorrectionBY {
-		t.Errorf("Procedure1 = %d under %q, Procedure1Ex(by) = %d",
-			legacy.FamilySize, legacy.Correction, size[CorrectionBY])
+	if def.FamilySize != size[CorrectionBY] || def.Correction != CorrectionBY {
+		t.Errorf("Procedure1Ex(\"\") = %d under %q, Procedure1Ex(by) = %d",
+			def.FamilySize, def.Correction, size[CorrectionBY])
 	}
 }
 

@@ -71,18 +71,32 @@ type Options struct {
 	RangeInflight int
 }
 
+// The pipeline's defaults: withDefaults fills them into zero Options
+// fields, and every caller that must agree with the pipeline on them (the
+// public Config, the service's cache-key canonicalization) reads these
+// names.
+const (
+	DefaultAlpha   = 0.05 // Procedure 2's confidence budget
+	DefaultBeta    = 0.05 // FDR budget of both procedures
+	DefaultEpsilon = 0.01 // Algorithm 1's Poisson-approximation tolerance
+	DefaultDelta   = 1000 // Algorithm 1's Monte Carlo replicates
+	// DefaultMaxPatterns caps how many significant itemsets a report
+	// materializes.
+	DefaultMaxPatterns = 100000
+)
+
 func (o Options) withDefaults() Options {
 	if o.Alpha == 0 {
-		o.Alpha = 0.05
+		o.Alpha = DefaultAlpha
 	}
 	if o.Beta == 0 {
-		o.Beta = 0.05
+		o.Beta = DefaultBeta
 	}
 	if o.Epsilon == 0 {
-		o.Epsilon = 0.01
+		o.Epsilon = DefaultEpsilon
 	}
 	if o.Delta == 0 {
-		o.Delta = 1000
+		o.Delta = DefaultDelta
 	}
 	if o.Correction == "" {
 		o.Correction = CorrectionBY

@@ -48,35 +48,33 @@ func ParseCorrection(s string) (string, error) {
 	}
 }
 
-// maxMaterializedFamily caps how many flagged itemsets Procedure1 keeps in
+// maxMaterializedFamily caps how many flagged itemsets Procedure1Ex keeps in
 // memory; FamilySize always reports the exact count. The paper's Bms1 k=4
 // row has |R| = 219706 and the mined family F_k(s_min) runs to tens of
 // millions, so both the testing pass and the collection pass stream.
 const maxMaterializedFamily = 200_000
 
-// Procedure1 mines F_k(sMin) from the dataset and flags significant itemsets
-// by the Benjamini-Yekutieli step-up test over m = C(n, k) hypotheses
-// (Theorem 5), guaranteeing FDR <= beta. The null hypothesis for itemset X
-// is that its support is a draw from Binomial(t, f_X) with f_X the product
-// of its items' observed frequencies.
+// Procedure1Ex mines F_k(sMin) from the dataset and flags significant
+// itemsets under the given multiple-testing correction over m = C(n, k)
+// hypotheses. The null hypothesis for itemset X is that its support is a
+// draw from Binomial(t, f_X) with f_X the product of its items' observed
+// frequencies. CorrectionBY is the paper's Benjamini-Yekutieli step-up test
+// (Theorem 5), guaranteeing FDR <= beta.
 //
 // The computation streams in two passes over the mined family: pass one
-// records only the p-values (8 bytes per itemset), determines the BY
-// rejection threshold, and pass two re-mines to materialize the rejected
-// itemsets (capped at maxMaterializedFamily; FamilySize is always exact).
-func Procedure1(v *dataset.Vertical, k, sMin int, beta float64) (*Procedure1Result, error) {
-	return Procedure1Ex(v, k, sMin, beta, CorrectionBY, nil)
-}
-
-// Procedure1Ex generalizes Procedure1 to the full correction family: the
-// mined p-values are identical for every correction; only the rejection rule
-// applied to their order statistics differs. The correction name is
-// normalized via ParseCorrection. For CorrectionWestfallYoung, minPs must be
-// the replicate min-p null distribution (montecarlo.Result.MinPs, collected
-// under Config.CollectMinPs); every other correction ignores minPs. Because
-// the replicate minima range over the superset family mined at the halving
-// floor (<= sMin), the resampled distribution is stochastically smaller than
-// the exact one, so the adjusted p-values are conservative, never liberal.
+// records only the p-values (8 bytes per itemset), determines the rejection
+// threshold, and pass two re-mines to materialize the rejected itemsets
+// (capped at maxMaterializedFamily; FamilySize is always exact).
+//
+// The mined p-values are identical for every correction; only the
+// rejection rule applied to their order statistics differs. The correction
+// name is normalized via ParseCorrection. For CorrectionWestfallYoung, minPs
+// must be the replicate min-p null distribution (montecarlo.Result.MinPs,
+// collected under Config.CollectMinPs); every other correction ignores
+// minPs. Because the replicate minima range over the superset family mined
+// at the halving floor (<= sMin), the resampled distribution is
+// stochastically smaller than the exact one, so the adjusted p-values are
+// conservative, never liberal.
 func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction string, minPs []float64) (*Procedure1Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)

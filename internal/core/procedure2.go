@@ -55,31 +55,23 @@ func (bs BudgetSplit) splitWeights(h int) []float64 {
 	return w
 }
 
-// Procedure2 determines the support threshold s* such that, with confidence
-// 1 - alpha, F_k(s*) is a family of significant k-itemsets with FDR <= beta.
+// Procedure2Ex determines the support threshold s* such that, with
+// confidence 1 - alpha, F_k(s*) is a family of significant k-itemsets with
+// FDR <= beta.
 //
 // The ladder tests s_0 = sMin and s_i = sMin + 2^i for 1 <= i < h, with
-// h = ⌊log2(sMax - sMin)⌋ + 1 and the budgets split evenly:
-// alpha_i = alpha/h and 1/beta_i = beta/h (the paper's experimental choice
-// alpha_i = beta_i^{-1} = 0.05/h). Level i rejects its null when
+// h = ⌊log2(sMax - sMin)⌋ + 1 and the budgets split by split: SplitEqual
+// gives alpha_i = alpha/h and 1/beta_i = beta/h (the paper's experimental
+// choice alpha_i = beta_i^{-1} = 0.05/h). Level i rejects its null when
 //
 //	Pr(Poisson(lambda_i) >= Q_{k,s_i}) <= alpha_i  AND  Q_{k,s_i} >= beta_i * lambda_i,
 //
 // and s* is the first rejected level (the minimum s_i).
-func Procedure2(v *dataset.Vertical, k, sMin int, lambda LambdaFunc, alpha, beta float64) (*Procedure2Result, error) {
-	return Procedure2Ex(v, k, sMin, lambda, alpha, beta, SplitEqual, 0, mining.Auto)
-}
-
-// Procedure2Split is Procedure2 with an explicit budget split strategy.
-func Procedure2Split(v *dataset.Vertical, k, sMin int, lambda LambdaFunc, alpha, beta float64, split BudgetSplit) (*Procedure2Result, error) {
-	return Procedure2Ex(v, k, sMin, lambda, alpha, beta, split, 0, mining.Auto)
-}
-
-// Procedure2Ex is Procedure2Split with an explicit worker count for the
-// counting pass (0 = NumCPU, 1 = serial) and an explicit mining algorithm
-// (mining.Auto = Eclat with automatic layout). The result is identical for
-// every worker count and algorithm: the counting pass is an integer support
-// histogram, which every miner fills identically.
+//
+// workers bounds the counting pass (0 = NumCPU, 1 = serial) and algo picks
+// its miner (mining.Auto = Eclat with automatic layout). The result is
+// identical for every worker count and algorithm: the counting pass is an
+// integer support histogram, which every miner fills identically.
 func Procedure2Ex(v *dataset.Vertical, k, sMin int, lambda LambdaFunc, alpha, beta float64, split BudgetSplit, workers int, algo mining.Algorithm) (*Procedure2Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)

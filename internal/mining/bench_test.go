@@ -22,12 +22,14 @@ func benchDataset(b *testing.B) *dataset.Dataset {
 	const t = 20000
 	tx := make([][]uint32, t)
 	for item, f := range freqs {
-		s := stats.NewSkipSampler(t, f, r)
-		for {
-			pos, ok := s.Next()
+		// Place the item's occurrences by geometric skips over the t rows.
+		g := stats.NewGeometricGap(f)
+		for pos := 0; ; pos++ {
+			gap, ok := g.Below(r.Float64Open(), t-pos)
 			if !ok {
 				break
 			}
+			pos += gap
 			tx[pos] = append(tx[pos], uint32(item))
 		}
 	}
@@ -41,7 +43,7 @@ func sparseDataset(b *testing.B) *dataset.Dataset {
 	const t = 30000
 	tx := make([][]uint32, t)
 	for i := range tx {
-		ln := 1 + stats.Poisson{Lambda: 2.0}.Sample(r)
+		ln := 1 + poissonLen(r, 2.0)
 		seen := map[int]bool{}
 		for j := 0; j < ln; j++ {
 			it := r.Intn(400)

@@ -1,17 +1,33 @@
 package mining
 
 import (
+	"math"
 	"testing"
 
 	"sigfim/internal/dataset"
 	"sigfim/internal/stats"
 )
 
+// poissonLen draws a Poisson(lambda) transaction length by Knuth's product
+// method: count uniforms until their running product drops to exp(-lambda).
+// Exact for the small means the sparse test datasets use.
+func poissonLen(r *stats.RNG, lambda float64) int {
+	limit := math.Exp(-lambda)
+	k, prod := 0, 1.0
+	for {
+		prod *= r.Float64()
+		if prod <= limit {
+			return k
+		}
+		k++
+	}
+}
+
 // sparseRandom builds short-transaction datasets that exercise the hash path.
 func sparseRandom(r *stats.RNG, n, t int, meanLen float64) *dataset.Dataset {
 	tx := make([][]uint32, t)
 	for i := range tx {
-		ln := stats.Poisson{Lambda: meanLen}.Sample(r)
+		ln := poissonLen(r, meanLen)
 		seen := map[int]bool{}
 		for j := 0; j < ln; j++ {
 			it := r.Intn(n)

@@ -1,18 +1,13 @@
 package randmodel
 
-import (
-	"math"
-
-	"sigfim/internal/dataset"
-	"sigfim/internal/stats"
-)
+import "math"
 
 // RDist is a distribution over per-item frequencies, the R of Theorem 3:
 // each item x draws R_x ~ R independently, then joins each transaction with
-// probability R_x. The analytic Chen-Stein bounds depend on the moments
-// E[R^j], which implementations expose exactly.
+// probability R_x. The analytic Chen-Stein bounds
+// (chenstein.MixtureBounds) depend on R only through the moments E[R^j],
+// which implementations expose exactly.
 type RDist interface {
-	Sample(r *stats.RNG) float64
 	// Moment returns E[R^j].
 	Moment(j int) float64
 }
@@ -21,17 +16,11 @@ type RDist interface {
 // frequency. With p = gamma/n this is exactly the Theorem 2 regime.
 type PointR struct{ P float64 }
 
-// Sample returns the fixed value.
-func (d PointR) Sample(*stats.RNG) float64 { return d.P }
-
 // Moment returns p^j.
 func (d PointR) Moment(j int) float64 { return math.Pow(d.P, float64(j)) }
 
 // UniformR is R ~ Uniform(A, B) with 0 <= A <= B <= 1.
 type UniformR struct{ A, B float64 }
-
-// Sample draws uniformly from [A, B].
-func (d UniformR) Sample(r *stats.RNG) float64 { return d.A + (d.B-d.A)*r.Float64() }
 
 // Moment returns E[R^j] = (B^{j+1} - A^{j+1}) / ((j+1)(B-A)).
 func (d UniformR) Moment(j int) float64 {
@@ -49,14 +38,6 @@ type TwoPointR struct {
 	W      float64 // probability of Hi
 }
 
-// Sample draws one of the two support points.
-func (d TwoPointR) Sample(r *stats.RNG) float64 {
-	if r.Bernoulli(d.W) {
-		return d.Hi
-	}
-	return d.Lo
-}
-
 // Moment returns W*Hi^j + (1-W)*Lo^j.
 func (d TwoPointR) Moment(j int) float64 {
 	return d.W*math.Pow(d.Hi, float64(j)) + (1-d.W)*math.Pow(d.Lo, float64(j))
@@ -66,11 +47,6 @@ func (d TwoPointR) Moment(j int) float64 {
 // vector; its moments are the empirical moments.
 type EmpiricalR struct{ Freqs []float64 }
 
-// Sample picks one of the observed frequencies uniformly.
-func (d EmpiricalR) Sample(r *stats.RNG) float64 {
-	return d.Freqs[r.Intn(len(d.Freqs))]
-}
-
 // Moment returns the empirical j-th moment.
 func (d EmpiricalR) Moment(j int) float64 {
 	s := 0.0
@@ -78,58 +54,4 @@ func (d EmpiricalR) Moment(j int) float64 {
 		s += math.Pow(f, float64(j))
 	}
 	return s / float64(len(d.Freqs))
-}
-
-// MixtureModel is the Theorem 3 generative regime: frequencies drawn from R,
-// then independent placement.
-type MixtureModel struct {
-	T int
-	N int
-	R RDist
-}
-
-// NumTransactions returns t.
-func (m MixtureModel) NumTransactions() int { return m.T }
-
-// NumItems returns n.
-func (m MixtureModel) NumItems() int { return m.N }
-
-// ItemFrequencies returns the expected frequency E[R] for every item.
-func (m MixtureModel) ItemFrequencies() []float64 {
-	f := make([]float64, m.N)
-	mean := m.R.Moment(1)
-	for i := range f {
-		f[i] = mean
-	}
-	return f
-}
-
-// Generate draws frequencies then a dataset.
-func (m MixtureModel) Generate(r *stats.RNG) *dataset.Vertical {
-	freqs := m.DrawFrequencies(r)
-	return IndependentModel{T: m.T, Freqs: freqs}.Generate(r)
-}
-
-// GenerateInto draws frequencies then a dataset into v, reusing v's column
-// buffers (the per-replicate frequency vector itself is drawn fresh; it is
-// n float64s, negligible next to the columns).
-func (m MixtureModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
-	freqs := m.DrawFrequencies(r)
-	IndependentModel{T: m.T, Freqs: freqs}.GenerateInto(r, v)
-}
-
-// DrawFrequencies samples the per-item frequency vector R_x.
-func (m MixtureModel) DrawFrequencies(r *stats.RNG) []float64 {
-	freqs := make([]float64, m.N)
-	for i := range freqs {
-		f := m.R.Sample(r)
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		freqs[i] = f
-	}
-	return freqs
 }

@@ -11,9 +11,6 @@
 //     fallback) returns the same integers as floor(log(u)/log1p(-f_i)), so
 //     a seed draws the same dataset however the gaps are computed. Prepare
 //     builds every item's gap constants once per job.
-//   - MixtureModel — the Theorem 3 regime: each item's frequency R_x is
-//     itself drawn from a distribution R, then occurrences are placed
-//     independently. Used to validate the analytic Chen–Stein bounds.
 //   - Swap randomization (Gionis et al. 2006) — the alternative null model
 //     the paper cites, preserving both item frequencies AND transaction
 //     lengths exactly via margin-preserving 2x2 swaps.
@@ -78,14 +75,4 @@ func Prepare(m Model) Model {
 		return im.Prepare()
 	}
 	return m
-}
-
-// Replicates draws count independent datasets from the model, splitting the
-// generator so each replicate has its own stream.
-func Replicates(m Model, count int, r *stats.RNG) []*dataset.Vertical {
-	out := make([]*dataset.Vertical, count)
-	for i := range out {
-		out[i] = m.Generate(r.Split())
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package randmodel
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -134,9 +135,9 @@ func TestExpectedItemsetSupport(t *testing.T) {
 func TestReplicates(t *testing.T) {
 	m := IndependentModel{T: 50, Freqs: []float64{0.5, 0.5}}
 	r := stats.NewRNG(3)
-	reps := Replicates(m, 5, r)
-	if len(reps) != 5 {
-		t.Fatalf("got %d replicates", len(reps))
+	reps := make([]*dataset.Vertical, 5)
+	for i := range reps {
+		reps[i] = m.Generate(r.Split())
 	}
 	// Replicates must differ (they use split streams).
 	same := 0
@@ -161,6 +162,25 @@ func TestReplicates(t *testing.T) {
 	}
 }
 
+// drawR draws one frequency from d, so TestRDistMoments can check each
+// analytic moment against an empirical one.
+func drawR(d RDist, r *stats.RNG) float64 {
+	switch d := d.(type) {
+	case PointR:
+		return d.P
+	case UniformR:
+		return d.A + (d.B-d.A)*r.Float64()
+	case TwoPointR:
+		if r.Bernoulli(d.W) {
+			return d.Hi
+		}
+		return d.Lo
+	case EmpiricalR:
+		return d.Freqs[r.Intn(len(d.Freqs))]
+	}
+	panic(fmt.Sprintf("drawR: unknown RDist %T", d))
+}
+
 func TestRDistMoments(t *testing.T) {
 	r := stats.NewRNG(11)
 	dists := []RDist{
@@ -174,7 +194,7 @@ func TestRDistMoments(t *testing.T) {
 		for _, j := range []int{1, 2, 4} {
 			emp := 0.0
 			for i := 0; i < trials; i++ {
-				emp += math.Pow(d.Sample(r), float64(j))
+				emp += math.Pow(drawR(d, r), float64(j))
 			}
 			emp /= trials
 			want := d.Moment(j)
@@ -189,21 +209,6 @@ func TestUniformRDegenerate(t *testing.T) {
 	d := UniformR{A: 0.25, B: 0.25}
 	if got := d.Moment(2); math.Abs(got-0.0625) > 1e-12 {
 		t.Errorf("degenerate uniform moment = %v", got)
-	}
-}
-
-func TestMixtureModelGenerate(t *testing.T) {
-	m := MixtureModel{T: 100, N: 20, R: UniformR{A: 0.05, B: 0.2}}
-	r := stats.NewRNG(13)
-	v := m.Generate(r)
-	if v.NumTransactions != 100 || v.NumItems() != 20 {
-		t.Fatalf("dims = %d,%d", v.NumTransactions, v.NumItems())
-	}
-	freqs := m.DrawFrequencies(r)
-	for _, f := range freqs {
-		if f < 0.05-1e-12 || f > 0.2+1e-12 {
-			t.Fatalf("frequency %v outside R's support", f)
-		}
 	}
 }
 

@@ -32,6 +32,11 @@ func SwapRandomize(d *dataset.Dataset, proposalsPerOccurrence int, r *stats.RNG)
 	return v.Horizontal()
 }
 
+// DefaultProposalsPerOccurrence is SwapModel's chain length per occurrence
+// when ProposalsPerOccurrence is zero; Gionis et al. report mixing after a
+// small constant.
+const DefaultProposalsPerOccurrence = 8
+
 // SwapModel adapts swap randomization to the Model interface: every Generate
 // (or GenerateInto) re-runs the chain from the reference dataset with a fresh
 // stream, so replicates are independent approximate draws from the fixed-
@@ -47,8 +52,8 @@ func SwapRandomize(d *dataset.Dataset, proposalsPerOccurrence int, r *stats.RNG)
 type SwapModel struct {
 	Base *dataset.Dataset
 	// ProposalsPerOccurrence controls chain length relative to the number of
-	// ones in the matrix (default 8 when zero): each replicate runs
-	// ProposalsPerOccurrence * |occurrences| proposals.
+	// ones in the matrix (DefaultProposalsPerOccurrence when zero): each
+	// replicate runs ProposalsPerOccurrence * |occurrences| proposals.
 	ProposalsPerOccurrence int
 	// Proposals, when positive, fixes the absolute number of proposals per
 	// replicate and overrides ProposalsPerOccurrence.
@@ -76,7 +81,7 @@ func (m *SwapModel) proposals(occ int) int {
 	}
 	ppo := m.ProposalsPerOccurrence
 	if ppo <= 0 {
-		ppo = 8
+		ppo = DefaultProposalsPerOccurrence
 	}
 	return ppo * occ
 }

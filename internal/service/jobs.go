@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"sigfim"
+	"sigfim/internal/core"
 	"sigfim/internal/mining"
+	"sigfim/internal/randmodel"
 	"sigfim/internal/trace"
 )
 
@@ -211,17 +213,9 @@ type Engine struct {
 	// probe backoff, per-worker statistics — persists between jobs. Set once
 	// before the first submission; results are bit-identical to local
 	// execution, so the field is deliberately absent from cache keys and
-	// request canonicalization. hedgeDelay enables hedged re-dispatch of
-	// straggling ranges when positive.
-	pool       *sigfim.WorkerPool
-	hedgeDelay time.Duration
-	// rangeSize and rangeTarget configure replicate-range sizing in
-	// coordinator mode: rangeSize 0 autotunes from the pool's observed
-	// per-worker latency, aiming at rangeTarget of wall time per range.
-	// Like pool, they are deployment concerns, set once before the first
-	// submission and absent from cache keys.
-	rangeSize   int
-	rangeTarget time.Duration
+	// request canonicalization. The pool's options carry hedging and
+	// range sizing.
+	pool *sigfim.WorkerPool
 
 	// traces retains the last N completed job traces (nil disables
 	// tracing); log, when non-nil, carries job lifecycle lines tagged with
@@ -359,7 +353,8 @@ func (e *Engine) validate(req JobRequest) error {
 // The null model canonicalizes to three fields. NullModel is "independence"
 // or "swap" (smin jobs are always "independence": they reject SwapNull at
 // validation). Under the swap null, SwapPPO carries the per-occurrence
-// burn-in with the pipeline's default of 8 filled in, and SwapProposals the
+// burn-in with the pipeline's default
+// (randmodel.DefaultProposalsPerOccurrence) filled in, and SwapProposals the
 // absolute override; whichever of the two the pipeline would ignore is
 // zeroed, so a request that spells out a default (or sets a knob its own
 // configuration makes irrelevant) still shares the cache slot of the run it
@@ -436,10 +431,10 @@ func canonicalize(req JobRequest) canonicalRequest {
 	c.NullModel = nullIndependence
 	c.Algorithm = cfg.Algorithm
 	if c.Epsilon == 0 {
-		c.Epsilon = 0.01
+		c.Epsilon = core.DefaultEpsilon
 	}
 	if c.Delta == 0 {
-		c.Delta = 1000
+		c.Delta = core.DefaultDelta
 	}
 	if c.Algorithm == "" {
 		c.Algorithm = sigfim.AlgoAuto
@@ -449,13 +444,13 @@ func canonicalize(req JobRequest) canonicalRequest {
 		c.Beta = cfg.Beta
 		c.MaxPatterns = cfg.MaxPatterns
 		if c.Alpha == 0 {
-			c.Alpha = 0.05
+			c.Alpha = core.DefaultAlpha
 		}
 		if c.Beta == 0 {
-			c.Beta = 0.05
+			c.Beta = core.DefaultBeta
 		}
 		if c.MaxPatterns == 0 {
-			c.MaxPatterns = 100000
+			c.MaxPatterns = core.DefaultMaxPatterns
 		}
 		// An explicit Correction implies the baseline (mirroring
 		// sigfim.Config), and the correction name only matters when the
@@ -473,7 +468,7 @@ func canonicalize(req JobRequest) canonicalRequest {
 			} else {
 				c.SwapPPO = cfg.SwapProposalsPerOccurrence
 				if c.SwapPPO == 0 {
-					c.SwapPPO = 8
+					c.SwapPPO = randmodel.DefaultProposalsPerOccurrence
 				}
 			}
 		}
@@ -648,9 +643,6 @@ func (e *Engine) run(j *job) {
 	// pool. RemotePool is json:"-", so a job request can never inject its own
 	// workers — this assignment is the only source.
 	cfg.RemotePool = e.pool
-	cfg.RemoteHedgeDelay = e.hedgeDelay
-	cfg.RemoteRangeSize = e.rangeSize
-	cfg.RemoteRangeTarget = e.rangeTarget
 	cfg.Progress = func(done, total int) {
 		d := int64(done)
 		prev := j.progressDone.Swap(d)

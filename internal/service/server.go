@@ -174,12 +174,14 @@ func New(opts Options) *Server {
 	s.metrics = s.engine.Metrics()
 	s.engine.log = opts.Logger
 	s.engine.traces = trace.NewStore(opts.TraceRetention)
-	s.engine.rangeSize = opts.RemoteRangeSize
-	s.engine.rangeTarget = opts.RemoteRangeTarget
 	if len(opts.RemoteWorkers) > 0 {
-		s.pool = sigfim.NewWorkerPool(opts.RemoteWorkers, sigfim.WorkerPoolOptions{Timeout: opts.RemoteTimeout})
+		s.pool = sigfim.NewWorkerPool(opts.RemoteWorkers, sigfim.WorkerPoolOptions{
+			Timeout:     opts.RemoteTimeout,
+			HedgeDelay:  opts.RemoteHedgeDelay,
+			RangeSize:   opts.RemoteRangeSize,
+			RangeTarget: opts.RemoteRangeTarget,
+		})
 		s.engine.pool = s.pool
-		s.engine.hedgeDelay = opts.RemoteHedgeDelay
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"net/http"
+	"strconv"
 	"testing"
 
 	"sigfim"
@@ -168,5 +169,47 @@ func TestFabricRangeMetrics(t *testing.T) {
 	}
 	if ewma := samples[`sigfimd_fabric_replicate_seconds_ewma{worker="`+worker.URL+`"}`]; ewma <= 0 {
 		t.Fatalf("sigfimd_fabric_replicate_seconds_ewma missing or zero; metrics body:\n%s", body)
+	}
+}
+
+// TestCoordinatorForwardsRangeSize: a coordinator's dispatch settings reach
+// the fabric. With RemoteRangeSize 10, every montecarlo.mine span of a
+// distributed job must split its Delta replicates into Delta/10 ranges of
+// 10.
+func TestCoordinatorForwardsRangeSize(t *testing.T) {
+	const delta = 40
+	_, worker := newTestServer(t, service.Options{Workers: 1})
+	_, coord := newTestServer(t, service.Options{
+		Workers: 1, RemoteWorkers: []string{worker.URL}, RemoteRangeSize: 10,
+	})
+
+	st, _ := submit(t, coord, service.JobRequest{
+		Dataset: "golden", Kind: service.KindSignificant, K: 2,
+		Config: &sigfim.Config{Delta: delta, Seed: 5},
+	})
+	waitState(t, coord, st.ID, service.StateDone)
+
+	tr, code := getTrace(t, coord.URL, st.ID)
+	if code != http.StatusOK {
+		t.Fatalf("GET trace: status %d", code)
+	}
+	mines := 0
+	for _, sp := range tr.Spans {
+		if sp.Name != "montecarlo.mine" {
+			continue
+		}
+		mines++
+		if got := attrValue(sp, "replicates"); got != strconv.Itoa(delta) {
+			t.Errorf("montecarlo.mine replicates = %q, want %d", got, delta)
+		}
+		if got := attrValue(sp, "range_size"); got != "10" {
+			t.Errorf("montecarlo.mine range_size = %q, want 10", got)
+		}
+		if got := attrValue(sp, "ranges"); got != strconv.Itoa(delta/10) {
+			t.Errorf("montecarlo.mine ranges = %q, want %d", got, delta/10)
+		}
+	}
+	if mines == 0 {
+		t.Fatal("trace lacks a montecarlo.mine span")
 	}
 }

@@ -4,19 +4,12 @@ import "testing"
 
 // Micro-benchmarks for the hot statistical primitives: exact tails are
 // called once per itemset in Procedure 1 and once per ladder level in
-// Procedure 2; the samplers dominate random dataset generation.
+// Procedure 2; geometric gaps dominate random dataset generation.
 
 func BenchmarkBinomialUpperTail(b *testing.B) {
 	bin := Binomial{N: 1000000, P: 1e-4}
 	for i := 0; i < b.N; i++ {
 		bin.UpperTail(150)
-	}
-}
-
-func BenchmarkBinomialLogUpperTailDeep(b *testing.B) {
-	bin := Binomial{N: 1000000, P: 1e-5}
-	for i := 0; i < b.N; i++ {
-		bin.LogUpperTail(300)
 	}
 }
 
@@ -27,30 +20,26 @@ func BenchmarkPoissonUpperTail(b *testing.B) {
 	}
 }
 
-func BenchmarkBinomialSampleSmallMean(b *testing.B) {
-	r := NewRNG(1)
-	bin := Binomial{N: 100000, P: 1e-4} // mean 10: geometric skips
-	for i := 0; i < b.N; i++ {
-		bin.Sample(r)
-	}
-}
-
-func BenchmarkSkipSamplerColumn(b *testing.B) {
+// BenchmarkGeometricGapColumn fills one column of t transactions with an
+// item of frequency f by geometric skips, the independence null model's
+// column walk.
+func BenchmarkGeometricGapColumn(b *testing.B) {
 	r := NewRNG(2)
 	const t = 100000
-	const f = 1e-3
+	g := NewGeometricGap(1e-3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := NewSkipSampler(t, f, r)
-		for {
-			if _, ok := s.Next(); !ok {
+		for pos := 0; ; pos++ {
+			gap, ok := g.Below(r.Float64Open(), t-pos)
+			if !ok {
 				break
 			}
+			pos += gap
 		}
 	}
 }
 
-// BenchmarkNaiveBernoulliColumn is the baseline the skip sampler replaces:
+// BenchmarkNaiveBernoulliColumn is the baseline the gap walk replaces:
 // one coin flip per transaction.
 func BenchmarkNaiveBernoulliColumn(b *testing.B) {
 	r := NewRNG(3)
@@ -78,26 +67,5 @@ func BenchmarkRNGIntn(b *testing.B) {
 	r := NewRNG(5)
 	for i := 0; i < b.N; i++ {
 		r.Intn(1000003)
-	}
-}
-
-func BenchmarkPoissonSampleLarge(b *testing.B) {
-	r := NewRNG(6)
-	p := Poisson{Lambda: 500}
-	for i := 0; i < b.N; i++ {
-		p.Sample(r)
-	}
-}
-
-func BenchmarkWeightedSampler(b *testing.B) {
-	r := NewRNG(7)
-	w := make([]float64, 10000)
-	for i := range w {
-		w[i] = float64(i + 1)
-	}
-	ws := NewWeightedSampler(w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.Sample(r)
 	}
 }

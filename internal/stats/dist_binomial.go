@@ -4,18 +4,11 @@ import "math"
 
 // Binomial is the distribution of the number of successes in N independent
 // Bernoulli(P) trials. The paper's Procedure 1 computes per-itemset p-values
-// Pr(Bin(t, f_X) >= s_X); the random dataset model draws per-item occurrence
-// counts from Bin(t, f_i).
+// Pr(Bin(t, f_X) >= s_X).
 type Binomial struct {
 	N int
 	P float64
 }
-
-// Mean returns N*P.
-func (b Binomial) Mean() float64 { return float64(b.N) * b.P }
-
-// Variance returns N*P*(1-P).
-func (b Binomial) Variance() float64 { return float64(b.N) * b.P * (1 - b.P) }
 
 // LogPMF returns ln Pr(X = k).
 func (b Binomial) LogPMF(k int) float64 {
@@ -71,26 +64,6 @@ func (b Binomial) UpperTail(s int) float64 {
 	return RegIncBeta(float64(s), float64(b.N-s+1), b.P)
 }
 
-// LogUpperTail returns ln Pr(X >= s), staying in log space when the tail
-// underflows float64 (supports deep in the tail have p-values below 1e-308).
-func (b Binomial) LogUpperTail(s int) float64 {
-	p := b.UpperTail(s)
-	if p > 1e-290 {
-		return math.Log(p)
-	}
-	// Sum the PMF from s upward in log space; the terms decay geometrically
-	// with ratio < (n-s)p / (s(1-p)), so a few hundred terms suffice.
-	logSum := math.Inf(-1)
-	for k := s; k <= b.N; k++ {
-		lp := b.LogPMF(k)
-		logSum = LogSumExp(logSum, lp)
-		if lp < logSum-46 { // additional terms below 1e-20 relative
-			break
-		}
-	}
-	return logSum
-}
-
 // Quantile returns the smallest k with CDF(k) >= q, for q in [0, 1].
 func (b Binomial) Quantile(q float64) int {
 	if q <= 0 {
@@ -109,31 +82,4 @@ func (b Binomial) Quantile(q float64) int {
 		}
 	}
 	return lo
-}
-
-// Sample draws one variate. For p <= 1/2 it counts successes via geometric
-// skips, costing O(np) expected time; for p > 1/2 it samples the complement.
-// Exact (no normal approximation), which the statistical tests rely on.
-func (b Binomial) Sample(r *RNG) int {
-	if !(b.P > 0) {
-		return 0
-	}
-	if b.P >= 1 {
-		return b.N
-	}
-	if b.P > 0.5 {
-		return b.N - Binomial{N: b.N, P: 1 - b.P}.Sample(r)
-	}
-	// Successive gaps between successes are Geometric(p); position advances
-	// by gap+1 each success, and the walk ends once it would pass N.
-	g := NewGeometricGap(b.P)
-	count, pos := 0, 0
-	for {
-		gap, ok := g.Below(r.Float64Open(), b.N-pos)
-		if !ok {
-			return count
-		}
-		pos += gap + 1
-		count++
-	}
 }

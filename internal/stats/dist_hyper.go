@@ -25,23 +25,6 @@ func (h Hypergeometric) supportRange() (lo, hi int) {
 	return
 }
 
-// Mean returns Draws*K/N.
-func (h Hypergeometric) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Draws) * float64(h.K) / float64(h.N)
-}
-
-// Variance returns the sampling-without-replacement variance.
-func (h Hypergeometric) Variance() float64 {
-	if h.N <= 1 {
-		return 0
-	}
-	n, k, d := float64(h.N), float64(h.K), float64(h.Draws)
-	return d * (k / n) * (1 - k/n) * (n - d) / (n - 1)
-}
-
 // LogPMF returns ln Pr(X = x).
 func (h Hypergeometric) LogPMF(x int) float64 {
 	lo, hi := h.supportRange()
@@ -53,25 +36,6 @@ func (h Hypergeometric) LogPMF(x int) float64 {
 
 // PMF returns Pr(X = x).
 func (h Hypergeometric) PMF(x int) float64 { return math.Exp(h.LogPMF(x)) }
-
-// CDF returns Pr(X <= x) by summation over the (short) support.
-func (h Hypergeometric) CDF(x int) float64 {
-	lo, hi := h.supportRange()
-	if x < lo {
-		return 0
-	}
-	if x >= hi {
-		return 1
-	}
-	sum := 0.0
-	for v := lo; v <= x; v++ {
-		sum += h.PMF(v)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
 
 // UpperTail returns Pr(X >= x) — the Fisher exact p-value when x is the
 // observed joint count of a 2x2 table with these margins.
@@ -91,24 +55,6 @@ func (h Hypergeometric) UpperTail(x int) float64 {
 		sum = 1
 	}
 	return sum
-}
-
-// Sample draws one variate by sequential sampling without replacement.
-func (h Hypergeometric) Sample(r *RNG) int {
-	remainingK := h.K
-	remainingN := h.N
-	hits := 0
-	for i := 0; i < h.Draws; i++ {
-		if remainingN <= 0 {
-			break
-		}
-		if r.Float64() < float64(remainingK)/float64(remainingN) {
-			hits++
-			remainingK--
-		}
-		remainingN--
-	}
-	return hits
 }
 
 // FisherExactUpper returns the one-sided Fisher exact p-value for observing

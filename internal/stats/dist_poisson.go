@@ -9,12 +9,6 @@ type Poisson struct {
 	Lambda float64
 }
 
-// Mean returns Lambda.
-func (p Poisson) Mean() float64 { return p.Lambda }
-
-// Variance returns Lambda.
-func (p Poisson) Variance() float64 { return p.Lambda }
-
 // LogPMF returns ln Pr(X = k).
 func (p Poisson) LogPMF(k int) float64 {
 	if k < 0 {
@@ -32,17 +26,6 @@ func (p Poisson) LogPMF(k int) float64 {
 // PMF returns Pr(X = k).
 func (p Poisson) PMF(k int) float64 { return math.Exp(p.LogPMF(k)) }
 
-// CDF returns Pr(X <= k) = Q(k+1, lambda).
-func (p Poisson) CDF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if p.Lambda == 0 {
-		return 1
-	}
-	return RegUpperGamma(float64(k+1), p.Lambda)
-}
-
 // UpperTail returns Pr(X >= s) = P(s, lambda) exactly (regularized lower
 // incomplete gamma). This is the Poisson p-value used by Procedure 2.
 func (p Poisson) UpperTail(s int) float64 {
@@ -53,78 +36,4 @@ func (p Poisson) UpperTail(s int) float64 {
 		return 0
 	}
 	return RegLowerGamma(float64(s), p.Lambda)
-}
-
-// LogUpperTail returns ln Pr(X >= s) with graceful handling of deep tails.
-func (p Poisson) LogUpperTail(s int) float64 {
-	v := p.UpperTail(s)
-	if v > 1e-290 {
-		return math.Log(v)
-	}
-	logSum := math.Inf(-1)
-	for k := s; ; k++ {
-		lp := p.LogPMF(k)
-		logSum = LogSumExp(logSum, lp)
-		// Terms decay with ratio lambda/(k+1); once tiny relative to the
-		// accumulated sum, stop.
-		if lp < logSum-46 {
-			break
-		}
-	}
-	return logSum
-}
-
-// Quantile returns the smallest k with CDF(k) >= q.
-func (p Poisson) Quantile(q float64) int {
-	if q <= 0 {
-		return 0
-	}
-	if q >= 1 {
-		return math.MaxInt32
-	}
-	// Bracket around mean + a few standard deviations, then binary search.
-	hi := int(p.Lambda + 10*math.Sqrt(p.Lambda+1) + 10)
-	for p.CDF(hi) < q {
-		hi *= 2
-	}
-	lo := 0
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.CDF(mid) >= q {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// Sample draws one variate. Small rates use Knuth's product method; larger
-// rates split additively (Poisson(a+b) = Poisson(a) + Poisson(b)) so the
-// product never underflows. Exact for all lambda.
-func (p Poisson) Sample(r *RNG) int {
-	lam := p.Lambda
-	if lam <= 0 {
-		return 0
-	}
-	n := 0
-	for lam > 30 {
-		// Draw the count that arrives in the first half of the interval.
-		n += Poisson{Lambda: lam / 2}.sampleKnuth(r, lam/2)
-		lam /= 2
-	}
-	return n + p.sampleKnuth(r, lam)
-}
-
-func (p Poisson) sampleKnuth(r *RNG, lam float64) int {
-	l := math.Exp(-lam)
-	k := 0
-	prod := 1.0
-	for {
-		prod *= r.Float64()
-		if prod <= l {
-			return k
-		}
-		k++
-	}
 }

@@ -88,58 +88,3 @@ func FitPowerLaw(n int, fmin, fmax, targetSum float64) TruncatedPowerLaw {
 	}
 	return mk((lo + hi) / 2)
 }
-
-// Zipf is a bounded Zipf(s, v=1) sampler over {1, ..., N} by inverse-CDF
-// binary search on the precomputed normalization table. Used by workload
-// generators that need popularity-skewed item draws.
-type Zipf struct {
-	n   int
-	cdf []float64 // cdf[i] = Pr(X <= i+1)
-}
-
-// NewZipf builds a Zipf sampler with exponent s over {1..n}.
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("stats: Zipf with n <= 0")
-	}
-	w := make([]float64, n)
-	total := 0.0
-	for i := 1; i <= n; i++ {
-		w[i-1] = math.Pow(float64(i), -s)
-		total += w[i-1]
-	}
-	cdf := make([]float64, n)
-	acc := 0.0
-	for i, wi := range w {
-		acc += wi / total
-		cdf[i] = acc
-	}
-	cdf[n-1] = 1
-	return &Zipf{n: n, cdf: cdf}
-}
-
-// Sample draws a rank in [1, n].
-func (z *Zipf) Sample(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, z.n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] >= u {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo + 1
-}
-
-// PMF returns Pr(X = k) for k in [1, n].
-func (z *Zipf) PMF(k int) float64 {
-	if k < 1 || k > z.n {
-		return 0
-	}
-	if k == 1 {
-		return z.cdf[0]
-	}
-	return z.cdf[k-1] - z.cdf[k-2]
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestBinomialPMFSumsToOne(t *testing.T) {
@@ -52,60 +51,6 @@ func TestBinomialQuantileInverse(t *testing.T) {
 	}
 }
 
-func TestBinomialLogUpperTailDeep(t *testing.T) {
-	// Deep tail that underflows float64: check against direct log-space sum.
-	b := Binomial{N: 100000, P: 1e-4}
-	s := 100 // mean is 10; Pr(X >= 100) is astronomically small
-	got := b.LogUpperTail(s)
-	want := math.Inf(-1)
-	for k := s; k <= s+200; k++ {
-		want = LogSumExp(want, b.LogPMF(k))
-	}
-	if !almostEq(got, want, 1e-6) {
-		t.Errorf("LogUpperTail = %v, want %v", got, want)
-	}
-	if got > -100 {
-		t.Errorf("deep tail not deep: %v", got)
-	}
-}
-
-func TestBinomialSampleMoments(t *testing.T) {
-	r := NewRNG(42)
-	cases := []Binomial{{1000, 0.01}, {50, 0.5}, {200, 0.9}, {10, 0.05}}
-	const trials = 20000
-	for _, b := range cases {
-		sum, sumSq := 0.0, 0.0
-		for i := 0; i < trials; i++ {
-			x := float64(b.Sample(r))
-			sum += x
-			sumSq += x * x
-		}
-		mean := sum / trials
-		variance := sumSq/trials - mean*mean
-		seMean := math.Sqrt(b.Variance() / trials)
-		if math.Abs(mean-b.Mean()) > 6*seMean+1e-9 {
-			t.Errorf("Binomial%v sample mean %v, want %v", b, mean, b.Mean())
-		}
-		if b.Variance() > 0 && math.Abs(variance-b.Variance()) > 0.15*b.Variance()+0.1 {
-			t.Errorf("Binomial%v sample var %v, want %v", b, variance, b.Variance())
-		}
-	}
-}
-
-func TestBinomialSampleRange(t *testing.T) {
-	r := NewRNG(7)
-	f := func(nRaw uint8, pRaw uint16) bool {
-		n := int(nRaw)%100 + 1
-		p := float64(pRaw) / 65535
-		b := Binomial{N: n, P: p}
-		x := b.Sample(r)
-		return x >= 0 && x <= n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPoissonPMFSumsToOne(t *testing.T) {
 	for _, lam := range []float64{0.1, 1, 5, 30, 200} {
 		p := Poisson{Lambda: lam}
@@ -121,165 +66,47 @@ func TestPoissonPMFSumsToOne(t *testing.T) {
 }
 
 func TestPoissonCDFTailComplement(t *testing.T) {
+	// The CDF below s, summed from the PMF, plus the exact upper tail at s
+	// must be 1.
 	p := Poisson{Lambda: 7.3}
+	cdf := 0.0
 	for s := 0; s <= 40; s++ {
-		lhs := p.CDF(s-1) + p.UpperTail(s)
+		lhs := cdf + p.UpperTail(s)
 		if !almostEq(lhs, 1, 1e-10) {
 			t.Errorf("CDF(%d)+Tail(%d) = %v", s-1, s, lhs)
 		}
+		cdf += p.PMF(s)
 	}
 }
 
 func TestPoissonZeroLambda(t *testing.T) {
 	p := Poisson{Lambda: 0}
-	if p.PMF(0) != 1 || p.UpperTail(1) != 0 || p.CDF(0) != 1 {
+	if p.PMF(0) != 1 || p.UpperTail(0) != 1 || p.UpperTail(1) != 0 {
 		t.Error("Poisson(0) should be point mass at 0")
-	}
-	r := NewRNG(1)
-	if p.Sample(r) != 0 {
-		t.Error("Poisson(0) sample should be 0")
-	}
-}
-
-func TestPoissonQuantileInverse(t *testing.T) {
-	p := Poisson{Lambda: 12.5}
-	for _, q := range []float64{0.001, 0.05, 0.5, 0.95, 0.999} {
-		k := p.Quantile(q)
-		if p.CDF(k) < q {
-			t.Errorf("CDF(Quantile(%v)) < q", q)
-		}
-		if k > 0 && p.CDF(k-1) >= q {
-			t.Errorf("Quantile(%v) = %d not minimal", q, k)
-		}
-	}
-}
-
-func TestPoissonSampleMoments(t *testing.T) {
-	r := NewRNG(99)
-	const trials = 20000
-	for _, lam := range []float64{0.5, 4, 25, 120} {
-		p := Poisson{Lambda: lam}
-		sum, sumSq := 0.0, 0.0
-		for i := 0; i < trials; i++ {
-			x := float64(p.Sample(r))
-			sum += x
-			sumSq += x * x
-		}
-		mean := sum / trials
-		variance := sumSq/trials - mean*mean
-		seMean := math.Sqrt(lam / trials)
-		if math.Abs(mean-lam) > 6*seMean {
-			t.Errorf("Poisson(%v) sample mean %v", lam, mean)
-		}
-		if math.Abs(variance-lam) > 0.15*lam+0.1 {
-			t.Errorf("Poisson(%v) sample var %v", lam, variance)
-		}
-	}
-}
-
-func TestPoissonSampleChiSquare(t *testing.T) {
-	r := NewRNG(123)
-	p := Poisson{Lambda: 6}
-	sample := make([]int, 20000)
-	for i := range sample {
-		sample[i] = p.Sample(r)
-	}
-	res := PoissonChiSquare(sample, 6, 0)
-	if res.PValue < 1e-4 {
-		t.Errorf("Poisson sampler fails chi-square: p=%v stat=%v df=%d",
-			res.PValue, res.Statistic, res.DF)
-	}
-}
-
-func TestNormalCDFQuantileRoundTrip(t *testing.T) {
-	n := Normal{Mu: 3, Sigma: 2}
-	for _, q := range []float64{1e-6, 0.001, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6} {
-		x := n.Quantile(q)
-		if got := n.CDF(x); !almostEq(got, q, 1e-7) {
-			t.Errorf("CDF(Quantile(%v)) = %v", q, got)
-		}
-	}
-}
-
-func TestNormalKnownValues(t *testing.T) {
-	if got := StdNormal.CDF(0); !almostEq(got, 0.5, 1e-12) {
-		t.Errorf("Phi(0) = %v", got)
-	}
-	if got := StdNormal.CDF(1.959963984540054); !almostEq(got, 0.975, 1e-9) {
-		t.Errorf("Phi(1.96) = %v", got)
-	}
-	if got := StdNormal.UpperTail(3); !almostEq(got, 0.0013498980316301, 1e-9) {
-		t.Errorf("upper tail at 3 = %v", got)
 	}
 }
 
 func TestGeometricPMFAndSampler(t *testing.T) {
-	g := Geometric{P: 0.25}
-	sum := 0.0
-	for k := 0; k < 200; k++ {
-		sum += g.PMF(k)
-	}
-	if !almostEq(sum, 1, 1e-10) {
-		t.Errorf("Geometric PMF sums to %v", sum)
-	}
+	// Gaps drawn through GeometricGap must follow the Geometric(p) PMF
+	// (1-p)^k p; the far tail is pooled into the last cell.
+	const p, cells, trials = 0.25, 30, 50000
+	g := NewGeometricGap(p)
 	r := NewRNG(5)
-	const trials = 50000
-	total := 0.0
+	obs := make([]float64, cells+1)
 	for i := 0; i < trials; i++ {
-		total += float64(g.Sample(r))
-	}
-	mean := total / trials
-	if math.Abs(mean-g.Mean()) > 0.08 {
-		t.Errorf("Geometric sample mean %v, want %v", mean, g.Mean())
-	}
-}
-
-func TestSkipSamplerMatchesBernoulli(t *testing.T) {
-	// The set of positions visited by SkipSampler(n, p) must be distributed
-	// like independent Bernoulli(p) indicators: count has Binomial(n, p)
-	// mean, positions strictly increasing within range.
-	r := NewRNG(321)
-	n, p := 10000, 0.01
-	const trials = 2000
-	total := 0
-	for i := 0; i < trials; i++ {
-		s := NewSkipSampler(n, p, r)
-		prev := -1
-		for {
-			pos, ok := s.Next()
-			if !ok {
-				break
-			}
-			if pos <= prev || pos >= n {
-				t.Fatalf("positions not strictly increasing in range: %d after %d", pos, prev)
-			}
-			prev = pos
-			total++
+		gap, ok := g.Below(r.Float64Open(), cells)
+		if !ok {
+			gap = cells
 		}
+		obs[gap]++
 	}
-	mean := float64(total) / trials
-	want := float64(n) * p
-	se := math.Sqrt(want * (1 - p) / trials)
-	if math.Abs(mean-want) > 6*se {
-		t.Errorf("SkipSampler mean count %v, want %v", mean, want)
+	exp := make([]float64, cells+1)
+	for k := 0; k < cells; k++ {
+		exp[k] = trials * math.Pow(1-p, float64(k)) * p
 	}
-}
-
-func TestSkipSamplerEdgeCases(t *testing.T) {
-	r := NewRNG(1)
-	s := NewSkipSampler(100, 0, r)
-	if _, ok := s.Next(); ok {
-		t.Error("p=0 should yield nothing")
-	}
-	s = NewSkipSampler(5, 1, r)
-	for i := 0; i < 5; i++ {
-		pos, ok := s.Next()
-		if !ok || pos != i {
-			t.Fatalf("p=1 should yield every position: got %d,%v at step %d", pos, ok, i)
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("p=1 sampler should exhaust at n")
+	exp[cells] = trials * math.Pow(1-p, cells)
+	if res := ChiSquareTest(obs, exp, 5, 0); res.PValue < 1e-4 {
+		t.Errorf("geometric gaps fail chi-square: p=%v stat=%v df=%d", res.PValue, res.Statistic, res.DF)
 	}
 }
 
@@ -297,24 +124,6 @@ func TestTruncatedPowerLawFit(t *testing.T) {
 		if i > 0 && f > fs[i-1]+1e-15 {
 			t.Fatalf("frequencies not non-increasing at rank %d", i+1)
 		}
-	}
-}
-
-func TestZipfSampler(t *testing.T) {
-	z := NewZipf(50, 1.2)
-	r := NewRNG(8)
-	counts := make([]float64, 50)
-	const trials = 100000
-	for i := 0; i < trials; i++ {
-		counts[z.Sample(r)-1]++
-	}
-	expected := make([]float64, 50)
-	for k := 1; k <= 50; k++ {
-		expected[k-1] = trials * z.PMF(k)
-	}
-	res := ChiSquareTest(counts, expected, 5, 0)
-	if res.PValue < 1e-4 {
-		t.Errorf("Zipf sampler chi-square p=%v", res.PValue)
 	}
 }
 
@@ -338,12 +147,16 @@ func TestHypergeometricPMFSumsToOne(t *testing.T) {
 }
 
 func TestHypergeometricTailComplement(t *testing.T) {
+	// The CDF below x, summed from the PMF, plus the upper tail at x must
+	// be 1.
 	h := Hypergeometric{N: 30, K: 12, Draws: 9}
+	cdf := 0.0
 	for x := 0; x <= 10; x++ {
-		lhs := h.CDF(x-1) + h.UpperTail(x)
+		lhs := cdf + h.UpperTail(x)
 		if !almostEq(lhs, 1, 1e-10) {
 			t.Errorf("CDF(%d)+Tail(%d) = %v", x-1, x, lhs)
 		}
+		cdf += h.PMF(x)
 	}
 }
 
@@ -353,28 +166,12 @@ func TestHypergeometricKnownValue(t *testing.T) {
 	if got := h.PMF(2); !almostEq(got, 0.3, 1e-12) {
 		t.Errorf("PMF(2) = %v, want 0.3", got)
 	}
-	if got := h.Mean(); !almostEq(got, 1.2, 1e-12) {
-		t.Errorf("mean = %v", got)
+	mean := 0.0
+	for x := 0; x <= h.Draws; x++ {
+		mean += float64(x) * h.PMF(x)
 	}
-}
-
-func TestHypergeometricSampleMoments(t *testing.T) {
-	r := NewRNG(404)
-	h := Hypergeometric{N: 100, K: 30, Draws: 20}
-	const trials = 30000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < trials; i++ {
-		x := float64(h.Sample(r))
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean-h.Mean()) > 0.05 {
-		t.Errorf("sample mean %v, want %v", mean, h.Mean())
-	}
-	if math.Abs(variance-h.Variance()) > 0.15*h.Variance() {
-		t.Errorf("sample var %v, want %v", variance, h.Variance())
+	if !almostEq(mean, 1.2, 1e-12) {
+		t.Errorf("mean = %v", mean)
 	}
 }
 

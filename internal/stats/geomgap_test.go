@@ -143,21 +143,19 @@ func FuzzGeometricGap(f *testing.F) {
 }
 
 // TestTinyProbabilityGapsDoNotWrap pins the int-overflow fix: for p below
-// ~4e-18 the reference quotient exceeds the int range, and the samplers
-// must end the walk rather than wrap the position.
+// ~4e-18 the reference quotient exceeds the int range, and Below must end
+// the walk rather than return a wrapped (negative or small) gap.
 func TestTinyProbabilityGapsDoNotWrap(t *testing.T) {
 	for _, p := range []float64{1e-19, 1e-300} {
+		g := NewGeometricGap(p)
 		r := NewRNG(13)
 		for i := 0; i < 100; i++ {
-			if got := (Binomial{N: 10, P: p}).Sample(r); got != 0 {
-				t.Fatalf("Binomial{N: 10, P: %v}.Sample = %d, want 0", p, got)
+			u := r.Float64Open()
+			if gap, ok := g.Below(u, 10); ok {
+				t.Fatalf("p=%v u=%v: Below(u, 10) = %d, want the walk to end", p, u, gap)
 			}
-			s := NewSkipSampler(10, p, r)
-			if pos, ok := s.Next(); ok {
-				t.Fatalf("SkipSampler(10, %v) visited %d", p, pos)
-			}
-			if got := (Geometric{P: p}).Sample(r); got < 1<<40 {
-				t.Fatalf("Geometric{P: %v}.Sample = %d, want a huge gap", p, got)
+			if gap, ok := g.Below(u, math.MaxInt); ok && gap < 1<<40 {
+				t.Fatalf("p=%v u=%v: Below(u, MaxInt) = %d, want a huge gap or none", p, u, gap)
 			}
 		}
 	}

@@ -1,15 +1,12 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// Goodness-of-fit machinery used by the test suite and the null-calibration
-// example: chi-square tests against discrete distributions, one-sample
-// Kolmogorov-Smirnov, and total variation distance between an empirical count
-// distribution and a theoretical PMF. The paper's core claim — Q̂_{k,s} is
-// approximately Poisson above s_min — is validated with these.
+// Goodness-of-fit checks the test suite compares against: chi-square tests
+// against discrete distributions and total variation distance between an
+// empirical count distribution and a theoretical PMF. The paper's core
+// claim — Q̂_{k,s} is approximately Poisson above s_min — is validated with
+// these.
 
 // ChiSquareResult reports a chi-square goodness-of-fit test.
 type ChiSquareResult struct {
@@ -70,66 +67,6 @@ func ChiSquareUpperTail(x float64, df int) float64 {
 	return RegUpperGamma(float64(df)/2, x/2)
 }
 
-// KSResult reports a one-sample Kolmogorov-Smirnov test.
-type KSResult struct {
-	Statistic float64 // sup |F_emp - F|
-	PValue    float64 // asymptotic Kolmogorov p-value
-}
-
-// KSTest performs a one-sample KS test of the sample against the continuous
-// CDF cdf. The sample is not modified.
-func KSTest(sample []float64, cdf func(float64) float64) KSResult {
-	n := len(sample)
-	if n == 0 {
-		return KSResult{Statistic: 0, PValue: 1}
-	}
-	xs := append([]float64(nil), sample...)
-	sort.Float64s(xs)
-	d := 0.0
-	for i, x := range xs {
-		fx := cdf(x)
-		lo := float64(i) / float64(n)
-		hi := float64(i+1) / float64(n)
-		if v := math.Abs(fx - lo); v > d {
-			d = v
-		}
-		if v := math.Abs(fx - hi); v > d {
-			d = v
-		}
-	}
-	return KSResult{Statistic: d, PValue: ksPValue(d, n)}
-}
-
-// ksPValue is the asymptotic Kolmogorov distribution upper tail with the
-// standard finite-n adjustment.
-func ksPValue(d float64, n int) float64 {
-	if d <= 0 {
-		return 1
-	}
-	sqrtN := math.Sqrt(float64(n))
-	x := (sqrtN + 0.12 + 0.11/sqrtN) * d
-	// K(x) = 2 sum_{j>=1} (-1)^{j-1} exp(-2 j^2 x^2)
-	sum := 0.0
-	for j := 1; j <= 100; j++ {
-		term := 2 * math.Exp(-2*float64(j*j)*x*x)
-		if j%2 == 1 {
-			sum += term
-		} else {
-			sum -= term
-		}
-		if term < 1e-12 {
-			break
-		}
-	}
-	if sum < 0 {
-		sum = 0
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
 // TotalVariationPoisson returns the total variation distance between the
 // empirical distribution of the integer sample and Poisson(lambda):
 // (1/2) sum_k |emp(k) - pmf(k)|. Small values certify the Poisson
@@ -160,28 +97,4 @@ func TotalVariationPoisson(sample []int, lambda float64) float64 {
 	}
 	tv += p.UpperTail(limit + 1) // unobserved far tail
 	return tv / 2
-}
-
-// PoissonChiSquare bins an integer sample and tests it against
-// Poisson(lambda). dfAdjust should be 1 when lambda was estimated from the
-// same sample.
-func PoissonChiSquare(sample []int, lambda float64, dfAdjust int) ChiSquareResult {
-	n := len(sample)
-	maxK := 0
-	for _, v := range sample {
-		if v > maxK {
-			maxK = v
-		}
-	}
-	p := Poisson{Lambda: lambda}
-	obs := make([]float64, maxK+2)
-	exp := make([]float64, maxK+2)
-	for _, v := range sample {
-		obs[v]++
-	}
-	for k := 0; k <= maxK; k++ {
-		exp[k] = float64(n) * p.PMF(k)
-	}
-	exp[maxK+1] = float64(n) * p.UpperTail(maxK+1)
-	return ChiSquareTest(obs, exp, 5, dfAdjust)
 }

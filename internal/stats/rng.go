@@ -1,6 +1,9 @@
-// Package stats provides the statistical substrate for sigfim: special
-// functions, discrete distributions with exact tails, random samplers, and
-// goodness-of-fit tests.
+// Package stats provides the statistical substrate for sigfim: exact
+// Binomial, Poisson and hypergeometric tails with the special functions
+// behind them, the certified geometric gap the independence null model
+// draws with, a seedable RNG, the power-law frequency fit and subset
+// sampler of the synthetic datasets, and the chi-square and total-variation
+// checks the tests compare against.
 //
 // Everything in this package is implemented from scratch on top of the Go
 // standard library (math only). The distributions expose exact upper tails
@@ -9,10 +12,7 @@
 // would be both slow and numerically unstable.
 package stats
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // RNG is a small, fast, seedable pseudo-random generator based on
 // xoshiro256**. It is deliberately not safe for concurrent use; callers that
@@ -103,44 +103,6 @@ func (r *RNG) Intn(n int) int {
 			return int(hi)
 		}
 	}
-}
-
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle performs a Fisher-Yates shuffle over n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a standard normal variate (polar Marsaglia method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an Exp(1) variate by inversion.
-func (r *RNG) ExpFloat64() float64 {
-	return -math.Log(r.Float64Open())
 }
 
 // Bernoulli returns true with probability p.

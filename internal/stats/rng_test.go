@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestRNGDeterministicBySeed(t *testing.T) {
 	a, b := NewRNG(12345), NewRNG(12345)
@@ -98,42 +95,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(55)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(4242)
-	const trials = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < trials; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / trials
-	variance := sumSq / trials
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %v", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance %v", variance)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := NewRNG(9)
 	c1 := parent.Split()
@@ -146,25 +107,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 2 {
 		t.Errorf("split children collide %d times", same)
-	}
-}
-
-func TestWeightedSampler(t *testing.T) {
-	weights := []float64{1, 2, 3, 4}
-	ws := NewWeightedSampler(weights)
-	r := NewRNG(66)
-	const trials = 100000
-	counts := make([]float64, len(weights))
-	for i := 0; i < trials; i++ {
-		counts[ws.Sample(r)]++
-	}
-	expected := make([]float64, len(weights))
-	for i, w := range weights {
-		expected[i] = trials * w / 10
-	}
-	res := ChiSquareTest(counts, expected, 5, 0)
-	if res.PValue < 1e-4 {
-		t.Errorf("alias sampler chi-square p=%v", res.PValue)
 	}
 }
 
@@ -209,30 +151,5 @@ func TestSampleKOfNUniform(t *testing.T) {
 	res := ChiSquareTest(counts, expected, 5, 0)
 	if res.PValue < 1e-4 {
 		t.Errorf("Floyd sampling chi-square p=%v", res.PValue)
-	}
-}
-
-func TestReservoir(t *testing.T) {
-	r := NewRNG(3)
-	const trials = 30000
-	const streamLen = 50
-	const capacity = 5
-	counts := make([]float64, streamLen)
-	for i := 0; i < trials; i++ {
-		rv := NewReservoir(capacity, r)
-		for x := 0; x < streamLen; x++ {
-			rv.Offer(x)
-		}
-		for _, v := range rv.Items() {
-			counts[v]++
-		}
-	}
-	expected := make([]float64, streamLen)
-	for i := range expected {
-		expected[i] = trials * float64(capacity) / float64(streamLen)
-	}
-	res := ChiSquareTest(counts, expected, 5, 0)
-	if res.PValue < 1e-4 {
-		t.Errorf("reservoir chi-square p=%v", res.PValue)
 	}
 }

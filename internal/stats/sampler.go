@@ -1,77 +1,5 @@
 package stats
 
-// Samplers used by the dataset generators: alias-method weighted sampling,
-// Floyd's subset sampling, and reservoir sampling.
-
-// WeightedSampler draws indices proportionally to fixed non-negative weights
-// in O(1) per draw after O(n) setup (Vose's alias method).
-type WeightedSampler struct {
-	prob  []float64
-	alias []int
-}
-
-// NewWeightedSampler builds an alias table for the given weights. Weights
-// must be non-negative with a positive sum.
-func NewWeightedSampler(weights []float64) *WeightedSampler {
-	n := len(weights)
-	if n == 0 {
-		panic("stats: WeightedSampler with no weights")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("stats: negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("stats: weights sum to zero")
-	}
-	prob := make([]float64, n)
-	alias := make([]int, n)
-	scaled := make([]float64, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
-		if scaled[i] < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		prob[s] = scaled[s]
-		alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	for _, i := range large {
-		prob[i] = 1
-	}
-	for _, i := range small {
-		prob[i] = 1
-	}
-	return &WeightedSampler{prob: prob, alias: alias}
-}
-
-// Sample returns an index drawn proportionally to the construction weights.
-func (w *WeightedSampler) Sample(r *RNG) int {
-	i := r.Intn(len(w.prob))
-	if r.Float64() < w.prob[i] {
-		return i
-	}
-	return w.alias[i]
-}
-
 // SampleKOfN returns k distinct integers from [0, n) using Floyd's algorithm,
 // in O(k) expected time and O(k) space. The result is not sorted.
 func SampleKOfN(k, n int, r *RNG) []int {
@@ -90,32 +18,3 @@ func SampleKOfN(k, n int, r *RNG) []int {
 	}
 	return out
 }
-
-// Reservoir maintains a uniform sample of fixed capacity over a stream.
-type Reservoir struct {
-	items []int
-	seen  int
-	cap   int
-	rng   *RNG
-}
-
-// NewReservoir returns a reservoir of the given capacity.
-func NewReservoir(capacity int, rng *RNG) *Reservoir {
-	return &Reservoir{items: make([]int, 0, capacity), cap: capacity, rng: rng}
-}
-
-// Offer presents one stream element to the reservoir.
-func (rv *Reservoir) Offer(x int) {
-	rv.seen++
-	if len(rv.items) < rv.cap {
-		rv.items = append(rv.items, x)
-		return
-	}
-	j := rv.rng.Intn(rv.seen)
-	if j < rv.cap {
-		rv.items[j] = x
-	}
-}
-
-// Items returns the current sample (shared slice; callers copy if needed).
-func (rv *Reservoir) Items() []int { return rv.items }

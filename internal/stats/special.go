@@ -63,15 +63,6 @@ func LogChoose(n, k int) float64 {
 	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
 }
 
-// Choose returns C(n, k) as a float64 (which may overflow to +Inf for very
-// large arguments; callers needing log-space use LogChoose).
-func Choose(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	return math.Exp(LogChoose(n, k))
-}
-
 // RegIncBeta returns the regularized incomplete beta function I_x(a, b) for
 // a, b > 0 and x in [0, 1]. The Binomial upper tail is
 // Pr(Bin(n,p) >= s) = I_p(s, n-s+1).
@@ -211,22 +202,6 @@ func gammaCF(a, x float64) float64 {
 		}
 	}
 	return h * math.Exp(-x+a*math.Log(x)-LogGamma(a))
-}
-
-// Erf returns the error function (thin wrapper for discoverability next to
-// the other special functions).
-func Erf(x float64) float64 { return math.Erf(x) }
-
-// Log1mExp returns log(1 - exp(x)) for x < 0, switching between expm1 and
-// log1p formulations to preserve precision near both ends.
-func Log1mExp(x float64) float64 {
-	if x >= 0 {
-		panic("stats: Log1mExp requires x < 0")
-	}
-	if x > -math.Ln2 {
-		return math.Log(-math.Expm1(x))
-	}
-	return math.Log1p(-math.Exp(x))
 }
 
 // LogSumExp returns log(exp(a) + exp(b)) robustly.

@@ -62,8 +62,8 @@ func TestChoosePascalIdentity(t *testing.T) {
 	// C(n,k) = C(n-1,k-1) + C(n-1,k) for moderate n.
 	for n := 2; n <= 60; n++ {
 		for k := 1; k < n; k++ {
-			lhs := Choose(n, k)
-			rhs := Choose(n-1, k-1) + Choose(n-1, k)
+			lhs := math.Exp(LogChoose(n, k))
+			rhs := math.Exp(LogChoose(n-1, k-1)) + math.Exp(LogChoose(n-1, k))
 			if !almostEq(lhs, rhs, 1e-9) {
 				t.Fatalf("Pascal identity fails at n=%d k=%d: %v vs %v", n, k, lhs, rhs)
 			}
@@ -157,16 +157,6 @@ func TestRegGammaKnownValues(t *testing.T) {
 			if !almostEq(got, want, 1e-9) {
 				t.Errorf("Pois(%v) tail at %d = %v, want %v", l, k, got, want)
 			}
-		}
-	}
-}
-
-func TestLog1mExp(t *testing.T) {
-	for _, x := range []float64{-1e-10, -0.1, -0.5, -1, -5, -50} {
-		want := math.Log(-math.Expm1(x))
-		got := Log1mExp(x)
-		if !almostEq(got, want, 1e-9) {
-			t.Errorf("Log1mExp(%v) = %v, want %v", x, got, want)
 		}
 	}
 }

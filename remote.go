@@ -39,8 +39,8 @@ import (
 // partial is validated against its request before it merges, and the merge
 // order is fixed by replicate index regardless of who mined what.
 //
-// Configure a coordinator with Config.RemoteWorkers (or a shared
-// Config.RemotePool); serve the worker side with sigfimd, whose POST
+// Configure a coordinator by passing a WorkerPool as Config.RemotePool;
+// serve the worker side with sigfimd, whose POST
 // /v1/partials endpoint calls MineReplicateRange against its dataset
 // registry. Every sigfimd instance is a capable worker — there is no
 // separate worker binary or mode flag.
@@ -181,28 +181,17 @@ type remoteFabric struct {
 	hedgeDelay time.Duration  // 0 disables hedged dispatch
 }
 
-// newRangeRunner builds the montecarlo runner for cfg's remote
-// configuration, together with the pool it dispatches through (so callers
-// can consult its latency telemetry, e.g. for range autotuning) and a
-// cleanup that releases any pool the runner had to create itself (a
-// caller-supplied Config.RemotePool is left alone: its owner closes it).
-func (ds *Dataset) newRangeRunner(cfg *Config) (montecarlo.RangeRunner, *WorkerPool, func()) {
+// newRangeRunner builds the montecarlo runner that dispatches through
+// cfg.RemotePool. Every range gets one remote attempt per configured worker
+// before it falls back to local mining.
+func (ds *Dataset) newRangeRunner(cfg *Config) montecarlo.RangeRunner {
 	pool := cfg.RemotePool
-	cleanup := func() {}
-	if pool == nil {
-		pool = NewWorkerPool(cfg.RemoteWorkers, WorkerPoolOptions{Timeout: cfg.RemoteTimeout})
-		cleanup = pool.Close
-	}
-	retries := cfg.RemoteRetries
-	if retries <= 0 {
-		retries = pool.size()
-	}
 	f := &remoteFabric{
 		ds:         ds,
 		pool:       pool,
 		hc:         pool.client(),
-		retries:    retries,
-		hedgeDelay: cfg.RemoteHedgeDelay,
+		retries:    pool.size(),
+		hedgeDelay: pool.opts.HedgeDelay,
 		template: PartialRequest{
 			DatasetHash:                ds.Hash(),
 			Algorithm:                  cfg.Algorithm,
@@ -211,7 +200,7 @@ func (ds *Dataset) newRangeRunner(cfg *Config) (montecarlo.RangeRunner, *WorkerP
 			SwapProposals:              cfg.SwapProposals,
 		},
 	}
-	return f.run, pool, cleanup
+	return f.run
 }
 
 // run executes one range: up to the retry budget of eligible workers are

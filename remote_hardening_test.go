@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -153,3 +154,53 @@ func TestWorkerPoolDedicatedClient(t *testing.T) {
 		t.Fatal("pool client has no dedicated transport")
 	}
 }
+
+// FuzzPartialResponse drives postPartial against a worker that answers 200
+// with an arbitrary body. postPartial must never panic, and it may accept
+// only a single JSON document that echoes the requested range and k with a
+// floor at or below the requested one — the partial it returns must be
+// exactly that document.
+func FuzzPartialResponse(f *testing.F) {
+	f.Add([]byte(`{"from":5,"to":10,"k":2,"floor":3,"counts":[0,0,0,0,0]}`))
+	f.Add([]byte(`{"from":5,"to":10,"k":2,"floor":1,"counts":[1,0,2,0,0],"items":[1,2,3,4],"sups":[5,6]}`))
+	f.Add([]byte(`{"from":5,"to":10,"k":2,"floor":3,"counts":[]} {"from":5}`))
+	f.Add([]byte(`{"from":6,"to":11,"k":2,"floor":3}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"from":5,"to":10,"k":2,"floor":3,"counts":[0,0`))
+
+	// The worker is an httptest recorder behind an in-memory transport: a
+	// socket per rejected body would exhaust ephemeral ports within seconds
+	// of fuzzing, since postPartial drops the connection of every response
+	// it refuses.
+	var body []byte
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		rec := httptest.NewRecorder()
+		rec.Header().Set("Content-Type", "application/json")
+		rec.Write(body)
+		return rec.Result(), nil
+	})}
+	req := hardeningRequest()
+
+	f.Fuzz(func(t *testing.T, resp []byte) {
+		body = resp
+		rp, err := postPartial(context.Background(), hc, "http://worker.test", req)
+		if err != nil {
+			return
+		}
+		var doc RangePartial
+		if uerr := json.Unmarshal(resp, &doc); uerr != nil {
+			t.Fatalf("accepted a body that is not a single JSON document (%v): %q", uerr, resp)
+		}
+		if doc.From != req.From || doc.To != req.To || doc.K != req.K || doc.Floor > req.Floor {
+			t.Fatalf("accepted a partial that does not echo the request: %q", resp)
+		}
+		if !reflect.DeepEqual(*rp, doc) {
+			t.Fatalf("returned partial %+v differs from the document %+v", *rp, doc)
+		}
+	})
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

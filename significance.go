@@ -3,7 +3,6 @@ package sigfim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"sigfim/internal/core"
 	"sigfim/internal/mining"
@@ -103,72 +102,21 @@ type Config struct {
 	// influence the result, and it is ignored by JSON encoding, so configs
 	// arriving as JSON (e.g. through sigfimd) never carry one.
 	Progress func(completed, total int) `json:"-"`
-	// RemoteWorkers lists base URLs of sigfimd workers (e.g.
-	// "http://10.0.0.2:8080") to shard the Monte Carlo replicates across.
-	// Empty runs everything in-process. Remote execution is bit-identical to
-	// a local run: each replicate consumes the same RNG substream regardless
-	// of which worker executes it, failed ranges are retried on the other
-	// workers and finally mined locally through the identical code path, and
-	// partials merge in replicate-index order. Like Progress, the field is
-	// a deployment concern, not part of the analysis identity, and is ignored
-	// by JSON encoding so job requests cannot inject it.
-	RemoteWorkers []string `json:"-"`
-	// RemoteRangeSize pins the number of replicates per dispatched range when
-	// RemoteWorkers is set. 0 autotunes: when the pool has observed worker
-	// latency (an EWMA of seconds-per-replicate, fed by every successful
-	// range), ranges are sized so one range takes about RemoteRangeTarget of
-	// wall time on the slowest worker, clamped to [1, Delta/workers]; before
-	// any observation exists a static heuristic keeps a few ranges in flight
-	// per worker. Range size cannot influence the result — partials merge in
-	// replicate-index order whatever the split.
-	RemoteRangeSize int `json:"-"`
-	// RemoteRangeTarget is the per-range wall time autotuned range sizing
-	// aims for when RemoteRangeSize is 0 (0 = the 2s default). Shorter
-	// targets sharpen retry/hedge granularity; longer ones amortize more
-	// dispatch overhead.
-	RemoteRangeTarget time.Duration `json:"-"`
-	// RemoteTimeout bounds every HTTP round trip to a remote worker — the
-	// per-range deadline that keeps a hung worker from stalling a job (0 =
-	// the WorkerPool default of 2 minutes). Ignored when RemotePool is set
-	// (the pool carries its own timeout).
-	RemoteTimeout time.Duration `json:"-"`
-	// RemoteHedgeDelay, when positive, enables hedged dispatch: a range whose
-	// first attempt has not answered within the delay is additionally sent to
-	// a second worker, and the first valid partial wins. Hedging trades
-	// duplicate work for tail latency; it cannot influence the result because
-	// partials are deterministic and validated before merging.
-	RemoteHedgeDelay time.Duration `json:"-"`
-	// RemoteRetries bounds the remote attempts per range before the
-	// coordinator mines the range locally (0 = one attempt per configured
-	// worker).
-	RemoteRetries int `json:"-"`
-	// RemotePool, when non-nil, supplies a caller-owned worker supervisor and
-	// overrides RemoteWorkers/RemoteTimeout. Sharing one pool across analyses
-	// (as a sigfimd coordinator does across jobs) preserves worker-health
-	// state — ejections, backoff schedules, statistics — between runs. The
-	// caller closes it; per-run configs instead list RemoteWorkers and get an
-	// ephemeral pool for the duration of the call.
+	// RemotePool, when non-nil, shards the Monte Carlo replicates across
+	// the sigfimd workers the pool supervises (see NewWorkerPool; its
+	// WorkerPoolOptions carry the per-range timeout, hedging and range
+	// sizing). nil runs everything in-process. Remote execution is
+	// bit-identical to a local run: each replicate consumes the same RNG
+	// substream regardless of which worker executes it, failed ranges are
+	// retried on the other workers and finally mined locally through the
+	// identical code path, and partials merge in replicate-index order.
+	// Sharing one pool across analyses (as a sigfimd coordinator does
+	// across jobs) preserves worker-health state — ejections, backoff
+	// schedules, latency statistics — between runs; the caller closes it.
+	// Like Progress, the field is a deployment concern, not part of the
+	// analysis identity, and is ignored by JSON encoding so job requests
+	// cannot inject it.
 	RemotePool *WorkerPool `json:"-"`
-}
-
-// remoteEnabled reports whether the Monte Carlo replicates should shard
-// across the distributed fabric.
-func (c *Config) remoteEnabled() bool {
-	return c != nil && (c.RemotePool != nil || len(c.RemoteWorkers) > 0)
-}
-
-// autotuneRangeSize resolves the range size for one remote run: an explicit
-// RemoteRangeSize is pinned; 0 consults the pool's observed per-worker
-// latency (see WorkerPool.AutotuneRangeSize), and returns 0 — montecarlo's
-// static heuristic — when the pool has no observations yet.
-func autotuneRangeSize(pool *WorkerPool, cfg *Config, delta int) int {
-	if cfg.RemoteRangeSize != 0 {
-		return cfg.RemoteRangeSize
-	}
-	if delta == 0 {
-		delta = 1000
-	}
-	return pool.AutotuneRangeSize(delta, cfg.RemoteRangeTarget)
 }
 
 func (c *Config) withDefaults() (core.Options, error) {
@@ -291,11 +239,9 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 			Proposals:              cfg.SwapProposals,
 		}
 	}
-	if cfg.remoteEnabled() {
-		runner, pool, cleanup := ds.newRangeRunner(cfg)
-		defer cleanup()
-		opts.Runner = runner
-		opts.RangeSize = autotuneRangeSize(pool, cfg, opts.Delta)
+	if cfg != nil && cfg.RemotePool != nil {
+		opts.Runner = ds.newRangeRunner(cfg)
+		opts.RangeSize = cfg.RemotePool.rangeSize(opts.Delta)
 	}
 	_, warm := trace.Start(ctx, "dataset.warmup")
 	v := ds.vertical()
@@ -319,7 +265,7 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 		rep.SStar = a.Proc2.SStar
 		rep.NumSignificant = a.Proc2.Q
 		rep.Lambda = a.Proc2.Lambda
-		maxPat := 100000
+		maxPat := core.DefaultMaxPatterns
 		if cfg != nil && cfg.MaxPatterns > 0 {
 			maxPat = cfg.MaxPatterns
 		}
@@ -381,10 +327,10 @@ func (ds *Dataset) FindSMinCtx(ctx context.Context, k int, cfg *Config) (int, er
 		return 0, err
 	}
 	if opts.Delta == 0 {
-		opts.Delta = 1000
+		opts.Delta = core.DefaultDelta
 	}
 	if opts.Epsilon == 0 {
-		opts.Epsilon = 0.01
+		opts.Epsilon = core.DefaultEpsilon
 	}
 	_, warm := trace.Start(ctx, "dataset.warmup")
 	freqs := ds.frequencies()
@@ -397,11 +343,9 @@ func (ds *Dataset) FindSMinCtx(ctx context.Context, k int, cfg *Config) (int, er
 		K: k, Delta: opts.Delta, Epsilon: opts.Epsilon, Seed: opts.Seed,
 		Workers: opts.Workers, Algorithm: opts.Algorithm, Progress: opts.Progress,
 	}
-	if cfg.remoteEnabled() {
-		runner, pool, cleanup := ds.newRangeRunner(cfg)
-		defer cleanup()
-		mcfg.Runner = runner
-		mcfg.RangeSize = autotuneRangeSize(pool, cfg, opts.Delta)
+	if cfg != nil && cfg.RemotePool != nil {
+		mcfg.Runner = ds.newRangeRunner(cfg)
+		mcfg.RangeSize = cfg.RemotePool.rangeSize(opts.Delta)
 	}
 	res, err := montecarlo.FindPoissonThresholdCtx(ctx, m, mcfg)
 	if err != nil {

@@ -24,12 +24,12 @@ func spanAttr(sp trace.Span, key string) string {
 	return ""
 }
 
-// TestAutotunedRangeSizeBitIdentity closes the observability loop:
-// RemoteRangeSize 0 sizes ranges from the pool's observed per-worker EWMA
-// (after a first run has seeded it), and the autotuned sizing must stay
+// TestAutotunedRangeSizeBitIdentity closes the observability loop: a pool
+// with RangeSize 0 sizes ranges from its observed per-worker EWMA (after a
+// first run has seeded it), and the autotuned sizing must stay
 // byte-identical to the single-process run at every coordinator worker
-// count. The pool is shared across runs exactly as a sigfimd coordinator
-// shares it across jobs.
+// count and range target. Each pool is shared across its runs exactly as a
+// sigfimd coordinator shares it across jobs.
 func TestAutotunedRangeSizeBitIdentity(t *testing.T) {
 	d := goldenDataset(t)
 	workers := startWorkers(t, 2)
@@ -40,26 +40,8 @@ func TestAutotunedRangeSizeBitIdentity(t *testing.T) {
 	}
 	localJSON := mustJSON(t, local)
 
-	pool := sigfim.NewWorkerPool(workers, sigfim.WorkerPoolOptions{})
-	defer pool.Close()
-
-	// First autotuned run: no latency observed yet, so the static heuristic
-	// sizes the ranges — and the run seeds every worker's EWMA.
-	dist, err := d.Significant(2, &sigfim.Config{Delta: 120, Seed: 9, RemotePool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustJSON(t, dist); !reflect.DeepEqual(got, localJSON) {
-		t.Fatal("heuristic-sized run differs from single-process report")
-	}
-	size := pool.AutotuneRangeSize(120, 0)
-	if size < 1 || size > 60 {
-		t.Fatalf("autotuned size after a seeding run = %d, want within [1, 60]", size)
-	}
-
-	// Subsequent autotuned runs actually use the EWMA-derived size. Vary the
-	// per-range target so different sizes are exercised; none may change a
-	// byte.
+	// Vary the per-range target so different sizes are exercised; none may
+	// change a byte.
 	for _, run := range []struct {
 		workers int
 		target  time.Duration
@@ -68,10 +50,26 @@ func TestAutotunedRangeSizeBitIdentity(t *testing.T) {
 		{4, 10 * time.Millisecond},
 		{8, 10 * time.Second},
 	} {
-		dist, err := d.Significant(2, &sigfim.Config{
-			Delta: 120, Seed: 9, Workers: run.workers,
-			RemotePool: pool, RemoteRangeTarget: run.target,
-		})
+		pool := testPool(t, workers, sigfim.WorkerPoolOptions{RangeTarget: run.target})
+		cfg := &sigfim.Config{Delta: 120, Seed: 9, Workers: run.workers, RemotePool: pool}
+
+		// First run: no latency observed yet, so the static heuristic sizes
+		// the ranges — and the run seeds every worker's EWMA.
+		dist, err := d.Significant(2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustJSON(t, dist); !reflect.DeepEqual(got, localJSON) {
+			t.Fatalf("workers=%d target=%v: heuristic-sized run differs from single-process report",
+				run.workers, run.target)
+		}
+		size := pool.AutotuneRangeSize(120, run.target)
+		if size < 1 || size > 60 {
+			t.Fatalf("target=%v: autotuned size after a seeding run = %d, want within [1, 60]", run.target, size)
+		}
+
+		// The second run actually uses the EWMA-derived size.
+		dist, err = d.Significant(2, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d target=%v: %v", run.workers, run.target, err)
 		}

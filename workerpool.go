@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"sigfim/internal/core"
 )
 
 // Worker supervision for the distributed replicate fabric. A WorkerPool
@@ -86,6 +88,24 @@ type WorkerPoolOptions struct {
 	// BackoffDefault is the back-off window applied on a 503/429 without a
 	// parseable Retry-After header (default 1s).
 	BackoffDefault time.Duration
+	// HedgeDelay, when positive, enables hedged dispatch: a range whose
+	// first attempt has not answered within the delay is additionally sent
+	// to a second worker, and the first valid partial wins. Hedging trades
+	// duplicate work for tail latency; it cannot influence the result
+	// because partials are deterministic and validated before merging.
+	HedgeDelay time.Duration
+	// RangeSize pins the number of replicates per dispatched range. 0
+	// autotunes: once the pool has observed worker latency, ranges are
+	// sized to take about RangeTarget of wall time on the slowest worker
+	// (see AutotuneRangeSize); before any observation a static heuristic
+	// keeps a few ranges in flight per worker. Range size cannot influence
+	// the result — partials merge in replicate-index order whatever the
+	// split.
+	RangeSize int
+	// RangeTarget is the per-range wall time autotuned sizing aims for
+	// when RangeSize is 0 (0 = DefaultRangeTarget). Shorter targets sharpen
+	// retry/hedge granularity; longer ones amortize more dispatch overhead.
+	RangeTarget time.Duration
 	// Transport overrides the HTTP transport (nil builds a dedicated one with
 	// bounded connection reuse). Tests use this to inject faults.
 	Transport http.RoundTripper
@@ -597,6 +617,20 @@ func (p *WorkerPool) AutotuneRangeSize(delta int, target time.Duration) int {
 // no explicit target is configured: long enough to amortize the HTTP
 // round trip, short enough that retry and hedging stay responsive.
 const DefaultRangeTarget = 2 * time.Second
+
+// rangeSize resolves the range size for one remote run of delta replicates
+// (0 = core.DefaultDelta): a pinned RangeSize wins; otherwise the pool
+// autotunes toward RangeTarget, and returns 0 — montecarlo's static
+// heuristic — while it has no latency observation yet.
+func (p *WorkerPool) rangeSize(delta int) int {
+	if p.opts.RangeSize != 0 {
+		return p.opts.RangeSize
+	}
+	if delta == 0 {
+		delta = core.DefaultDelta
+	}
+	return p.AutotuneRangeSize(delta, p.opts.RangeTarget)
+}
 
 // Snapshot returns the pool's current supervision state, workers in
 // configuration order.

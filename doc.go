@@ -103,11 +103,14 @@
 //     runs collect the stream.
 //
 // The default algorithm, Auto, has one policy everywhere: the hash path at
-// floors <= 8 when enumerating transaction subsets is cheap, Eclat over tid
-// lists otherwise; bitsets are used only when EclatBits is forced. At k = 2
-// the tid-list Eclat counts each subtree's pair supports over a rank-mapped
-// transaction index instead of intersecting tid lists, emitting exactly the
-// itemsets, supports and order the intersections would.
+// floors <= 8 when enumerating every transaction's k-subsets costs no more
+// than walking its co-occurring pairs (sum C(len,k) <= min(3e6,
+// sum C(len,2))), Eclat over tid lists otherwise; bitsets are used only
+// when EclatBits is forced. The tid-list Eclat counts instead of
+// intersecting: every node counts its children's supports over a
+// rank-mapped transaction index and builds tid lists only for those
+// reaching the floor, emitting exactly the itemsets, supports and order
+// intersecting every candidate would.
 // internal/dataset supplies the horizontal and vertical layouts plus FIMI
 // I/O; internal/bitset the intersection kernels.
 // Exported as Dataset.Mine (MineOptions selects algorithm, K, threshold,
@@ -312,10 +315,12 @@
 //     a reusable per-worker mining.Scratch carrying its DFS buffers, dense
 //     columns, tree arenas, and tables. A Scratch is single-goroutine but
 //     reusable across calls and dataset shapes; a worker's second replicate
-//     allocates nothing. At k = 2 the tid-list kernel is a pair count: one
-//     index of each transaction's frequent-item ranks per mine, then one
-//     pass over each item's transactions counting its later-ranked
-//     partners, scanned in the order the Eclat DFS would emit them.
+//     allocates nothing. The tid-list kernel counts instead of
+//     intersecting: one index of each transaction's frequent-item ranks
+//     per mine, then at every prefix one pass over its transactions
+//     counting its later-ranked partners, scanned in the order the Eclat
+//     DFS would emit them, and one more delivering the transactions to
+//     the partners that reach the floor.
 //   - Collection: the union set W is indexed by a string-free
 //     open-addressing table over the packed item tuples
 //     (mining.ItemsetTable) instead of a map keyed by per-itemset strings,

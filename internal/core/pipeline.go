@@ -51,10 +51,10 @@ type Options struct {
 	// runtime.NumCPU(), 1 forces serial execution. Results are identical for
 	// every worker count.
 	Workers int
-	// Algorithm selects the frequent-itemset miner driving both Algorithm
-	// 1's replicate mining and Procedure 2's counting pass (mining.Auto
-	// picks Eclat with an automatic layout; mining.FPGrowth and
-	// mining.Apriori force those engines). All algorithms mine identical
+	// Algorithm selects the frequent-itemset miner driving Algorithm 1's
+	// replicate mining, Procedure 2's counting pass and Procedure 1's
+	// mining passes (mining.Auto picks Eclat with an automatic layout;
+	// mining.FPGrowth and mining.Apriori force those engines). All algorithms mine identical
 	// itemsets, so the choice affects performance only.
 	Algorithm mining.Algorithm
 	// Progress, when non-nil, receives Algorithm 1's replicate-merge progress
@@ -201,7 +201,7 @@ func AnalyzeCtx(ctx context.Context, name string, v *dataset.Vertical, k int, op
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p1, err := Procedure1Ex(v, k, sMin, opts.Beta, correction, mc.MinPs)
+		p1, err := procedure1(v, k, sMin, opts.Beta, correction, mc.MinPs, opts.Algorithm)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -76,6 +78,12 @@ const maxMaterializedFamily = 200_000
 // stochastically smaller than the exact one, so the adjusted p-values are
 // conservative, never liberal.
 func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction string, minPs []float64) (*Procedure1Result, error) {
+	return procedure1(v, k, sMin, beta, correction, minPs, mining.Auto)
+}
+
+// procedure1 is Procedure1Ex mining F_k(sMin) with algo; below
+// maxMaterializedFamily flagged itemsets the result does not depend on it.
+func procedure1(v *dataset.Vertical, k, sMin int, beta float64, correction string, minPs []float64, algo mining.Algorithm) (*Procedure1Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
@@ -107,7 +115,7 @@ func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction str
 	// Pass 1: p-values only.
 	var pvals []float64
 	s := mining.NewScratch()
-	mining.VisitKAlgoScratch(v, k, sMin, 1, mining.Auto, s, func(items mining.Itemset, sup int) {
+	mining.VisitKAlgoScratch(v, k, sMin, 1, algo, s, func(items mining.Itemset, sup int) {
 		pvals = append(pvals, pvalOf(items, sup))
 	})
 	m := math.Exp(stats.LogChoose(n, k))
@@ -164,7 +172,7 @@ func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction str
 	res.FamilySize = sort.SearchFloat64s(pvals, math.Nextafter(threshold, 2))
 
 	// Pass 2: materialize the rejected itemsets (capped).
-	mining.VisitKAlgoScratch(v, k, sMin, 1, mining.Auto, s, func(items mining.Itemset, sup int) {
+	mining.VisitKAlgoScratch(v, k, sMin, 1, algo, s, func(items mining.Itemset, sup int) {
 		if len(res.Family) >= maxMaterializedFamily {
 			return
 		}
@@ -176,11 +184,16 @@ func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction str
 			})
 		}
 	})
-	sort.Slice(res.Family, func(a, b int) bool {
-		if res.Family[a].PValue != res.Family[b].PValue {
-			return res.Family[a].PValue < res.Family[b].PValue
+	// A total order (ties in p-value and support broken by the item ids),
+	// so the family's order never depends on the miner's emission order.
+	slices.SortFunc(res.Family, func(a, b SignificantItemset) int {
+		if c := cmp.Compare(a.PValue, b.PValue); c != 0 {
+			return c
 		}
-		return res.Family[a].Support > res.Family[b].Support
+		if c := cmp.Compare(b.Support, a.Support); c != 0 {
+			return c
+		}
+		return slices.Compare(a.Items, b.Items)
 	})
 	return res, nil
 }

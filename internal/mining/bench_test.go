@@ -107,6 +107,35 @@ func BenchmarkLowThresholdEclat(b *testing.B) {
 	}
 }
 
+// BenchmarkRealK3LowFloor mines the planted Bms1/4 data at k = 3, floor 5
+// — the real-data mine of Procedures 1 and 2 at a low ŝ_min, where the
+// planted blocks make subset enumeration costly — with Auto (the counting
+// kernel) against the intersect-all DFS oracle.
+func BenchmarkRealK3LowFloor(b *testing.B) {
+	v := bmsSpec(4).GenerateReal(20090629)
+	if useHashPath(v, 3, 5, NewScratch()) {
+		b.Fatal("expected the counting kernel to be selected")
+	}
+	b.Run("auto", func(b *testing.B) {
+		s := NewScratch()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			VisitKAlgoScratch(v, 3, 5, 1, Auto, s, func(Itemset, int) { n++ })
+			benchSink = n
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = len(intersectAllDFS(v, 3, 5))
+		}
+	})
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink int
+
 // Parallel-engine scaling on the dense synthetic profile, per algorithm. On
 // multi-core hardware workers=4 should be >= 2x workers=1; on a single-core
 // runner the sub-benchmarks collapse to roughly equal times (the engine adds

@@ -12,10 +12,9 @@ import (
 // items ordered by ascending support; each node carries the tid list (or
 // bitset) of its prefix, refined by intersection as the search descends.
 // Fixed-size-k mining prunes the tree at depth k, which is what the paper's
-// procedures need (they mine k-itemsets for one k at a time). At k = 2 over
-// tid lists the depth-1 level is counted from the transactions instead
-// (pairCountSubtree), the way Zaki's Eclat computes L2: same itemsets, same
-// supports, same order.
+// procedures need (they mine k-itemsets for one k at a time). Over tid lists
+// every node counts instead of intersecting, Zaki's L2 trick at every depth
+// (countNode); the bitset layout intersects every candidate.
 //
 // Every kernel threads a *Scratch carrying its mutable buffers (per-depth
 // intersection storage, prefix and sort stacks, pooled dense columns), so a
@@ -60,53 +59,14 @@ func frequentItemsInto(items []uint32, v *dataset.Vertical, minSupport int) []ui
 	return items
 }
 
-// eclatKTidListSubtree mines the prefix-tree subtree rooted at items[first]:
-// every size-k itemset whose least-frequent member (in eclat order) is
-// items[first]. The subtrees for first = 0..len(items)-k partition the full
-// search space, which is the unit of work the parallel driver shards; visiting
-// them in ascending first reproduces the serial DFS emission order exactly.
-func eclatKTidListSubtree(v *dataset.Vertical, items []uint32, k, minSupport, first int, s *Scratch, emit func(Itemset, int)) {
-	it := items[first]
-	base := v.Tids[it]
-	if len(base) < minSupport {
-		return
-	}
-	s.ensureDepth(k)
-	prefix := append(s.prefix[:0], it)
-	if k == 1 {
-		s.emitSortedScratch(prefix, len(base), emit)
-		return
-	}
-	var rec func(start int, tids bitset.TidList)
-	rec = func(start int, tids bitset.TidList) {
-		depth := len(prefix)
-		for i := start; i <= len(items)-(k-depth); i++ {
-			next := bitset.IntersectTo(s.tidBufs[depth][:0], tids, v.Tids[items[i]])
-			s.tidBufs[depth] = next
-			sup := len(next)
-			if sup < minSupport {
-				continue
-			}
-			prefix = append(prefix, items[i])
-			if depth+1 == k {
-				s.emitSortedScratch(prefix, sup, emit)
-			} else {
-				rec(i+1, next)
-			}
-			prefix = prefix[:depth]
-		}
-	}
-	rec(first+1, base)
-}
-
-// pairIndex builds the transaction-major index the k = 2 pair-count kernel
-// reads, in O(occurrences), into s.pairOff and s.pairRks:
-// pairRks[pairOff[t]:pairOff[t+1]] holds, ascending, the eclat ranks of the
+// rankIndex builds the transaction-major index the counting kernel reads,
+// in O(occurrences), into s.idxOff and s.idxRks:
+// idxRks[idxOff[t]:idxOff[t+1]] holds, ascending, the eclat ranks of the
 // frequent items transaction t contains (items[r] has rank r). The index is
 // valid until the next call.
-func (s *Scratch) pairIndex(v *dataset.Vertical, items []uint32) {
+func (s *Scratch) rankIndex(v *dataset.Vertical, items []uint32) {
 	t := v.NumTransactions
-	off := grow(s.pairOff, t+1)
+	off := grow(s.idxOff, t+1)
 	clear(off)
 	for _, it := range items {
 		for _, tid := range v.Tids[it] {
@@ -122,45 +82,82 @@ func (s *Scratch) pairIndex(v *dataset.Vertical, items []uint32) {
 		off[i] = total
 	}
 	off[t] = total
-	ranks := grow(s.pairRks, total)
+	ranks := grow(s.idxRks, total)
 	for r := len(items) - 1; r >= 0; r-- {
 		for _, tid := range v.Tids[items[r]] {
 			off[tid]--
 			ranks[off[tid]] = uint32(r)
 		}
 	}
-	s.pairOff, s.pairRks = off, ranks
+	s.idxOff, s.idxRks = off, ranks
 }
 
-// pairCountSubtree is eclatKTidListSubtree at k = 2, read off the pair
-// index instead of intersecting tid lists. One pass over items[first]'s
-// transactions counts into s's zeroed row every later-ranked item each one
-// holds; the scan over ranks b = first+1.. then emits {items[first],
-// items[b]} in the DFS's order with the DFS's supports and re-zeroes the
-// row. Its work is at most the DFS's: the counting touches only the
-// co-occurrences the intersections would find.
-func pairCountSubtree(v *dataset.Vertical, items []uint32, off []int, ranks []uint32, minSupport, first int, s *Scratch, emit func(Itemset, int)) {
-	row := s.pairRow
-	a := uint32(first)
-	for _, tid := range v.Tids[items[first]] {
+// countNode extends s.prefix, whose last item has rank a and which occurs
+// in exactly the transactions tids. One walk over their runs in the rank
+// index counts every later rank into the depth's zeroed row, so row[b] is
+// the support of prefix ∪ {items[b]}. At depth k-1 the children reaching
+// the floor are emitted; above it, a second walk delivers each transaction
+// to the frequent children with room left below them, building their tid
+// lists back to back, and the kernel descends into them. The row ends
+// zeroed; the output is the intersect-all DFS's itemsets, supports, order.
+func (e eclatShards) countNode(s *Scratch, a int, tids bitset.TidList, emit func(Itemset, int)) {
+	depth := len(s.prefix)
+	row := s.rows[depth-1]
+	off, ranks, ra := e.s.idxOff, e.s.idxRks, uint32(a)
+	for _, tid := range tids {
 		// The run is ascending and holds a itself, which stops the walk.
-		for j := off[tid+1] - 1; ranks[j] > a; j-- {
+		for j := off[tid+1] - 1; ranks[j] > ra; j-- {
 			row[ranks[j]]++
 		}
 	}
-	prefix := append(s.prefix[:0], items[first], 0)
-	for b := first + 1; b < len(items); b++ {
-		if sup := int(row[b]); sup >= minSupport {
-			prefix[1] = items[b]
-			s.emitSortedScratch(prefix, sup, emit)
+	if depth+1 == e.k {
+		for b := a + 1; b < len(e.items); b++ {
+			if sup := int(row[b]); sup >= e.minSupport {
+				s.prefix = append(s.prefix, e.items[b])
+				s.emitSortedScratch(s.prefix, sup, emit)
+				s.prefix = s.prefix[:depth]
+			}
+			row[b] = 0
 		}
+		return
+	}
+	// row[b] becomes child b's start in the depth's buffer, or -1 for a
+	// child not descended into; delivery advances it to the child's end.
+	last, n := len(e.items)-(e.k-depth), int32(0)
+	for b := a + 1; b < len(e.items); b++ {
+		if c := row[b]; c >= int32(e.minSupport) && b <= last {
+			row[b], n = n, n+c
+		} else {
+			row[b] = -1
+		}
+	}
+	occ := grow(s.tidBufs[depth], int(n))
+	s.tidBufs[depth] = occ
+	for _, tid := range tids {
+		for j := off[tid+1] - 1; ranks[j] > ra; j-- {
+			if p := row[ranks[j]]; p >= 0 {
+				occ[p] = tid
+				row[ranks[j]] = p + 1
+			}
+		}
+	}
+	start := int32(0)
+	for b := a + 1; b < len(e.items); b++ {
+		end := row[b]
 		row[b] = 0
+		if end < 0 {
+			continue
+		}
+		s.prefix = append(s.prefix, e.items[b])
+		e.countNode(s, b, occ[start:end], emit)
+		s.prefix = s.prefix[:depth]
+		start = end
 	}
 }
 
-// eclatKBitsetSubtree is eclatKTidListSubtree over dense bitset columns;
-// cols[i] is the column of items[i]. The caller must have sized s's bitset
-// scratch via ensureBits.
+// eclatKBitsetSubtree is the intersect-all DFS over dense bitset columns;
+// cols[i] is the column of items[i]. The caller
+// must have sized s's bitset scratch via ensureBits.
 func eclatKBitsetSubtree(v *dataset.Vertical, items []uint32, cols []*bitset.Bitset, s *Scratch, k, minSupport, first int, emit func(Itemset, int)) {
 	it := items[first]
 	if len(v.Tids[it]) < minSupport {

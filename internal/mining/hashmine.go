@@ -4,14 +4,14 @@ import (
 	"sigfim/internal/dataset"
 )
 
-// Low-threshold mining path. Eclat's pruning collapses when minSupport is a
-// handful of transactions: with threshold 1 every item is "frequent" and the
-// DFS probes every candidate extension even though almost all have empty
-// intersections. For sparse datasets (short transactions) the k-itemsets
-// with support >= 1 are exactly the k-subsets occurring inside transactions,
-// so enumerating each transaction's C(len, k) subsets into a hash table is
-// dramatically cheaper. useHashPath estimates that enumeration cost from the
-// transaction lengths, and visitShortcut takes the hash path when it wins.
+// Low-threshold mining path. For sparse datasets (short transactions) the
+// k-itemsets with support >= 1 are exactly the k-subsets occurring inside
+// transactions, so enumerating each transaction's C(len, k) subsets into a
+// hash table finds them all in one scan. useHashPath takes it at low floors
+// when that is no more work than Eclat's counting kernel does at its first
+// level alone, walking every co-occurring pair: at k >= 3 short
+// transactions (null replicates) keep the hash path, while a few long ones
+// (planted blocks), whose C(len, k) explodes, go to the kernel.
 //
 // The counting table is a string-free ItemsetTable (open addressing over the
 // packed item tuples) with a parallel count array, both pooled in the
@@ -28,22 +28,19 @@ const subsetBudget = 3_000_000
 const hashPathMaxSupport = 8
 
 // scratchLengths recovers the per-transaction lengths from the vertical
-// layout in O(total occurrences), into the pooled buffer.
-func (s *Scratch) scratchLengths(v *dataset.Vertical) []int {
-	if cap(s.lens) < v.NumTransactions {
-		s.lens = make([]int, v.NumTransactions)
-	}
-	lens := s.lens[:v.NumTransactions]
+// layout in O(total occurrences), into the pooled buffer, and sum C(len, 2)
+// on the way: each occurrence pairs with those its transaction already has.
+func (s *Scratch) scratchLengths(v *dataset.Vertical) (lens []int, pairs int64) {
+	lens = grow(s.lens, v.NumTransactions)
+	clear(lens)
 	s.lens = lens
-	for i := range lens {
-		lens[i] = 0
-	}
 	for _, l := range v.Tids {
 		for _, tid := range l {
+			pairs += int64(lens[tid])
 			lens[tid]++
 		}
 	}
-	return lens
+	return lens, pairs
 }
 
 // subsetEnumerationCost returns sum over transactions of C(len, k), capped
@@ -70,14 +67,16 @@ func subsetEnumerationCost(lens []int, k int, limit int64) int64 {
 	return total
 }
 
-// useHashPath decides whether transaction-subset enumeration beats Eclat;
-// the transaction lengths are only computed (into s) at floors low enough
-// for the hash path to be considered at all.
+// useHashPath reports floor <= hashPathMaxSupport and sum C(len, k) <=
+// min(subsetBudget, sum C(len, 2)); the lengths are only computed (into s)
+// at floors low enough for the hash path to be considered at all.
 func useHashPath(v *dataset.Vertical, k, minSupport int, s *Scratch) bool {
 	if k < 2 || minSupport > hashPathMaxSupport {
 		return false
 	}
-	return subsetEnumerationCost(s.scratchLengths(v), k, subsetBudget) <= subsetBudget
+	lens, pairs := s.scratchLengths(v)
+	limit := min(subsetBudget, pairs)
+	return subsetEnumerationCost(lens, k, limit) <= limit
 }
 
 // hashMineK enumerates every k-subset of every transaction, counts them in

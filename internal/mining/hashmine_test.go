@@ -81,6 +81,29 @@ func TestVisitKDispatch(t *testing.T) {
 	if useHashPath(sparse, 3, 100, NewScratch()) {
 		t.Error("high threshold should use Eclat")
 	}
+	// Bms1/4 at k = 3 and a low floor: the real data's planted blocks make
+	// its 3-subsets outnumber its co-occurring pairs, so it takes the
+	// counting kernel, while a null replicate keeps the hash path. At k = 2
+	// the rule is the plain budget test on both.
+	real, null := bmsSpec(4).GenerateReal(20090629), bmsSpec(4).GenerateNull(20090629)
+	if useHashPath(real, 3, 5, NewScratch()) {
+		t.Error("Bms1/4 real data at k=3 floor 5 should use the counting kernel")
+	}
+	if !useHashPath(null, 3, 5, NewScratch()) {
+		t.Error("Bms1/4 null replicate at k=3 floor 5 should use the hash path")
+	}
+	for _, v := range []*dataset.Vertical{real, null, sparse} {
+		lens, pairs := NewScratch().scratchLengths(v)
+		if got := subsetEnumerationCost(lens, 2, 1<<62); got != pairs {
+			t.Errorf("scratchLengths counted %d pairs, subsetEnumerationCost %d", pairs, got)
+		}
+		budget := pairs <= subsetBudget
+		for _, floor := range []int{1, hashPathMaxSupport} {
+			if got := useHashPath(v, 2, floor, NewScratch()); got != budget {
+				t.Errorf("k=2 floor %d: useHashPath = %v, want the budget test's %v", floor, got, budget)
+			}
+		}
+	}
 	// k = 1 is answered directly from item supports.
 	count := 0
 	VisitKAlgoScratch(sparse, 1, 3, 1, Auto, nil, func(items Itemset, sup int) {

@@ -11,15 +11,16 @@ type Algorithm int
 
 const (
 	// Auto mines vertically with one policy everywhere: the hash path at
-	// floors <= 8 when enumerating transaction subsets is cheap, Eclat over
-	// tid lists otherwise. At k = 2 each Eclat subtree counts its pair
-	// supports over a rank-mapped transaction index instead of intersecting
-	// tid lists; it emits exactly the tid-list DFS's itemsets, supports and
-	// order.
+	// floors <= 8 when enumerating transaction k-subsets costs no more
+	// than walking the co-occurring pairs (see useHashPath), Eclat over tid
+	// lists otherwise. Every Eclat node counts its children's supports over
+	// a rank-mapped transaction index and builds tid lists only for those
+	// reaching the floor; it emits exactly the intersect-all DFS's itemsets,
+	// supports and order.
 	Auto Algorithm = iota
 	// EclatTids selects vertical mining over sorted tid lists; for fixed k
 	// it shares Auto's dispatch, including the low-floor hash path and the
-	// k = 2 pair-count kernel.
+	// counting kernel.
 	EclatTids
 	// EclatBits forces vertical mining over dense bitsets.
 	EclatBits

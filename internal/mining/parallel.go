@@ -80,8 +80,8 @@ func parallelShards(n, workers int, fn func(worker, shard int)) {
 // subtrees over either layout: the frequent items in eclat order, n subtrees
 // (zero when fewer than k items are frequent), the worker count capped at n
 // with its scratches ready, and — for the bitset layout — the dense columns,
-// or — for tid lists at k = 2 — the pair index in the parent scratch s, built
-// once and shared read-only.
+// or — for tid lists — the rank index in the parent scratch s, built once and
+// shared read-only by every worker's counting kernel.
 //
 // The struct stays under 128 bytes so the parallel stream's closure captures
 // it by value: a larger one moves the receiver to the heap on every call,
@@ -110,10 +110,10 @@ func newEclatShards(v *dataset.Vertical, k, minSupport, workers int, bits bool, 
 		for w := 0; w < e.workers; w++ {
 			e.scratch(w).ensureBits(v.NumTransactions, k)
 		}
-	case k == 2:
-		s.pairIndex(v, e.items)
+	default:
+		s.rankIndex(v, e.items)
 		for w := 0; w < e.workers; w++ {
-			e.scratch(w).ensurePairRow(len(e.items))
+			e.scratch(w).ensureRows(k, len(e.items))
 		}
 	}
 	return e
@@ -127,16 +127,16 @@ func (e eclatShards) scratch(w int) *Scratch {
 	return e.s.child(w)
 }
 
-// subtree mines the subtree rooted at items[first] on worker w's scratch.
+// subtree mines on worker w's scratch every k-itemset whose least-frequent
+// member (in eclat order) is items[first]; ascending first is DFS order.
 func (e eclatShards) subtree(w, first int, emit func(Itemset, int)) {
-	switch {
-	case e.bits:
-		eclatKBitsetSubtree(e.v, e.items, e.cols, e.scratch(w), e.k, e.minSupport, first, emit)
-	case e.k == 2:
-		pairCountSubtree(e.v, e.items, e.s.pairOff, e.s.pairRks, e.minSupport, first, e.scratch(w), emit)
-	default:
-		eclatKTidListSubtree(e.v, e.items, e.k, e.minSupport, first, e.scratch(w), emit)
+	s := e.scratch(w)
+	if e.bits {
+		eclatKBitsetSubtree(e.v, e.items, e.cols, s, e.k, e.minSupport, first, emit)
+		return
 	}
+	s.prefix = append(s.prefix[:0], e.items[first])
+	e.countNode(s, first, e.v.Tids[e.items[first]], emit)
 }
 
 // stream emits every itemset in subtree order. A serial run streams

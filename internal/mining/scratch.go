@@ -8,14 +8,14 @@ import (
 )
 
 // Scratch is the reusable per-worker mining state: frequent-item and DFS
-// prefix buffers, per-depth tid-list and bitset intersection buffers, the
-// k = 2 pair index and counting row, the pooled dense columns, the hash-path
-// table, the FP-Growth node arena, and a pooled horizontal conversion
-// target. A Scratch is single-goroutine — it must never be shared between
-// concurrently mining goroutines — but it is reusable across calls and
-// across datasets of any shape: every buffer is re-sized
-// (capacity-preserving) per call, so a worker's second mine of a
-// similar dataset allocates nothing. The Monte Carlo replicate engine keeps
+// prefix buffers, per-depth tid-list and bitset buffers, the counting
+// kernel's rank index and per-depth count rows, the pooled dense columns,
+// the hash-path table, the FP-Growth node arena, and a pooled horizontal
+// conversion target. A Scratch is single-goroutine — it must never be
+// shared between concurrently mining goroutines — but it is reusable across
+// calls and across datasets of any shape: every buffer is re-sized
+// (capacity-preserving) per call, so a worker's second mine of a similar
+// dataset allocates nothing. The Monte Carlo replicate engine keeps
 // one Scratch per worker for the whole run; this is what makes the replicate
 // pipeline allocation-free in steady state.
 //
@@ -27,10 +27,10 @@ type Scratch struct {
 	prefix  []uint32         // DFS prefix stack
 	sorted  []uint32         // emit-time sort buffer
 	lens    []int            // per-transaction lengths (hash-path dispatch)
-	pairOff []int            // pair index: per-transaction offsets into pairRks
-	pairRks []uint32         // pair index: each transaction's eclat ranks, ascending
-	pairRow []int32          // pair-count kernel: per-rank co-occurrence counts
-	tidBufs [][]uint32       // per-depth tid-list intersection buffers
+	idxOff  []int            // rank index: per-transaction offsets into idxRks
+	idxRks  []uint32         // rank index: each transaction's eclat ranks, ascending
+	rows    [][]int32        // counting kernel: per-depth child support counts by rank
+	tidBufs [][]uint32       // per-depth tid lists of the frequent children descended into
 	bits    []*bitset.Bitset // per-depth bitset intersection scratch
 	cols    []*bitset.Bitset // pooled dense columns, parallel to items
 	table   *ItemsetTable    // hash-path counting table
@@ -73,12 +73,15 @@ func grow[T any](buf []T, n int) []T {
 	return slices.Grow(buf[:0], n)[:n]
 }
 
-// ensurePairRow guarantees a zeroed pair-count row of m ranks and the
-// two-item prefix and sort buffers the pair-count kernel emits from.
-func (s *Scratch) ensurePairRow(m int) {
-	s.pairRow = grow(s.pairRow, m)
-	clear(s.pairRow)
-	s.ensureDepth(2)
+// ensureRows guarantees the counting kernel's zeroed rows of m ranks, one
+// per prefix depth 1..k-1, and its k-deep prefix, sort and tid-list buffers.
+func (s *Scratch) ensureRows(k, m int) {
+	s.rows = grow(s.rows, k-1)
+	for d := range s.rows {
+		s.rows[d] = grow(s.rows[d], m)
+		clear(s.rows[d])
+	}
+	s.ensureDepth(k)
 }
 
 // ensureBits guarantees k per-depth bitset buffers of capacity t bits.

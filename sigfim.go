@@ -222,8 +222,9 @@ type Pattern struct {
 // performance only.
 const (
 	// AlgoAuto mines vertically: fixed-k runs at floors <= 8 take the
-	// transaction-subset hash path when that is cheap, everything else
-	// runs Eclat over sorted tid lists.
+	// transaction-subset hash path when enumerating the subsets costs no
+	// more than walking the co-occurring pairs, everything else runs Eclat
+	// over sorted tid lists.
 	AlgoAuto = "auto"
 	// AlgoEclat selects vertical depth-first mining over sorted tid lists;
 	// for fixed k it takes AlgoAuto's dispatch, low-floor hash path

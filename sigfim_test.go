@@ -252,6 +252,38 @@ func TestSignificantEndToEndPlanted(t *testing.T) {
 	}
 }
 
+// TestSignificantReportIndependentOfMiner: every miner emits the same
+// itemsets in its own order, and the report must not show which one ran.
+// The Bms1/4 Westfall-Young baseline at k = 3 flags thousands of itemsets,
+// many tied in both p-value and support, so an order that is not total
+// would expose the miner's emission order in Baseline.Significant.
+func TestSignificantReportIndependentOfMiner(t *testing.T) {
+	spec, err := BenchmarkProfile("Bms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := spec.Scale(4).Real(20090629)
+	var want []byte
+	for _, algo := range []string{AlgoAuto, AlgoFPGrowth} {
+		rep, err := d.Significant(3, &Config{Delta: 40, Seed: 3, Workers: 1, Correction: CorrectionWestfallYoung, Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Baseline == nil || len(rep.Baseline.Significant) < 100 {
+			t.Fatalf("%s: baseline too small to test ordering: %+v", algo, rep.Baseline)
+		}
+		got, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("%s: report JSON differs from %s's", algo, AlgoAuto)
+		}
+	}
+}
+
 // TestPowerRatioEmptyBaseline: with Δ < 19 replicates no Westfall-Young
 // adjusted p-value can reach beta, so |R| = 0 while s* stays finite. The
 // ratio is then undefined; the report carries 0 and must still encode as

@@ -105,12 +105,15 @@
 // The default algorithm, Auto, has one policy everywhere: the hash path at
 // floors <= 8 when enumerating every transaction's k-subsets costs no more
 // than walking its co-occurring pairs (sum C(len,k) <= min(3e6,
-// sum C(len,2))), Eclat over tid lists otherwise; bitsets are used only
-// when EclatBits is forced. The tid-list Eclat counts instead of
-// intersecting: every node counts its children's supports over a
-// rank-mapped transaction index and builds tid lists only for those
-// reaching the floor, emitting exactly the itemsets, supports and order
-// intersecting every candidate would.
+// sum C(len,2))) and a subset packs into one 64-bit sort word, Eclat over
+// tid lists otherwise; bitsets are used only when EclatBits is forced.
+// Despite its name the hash path counts by sorting: each subset occurrence
+// becomes a packed word, a radix sort groups equal subsets, and the
+// frequent ones are emitted in first-occurrence order. The tid-list Eclat
+// counts instead of intersecting: every node counts its children's
+// supports over a rank-mapped transaction index and builds tid lists only
+// for those reaching the floor, emitting exactly the itemsets, supports
+// and order intersecting every candidate would.
 // internal/dataset supplies the horizontal and vertical layouts plus FIMI
 // I/O; internal/bitset the intersection kernels.
 // Exported as Dataset.Mine (MineOptions selects algorithm, K, threshold,
@@ -313,7 +316,7 @@
 //   - Mining: every kernel (Eclat over tid lists or bitsets, FP-Growth,
 //     Apriori's horizontal conversion, the low-threshold hash path) threads
 //     a reusable per-worker mining.Scratch carrying its DFS buffers, dense
-//     columns, tree arenas, and tables. A Scratch is single-goroutine but
+//     columns, tree arenas, and sort buffers. A Scratch is single-goroutine but
 //     reusable across calls and dataset shapes; a worker's second replicate
 //     allocates nothing. The tid-list kernel counts instead of
 //     intersecting: one index of each transaction's frequent-item ranks

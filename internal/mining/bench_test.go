@@ -133,6 +133,31 @@ func BenchmarkRealK3LowFloor(b *testing.B) {
 	})
 }
 
+// BenchmarkNullK3LowFloor mines one Bms1/4 null replicate at k = 3, floor
+// 2 — a Monte Carlo replicate at the low floor of a k = 3 job — with Auto
+// (the sort-based subset counter) against the hash-table oracle.
+func BenchmarkNullK3LowFloor(b *testing.B) {
+	v := bmsSpec(4).GenerateNull(20090629)
+	if !useHashPath(v, 3, 2, NewScratch()) {
+		b.Fatal("expected the hash path to be selected")
+	}
+	b.Run("auto", func(b *testing.B) {
+		s := NewScratch()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			VisitKAlgoScratch(v, 3, 2, 1, Auto, s, func(Itemset, int) { n++ })
+			benchSink = n
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = len(tableMineK(v, 3, 2))
+		}
+	})
+}
+
 // benchSink keeps benchmarked results live.
 var benchSink int
 

@@ -59,10 +59,11 @@ func frequentItemsInto(items []uint32, v *dataset.Vertical, minSupport int) []ui
 	return items
 }
 
-// rankIndex builds the transaction-major index the counting kernel reads,
-// in O(occurrences), into s.idxOff and s.idxRks:
-// idxRks[idxOff[t]:idxOff[t+1]] holds, ascending, the eclat ranks of the
-// frequent items transaction t contains (items[r] has rank r). The index is
+// rankIndex builds the transaction-major index the counting kernel and the
+// hash path read, in O(occurrences), into s.idxOff and s.idxRks:
+// idxRks[idxOff[t]:idxOff[t+1]] holds, ascending, the ranks of the items
+// transaction t contains (items[r] has rank r; the kernel ranks the
+// frequent items in eclat order, the hash path in id order). The index is
 // valid until the next call.
 func (s *Scratch) rankIndex(v *dataset.Vertical, items []uint32) {
 	t := v.NumTransactions

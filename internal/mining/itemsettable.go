@@ -2,10 +2,10 @@ package mining
 
 // ItemsetTable is a string-free set of fixed-size itemsets: an open-addressing
 // hash table keyed by the packed [k]uint32 item tuple, with the tuples stored
-// in one flat insertion-ordered array. It replaces the map[string]T +
-// Itemset.Key() pattern on hot paths — the Monte Carlo collection index, the
-// hash-mining counter, and Apriori's downward-closure set — where a
-// heap-allocated string key per itemset per replicate dominated GC pressure.
+// in one flat insertion-ordered array. It indexes the Monte Carlo
+// collection's union set W, replacing a map[string]T + Itemset.Key() index
+// whose heap-allocated string key per itemset per replicate dominated GC
+// pressure. (The low-floor mining path counts by sorting, not in a table.)
 //
 // Entry ids are dense and assigned in insertion order, so iteration over
 // [0, Len()) is deterministic; callers keep per-entry payloads in parallel
@@ -20,10 +20,12 @@ type ItemsetTable struct {
 // NewItemsetTable returns a table for itemsets of exactly k items, sized for
 // about capHint entries (0 picks a small default).
 func NewItemsetTable(k, capHint int) *ItemsetTable {
-	t := &ItemsetTable{}
-	t.Reset(k)
+	if k < 1 {
+		panic("mining: ItemsetTable requires k >= 1")
+	}
+	t := &ItemsetTable{k: k}
+	t.grow(tableSizeFor(capHint))
 	if capHint > 0 {
-		t.grow(tableSizeFor(capHint))
 		t.data = make([]uint32, 0, capHint*k)
 	}
 	return t
@@ -39,31 +41,11 @@ func tableSizeFor(n int) int {
 	return size
 }
 
-// Reset empties the table and sets the itemset size to k, keeping the backing
-// storage for reuse.
-func (t *ItemsetTable) Reset(k int) {
-	if k < 1 {
-		panic("mining: ItemsetTable requires k >= 1")
-	}
-	t.k = k
-	t.data = t.data[:0]
-	t.n = 0
-	if t.slots == nil {
-		t.slots = make([]int32, 16)
-	}
-	for i := range t.slots {
-		t.slots[i] = -1
-	}
-}
-
-// K returns the itemset size.
-func (t *ItemsetTable) K() int { return t.k }
-
 // Len returns the number of distinct itemsets stored.
 func (t *ItemsetTable) Len() int { return t.n }
 
 // Items returns the stored tuple of entry id (a view into the flat storage;
-// do not modify, invalidated by the next Insert growth or Reset).
+// do not modify, invalidated by the next Insert growth).
 func (t *ItemsetTable) Items(id int) []uint32 {
 	return t.data[id*t.k : (id+1)*t.k]
 }
@@ -88,21 +70,6 @@ func (t *ItemsetTable) equalAt(id int32, items []uint32) bool {
 		}
 	}
 	return true
-}
-
-// Lookup returns the entry id of the tuple, or -1 when absent. len(items)
-// must equal K.
-func (t *ItemsetTable) Lookup(items []uint32) int {
-	mask := uint64(len(t.slots) - 1)
-	for idx := hashItems(items) & mask; ; idx = (idx + 1) & mask {
-		id := t.slots[idx]
-		if id < 0 {
-			return -1
-		}
-		if t.equalAt(id, items) {
-			return int(id)
-		}
-	}
 }
 
 // Insert adds the tuple if absent and returns its entry id plus whether it

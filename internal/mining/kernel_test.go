@@ -254,7 +254,7 @@ func FuzzCountKernel(f *testing.F) {
 // TestReplicateLoopZeroAllocs guards the replicate engine's steady state:
 // once warm, generating a null replicate into a pooled Vertical and mining
 // it on a pooled Scratch allocate nothing, at k = 2 and on the counting
-// kernel at k = 3.
+// kernel at k = 3, and on the low-floor hash path at k = 3.
 func TestReplicateLoopZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -299,6 +299,40 @@ func TestReplicateLoopZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	// Short transactions (mean length 2.5 over 400 items) at k = 3, floor
+	// 2 take the hash path: the sort counter's pooled words, sketch, runs
+	// and radix counts must settle too.
+	t.Run("mine-hash", func(t *testing.T) {
+		short := make([]float64, 400)
+		for i := range short {
+			short[i] = 0.001 + 0.01*float64(i)/float64(len(short))
+		}
+		var reps []*dataset.Vertical
+		for _, T := range []int{20000, 21000, 21300, 21600, 21900, 22200, 22500, 22800, 23100, 23400, 23700, 24000} {
+			v := randmodel.IndependentModel{T: T, Freqs: short}.Generate(r)
+			if !useHashPath(v, 3, 2, NewScratch()) {
+				t.Fatalf("replicate of %d transactions does not take the hash path at k=3 floor 2", T)
+			}
+			reps = append(reps, v)
+		}
+		s := NewScratch()
+		mined := 0
+		emit := func(Itemset, int) { mined++ }
+		for _, v := range reps[:2] {
+			VisitKAlgoScratch(v, 3, 2, 1, Auto, s, emit)
+		}
+		next := 2
+		allocs := testing.AllocsPerRun(len(reps)-next-1, func() {
+			VisitKAlgoScratch(reps[next], 3, 2, 1, Auto, s, emit)
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("VisitKAlgoScratch(k=3, floor 2) on a warm Scratch: %v allocations per replicate, want 0", allocs)
+		}
+		if mined == 0 {
+			t.Fatal("the replicates mined nothing; the test is vacuous")
+		}
+	})
 
 	t.Run("generate", func(t *testing.T) {
 		m := randmodel.IndependentModel{T: 2000, Freqs: freqs}

@@ -12,8 +12,8 @@ type Algorithm int
 const (
 	// Auto mines vertically with one policy everywhere: the hash path at
 	// floors <= 8 when enumerating transaction k-subsets costs no more
-	// than walking the co-occurring pairs (see useHashPath), Eclat over tid
-	// lists otherwise. Every Eclat node counts its children's supports over
+	// than walking the co-occurring pairs and the subsets pack into 64-bit
+	// sort words (see useHashPath), Eclat over tid lists otherwise. Every Eclat node counts its children's supports over
 	// a rank-mapped transaction index and builds tid lists only for those
 	// reaching the floor; it emits exactly the intersect-all DFS's itemsets,
 	// supports and order.
@@ -167,8 +167,8 @@ func horizontal(d *dataset.Dataset, v *dataset.Vertical, s *Scratch) *dataset.Da
 // concurrently and receives a scratch slice valid only during the call
 // (clone it to retain it). For a fixed algorithm the emission order is
 // identical for every worker count (orders differ BETWEEN algorithms: Eclat
-// variants emit DFS order, the hash path table insertion order, Apriori and
-// FP-Growth lexicographically sorted output).
+// variants emit DFS order, the hash path first-occurrence order over the
+// transaction scan, Apriori and FP-Growth lexicographically sorted output).
 //
 // s may be nil. This is the entry point of the Monte Carlo replicate engine:
 // with a reused per-worker Scratch the serial paths of every algorithm

@@ -10,34 +10,39 @@ import (
 // Scratch is the reusable per-worker mining state: frequent-item and DFS
 // prefix buffers, per-depth tid-list and bitset buffers, the counting
 // kernel's rank index and per-depth count rows, the pooled dense columns,
-// the hash-path table, the FP-Growth node arena, and a pooled horizontal
-// conversion target. A Scratch is single-goroutine — it must never be
-// shared between concurrently mining goroutines — but it is reusable across
-// calls and across datasets of any shape: every buffer is re-sized
-// (capacity-preserving) per call, so a worker's second mine of a similar
-// dataset allocates nothing. The Monte Carlo replicate engine keeps
-// one Scratch per worker for the whole run; this is what makes the replicate
-// pipeline allocation-free in steady state.
+// the hash path's length histogram and sort buffers, the FP-Growth node
+// arena, and a pooled horizontal conversion target. A Scratch is
+// single-goroutine — it must never be shared between concurrently mining
+// goroutines — but it is reusable across calls and across datasets of any
+// shape: every buffer is re-sized (capacity-preserving) per call, so a
+// worker's second mine of a similar dataset allocates nothing. The Monte
+// Carlo replicate engine keeps one Scratch per worker for the whole run;
+// this is what makes the replicate pipeline allocation-free in steady
+// state.
 //
 // Kernels that shard work across an internal worker pool draw one child
 // Scratch per worker id from the parent (children are pooled too), so even
 // intra-mine parallel runs stop allocating after warmup.
 type Scratch struct {
-	items   []uint32         // frequent items, eclat support order
-	prefix  []uint32         // DFS prefix stack
-	sorted  []uint32         // emit-time sort buffer
-	lens    []int            // per-transaction lengths (hash-path dispatch)
-	idxOff  []int            // rank index: per-transaction offsets into idxRks
-	idxRks  []uint32         // rank index: each transaction's eclat ranks, ascending
-	rows    [][]int32        // counting kernel: per-depth child support counts by rank
-	tidBufs [][]uint32       // per-depth tid lists of the frequent children descended into
-	bits    []*bitset.Bitset // per-depth bitset intersection scratch
-	cols    []*bitset.Bitset // pooled dense columns, parallel to items
-	table   *ItemsetTable    // hash-path counting table
-	counts  []int32          // hash-path counts, parallel to table entries
-	horiz   *dataset.Dataset // pooled horizontal conversion target
-	fp      fpScratch        // FP-Growth arena (trees, rank maps, buffers)
-	sub     []*Scratch       // child scratches for intra-mine worker shards
+	items    []uint32         // frequent items: eclat support order, or id order on the hash path
+	prefix   []uint32         // DFS prefix stack; subset positions on the hash path
+	sorted   []uint32         // emit-time sort buffer
+	lens     []int32          // per-transaction lengths (hash-path dispatch)
+	lenHist  []int64          // transaction length histogram (hash-path dispatch)
+	idxOff   []int            // rank index: per-transaction offsets into idxRks
+	idxRks   []uint32         // rank index: each transaction's ranks, ascending
+	rows     [][]int32        // counting kernel: per-depth child support counts by rank
+	tidBufs  [][]uint32       // per-depth tid lists of the frequent children descended into
+	bits     []*bitset.Bitset // per-depth bitset intersection scratch
+	cols     []*bitset.Bitset // pooled dense columns, parallel to items
+	words    []uint64         // hash path: packed (subset, occurrence) words
+	wordsTmp []uint64         // hash path: the radix sort's other buffer
+	runs     []uint64         // hash path: frequent subsets, (first occurrence, position)
+	buckets  []int            // hash path: radix digit counts, one row per pass
+	sketch   []uint8          // hash path: saturating subset counters (dropRare)
+	horiz    *dataset.Dataset // pooled horizontal conversion target
+	fp       fpScratch        // FP-Growth arena (trees, rank maps, buffers)
+	sub      []*Scratch       // child scratches for intra-mine worker shards
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.

@@ -48,10 +48,10 @@ func TestScratchReuseAcrossDatasets(t *testing.T) {
 			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vB, 3, 2, 1, true, s).stream(emit) })
 		}},
 		{"hashMine/B", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { hashMineK(vB, 2, 1, s, emit) })
+			return collectScratch(func(emit func(Itemset, int)) { subsetMineK(vB, 2, 1, s, emit) })
 		}},
 		{"hashMine/A", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { hashMineK(vA, 3, 2, s, emit) })
+			return collectScratch(func(emit func(Itemset, int)) { subsetMineK(vA, 3, 2, s, emit) })
 		}},
 		{"fpGrowthVisitK/A", func(s *Scratch) interface{} {
 			return collectScratch(func(emit func(Itemset, int)) { fpGrowthVisitK(dA, 2, 3, 1, s, emit) })
@@ -103,9 +103,15 @@ func TestVisitKAlgoScratchMatchesDispatcher(t *testing.T) {
 }
 
 // TestItemsetTable exercises the string-free itemset table directly: dense
-// insertion-order ids, lookups across growth, and Reset reuse.
+// insertion-order ids, and ids that survive growth, from the initial slots
+// and from a capacity hint.
 func TestItemsetTable(t *testing.T) {
-	tab := NewItemsetTable(3, 0)
+	for _, capHint := range []int{0, 100} {
+		testItemsetTable(t, NewItemsetTable(3, capHint))
+	}
+}
+
+func testItemsetTable(t *testing.T, tab *ItemsetTable) {
 	r := stats.NewRNG(5)
 	var tuples [][]uint32
 	seen := map[string]int{}
@@ -128,23 +134,16 @@ func TestItemsetTable(t *testing.T) {
 	if tab.Len() != len(tuples) {
 		t.Fatalf("Len %d, want %d", tab.Len(), len(tuples))
 	}
+	// After every growth, each tuple still finds its id and stored items.
 	for id, tup := range tuples {
-		if got := tab.Lookup(tup); got != id {
-			t.Fatalf("Lookup(%v) = %d, want %d", tup, got, id)
+		if got, added := tab.Insert(tup); added || got != id {
+			t.Fatalf("re-Insert(%v) = %d added %v, want %d", tup, got, added, id)
 		}
 		if !Itemset(tab.Items(id)).Equal(Itemset(tup)) {
 			t.Fatalf("Items(%d) = %v, want %v", id, tab.Items(id), tup)
 		}
 	}
-	if tab.Lookup([]uint32{99, 99, 99}) != -1 {
-		t.Fatal("Lookup of absent tuple should return -1")
-	}
-	// Reset keeps storage but empties the table, including a k change.
-	tab.Reset(2)
-	if tab.Len() != 0 || tab.K() != 2 {
-		t.Fatalf("after Reset: Len %d K %d", tab.Len(), tab.K())
-	}
-	if id, added := tab.Insert([]uint32{1, 2}); !added || id != 0 {
-		t.Fatalf("first insert after Reset: id %d added %v", id, added)
+	if id, added := tab.Insert([]uint32{99, 99, 99}); !added || id != len(tuples) {
+		t.Fatalf("absent tuple: id %d added %v, want a new id %d", id, added, len(tuples))
 	}
 }

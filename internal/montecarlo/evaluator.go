@@ -1,6 +1,9 @@
 package montecarlo
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // evaluator computes the empirical Chen-Stein bounds b̂1(s), b̂2(s) from the
 // mined collection. At a given s only the itemsets with at least one
@@ -9,12 +12,13 @@ import "math/bits"
 // exceedance counting, and an inverted item index for overlap enumeration.
 //
 // One evaluator serves every support level searchCrossing probes, so all of
-// its working storage is pooled across evalCapped calls: the replicate masks
-// live in one flat arena sized |W| * maskWords (each itemset id owns a fixed
-// region, re-zeroed lazily when the itemset is live at the probed s), the
-// live list reuses its backing array, and the inverted index keeps its
-// per-item slices. The galloping search evaluates O(log smax) levels, so the
-// former per-call mask allocations multiplied across the whole search.
+// its working storage is pooled across evalCapped calls: the live list, the
+// flat inverted index and the mask buffer are rebuilt in place. A live
+// itemset's mask is built the first time the call reads it: the capped
+// probe at the floor, where nearly all of W is live, usually stops after a
+// handful of terms, so it builds a handful of masks. The galloping search
+// evaluates O(log smax) levels, so per-call allocations would multiply
+// across the whole search.
 type evaluator struct {
 	col       *collection
 	delta     int
@@ -23,17 +27,19 @@ type evaluator struct {
 	stamp   []int
 	stampID int
 	// pooled per-call storage.
-	masks []uint64         // flat mask arena: itemset id i owns masks[i*maskWords:(i+1)*maskWords]
-	lives []liveSet        // live list, rebuilt per call in place
-	inv   map[uint32][]int // item -> live indices, slices truncated and reused
+	lives  []liveSet // live list, rebuilt per call in place
+	invOff []int     // inverted index: item it's live indices are invIdx[invOff[it]:invOff[it+1]]
+	invIdx []int
+	masks  []uint64 // the masks built this call, maskWords words each
 }
 
 // liveSet is one live itemset at the probed support level: its collection id,
-// exceedance probability, and replicate mask (a view into the arena).
+// exceedance probability, and the offset of its replicate mask in masks (-1
+// until maskOf builds it).
 type liveSet struct {
 	id   int
 	p    float64
-	mask []uint64
+	mask int
 }
 
 func newEvaluator(col *collection, delta int) *evaluator {
@@ -42,8 +48,7 @@ func newEvaluator(col *collection, delta int) *evaluator {
 		delta:     delta,
 		maskWords: (delta + 63) / 64,
 		stamp:     make([]int, col.numItemsets()),
-		masks:     make([]uint64, col.numItemsets()*(delta+63)/64),
-		inv:       make(map[uint32][]int),
+		lives:     make([]liveSet, 0, col.numItemsets()),
 	}
 }
 
@@ -73,51 +78,54 @@ func (ev *evaluator) eval(s int) BoundPoint {
 // "is s-tilde already below the threshold?" probe cheap.
 func (ev *evaluator) evalCapped(s int, budget float64) (bp BoundPoint, exceeded bool) {
 	col := ev.col
-	// Live itemsets and their exceedance probabilities/masks. Each live
-	// itemset's mask region is zeroed on first touch this call; regions of
-	// itemsets dead at this s keep stale bits, which nothing reads.
+	// Live itemsets and their exceedance probabilities.
 	lives := ev.lives[:0]
 	for id, es := range col.entries {
-		mask := ev.masks[id*ev.maskWords : (id+1)*ev.maskWords]
 		cnt := 0
 		for _, e := range es {
 			if int(e.sup) >= s {
-				if cnt == 0 {
-					for i := range mask {
-						mask[i] = 0
-					}
-				}
-				mask[e.rep/64] |= 1 << (uint(e.rep) % 64)
 				cnt++
 			}
 		}
 		if cnt > 0 {
-			lives = append(lives, liveSet{id: id, p: float64(cnt) / float64(ev.delta), mask: mask})
+			lives = append(lives, liveSet{id: id, p: float64(cnt) / float64(ev.delta), mask: -1})
 		}
 	}
-	ev.lives = lives
+	ev.lives, ev.masks = lives, ev.masks[:0]
 	if len(lives) == 0 {
 		return BoundPoint{S: s}, false
 	}
-	// Inverted index: item -> live indices. The map and its slices persist
-	// across calls; entries for items with no live itemset at this s stay
-	// empty and are never consulted.
-	inv := ev.inv
-	for it := range inv {
-		inv[it] = inv[it][:0]
-	}
-	for li, lv := range lives {
+	// Inverted index: item -> live indices, ascending, by a counting sort
+	// of the live itemsets' items. off[it+2] first counts item it; after
+	// the prefix sums off[it+1] is the start of its run, and filling
+	// advances it to the run's end, which leaves off[it] at the start.
+	off := ev.invOff[:0]
+	for _, lv := range lives {
 		for _, it := range col.itemsOf(lv.id) {
-			inv[it] = append(inv[it], li)
+			for int(it)+2 >= len(off) {
+				off = append(off, 0)
+			}
+			off[it+2]++
 		}
 	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	idx := slices.Grow(ev.invIdx[:0], off[len(off)-1])[:off[len(off)-1]]
+	for li, lv := range lives {
+		for _, it := range col.itemsOf(lv.id) {
+			idx[off[it+1]] = li
+			off[it+1]++
+		}
+	}
+	ev.invOff, ev.invIdx = off, idx
 	var b1, b2 float64
 	for li, lv := range lives {
 		ev.stampID++
 		// X overlaps itself: include the diagonal in b1.
 		neighborP := 0.0
 		for _, it := range col.itemsOf(lv.id) {
-			for _, oj := range inv[it] {
+			for _, oj := range idx[off[it]:off[it+1]] {
 				if ev.stamp[oj] == ev.stampID {
 					continue
 				}
@@ -125,7 +133,8 @@ func (ev *evaluator) evalCapped(s int, budget float64) (bp BoundPoint, exceeded 
 				other := lives[oj]
 				neighborP += other.p
 				if oj != li {
-					b2 += float64(andCount(lv.mask, other.mask)) / float64(ev.delta)
+					a, b := ev.maskOf(li, s), ev.maskOf(oj, s)
+					b2 += float64(andCount(ev.masks[a:a+ev.maskWords], ev.masks[b:b+ev.maskWords])) / float64(ev.delta)
 				}
 			}
 		}
@@ -135,6 +144,25 @@ func (ev *evaluator) evalCapped(s int, budget float64) (bp BoundPoint, exceeded 
 		}
 	}
 	return BoundPoint{S: s, B1: b1, B2: b2}, false
+}
+
+// maskOf returns the offset in masks of live itemset li's replicate mask at
+// support level s (bit r set when replicate r's support reached s),
+// building the mask the first time this call asks for it.
+func (ev *evaluator) maskOf(li, s int) int {
+	lv := &ev.lives[li]
+	if lv.mask < 0 {
+		lv.mask = len(ev.masks)
+		ev.masks = slices.Grow(ev.masks, ev.maskWords)[:lv.mask+ev.maskWords]
+		mask := ev.masks[lv.mask:]
+		clear(mask)
+		for _, e := range ev.col.entries[lv.id] {
+			if int(e.sup) >= s {
+				mask[e.rep/64] |= 1 << (uint(e.rep) % 64)
+			}
+		}
+	}
+	return lv.mask
 }
 
 func andCount(a, b []uint64) int {

@@ -344,14 +344,14 @@ func TestCollectionPrune(t *testing.T) {
 			}
 		}
 	}
-	// Index must be consistent with the entries: every stored tuple must look
-	// itself up to its own id, and ids must cover the entries slice.
+	// Index must be consistent with the entries: every stored tuple must find
+	// its own id again, and ids must cover the entries slice.
 	if col.index.Len() != len(col.entries) {
 		t.Fatalf("table has %d itemsets, entries %d", col.index.Len(), len(col.entries))
 	}
 	for id := 0; id < col.index.Len(); id++ {
-		if got := col.index.Lookup(col.index.Items(id)); got != id {
-			t.Fatalf("itemset %v maps to id %d, want %d", col.itemsOf(id), got, id)
+		if got, added := col.index.Insert(col.index.Items(id)); added || got != id {
+			t.Fatalf("itemset %v maps to id %d (added %v), want %d", col.itemsOf(id), got, added, id)
 		}
 	}
 }

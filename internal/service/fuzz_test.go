@@ -1,9 +1,16 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"log/slog"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"sigfim"
 )
@@ -166,4 +173,126 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 			t.Fatal("dataset hash change did not change the cache key")
 		}
 	})
+}
+
+// fuzzPartialData is the small dataset FuzzPartialRequest mines against:
+// eight transactions over six items, so any k and floor a fuzzed request
+// names stays cheap.
+const fuzzPartialData = "0 1 2\n0 1\n1 2 3\n0 1 2 3\n4\n0 2 5\n1 3\n0 1 2 4 5\n"
+
+// fuzzPartialServer is a quiet worker with fuzzPartialData registered; it
+// returns the server and the dataset's content hash.
+func fuzzPartialServer(tb testing.TB) (*Server, string) {
+	tb.Helper()
+	s := New(Options{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	info, err := s.Registry().RegisterReader("fuzz", strings.NewReader(fuzzPartialData))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, info.Hash
+}
+
+// strictPartialRequest decodes body the way a well-formed request must
+// parse: one JSON document, no unknown fields, nothing after it.
+func strictPartialRequest(body []byte) (sigfim.PartialRequest, bool) {
+	var req sigfim.PartialRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&req) != nil {
+		return req, false
+	}
+	_, err := dec.Token()
+	return req, err == io.EOF
+}
+
+// FuzzPartialRequest drives the worker's POST /v1/partials handler with
+// arbitrary bodies; "@hash" in a body stands for the registered dataset's
+// hash, so the corpus can address it. The handler must never panic or
+// answer 5xx, and it may answer 200 only for a single well-formed request
+// document, with a partial echoing the requested range. Requests naming
+// more work than a fuzz iteration should do (long ranges or swap chains)
+// are skipped.
+func FuzzPartialRequest(f *testing.F) {
+	valid := `{"dataset_hash":"@hash","from":0,"to":2,"k":2,"floor":1,"seeds":[1,2]}`
+	f.Add([]byte(valid))
+	f.Add([]byte(valid + "garbage"))
+	f.Add([]byte(valid + valid))
+	f.Add([]byte(valid + " \n\t"))
+	f.Add([]byte(valid[:len(valid)-5]))
+	f.Add([]byte(`{"dataset_hash":"@hash","from":3,"to":5,"k":3,"floor":1,"stat_floor":2,"seeds":[7,8],"algorithm":"fpgrowth","workers":3}`))
+	f.Add([]byte(`{"dataset_hash":"@hash","from":0,"to":1,"k":2,"floor":1,"seeds":[4],"swap_null":true,"swap_proposals":50}`))
+	f.Add([]byte(`{"dataset_hash":"@hash","from":0,"to":1,"k":2,"floor":1,"seeds":[4],"extra":1}`))
+	f.Add([]byte(`{"dataset_hash":"nope","from":0,"to":1,"k":2,"floor":1,"seeds":[4]}`))
+	f.Add([]byte(`{"dataset_hash":"@hash","from":2,"to":1,"k":0,"floor":-1,"seeds":[]}`))
+	f.Add([]byte(`{"dataset_hash":"@hash","from":0,"to":1,"k":2,"floor":1,"seeds":[4],"algorithm":"nope"}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(``))
+	s, hash := fuzzPartialServer(f)
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body := bytes.ReplaceAll(data, []byte("@hash"), []byte(hash))
+		var peek sigfim.PartialRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&peek) == nil &&
+			(peek.To-peek.From > 64 || peek.SwapProposals > 10_000 || peek.SwapProposalsPerOccurrence > 100) {
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/partials", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("HTTP %d for %q: %s", rec.Code, body, rec.Body)
+		}
+		if rec.Code != 200 {
+			return
+		}
+		req, ok := strictPartialRequest(body)
+		if !ok {
+			t.Fatalf("HTTP 200 for a body that is not one well-formed request: %q", body)
+		}
+		var p sigfim.RangePartial
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+			t.Fatalf("HTTP 200 with an undecodable partial for %q: %v", body, err)
+		}
+		if p.From != req.From || p.To != req.To || p.K != req.K || len(p.Counts) != req.To-req.From {
+			t.Fatalf("partial [%d,%d) k=%d with %d counts for request %q", p.From, p.To, p.K, len(p.Counts), body)
+		}
+	})
+}
+
+// TestPartialRequestStrictBody pins the worker's body contract: trailing
+// bytes after the request document are a 400, trailing whitespace is not,
+// and the 200 partial is one compact JSON line.
+func TestPartialRequestStrictBody(t *testing.T) {
+	s, hash := fuzzPartialServer(t)
+	valid := `{"dataset_hash":"` + hash + `","from":0,"to":2,"k":2,"floor":1,"seeds":[1,2]}`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"valid", valid, 200},
+		{"trailing whitespace", valid + " \n", 200},
+		{"trailing garbage", valid + "garbage", 400},
+		{"second document", valid + valid, 400},
+		{"trailing brace", valid + "}", 400},
+	} {
+		rec := postPartialReq(s, tc.body)
+		if rec.Code != tc.want {
+			t.Fatalf("%s: HTTP %d, want %d: %s", tc.name, rec.Code, tc.want, rec.Body)
+		}
+		if rec.Code != 200 {
+			continue
+		}
+		body := rec.Body.String()
+		if strings.Count(body, "\n") != 1 || !strings.HasSuffix(body, "}\n") {
+			t.Fatalf("%s: partial is not one compact JSON line: %q", tc.name, body)
+		}
+		var p sigfim.RangePartial
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil || len(p.Counts) != 2 || len(p.Items) == 0 {
+			t.Fatalf("%s: partial %q (err %v) should carry 2 replicates' itemsets", tc.name, body, err)
+		}
+	}
 }

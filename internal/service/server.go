@@ -18,7 +18,9 @@
 //	GET    /v1/datasets/{name}   one dataset's info
 //	POST   /v1/partials          mine one Monte Carlo replicate range against
 //	                             a dataset addressed by content hash (the
-//	                             worker side of the distributed fabric)
+//	                             worker side of the distributed fabric; the
+//	                             body is exactly one JSON document, the
+//	                             partial comes back unindented)
 //	GET    /v1/jobs              list jobs in submission order (no results)
 //	POST   /v1/jobs              submit a job (JobRequest); kinds: significant,
 //	                             smin, closed, maximal, rules
@@ -414,8 +416,9 @@ func (s *Server) shedPartial(w http.ResponseWriter, reason string, retryAfter in
 
 // handleMinePartial serves POST /v1/partials: the worker side of the
 // distributed replicate fabric. The request addresses a dataset by content
-// hash and names a replicate range with its per-replicate seeds; the
-// response is the mined partial. Execution is synchronous on the request
+// hash and names a replicate range with its per-replicate seeds, as
+// exactly one JSON document (trailing bytes are a 400); the response is
+// the mined partial, unindented. Execution is synchronous on the request
 // goroutine (the coordinator bounds its own fan-out concurrency) and honors
 // client disconnects through the request context. A draining or saturated
 // worker sheds the request with 503 + Retry-After instead of queueing it.
@@ -437,6 +440,13 @@ func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("%w: %w", ErrBadRequest, err))
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		writeError(w, fmt.Errorf("%w: trailing data after the request document: %w", ErrBadRequest, err))
 		return
 	}
 	if req.DatasetHash == "" {
@@ -468,7 +478,12 @@ func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 	plog.Info("partial mined",
 		"from", req.From, "to", req.To, "floor", req.Floor,
 		"duration_ms", float64(time.Since(mineStart).Microseconds())/1000)
-	writeJSON(w, http.StatusOK, p)
+	// Unlike writeJSON, no indentation: a partial is mostly item ids, and
+	// indenting puts each on its own line, tripling the bytes to encode,
+	// ship and decode.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = json.NewEncoder(w).Encode(p)
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {

@@ -312,7 +312,11 @@
 //     (randmodel.Prepare) and draws gaps through stats.GeometricGap: a
 //     table log whose result is trusted only when a margin ~10^4 times its
 //     worst error cannot move the integer gap, and recomputed with
-//     math.Log otherwise, so every replicate keeps its exact bytes.
+//     math.Log otherwise, so every replicate keeps its exact bytes. The
+//     uniforms and their table logs are drawn 256 at a time into a
+//     stack-held stats.UniformBlock, and the RNG is rewound to the last
+//     uniform used at the end of each replicate, so the stream, too, is
+//     the per-draw loop's.
 //   - Mining: every kernel (Eclat over tid lists or bitsets, FP-Growth,
 //     Apriori's horizontal conversion, the low-threshold hash path) threads
 //     a reusable per-worker mining.Scratch carrying its DFS buffers, dense

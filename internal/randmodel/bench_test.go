@@ -77,24 +77,40 @@ func BenchmarkSwapGenerateInto(b *testing.B) {
 
 // BenchmarkIndependentGenerateInto times the pooled independence-replicate
 // path the Monte Carlo engine runs (a prepared IndependentModel's
-// GenerateInto) on the synth Retail/8 null: n=16470, t=88162/8=11020,
-// mean length 10.2. It reports the cost per generated occurrence.
+// GenerateInto) and reports the cost per generated occurrence, on two
+// nulls that weigh per-draw and per-column cost differently:
+//
+//   - Retail8, the synth Retail/8 null (n=16470, t=88162/8=11020, mean
+//     length 10.2): most of its columns hold a handful of occurrences, so
+//     every column's start and end weighs;
+//   - Bms1_4, the synth Bms1/4 null (n=497, t=59602/4=14900, mean length
+//     1.95), fitted here because importing synth would be an import cycle:
+//     few, long columns, so the per-draw walk dominates.
 func BenchmarkIndependentGenerateInto(b *testing.B) {
-	z := stats.FitPowerLaw(16470, 1.13e-05, 0.57, 10.2)
-	m := IndependentModel{T: 88162 / 8, Freqs: z.Frequencies()}.Prepare()
-	v := &dataset.Vertical{}
-	r := stats.NewRNG(10)
-	m.GenerateInto(r.Split(), v) // grow the pooled columns
-	occ := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.GenerateInto(r.Split(), v)
-		for _, col := range v.Tids {
-			occ += len(col)
-		}
+	for _, c := range []struct {
+		name string
+		m    IndependentModel
+	}{
+		{"Retail8", IndependentModel{T: 88162 / 8, Freqs: stats.FitPowerLaw(16470, 1.13e-05, 0.57, 10.2).Frequencies()}},
+		{"Bms1_4", IndependentModel{T: 59602 / 4, Freqs: stats.FitPowerLaw(497, 1.68e-05, 0.06, 1.95).Frequencies()}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := c.m.Prepare()
+			v := &dataset.Vertical{}
+			r := stats.NewRNG(10)
+			m.GenerateInto(r.Split(), v) // grow the pooled columns
+			occ := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.GenerateInto(r.Split(), v)
+				for _, col := range v.Tids {
+					occ += len(col)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(occ), "ns/occurrence")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(occ), "ns/occurrence")
 }
 
 func BenchmarkVerticalToHorizontal(b *testing.B) {

@@ -84,7 +84,9 @@ func (m IndependentModel) Prepare() IndependentModel {
 //
 // Column i draws one uniform per occurrence plus one that ends the column,
 // through stats.GeometricGap, whose certified fast path returns exactly the
-// integers of the reference floor(log(u)/log1p(-f)). A frequency that is not
+// integers of the reference floor(log(u)/log1p(-f)). The uniforms come off
+// one stats.UniformBlock for the whole replicate, which leaves r just after
+// the last one used. A frequency that is not
 // above 0 (NaN included) gives an empty column and one at or above 1 a full
 // column, neither drawing; Validate rejects every value outside [0, 1].
 func (m IndependentModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
@@ -92,34 +94,30 @@ func (m IndependentModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
 	if m.T == 0 {
 		return
 	}
+	var b stats.UniformBlock
+	b.Reset(r)
 	for i, f := range m.Freqs {
 		switch {
 		case !(f > 0):
 		case f >= 1:
 			v.Tids[i] = fullColumn(v.Tids[i], m.T)
 		case m.gaps != nil:
-			v.Tids[i] = sampleColumn(v.Tids[i], m.T, f, m.gaps[i], r)
+			v.Tids[i] = sampleColumn(v.Tids[i], m.T, f, m.gaps[i], &b)
 		default:
-			v.Tids[i] = sampleColumn(v.Tids[i], m.T, f, stats.NewGeometricGap(f), r)
+			v.Tids[i] = sampleColumn(v.Tids[i], m.T, f, stats.NewGeometricGap(f), &b)
 		}
 	}
+	b.Release()
 }
 
 // sampleColumn appends the sorted tids of a Bernoulli(f) column of height t,
 // 0 < f < 1, to col (passed with length zero) and returns it. g holds f's
-// gap constants.
-func sampleColumn(col bitset.TidList, t int, f float64, g stats.GeometricGap, r *stats.RNG) bitset.TidList {
+// gap constants; the uniforms come off b.
+func sampleColumn(col bitset.TidList, t int, f float64, g stats.GeometricGap, b *stats.UniformBlock) bitset.TidList {
 	if col == nil {
 		col = make(bitset.TidList, 0, int(float64(t)*f)+4)
 	}
-	for pos := -1; ; {
-		gap, ok := g.Below(r.Float64Open(), t-pos-1)
-		if !ok {
-			return col
-		}
-		pos += gap + 1
-		col = append(col, uint32(pos))
-	}
+	return g.AppendSuccesses(col, t, b)
 }
 
 // fullColumn appends every tid of a column of height t to col.

@@ -131,3 +131,86 @@ func TestPrepareIsIdempotent(t *testing.T) {
 		t.Error("Prepare replaced a SwapModel")
 	}
 }
+
+// TestGenerateIntoAtBlockEdges: GenerateInto draws its uniforms in blocks
+// and rewinds the stream to the last one it used. On a small null, seeds
+// whose replicate takes a block's worth of draws minus one, exactly, or
+// plus one (and the same around two blocks) must reproduce the reference
+// loop's dataset and leave the stream where it does.
+func TestGenerateIntoAtBlockEdges(t *testing.T) {
+	const block = 256 // the draws stats.UniformBlock takes at a time
+	freqs := make([]float64, 32)
+	for i := range freqs {
+		freqs[i] = 0.04 + 0.01*float64(i%8)
+	}
+	// draws counts the uniforms the reference loop takes for a dataset: one
+	// per occurrence plus one ending each column (every f is in (0, 1)).
+	draws := func(v *dataset.Vertical) int {
+		n := len(v.Tids)
+		for _, col := range v.Tids {
+			n += len(col)
+		}
+		return n
+	}
+	pooled := &dataset.Vertical{}
+	// The heights put the mean draw count (32 + 2.4T) near the targets.
+	for _, c := range []struct {
+		t      int
+		blocks int
+	}{{100, 1}, {200, 2}} {
+		m := IndependentModel{T: c.t, Freqs: freqs}
+		targets := map[int]bool{}
+		for d := c.blocks*block - 1; d <= c.blocks*block+1; d++ {
+			targets[d] = false
+		}
+		left := len(targets)
+		for seed := uint64(0); seed < 20000 && left > 0; seed++ {
+			rw := stats.NewRNG(seed)
+			want := referenceGenerate(m, rw)
+			d := draws(want)
+			if found, ok := targets[d]; !ok || found {
+				continue
+			}
+			targets[d] = true
+			left--
+			next := rw.Uint64()
+			for name, mm := range map[string]IndependentModel{"prepared": m.Prepare(), "unprepared": m} {
+				r := stats.NewRNG(seed)
+				mm.GenerateInto(r, pooled)
+				if !sameVertical(pooled, want) {
+					t.Fatalf("T=%d seed %d (%d draws): %s GenerateInto differs from the reference loop", c.t, seed, d, name)
+				}
+				if r.Uint64() != next {
+					t.Fatalf("T=%d seed %d (%d draws): %s GenerateInto left the stream elsewhere", c.t, seed, d, name)
+				}
+			}
+		}
+		for d, found := range targets {
+			if !found {
+				t.Errorf("T=%d: no seed below 20000 takes %d draws", c.t, d)
+			}
+		}
+	}
+}
+
+// TestIndependentGenerateIntoZeroAllocs: a warm prepared model draws a
+// replicate into a grown Vertical without allocating, so the uniform block
+// GenerateInto keeps on its stack never moves to the heap. Every run
+// re-draws one seed, so column capacity is already there.
+func TestIndependentGenerateIntoZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	m := retailNullModel().Prepare()
+	v := &dataset.Vertical{}
+	start := *stats.NewRNG(3)
+	r := new(stats.RNG)
+	replicate := func() {
+		*r = start
+		m.GenerateInto(r, v)
+	}
+	replicate()
+	if allocs := testing.AllocsPerRun(5, replicate); allocs != 0 {
+		t.Fatalf("warm prepared GenerateInto allocates %v times, want 0", allocs)
+	}
+}

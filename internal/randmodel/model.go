@@ -10,7 +10,10 @@
 //     checked against a wide error margin, with the exact expression as
 //     fallback) returns the same integers as floor(log(u)/log1p(-f_i)), so
 //     a seed draws the same dataset however the gaps are computed. Prepare
-//     builds every item's gap constants once per job.
+//     builds every item's gap constants once per job. The uniforms come
+//     from a stats.UniformBlock that draws them and their table logs 256
+//     at a time and rewinds the RNG to the last one used, so a replicate
+//     consumes exactly the stream a per-draw loop would.
 //   - Swap randomization (Gionis et al. 2006) — the alternative null model
 //     the paper cites, preserving both item frequencies AND transaction
 //     lengths exactly via margin-preserving 2x2 swaps.

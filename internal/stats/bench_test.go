@@ -21,22 +21,19 @@ func BenchmarkPoissonUpperTail(b *testing.B) {
 }
 
 // BenchmarkGeometricGapColumn fills one column of t transactions with an
-// item of frequency f by geometric skips, the independence null model's
-// column walk.
+// item of frequency f by geometric skips off a uniform block, the
+// independence null model's column walk.
 func BenchmarkGeometricGapColumn(b *testing.B) {
-	r := NewRNG(2)
 	const t = 100000
 	g := NewGeometricGap(1e-3)
+	var blk UniformBlock
+	blk.Reset(NewRNG(2))
+	var col []uint32
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for pos := 0; ; pos++ {
-			gap, ok := g.Below(r.Float64Open(), t-pos)
-			if !ok {
-				break
-			}
-			pos += gap
-		}
+		col = g.AppendSuccesses(col[:0], t, &blk)
 	}
+	blk.Release()
 }
 
 // BenchmarkNaiveBernoulliColumn is the baseline the gap walk replaces:

@@ -1,0 +1,136 @@
+package stats
+
+import (
+	"math"
+	"testing"
+)
+
+// prev steps a xoshiro state back one step: the inverse of next's update.
+// Tests use it to place a chosen state a given number of draws after a
+// block's start.
+func (x xoshiro) prev() xoshiro {
+	e := rotl(x.s3, 64-45) // s3 ^ s1 of the earlier state
+	s0 := x.s0 ^ e
+	w := x.s1 ^ s0 // s1 ^ s2
+	v := x.s2 ^ s0 // s2 ^ s1<<17
+	y := w ^ v     // s1 ^ s1<<17, inverted by the shifted xors below
+	s1 := y ^ y<<17 ^ y<<34 ^ y<<51
+	return xoshiro{s0, s1, w ^ s1, e ^ s1}
+}
+
+// take hands out b's next uniform and log the way the gap walk reads them.
+func take(b *UniformBlock) (u, lg float64) {
+	if b.i == b.n {
+		b.fill()
+	}
+	b.i++
+	return b.u[b.i-1], b.lg[b.i-1]
+}
+
+// TestUniformBlockZeroRejection: a block whose draws include a raw output
+// of 0 (s1 = 0 makes the next output 0) must drop it as Float64Open does.
+// With the zero at the block's first, middle and last draw and in the next
+// block, and the caller stopping before, at and after it and at the block
+// edges, the block hands out the scalar uniforms with their fastLog values
+// and Release leaves the RNG where the scalar draws do.
+func TestUniformBlockZeroRejection(t *testing.T) {
+	x := NewRNG(1).x
+	if y, _ := x.prev().next(); y != x {
+		t.Fatal("prev is not the inverse of next")
+	}
+	for _, at := range []int{0, 1, 100, blockSize - 1, blockSize, blockSize + 3} {
+		// z is a state whose next output is 0; x is at draws before it.
+		z := NewRNG(uint64(at)).x
+		z.s1 = 0
+		x := z
+		for k := 0; k < at; k++ {
+			x = x.prev()
+		}
+		check := &RNG{x}
+		for k := 0; k < at; k++ {
+			check.Uint64()
+		}
+		if check.x != z || check.Uint64() != 0 {
+			t.Fatalf("zero at %d: the crafted state does not draw 0 there", at)
+		}
+		for _, n := range []int{at, at + 1, at + 2, blockSize - 1, blockSize, blockSize + 1, 2*blockSize + 1} {
+			r, scalar := &RNG{x}, &RNG{x}
+			var b UniformBlock
+			b.Reset(r)
+			for k := 0; k < n; k++ {
+				u, lg := take(&b)
+				want := scalar.Float64Open()
+				if u != want || math.Float64bits(lg) != math.Float64bits(fastLog(want)) {
+					t.Fatalf("zero at %d, draw %d: block gives (%v, %v), scalar (%v, %v)", at, k, u, lg, want, fastLog(want))
+				}
+			}
+			b.Release()
+			if r.x != scalar.x {
+				t.Fatalf("zero at %d, %d draws: Release leaves the RNG elsewhere than %d Float64Open calls", at, n, n)
+			}
+		}
+	}
+}
+
+// referenceColumn is the scalar column walk the block walk replaces: one
+// Float64Open uniform per success and one more ending the walk, each gap
+// by the reference expression.
+func referenceColumn(r *RNG, p float64, t int) []uint32 {
+	var col []uint32
+	for pos := -1; ; {
+		gap, ok := referenceGap(r.Float64Open(), p, t-pos-1)
+		if !ok {
+			return col
+		}
+		pos += gap + 1
+		col = append(col, uint32(pos))
+	}
+}
+
+// checkGapColumns walks columns of height t at probability p off one block
+// until at least two blocks' worth of uniforms are drawn, comparing each
+// with the reference walk, then checks that Release leaves the RNG where
+// the reference left its copy.
+func checkGapColumns(t *testing.T, seed uint64, p float64, height int) {
+	t.Helper()
+	g := NewGeometricGap(p)
+	r, ref := NewRNG(seed), NewRNG(seed)
+	var b UniformBlock
+	b.Reset(r)
+	var col []uint32
+	for drawn, c := 0, 0; drawn <= 2*blockSize; c++ {
+		col = g.AppendSuccesses(col[:0], height, &b)
+		want := referenceColumn(ref, p, height)
+		if len(col) != len(want) {
+			t.Fatalf("seed %d p=%v t=%d column %d: %d successes, reference %d", seed, p, height, c, len(col), len(want))
+		}
+		for k := range col {
+			if col[k] != want[k] {
+				t.Fatalf("seed %d p=%v t=%d column %d: success %d at %d, reference %d", seed, p, height, c, k, col[k], want[k])
+			}
+		}
+		drawn += len(col) + 1
+	}
+	b.Release()
+	if r.Uint64() != ref.Uint64() {
+		t.Fatalf("seed %d p=%v t=%d: the block walk left the stream elsewhere than the reference", seed, p, height)
+	}
+}
+
+// FuzzGapColumn checks the block walk, columns and stream position,
+// against the reference walk for arbitrary seeds, probabilities and
+// column heights. The seeds span the null models' frequency range and
+// heights from empty to longer than a block.
+func FuzzGapColumn(f *testing.F) {
+	for i, p := range []float64{1e-19, 1e-6, 1e-3, 0.01, 0.3, 0.9, 1 - 1e-9} {
+		for _, height := range []uint16{0, 1, 7, 300, 11020} {
+			f.Add(uint64(i)<<16|uint64(height), p, height)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, height uint16) {
+		if !(p > 0 && p < 1) {
+			return
+		}
+		checkGapColumns(t, seed, p, int(height))
+	})
+}

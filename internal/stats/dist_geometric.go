@@ -8,9 +8,10 @@ import "math"
 // per-p constants, so a caller drawing many gaps at one p — a column of
 // the null model, every replicate of a job — computes them once.
 //
-// Below returns exactly the integer the reference expression
-// math.Floor(math.Log(u)/math.Log1p(-p)) gives, so a stream of gaps is the
-// same whichever way it is computed; see Below for the certificate.
+// Below and AppendSuccesses return exactly the integers the reference
+// expression math.Floor(math.Log(u)/math.Log1p(-p)) gives, so a stream of
+// gaps is the same whichever way it is computed; see certify for the
+// certificate.
 type GeometricGap struct {
 	logq float64 // log1p(-p)
 	inv  float64 // 1 / logq
@@ -35,28 +36,67 @@ const gapSlack = 1e-9
 // otherwise. u must be a uniform from RNG.Float64Open (in (0, 1)) and limit
 // must be >= 0. The comparison with limit is made on the float quotient
 // before any int conversion, so gaps beyond the int range (tiny p) end a
-// walk instead of wrapping.
+// walk instead of wrapping. See certify for how the integer is obtained.
+func (g GeometricGap) Below(u float64, limit int) (int, bool) {
+	gap, end, sure := g.certify(fastLog(u), limit)
+	if !sure {
+		return g.reference(u, limit)
+	}
+	return gap, !end
+}
+
+// AppendSuccesses appends to dst, ascending, the positions in [0, t) of the
+// successes of t independent Bernoulli(p) trials, and returns it: the
+// independence null model's column walk. Each success takes one uniform
+// off b and the walk's end one more; the gaps between successes are
+// exactly Below's for those uniforms, read from b's precomputed logs.
+func (g GeometricGap) AppendSuccesses(dst []uint32, t int, b *UniformBlock) []uint32 {
+	i, n := b.i, b.n
+	for pos := -1; ; {
+		if i == n {
+			b.fill()
+			i, n = 0, b.n
+		}
+		k := uint(i) % blockSize // i < n <= blockSize; the mask drops the bounds check
+		i++
+		limit := t - pos - 1
+		gap, end, sure := g.certify(b.lg[k], limit)
+		if !sure {
+			var ok bool
+			gap, ok = g.reference(b.u[k], limit)
+			end = !ok
+		}
+		if end {
+			b.i = i
+			return dst
+		}
+		pos += gap + 1
+		dst = append(dst, uint32(pos))
+	}
+}
+
+// certify is the one certified gap test, for lg = fastLog(u) of a uniform
+// u in (0, 1). It returns end when gap(u) >= limit, else the gap, and sure
+// = false when the fast path cannot decide, in which case the caller
+// evaluates reference(u, limit). Small enough to inline into the walk.
 //
-// Fast path: y = fastLog(u) * inv, with [y-e, y+e], e = gapSlack*(1+y),
+// Fast path: y = lg * inv, with [y-e, y+e], e = gapSlack*(1+y),
 // bracketing the reference quotient math.Log(u)/logq. If the whole bracket
 // is at or above limit, so is the reference gap. If the bracket holds no
 // integer, floor(y) is the reference gap. Otherwise (about 2e-6 of draws
-// at the null model's frequencies) the reference expression is evaluated.
-func (g GeometricGap) Below(u float64, limit int) (int, bool) {
-	y := fastLog(u) * g.inv
+// at the null model's frequencies) it is not sure.
+func (g GeometricGap) certify(lg float64, limit int) (gap int, end, sure bool) {
+	y := lg * g.inv
 	// Written as products so y = +Inf (p subnormal) gives lo = +Inf, not NaN.
 	lo := y*(1-gapSlack) - gapSlack
 	if lo >= float64(limit) {
-		return 0, false
+		return 0, true, true
 	}
 	fl := math.Floor(lo)
-	if y*(1+gapSlack)+gapSlack < fl+1 {
-		return int(fl), true
-	}
-	return g.reference(u, limit)
+	return int(fl), false, y*(1+gapSlack)+gapSlack < fl+1
 }
 
-// reference is Below's exact fallback: the reference expression itself.
+// reference is the exact fallback: the reference expression itself.
 func (g GeometricGap) reference(u float64, limit int) (int, bool) {
 	gap := math.Floor(math.Log(u) / g.logq)
 	if gap >= float64(limit) {

@@ -21,15 +21,14 @@ import "math"
 // (TestFastLogRelativeError). The domain is positive normal x; the caller
 // passes uniforms from RNG.Float64Open, which are multiples of 2^-53.
 func fastLog(x float64) float64 {
+	// Kept under the inlining budget, so UniformBlock.fill runs it inline:
+	// tmp's top bits pick the cell, its arithmetic shift by 52 is k (floor,
+	// negative for x < logTabOff), and ix minus tmp's exponent bits is z.
 	ix := math.Float64bits(x)
 	tmp := ix - logTabOff
-	i := (tmp >> (52 - logTabBits)) % (1 << logTabBits)
-	k := int64(tmp) >> 52 // arithmetic shift: floor, negative for x < logTabOff
-	z := math.Float64frombits(ix - tmp&(0xfff<<52))
-	c := logTab[i]
-	r := z*c.invc - 1
-	p := r + r*r*(-1.0/2+r*(1.0/3+r*(-1.0/4+r*(1.0/5))))
-	return float64(k)*math.Ln2 + c.logc + p
+	c := logTab[(tmp>>(52-logTabBits))%(1<<logTabBits)]
+	r := math.Float64frombits(ix-tmp&(0xfff<<52))*c.invc - 1
+	return float64(int64(tmp)>>52)*math.Ln2 + c.logc + (r + r*r*(-1.0/2+r*(1.0/3+r*(-1.0/4+r*(1.0/5)))))
 }
 
 const (

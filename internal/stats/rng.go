@@ -1,7 +1,8 @@
 // Package stats provides the statistical substrate for sigfim: exact
 // Binomial, Poisson and hypergeometric tails with the special functions
 // behind them, the certified geometric gap the independence null model
-// draws with, a seedable RNG, the power-law frequency fit and subset
+// draws with and its column walk over block-drawn uniforms
+// (UniformBlock), a seedable RNG, the power-law frequency fit and subset
 // sampler of the synthetic datasets, and the chi-square and total-variation
 // checks the tests compare against.
 //
@@ -23,7 +24,26 @@ import "math/bits"
 // experiments: the golden fixtures and the benchmark oracle pin results
 // tied to specific seeds.
 type RNG struct {
-	s [4]uint64
+	x xoshiro
+}
+
+// xoshiro is the xoshiro256** state. Its four words are separate fields,
+// not an array, and next takes and returns it by value, so a copy held in a
+// local (UniformBlock.fill) lives in registers.
+type xoshiro struct{ s0, s1, s2, s3 uint64 }
+
+// next returns the state one step on and the step's 64 output bits: the one
+// definition of the generator, shared by RNG.Uint64 and the block fill.
+func (x xoshiro) next() (xoshiro, uint64) {
+	result := rotl(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = rotl(x.s3, 45)
+	return x, result
 }
 
 // splitmix64 is the recommended seeding generator for xoshiro: it guarantees
@@ -39,14 +59,12 @@ func splitmix64(x *uint64) uint64 {
 // NewRNG returns a generator seeded from the given seed. Two RNGs built from
 // the same seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
 	x := seed
-	for i := range r.s {
-		r.s[i] = splitmix64(&x)
-	}
+	// The calls run left to right (Go evaluates calls in lexical order).
+	r := &RNG{xoshiro{splitmix64(&x), splitmix64(&x), splitmix64(&x), splitmix64(&x)}}
 	// xoshiro must not start from the all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if r.x == (xoshiro{}) {
+		r.x.s0 = 0x9e3779b97f4a7c15
 	}
 	return r
 }
@@ -62,21 +80,16 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var v uint64
+	r.x, v = r.x.next()
+	return v
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *RNG) Float64() float64 { return toFloat64(r.Uint64()) }
+
+// toFloat64 maps 64 random bits to a uniform in [0, 1) on the 2^-53 grid.
+func toFloat64(bits uint64) float64 { return float64(bits>>11) / (1 << 53) }
 
 // Float64Open returns a uniform value in (0, 1); it never returns 0, which
 // keeps log(U) finite in exponential/geometric inversions.

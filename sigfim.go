@@ -203,9 +203,10 @@ func (ds *Dataset) SwapTwin(seed uint64) *Dataset {
 
 // GenerateRandom draws a dataset from the independence null model described
 // by the profile. A frequency at or below 0, or NaN, gives an item that
-// never occurs; one at or above 1 gives an item in every transaction.
+// never occurs; one at or above 1 gives an item in every transaction. A
+// negative transaction count gives a dataset with no transactions.
 func GenerateRandom(p Profile, seed uint64) *Dataset {
-	m := randmodel.IndependentModel{T: p.NumTransactions, Freqs: p.Freqs}
+	m := randmodel.IndependentModel{T: max(p.NumTransactions, 0), Freqs: p.Freqs}
 	return fromVertical(m.Generate(stats.NewRNG(seed)))
 }
 

@@ -165,6 +165,18 @@ func TestGenerateRandomOutOfRangeFrequencies(t *testing.T) {
 	}
 }
 
+// TestGenerateRandomNegativeTransactionCount: a negative count once
+// reached the horizontal conversion and panicked slicing to it.
+func TestGenerateRandomNegativeTransactionCount(t *testing.T) {
+	d := GenerateRandom(Profile{NumTransactions: -5, Freqs: []float64{0.5, 1}}, 1)
+	if d.NumTransactions() != 0 || d.NumItems() != 2 {
+		t.Fatalf("dims %d x %d, want 0 x 2", d.NumTransactions(), d.NumItems())
+	}
+	if got := d.Support([]uint32{1}); got != 0 {
+		t.Errorf("item 1 support %d, want 0", got)
+	}
+}
+
 func TestSwapTwinPreservesMarginsExactly(t *testing.T) {
 	d := toyDataset(t)
 	twin := d.SwapTwin(3)

@@ -250,11 +250,17 @@
 // The chain state is one item per occurrence slot. Occurrences are
 // enumerated in (transaction, ascending item) order, so transaction t owns
 // a contiguous slot range and a swap only rewrites the items of two slots:
-// the range always holds exactly t's current item set, membership is a
-// linear scan of it, and walking the slots in order materializes sorted
-// tid lists directly. The random draws and accept/reject decisions are
-// those of the textbook chain step for step, so replicates are fixed by
-// the seed alone.
+// the range always holds exactly t's current item set, and walking the
+// slots in order materializes sorted tid lists directly. Each transaction
+// also carries a 64-bit signature, a superset bitmask of its items' hash
+// bits: a membership test whose bit is clear answers "absent" without
+// looking at the range, and only a set bit costs a linear scan, which
+// also rewrites the signature exactly. Because the signature stays a
+// superset of the true bits, it never changes an answer. The random draws
+// and accept/reject decisions are those of the textbook chain step for
+// step, so replicates are fixed by the seed alone. A per-occurrence chain
+// length whose product with the number of occurrences overflows an int is
+// an error.
 //
 // The swap null drives Significant and SignificantCtx only. FindSMin is
 // independence-only by contract: it reproduces the paper's published

@@ -56,23 +56,42 @@ func BenchmarkSwapRandomizeChain(b *testing.B) {
 
 // BenchmarkSwapGenerateInto times the pooled swap-replicate path the Monte
 // Carlo engine runs (SwapModel.GenerateInto at the default 8 proposals per
-// occurrence) on a Retail-shaped base: the synth Retail/8 profile's
-// universe, frequency range and mean length (n=16470, t=88162/8=11020,
-// mean length 10.2). It reports the chain cost per proposal.
+// occurrence) and reports the chain cost per proposal, on two bases that
+// weigh the membership test differently:
+//
+//   - Retail8, Retail-shaped (the synth Retail/8 profile's universe,
+//     frequency range and mean length: n=16470, t=88162/8=11020, mean
+//     length 10.2): short, sparse transactions, so most tests ask about an
+//     absent item and the transaction signature answers them;
+//   - Pumsb16, swapLongBase (Pumsb*/16-shaped, mean length ~50): long
+//     transactions whose 64-bit signatures are nearly saturated, so most
+//     tests scan — the signature's worst case.
 func BenchmarkSwapGenerateInto(b *testing.B) {
-	z := stats.FitPowerLaw(16470, 1.13e-05, 0.57, 10.2)
-	im := IndependentModel{T: 88162 / 8, Freqs: z.Frequencies()}
-	m := &SwapModel{Base: im.Generate(stats.NewRNG(7)).Horizontal()}
-	v := &dataset.Vertical{}
-	m.GenerateInto(stats.NewRNG(8), v) // build the shared snapshot, warm the pool
-	proposals := m.proposals(len(m.prepare().occTid))
-	r := stats.NewRNG(9)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.GenerateInto(r.Split(), v)
+	for _, c := range []struct {
+		name string
+		base func() *dataset.Dataset
+	}{
+		{"Retail8", func() *dataset.Dataset {
+			z := stats.FitPowerLaw(16470, 1.13e-05, 0.57, 10.2)
+			im := IndependentModel{T: 88162 / 8, Freqs: z.Frequencies()}
+			return im.Generate(stats.NewRNG(7)).Horizontal()
+		}},
+		{"Pumsb16", swapLongBase},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := &SwapModel{Base: c.base()}
+			v := &dataset.Vertical{}
+			m.GenerateInto(stats.NewRNG(8), v) // build the shared snapshot, warm the pool
+			proposals := m.proposals(len(m.prepare().occTid))
+			r := stats.NewRNG(9)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.GenerateInto(r.Split(), v)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*proposals), "ns/proposal")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*proposals), "ns/proposal")
 }
 
 // BenchmarkIndependentGenerateInto times the pooled independence-replicate

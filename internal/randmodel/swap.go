@@ -1,6 +1,9 @@
 package randmodel
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"sigfim/internal/dataset"
@@ -18,15 +21,16 @@ import (
 // pipeline alongside the independence model.
 
 // SwapRandomize runs the chain for proposalsPerOccurrence * |occurrences|
-// proposals starting from d and returns the randomized dataset. Gionis et
-// al. report mixing after a small constant times the number of ones; 4-10
-// proposals per occurrence is customary. Zero (or negative) proposals per
-// occurrence runs no chain: the result equals d and r is not drawn from.
+// proposals (saturated at math.MaxInt) starting from d and returns the
+// randomized dataset. Gionis et al. report mixing after a small constant
+// times the number of ones; 4-10 proposals per occurrence is customary.
+// Zero (or negative) proposals per occurrence runs no chain: the result
+// equals d and r is not drawn from.
 func SwapRandomize(d *dataset.Dataset, proposalsPerOccurrence int, r *stats.RNG) *dataset.Dataset {
 	b := newSwapBase(d)
 	sc := &swapScratch{}
 	sc.reset(b)
-	sc.run(b, proposalsPerOccurrence*len(b.occTid), r)
+	sc.run(b, chainLength(proposalsPerOccurrence, len(b.occTid)), r)
 	v := &dataset.Vertical{}
 	sc.materialize(b, v)
 	return v.Horizontal()
@@ -74,16 +78,49 @@ func (m *SwapModel) NumItems() int { return m.Base.NumItems() }
 // state shares (swaps preserve column margins exactly).
 func (m *SwapModel) ItemFrequencies() []float64 { return m.Base.Frequencies() }
 
-// proposals returns the per-replicate chain length for occ occurrences.
+// proposals returns the per-replicate chain length for occ occurrences,
+// saturated at math.MaxInt (CheckChainLength reports that case).
 func (m *SwapModel) proposals(occ int) int {
 	if m.Proposals > 0 {
 		return m.Proposals
 	}
-	ppo := m.ProposalsPerOccurrence
-	if ppo <= 0 {
-		ppo = DefaultProposalsPerOccurrence
+	return chainLength(m.proposalsPerOccurrence(), occ)
+}
+
+// proposalsPerOccurrence returns ProposalsPerOccurrence with its default.
+func (m *SwapModel) proposalsPerOccurrence() int {
+	if m.ProposalsPerOccurrence <= 0 {
+		return DefaultProposalsPerOccurrence
 	}
-	return ppo * occ
+	return m.ProposalsPerOccurrence
+}
+
+// CheckChainLength reports an error when the per-replicate chain length,
+// proposals per occurrence times the base's number of occurrences, exceeds
+// math.MaxInt. Generation saturates such a length rather than wrapping it
+// to a short (or empty) chain, but a chain that long never ends, so callers
+// that take the length from user input reject it up front.
+func (m *SwapModel) CheckChainLength() error {
+	if m.Proposals > 0 {
+		return nil
+	}
+	ppo, occ := m.proposalsPerOccurrence(), numOccurrences(m.Base)
+	if occ > 0 && ppo > math.MaxInt/occ {
+		return fmt.Errorf("swap chain length of %d proposals per occurrence over %d occurrences exceeds %d proposals", ppo, occ, math.MaxInt)
+	}
+	return nil
+}
+
+// chainLength returns perOccurrence * occ proposals, saturated at
+// math.MaxInt, and zero when perOccurrence is not positive.
+func chainLength(perOccurrence, occ int) int {
+	if perOccurrence <= 0 {
+		return 0
+	}
+	if occ > math.MaxInt/perOccurrence {
+		return math.MaxInt
+	}
+	return perOccurrence * occ
 }
 
 // Generate runs a fresh chain and returns the vertical layout in a newly
@@ -132,10 +169,7 @@ type swapBase struct {
 // newSwapBase snapshots d as the chain-start state.
 func newSwapBase(d *dataset.Dataset) *swapBase {
 	t := d.NumTransactions()
-	total := 0
-	for tid := 0; tid < t; tid++ {
-		total += len(d.Transaction(tid))
-	}
+	total := numOccurrences(d)
 	b := &swapBase{
 		numItems: d.NumItems(),
 		numTx:    t,
@@ -155,41 +189,85 @@ func newSwapBase(d *dataset.Dataset) *swapBase {
 	return b
 }
 
+// numOccurrences returns the number of ones in d's transaction matrix.
+func numOccurrences(d *dataset.Dataset) int {
+	total := 0
+	for tid := 0; tid < d.NumTransactions(); tid++ {
+		total += len(d.Transaction(tid))
+	}
+	return total
+}
+
 // swapScratch is one worker's mutable chain state: the current item of every
-// occurrence slot, reset from the base with one bulk copy per replicate.
-// Transaction t's current item set is exactly occItem[txOff[t]:txOff[t+1]]
-// (in no particular order once swaps apply), so membership is a linear scan
-// of that short range and an accepted swap rewrites two slots.
+// occurrence slot, reset from the base with one bulk copy per replicate, and
+// one 64-bit item signature per transaction. Transaction t's current item
+// set is exactly occItem[txOff[t]:txOff[t+1]] (in no particular order once
+// swaps apply), and an accepted swap rewrites two slots.
+//
+// sig[t] is a superset bitmask of t's current items, one bit per item
+// (sigBit): the invariant is sig[t] ⊇ sigBit(x) for every item x in t. Most
+// membership tests on sparse data ask about an absent item, and a clear bit
+// proves absence without touching the slot range. The invariant holds at
+// reset (every signature is exact), an accepted swap ORs each transaction's
+// incoming item into its signature, and a scan that finds the item absent
+// overwrites the signature with the exact one of the items it just read, so
+// the bits of items swapped out are dropped there and nowhere else. Since
+// the signature only ever short-cuts a test whose answer is "absent", every
+// membership answer, accept/reject decision and RNG draw is the scan's.
 type swapScratch struct {
 	occItem []uint32 // slot -> item id (chain state)
+	sig     []uint64 // transaction -> superset signature of its items
 }
 
-// reset restores the scratch to the chain-start state.
+// sigBit is item x's signature bit: the top six bits of a multiplicative
+// (Fibonacci) hash of x, so nearby item ids spread over the word.
+func sigBit(x uint32) uint64 { return 1 << ((x * 0x9e3779b9) >> 26) }
+
+// reset restores the scratch to the chain-start state with exact signatures.
 func (sc *swapScratch) reset(b *swapBase) {
 	sc.occItem = append(sc.occItem[:0], b.occItem...)
+	sc.sig = slices.Grow(sc.sig[:0], b.numTx)[:b.numTx]
+	for t := range sc.sig {
+		var s uint64
+		for _, it := range sc.occItem[b.txOff[t]:b.txOff[t+1]] {
+			s |= sigBit(it)
+		}
+		sc.sig[t] = s
+	}
 }
 
-// contains reports whether transaction t currently holds item x.
+// contains reports whether transaction t currently holds item x: "no" from
+// the signature alone when x's bit is clear, otherwise by a linear scan of
+// t's slot range. A scan that misses leaves t's signature exact.
 func (sc *swapScratch) contains(b *swapBase, t uint32, x uint32) bool {
+	if sc.sig[t]&sigBit(x) == 0 {
+		return false
+	}
+	var s uint64
 	for _, it := range sc.occItem[b.txOff[t]:b.txOff[t+1]] {
 		if it == x {
 			return true
 		}
+		s |= sigBit(it)
 	}
+	sc.sig[t] = s
 	return false
 }
 
-// run executes the Markov chain: two Intn draws per proposal (none when
-// fewer than two occurrences exist), rejecting same-slot, same-transaction,
-// same-item and already-present proposals.
+// run executes the Markov chain: two Intn(|occurrences|) draws per proposal,
+// taken from an IndexBlock (none when fewer than two occurrences exist),
+// rejecting same-slot, same-transaction, same-item and already-present
+// proposals.
 func (sc *swapScratch) run(b *swapBase, proposals int, r *stats.RNG) {
 	n := len(b.occTid)
 	if n < 2 {
 		return
 	}
+	var draws stats.IndexBlock
+	draws.Reset(r, n)
 	for p := 0; p < proposals; p++ {
-		a := r.Intn(n)
-		c := r.Intn(n)
+		a := draws.Next()
+		c := draws.Next()
 		if a == c {
 			continue
 		}
@@ -202,7 +280,10 @@ func (sc *swapScratch) run(b *swapBase, proposals int, r *stats.RNG) {
 			continue
 		}
 		sc.occItem[a], sc.occItem[c] = i2, i1
+		sc.sig[t1] |= sigBit(i2)
+		sc.sig[t2] |= sigBit(i1)
 	}
+	draws.Release()
 }
 
 // materialize writes the current chain state into v in vertical layout.

@@ -1,8 +1,11 @@
 package randmodel
 
 import (
+	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -307,4 +310,126 @@ func TestSwapGenerateIntoDegenerate(t *testing.T) {
 	if v.NumTransactions != 0 || len(v.Tids) != 0 {
 		t.Fatal("empty swap broke dataset")
 	}
+}
+
+// checkSignatures fails t unless every transaction's signature covers the
+// signature bits of the items it currently holds: the superset invariant
+// that keeps the signature's "absent" answers exact.
+func checkSignatures(t *testing.T, b *swapBase, sc *swapScratch, what string) {
+	t.Helper()
+	for tid := 0; tid < b.numTx; tid++ {
+		for _, it := range sc.occItem[b.txOff[tid]:b.txOff[tid+1]] {
+			if sc.sig[tid]&sigBit(it) == 0 {
+				t.Fatalf("%s: transaction %d holds item %d but its signature %#x lacks the item's bit", what, tid, it, sc.sig[tid])
+			}
+		}
+	}
+}
+
+// TestSwapSignatureCoversItems: on the golden and long-window bases, one
+// scratch reused across seeds (as a pooled scratch is) keeps every
+// transaction's signature a superset of its items' bits, both right after
+// reset and after the chain ran.
+func TestSwapSignatureCoversItems(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		base *dataset.Dataset
+	}{
+		{"golden", swapGoldenBase()},
+		{"long", swapLongBase()},
+	} {
+		m := &SwapModel{Base: c.base, ProposalsPerOccurrence: 4}
+		b := m.prepare()
+		proposals := m.proposals(len(b.occTid))
+		sc := &swapScratch{}
+		for seed := uint64(1); seed <= 3; seed++ {
+			sc.reset(b)
+			checkSignatures(t, b, sc, fmt.Sprintf("%s seed %d after reset", c.name, seed))
+			sc.run(b, proposals, stats.NewRNG(seed))
+			checkSignatures(t, b, sc, fmt.Sprintf("%s seed %d after the chain", c.name, seed))
+		}
+	}
+}
+
+// TestSwapChainLengthSaturates: a per-occurrence chain length whose
+// product with the occurrence count overflows saturates at math.MaxInt
+// instead of wrapping (2^62 * 4 wraps to 0, an empty chain), and
+// CheckChainLength reports it; an absolute Proposals count is exempt.
+func TestSwapChainLengthSaturates(t *testing.T) {
+	d := dataset.MustNew(4, [][]uint32{{0, 1}, {2}, {3}})
+	const big = math.MaxInt/2 + 1
+	m := &SwapModel{Base: d, ProposalsPerOccurrence: big}
+	if got := m.proposals(4); got != math.MaxInt {
+		t.Errorf("proposals(4) at %d per occurrence = %d, want math.MaxInt", big, got)
+	}
+	if err := m.CheckChainLength(); err == nil {
+		t.Errorf("CheckChainLength accepted %d proposals per occurrence over 4 occurrences", big)
+	}
+	for _, ok := range []*SwapModel{{Base: d}, {Base: d, ProposalsPerOccurrence: math.MaxInt / 4}, {Base: d, ProposalsPerOccurrence: big, Proposals: 10}} {
+		if err := ok.CheckChainLength(); err != nil {
+			t.Errorf("CheckChainLength(ppo=%d, proposals=%d): %v", ok.ProposalsPerOccurrence, ok.Proposals, err)
+		}
+	}
+	for _, c := range []struct{ ppo, occ, want int }{
+		{big, 4, math.MaxInt},
+		{math.MaxInt, 2, math.MaxInt},
+		{math.MaxInt, 1, math.MaxInt},
+		{math.MaxInt / 4, 4, math.MaxInt / 4 * 4},
+		{8, 0, 0},
+		{0, 4, 0},
+		{math.MinInt/2 - 1, 4, 0}, // wraps to a positive product
+	} {
+		if got := chainLength(c.ppo, c.occ); got != c.want {
+			t.Errorf("chainLength(%d, %d) = %d, want %d", c.ppo, c.occ, got, c.want)
+		}
+	}
+}
+
+// FuzzSwapChain runs the slot chain against the SwapRandomizer oracle on
+// small fuzz-built bases: the materialized Vertical and the RNG's next
+// output must match, and the signature invariant must hold after the
+// chain. data lists items, a zero byte ending a transaction; numItems
+// spans up to 256 items, so bases with more than 64 items share signature
+// bits, and the scan of a set-but-absent bit and its heal both run.
+func FuzzSwapChain(f *testing.F) {
+	f.Add(uint64(1), uint8(12), uint8(4), []byte{1, 2, 3, 0, 2, 3, 4, 0, 4, 5, 6, 0, 1, 6, 7, 0, 7, 8, 0, 3, 8, 9})
+	f.Add(uint64(2), uint8(200), uint8(0), []byte{10, 75, 140, 205, 0, 11, 76, 141, 206, 0, 12, 77, 142, 0, 13, 78, 0, 10, 11, 12, 13})
+	f.Add(uint64(3), uint8(1), uint8(3), []byte{1, 0, 1, 0, 1})
+	f.Add(uint64(4), uint8(5), uint8(9), []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, numItems, ppo uint8, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		n := int(numItems) + 1
+		tx := [][]uint32{nil}
+		for _, x := range data {
+			if x == 0 {
+				tx = append(tx, nil)
+				continue
+			}
+			last := len(tx) - 1
+			tx[last] = append(tx[last], uint32(int(x-1)%n))
+		}
+		m := &SwapModel{Base: dataset.MustNew(n, tx), ProposalsPerOccurrence: int(ppo % 32)}
+		b := m.prepare()
+		sc := &swapScratch{}
+		v := &dataset.Vertical{}
+		r, ro := stats.NewRNG(seed), stats.NewRNG(seed)
+		sc.reset(b)
+		sc.run(b, m.proposals(len(b.occTid)), r)
+		checkSignatures(t, b, sc, "after the chain")
+		sc.materialize(b, v)
+		want := oracleGenerate(m, ro)
+		if v.NumTransactions != want.NumTransactions || len(v.Tids) != len(want.Tids) {
+			t.Fatalf("shape (%d, %d), oracle (%d, %d)", v.NumTransactions, len(v.Tids), want.NumTransactions, len(want.Tids))
+		}
+		for it := range want.Tids {
+			if !slices.Equal(v.Tids[it], want.Tids[it]) {
+				t.Fatalf("column %d: chain %v, oracle %v", it, v.Tids[it], want.Tids[it])
+			}
+		}
+		if r.Uint64() != ro.Uint64() {
+			t.Fatal("the chain left the RNG elsewhere than the oracle")
+		}
+	})
 }

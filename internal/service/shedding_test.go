@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -132,6 +133,31 @@ func TestPartialRejectsNegativeSwapChainLength(t *testing.T) {
 		if rec := postPartialReq(s, string(b)); rec.Code != 400 {
 			t.Fatalf("negative %s: HTTP %d, want 400: %s", field, rec.Code, rec.Body)
 		}
+	}
+}
+
+// TestPartialRejectsOverflowingSwapChainLength: the worker answers 400 to
+// a swap chain length (proposals per occurrence times occurrences) that
+// overflows an int, instead of mining with a wrapped, arbitrary chain.
+func TestPartialRejectsOverflowingSwapChainLength(t *testing.T) {
+	s := shedTestServer(t, Options{Workers: 1})
+	ds, _, ok := s.Registry().Get("golden")
+	if !ok {
+		t.Fatal("golden dataset missing")
+	}
+	b, err := json.Marshal(map[string]any{
+		"dataset_hash": ds.Hash(),
+		"from":         0, "to": 1, "k": 2, "floor": 2,
+		"seeds":     []uint64{1},
+		"swap_null": true,
+		"swap_ppo":  math.MaxInt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := postPartialReq(s, string(b))
+	if rec.Code != 400 || !strings.Contains(rec.Body.String(), "swap chain length") {
+		t.Fatalf("overflowing swap_ppo: HTTP %d, want 400 with a swap chain length error: %s", rec.Code, rec.Body)
 	}
 }
 

@@ -1,6 +1,9 @@
 package stats
 
-// blockSize is the number of uniforms a UniformBlock draws at a time.
+import "math/bits"
+
+// blockSize is the number of raw outputs a UniformBlock or IndexBlock draws
+// at a time.
 const blockSize = 256
 
 // UniformBlock hands out an RNG's Float64Open uniforms together with their
@@ -69,6 +72,88 @@ func (b *UniformBlock) Release() {
 		b.r.x = b.start
 		for k := 0; k < b.i; k++ {
 			b.r.Float64Open()
+		}
+	}
+	b.r = nil
+}
+
+// IndexBlock hands out an RNG's Intn(n) values for one n, drawn blockSize
+// raw outputs at a time the way UniformBlock draws uniforms: the fill keeps
+// the xoshiro state in locals and maps each output to [0, n) with Intn's
+// multiply-shift, so a draw is one load instead of a generator step behind
+// a call. Reset, Release and the read-ahead contract are UniformBlock's:
+// between Reset and Release the RNG must not be used directly, and after
+// Release it stands exactly where the same number of Intn(n) calls would
+// have left it.
+//
+// An IndexBlock is ~2 KiB; callers keep it in a local variable.
+type IndexBlock struct {
+	r      *RNG
+	start  xoshiro // r's state before the block's first raw draw
+	bound  uint64  // n
+	thresh uint64  // (-n) % n: Intn rejects an output whose low word is below it
+	n, i   int     // indices in the block, next one to hand out
+	idx    [blockSize]int
+}
+
+// Reset points b at r for draws from [0, n), with nothing drawn yet. It
+// panics if n <= 0, as Intn does.
+func (b *IndexBlock) Reset(r *RNG, n int) {
+	if n <= 0 {
+		panic("stats: IndexBlock with non-positive n")
+	}
+	bound := uint64(n)
+	b.r, b.start, b.bound, b.thresh, b.n, b.i = r, r.x, bound, -bound%bound, 0, 0
+}
+
+// Next returns the next Intn(n) value.
+func (b *IndexBlock) Next() int {
+	if b.i == b.n {
+		b.fill()
+	}
+	b.i++
+	return b.idx[b.i-1]
+}
+
+// fill draws the next blockSize raw outputs of b's RNG and keeps the
+// indices of those Intn accepts, in order. A rejection (probability below
+// n/2^64 per draw) is dropped by a second pass over the same outputs, which
+// keeps the loop itself free of a running count.
+func (b *IndexBlock) fill() {
+	x := b.r.x
+	b.start = x
+	rejected := false
+	for k := range b.idx {
+		var v uint64
+		x, v = x.next()
+		hi, lo := bits.Mul64(v, b.bound)
+		b.idx[k] = int(hi)
+		rejected = rejected || lo < b.thresh
+	}
+	b.r.x = x
+	b.n, b.i = blockSize, 0
+	if rejected {
+		x, b.n = b.start, 0
+		for range b.idx {
+			var v uint64
+			x, v = x.next()
+			if hi, lo := bits.Mul64(v, b.bound); lo >= b.thresh {
+				b.idx[b.n] = int(hi)
+				b.n++
+			}
+		}
+	}
+}
+
+// Release rewinds b's RNG to just after the last index b handed out — by
+// restoring the block's start state and replaying that many Intn calls,
+// which repeats the rejections exactly — and detaches b. A block handed
+// out whole (i == blockSize: nothing was rejected) needs no rewind.
+func (b *IndexBlock) Release() {
+	if b.i != blockSize {
+		b.r.x = b.start
+		for k := 0; k < b.i; k++ {
+			b.r.Intn(int(b.bound))
 		}
 	}
 	b.r = nil

@@ -72,6 +72,31 @@ func TestUniformBlockZeroRejection(t *testing.T) {
 	}
 }
 
+// TestIndexBlockMatchesIntn: an IndexBlock hands out the values of Intn(n)
+// in order and Release leaves the RNG where that many Intn calls do. The
+// bounds run from 1 to math.MaxInt; at 3<<61 a quarter of the raw outputs
+// are rejected, so blocks with rejections, and the second pass that drops
+// them, come up in every block. The draw counts stop before, at and after
+// block edges.
+func TestIndexBlockMatchesIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 11020, 1<<40 + 3, 3 << 61, math.MaxInt} {
+		for _, draws := range []int{0, 1, blockSize - 1, blockSize, blockSize + 1, 3*blockSize + 5} {
+			r, scalar := NewRNG(uint64(n)), NewRNG(uint64(n))
+			var b IndexBlock
+			b.Reset(r, n)
+			for k := 0; k < draws; k++ {
+				if got, want := b.Next(), scalar.Intn(n); got != want {
+					t.Fatalf("n=%d draw %d: block gives %d, Intn %d", n, k, got, want)
+				}
+			}
+			b.Release()
+			if r.x != scalar.x {
+				t.Fatalf("n=%d, %d draws: Release leaves the RNG elsewhere than %d Intn calls", n, draws, draws)
+			}
+		}
+	}
+}
+
 // referenceColumn is the scalar column walk the block walk replaces: one
 // Float64Open uniform per success and one more ending the walk, each gap
 // by the reference expression.

@@ -2,7 +2,8 @@
 // Binomial, Poisson and hypergeometric tails with the special functions
 // behind them, the certified geometric gap the independence null model
 // draws with and its column walk over block-drawn uniforms
-// (UniformBlock), a seedable RNG, the power-law frequency fit and subset
+// (UniformBlock), the block-drawn bounded integers of the swap chain
+// (IndexBlock), a seedable RNG, the power-law frequency fit and subset
 // sampler of the synthetic datasets, and the chi-square and total-variation
 // checks the tests compare against.
 //

@@ -116,19 +116,16 @@ type RangePartial struct {
 // from the same dataset state the single-process pipeline uses — the worker
 // and the coordinator therefore generate value-identical replicates. The
 // independence model comes prepared (randmodel.IndependentModel.Prepare):
-// one request draws a whole range of replicates from it.
-func (ds *Dataset) nullModelFor(req PartialRequest) randmodel.Model {
+// one request draws a whole range of replicates from it. A swap chain
+// length that overflows an int is an error, as in Significant.
+func (ds *Dataset) nullModelFor(req PartialRequest) (randmodel.Model, error) {
 	if req.SwapNull {
-		return &randmodel.SwapModel{
-			Base:                   ds.d,
-			ProposalsPerOccurrence: req.SwapProposalsPerOccurrence,
-			Proposals:              req.SwapProposals,
-		}
+		return ds.swapModel(req.SwapProposalsPerOccurrence, req.SwapProposals)
 	}
 	return randmodel.IndependentModel{
 		T:     ds.d.NumTransactions(),
 		Freqs: ds.frequencies(),
-	}.Prepare()
+	}.Prepare(), nil
 }
 
 // MineReplicateRange executes one replicate-range request against this
@@ -158,8 +155,12 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest) (
 		Workers:   req.Workers,
 	}
 	ds.vertical() // force the one-time lazy caches for concurrent safety
+	null, err := ds.nullModelFor(req)
+	if err != nil {
+		return nil, err
+	}
 	var p montecarlo.Partial
-	if err := montecarlo.MineRange(ctx, ds.nullModelFor(req), mreq, nil, &p); err != nil {
+	if err := montecarlo.MineRange(ctx, null, mreq, nil, &p); err != nil {
 		return nil, err
 	}
 	out := RangePartial(p)

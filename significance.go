@@ -147,6 +147,21 @@ func (c *Config) withDefaults() (core.Options, error) {
 	return o, nil
 }
 
+// swapModel builds the swap null over ds. It rejects a per-replicate chain
+// length that overflows an int, which the chain would otherwise run as a
+// practically endless one.
+func (ds *Dataset) swapModel(perOccurrence, proposals int) (*randmodel.SwapModel, error) {
+	m := &randmodel.SwapModel{
+		Base:                   ds.d,
+		ProposalsPerOccurrence: perOccurrence,
+		Proposals:              proposals,
+	}
+	if err := m.CheckChainLength(); err != nil {
+		return nil, fmt.Errorf("sigfim: %w", err)
+	}
+	return m, nil
+}
+
 // checkSwapChainLengths rejects negative swap chain lengths, which would
 // otherwise fall back to the chain's defaults without notice.
 func checkSwapChainLengths(perOccurrence, proposals int) error {
@@ -233,11 +248,11 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 		return nil, err
 	}
 	if cfg != nil && cfg.SwapNull {
-		opts.NullModel = &randmodel.SwapModel{
-			Base:                   ds.d,
-			ProposalsPerOccurrence: cfg.SwapProposalsPerOccurrence,
-			Proposals:              cfg.SwapProposals,
+		m, err := ds.swapModel(cfg.SwapProposalsPerOccurrence, cfg.SwapProposals)
+		if err != nil {
+			return nil, err
 		}
+		opts.NullModel = m
 	}
 	if cfg != nil && cfg.RemotePool != nil {
 		opts.Runner = ds.newRangeRunner(cfg)

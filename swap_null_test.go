@@ -2,6 +2,7 @@ package sigfim
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,5 +79,35 @@ func TestNegativeSwapChainLengthRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "swap chain lengths") {
 			t.Errorf("MineReplicateRange(ppo=%d, proposals=%d): err = %v, want a swap chain length error", c.ppo, c.proposals, err)
 		}
+	}
+}
+
+// TestOverflowingSwapChainLengthRejected: proposals per occurrence times
+// the number of occurrences must fit in an int. On a 4-occurrence dataset
+// 2^62 proposals per occurrence wraps to a chain of 0 proposals, which
+// would make every "random" replicate the observed data itself; the
+// library and the worker entry point refuse it instead.
+func TestOverflowingSwapChainLengthRejected(t *testing.T) {
+	d, err := FromTransactions([][]uint32{{0, 1}, {2}, {3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ppo = math.MaxInt/2 + 1
+	_, err = d.Significant(2, &Config{Delta: 4, Seed: 1, SwapNull: true, SwapProposalsPerOccurrence: ppo})
+	if err == nil || !strings.Contains(err.Error(), "swap chain length") {
+		t.Errorf("Significant(ppo=%d): err = %v, want a swap chain length error", ppo, err)
+	}
+	_, err = d.MineReplicateRange(context.Background(), PartialRequest{
+		From: 0, To: 1, K: 2, Floor: 1, Seeds: []uint64{42},
+		SwapNull: true, SwapProposalsPerOccurrence: ppo,
+	})
+	if err == nil || !strings.Contains(err.Error(), "swap chain length") {
+		t.Errorf("MineReplicateRange(ppo=%d): err = %v, want a swap chain length error", ppo, err)
+	}
+	// An absolute chain length overrides the per-occurrence one, so the
+	// same ppo is harmless next to it.
+	if _, err := d.Significant(2, &Config{Delta: 4, Seed: 1, SwapNull: true,
+		SwapProposalsPerOccurrence: ppo, SwapProposals: 10}); err != nil {
+		t.Errorf("Significant(ppo=%d, proposals=10): %v", ppo, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -199,6 +200,25 @@ func TestJobsSubcommandE2E(t *testing.T) {
 	}
 	if got.ID != st.ID || got.State != service.StateDone || len(got.Result) == 0 {
 		t.Fatalf("jobs get = %s/%s with %d result bytes; want done with result", got.ID, got.State, len(got.Result))
+	}
+	// The server sends the stored result bytes verbatim; the CLI indents
+	// what it prints for people to read, so only the value must match.
+	if strings.Count(stdout.String(), "\n") < 3 {
+		t.Errorf("jobs get output is not indented:\n%s", stdout.String())
+	}
+	stored, err := srv.Engine().Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotResult, storedResult any
+	if err := json.Unmarshal(got.Result, &gotResult); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(stored.Result, &storedResult); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotResult, storedResult) {
+		t.Errorf("jobs get result %s decodes to another value than the stored %s", got.Result, stored.Result)
 	}
 
 	stdout.Reset()

@@ -304,10 +304,10 @@ func TestCoordinatorServiceBitIdentity(t *testing.T) {
 // addressed to a different dataset instead of silently mining the wrong one.
 func TestMineReplicateRangeHashCheck(t *testing.T) {
 	d := goldenDataset(t)
-	_, err := d.MineReplicateRange(context.Background(), sigfim.PartialRequest{
+	err := d.MineReplicateRange(context.Background(), sigfim.PartialRequest{
 		DatasetHash: "not-the-hash",
 		From:        0, To: 1, K: 2, Floor: 2, Seeds: []uint64{42},
-	})
+	}, new(sigfim.RangePartial))
 	if err == nil {
 		t.Fatal("hash mismatch accepted")
 	}

@@ -149,10 +149,11 @@ func TestHedgeLossLatencyRecorded(t *testing.T) {
 	defer pool.Close()
 	f := &remoteFabric{pool: pool, hc: pool.client(), retries: 2, hedgeDelay: 20 * time.Millisecond}
 
-	p, err := f.runRemote(context.Background(), telemetryRequest(), hardeningRequest(),
-		[]string{hung.URL, live.URL})
-	if err != nil || p == nil {
-		t.Fatalf("runRemote: p=%v err=%v", p, err)
+	var p montecarlo.Partial
+	err := f.runRemote(context.Background(), telemetryRequest(), hardeningRequest(),
+		[]string{hung.URL, live.URL}, &p)
+	if err != nil || p.To != hardeningRequest().To {
+		t.Fatalf("runRemote: p=%+v err=%v", p, err)
 	}
 
 	if st := pool.Snapshot(); st.Hedges != 1 {
@@ -201,10 +202,11 @@ func TestHedgeNotDoubleCounted(t *testing.T) {
 
 	// Attempt 1 hangs, the hedge fires attempt 2 (the failing worker), its
 	// failure launches attempt 3 sequentially, which wins.
-	p, err := f.runRemote(context.Background(), telemetryRequest(), hardeningRequest(),
-		[]string{hung.URL, failing.URL, live.URL})
-	if err != nil || p == nil {
-		t.Fatalf("runRemote: p=%v err=%v", p, err)
+	var p montecarlo.Partial
+	err := f.runRemote(context.Background(), telemetryRequest(), hardeningRequest(),
+		[]string{hung.URL, failing.URL, live.URL}, &p)
+	if err != nil || p.To != hardeningRequest().To {
+		t.Fatalf("runRemote: p=%+v err=%v", p, err)
 	}
 
 	st := pool.Snapshot()

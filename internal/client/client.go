@@ -74,8 +74,22 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, ou
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Read the whole body first, sized by its Content-Length when the server
+	// sends one (job statuses do): a streaming decoder would regrow its
+	// buffer through a large result instead.
+	var raw bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
+		raw.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := raw.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return json.Unmarshal(raw.Bytes(), out)
 }
+
+// maxPresizedBody bounds the Content-Length a response buffer is sized by
+// up front; a longer body is read by growing the buffer as it arrives.
+const maxPresizedBody = 64 << 20
 
 // Health probes GET /healthz.
 func (c *Client) Health(ctx context.Context) error {

@@ -113,6 +113,7 @@ func BenchmarkEvaluatorEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	col.group()
 	ev := newEvaluator(col, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

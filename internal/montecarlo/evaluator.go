@@ -13,7 +13,7 @@ import (
 //
 // One evaluator serves every support level searchCrossing probes, so all of
 // its working storage is pooled across evalCapped calls: the live list, the
-// flat inverted index and the mask buffer are rebuilt in place. A live
+// flat inverted index and the mask arena are rebuilt in place. A live
 // itemset's mask is built the first time the call reads it: the capped
 // probe at the floor, where nearly all of W is live, usually stops after a
 // handful of terms, so it builds a handful of masks. The galloping search
@@ -27,15 +27,23 @@ type evaluator struct {
 	stamp   []int
 	stampID int
 	// pooled per-call storage.
-	lives  []liveSet // live list, rebuilt per call in place
-	invOff []int     // inverted index: item it's live indices are invIdx[invOff[it]:invOff[it+1]]
-	invIdx []int
-	masks  []uint64 // the masks built this call, maskWords words each
+	lives      []liveSet // live list, rebuilt per call in place
+	invOff     []int     // inverted index: item it's live indices are invIdx[invOff[it]:invOff[it+1]]
+	invIdx     []int
+	masks      [][]uint64 // mask arena in fixed-size chunks, reused across calls
+	chunkShift uint       // log2 of the masks per arena chunk
+	nmasks     int        // masks built this call
 }
 
+// maskChunkWords bounds the size of one mask arena chunk, which holds a
+// power of two of masks. A chunked arena never copies the masks it holds as
+// it grows, and holds no more than one chunk beyond what the largest call
+// built.
+const maskChunkWords = 1 << 10
+
 // liveSet is one live itemset at the probed support level: its collection id,
-// exceedance probability, and the offset of its replicate mask in masks (-1
-// until maskOf builds it).
+// exceedance probability, and the index of its replicate mask in the arena
+// (-1 until maskOf builds it).
 type liveSet struct {
 	id   int
 	p    float64
@@ -43,12 +51,14 @@ type liveSet struct {
 }
 
 func newEvaluator(col *collection, delta int) *evaluator {
+	maskWords := (delta + 63) / 64
 	return &evaluator{
-		col:       col,
-		delta:     delta,
-		maskWords: (delta + 63) / 64,
-		stamp:     make([]int, col.numItemsets()),
-		lives:     make([]liveSet, 0, col.numItemsets()),
+		col:        col,
+		delta:      delta,
+		maskWords:  maskWords,
+		chunkShift: uint(max(0, bits.Len(uint(maskChunkWords/maskWords))-1)),
+		stamp:      make([]int, col.numItemsets()),
+		lives:      make([]liveSet, 0, col.numItemsets()),
 	}
 }
 
@@ -80,9 +90,9 @@ func (ev *evaluator) evalCapped(s int, budget float64) (bp BoundPoint, exceeded 
 	col := ev.col
 	// Live itemsets and their exceedance probabilities.
 	lives := ev.lives[:0]
-	for id, es := range col.entries {
+	for id := range col.numItemsets() {
 		cnt := 0
-		for _, e := range es {
+		for _, e := range col.entriesOf(id) {
 			if int(e.sup) >= s {
 				cnt++
 			}
@@ -91,7 +101,7 @@ func (ev *evaluator) evalCapped(s int, budget float64) (bp BoundPoint, exceeded 
 			lives = append(lives, liveSet{id: id, p: float64(cnt) / float64(ev.delta), mask: -1})
 		}
 	}
-	ev.lives, ev.masks = lives, ev.masks[:0]
+	ev.lives, ev.nmasks = lives, 0
 	if len(lives) == 0 {
 		return BoundPoint{S: s}, false
 	}
@@ -124,6 +134,7 @@ func (ev *evaluator) evalCapped(s int, budget float64) (bp BoundPoint, exceeded 
 		ev.stampID++
 		// X overlaps itself: include the diagonal in b1.
 		neighborP := 0.0
+		var mask []uint64 // li's mask, built on first use
 		for _, it := range col.itemsOf(lv.id) {
 			for _, oj := range idx[off[it]:off[it+1]] {
 				if ev.stamp[oj] == ev.stampID {
@@ -133,8 +144,10 @@ func (ev *evaluator) evalCapped(s int, budget float64) (bp BoundPoint, exceeded 
 				other := lives[oj]
 				neighborP += other.p
 				if oj != li {
-					a, b := ev.maskOf(li, s), ev.maskOf(oj, s)
-					b2 += float64(andCount(ev.masks[a:a+ev.maskWords], ev.masks[b:b+ev.maskWords])) / float64(ev.delta)
+					if mask == nil {
+						mask = ev.maskOf(li, s)
+					}
+					b2 += float64(andCount(mask, ev.maskOf(oj, s))) / float64(ev.delta)
 				}
 			}
 		}
@@ -146,23 +159,33 @@ func (ev *evaluator) evalCapped(s int, budget float64) (bp BoundPoint, exceeded 
 	return BoundPoint{S: s, B1: b1, B2: b2}, false
 }
 
-// maskOf returns the offset in masks of live itemset li's replicate mask at
-// support level s (bit r set when replicate r's support reached s),
-// building the mask the first time this call asks for it.
-func (ev *evaluator) maskOf(li, s int) int {
+// maskOf returns live itemset li's replicate mask at support level s (bit r
+// set when replicate r's support reached s), building it in the arena the
+// first time this call asks for it.
+func (ev *evaluator) maskOf(li, s int) []uint64 {
 	lv := &ev.lives[li]
-	if lv.mask < 0 {
-		lv.mask = len(ev.masks)
-		ev.masks = slices.Grow(ev.masks, ev.maskWords)[:lv.mask+ev.maskWords]
-		mask := ev.masks[lv.mask:]
-		clear(mask)
-		for _, e := range ev.col.entries[lv.id] {
-			if int(e.sup) >= s {
-				mask[e.rep/64] |= 1 << (uint(e.rep) % 64)
-			}
+	if lv.mask >= 0 {
+		return ev.maskAt(lv.mask)
+	}
+	lv.mask = ev.nmasks
+	ev.nmasks++
+	if lv.mask>>ev.chunkShift == len(ev.masks) {
+		ev.masks = append(ev.masks, make([]uint64, ev.maskWords<<ev.chunkShift))
+	}
+	mask := ev.maskAt(lv.mask)
+	clear(mask)
+	for _, e := range ev.col.entriesOf(lv.id) {
+		if int(e.sup) >= s {
+			mask[e.rep/64] |= 1 << (uint(e.rep) % 64)
 		}
 	}
-	return lv.mask
+	return mask
+}
+
+// maskAt returns the arena slot of mask i.
+func (ev *evaluator) maskAt(i int) []uint64 {
+	off := (i & (1<<ev.chunkShift - 1)) * ev.maskWords
+	return ev.masks[i>>ev.chunkShift][off : off+ev.maskWords]
 }
 
 func andCount(a, b []uint64) int {

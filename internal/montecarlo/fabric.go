@@ -69,6 +69,13 @@ type RangeRequest struct {
 	// statistic is a plain minimum of exactly computed p-values, so it is
 	// bit-identical on every executor, for every worker count and algorithm.
 	StatFloor int
+	// Out, when non-nil, is a recycled partial the executor may reset, fill
+	// and return instead of allocating one. mineAll hands every dispatch a
+	// buffer from its free list and takes it back once the range is merged,
+	// so the same backing arrays serve range after range. An executor that
+	// returns a partial of its own keeps ownership of it, and Out goes back
+	// to the free list unused. Out never influences what is mined.
+	Out *Partial
 }
 
 // validate checks a request's internal consistency.
@@ -194,19 +201,25 @@ func (p *Partial) Validate(req RangeRequest) error {
 }
 
 // RangeRunner executes one replicate-range request somewhere — typically by
-// POSTing it to a remote sigfimd worker — and returns the mined partial. A
-// runner must be safe for concurrent calls; it is invoked once per range, so
-// any retry policy (other workers, local fallback) lives inside the runner.
-// Returning an error fails the whole estimate.
+// POSTing it to a remote sigfimd worker — and returns the mined partial,
+// normally req.Out filled in place (see RangeRequest.Out): the coordinator's
+// free list of partial buffers then serves local and remote executors
+// alike. The partial must stay untouched by the runner until the merge is
+// done with it; a runner that fans one range out to several attempts lets
+// only the winning attempt write into req.Out. A runner must be safe for
+// concurrent calls; it is invoked once per range, so any retry policy
+// (other workers, local fallback) lives inside the runner. Returning an
+// error fails the whole estimate.
 type RangeRunner func(ctx context.Context, req RangeRequest) (*Partial, error)
 
 // RangeScratch bundles the pooled per-worker state MineRange reuses across
-// calls: the mining scratch (DFS and tree buffers) and the replicate Vertical
-// (column backing arrays refilled in place). One scratch must not be shared
-// by concurrent MineRange calls.
+// calls: the mining scratch (DFS and tree buffers), the replicate Vertical
+// (column backing arrays refilled in place) and the replicate generator.
+// One scratch must not be shared by concurrent MineRange calls.
 type RangeScratch struct {
 	scratch *mining.Scratch
 	v       *dataset.Vertical
+	rng     stats.RNG // reseeded for every replicate
 
 	// Timing, when set, makes MineRange split each replicate's wall time
 	// into dataset generation (GenNanos) versus mining (MineNanos),
@@ -263,7 +276,8 @@ func MineRange(ctx context.Context, m randmodel.Model, req RangeRequest, scr *Ra
 		if scr.Timing {
 			t0 = time.Now()
 		}
-		scr.v = randmodel.GenerateReusing(m, stats.NewRNG(req.Seeds[i]), scr.v)
+		scr.rng.Reseed(req.Seeds[i])
+		scr.v = randmodel.GenerateReusing(m, &scr.rng, scr.v)
 		if scr.Timing {
 			t1 = time.Now()
 			scr.GenNanos += t1.Sub(t0).Nanoseconds()
@@ -326,7 +340,8 @@ func splitRanges(delta, size int) []ReplicateRange {
 // regardless of how replicates were grouped into ranges. minFloor receives
 // the raised prune floor as a mining shortcut for ranges not yet claimed.
 // Each adaptive prune records a montecarlo.prune span when ctx carries a
-// trace recorder.
+// trace recorder. Once the collection's entry slice and table have grown,
+// a merge allocates nothing.
 func mergePartial(ctx context.Context, col *collection, p *Partial, k, softCap, floor, total int, cfg Config, raiseFloor func(int)) error {
 	off := 0
 	for ri := 0; ri < p.To-p.From; ri++ {
@@ -337,27 +352,26 @@ func mergePartial(ctx context.Context, col *collection, p *Partial, k, softCap, 
 			if sup < col.pruneFloor {
 				continue
 			}
-			id, added := col.index.Insert(p.Items[i*k : (i+1)*k])
-			if added {
-				col.entries = append(col.entries, nil)
+			id, _ := col.index.Insert(p.Items[i*k : (i+1)*k])
+			if len(col.entries) == cap(col.entries) {
+				col.reserve(rep, total, softCap)
 			}
-			col.entries[id] = append(col.entries[id], entry{rep: int32(rep), sup: int32(sup)})
-			col.numEntry++
+			col.entries = append(col.entries, entry{id: int32(id), rep: int32(rep), sup: int32(sup)})
 			if sup > col.maxSup {
 				col.maxSup = sup
 			}
 		}
 		off += cnt
-		if col.numEntry > softCap {
-			entriesBefore := col.numEntry
+		if col.numEntries() > softCap {
+			entriesBefore := col.numEntries()
 			pruneStart := time.Now()
 			col.prune(softCap / 2)
 			raiseFloor(col.pruneFloor)
 			trace.Add(ctx, "montecarlo.prune", pruneStart, time.Since(pruneStart),
 				trace.Int("replicate", rep), trace.Int("entries_before", entriesBefore),
-				trace.Int("entries_after", col.numEntry), trace.Int("floor_after", col.pruneFloor))
+				trace.Int("entries_after", col.numEntries()), trace.Int("floor_after", col.pruneFloor))
 		}
-		if col.numEntry > cfg.MaxEntries {
+		if col.numEntries() > cfg.MaxEntries {
 			return fmt.Errorf("montecarlo: entry budget %d exceeded at replicate %d (floor %d too low)", cfg.MaxEntries, rep, floor)
 		}
 		if cfg.Progress != nil {

@@ -377,3 +377,41 @@ func TestRunnerSwapNullBitIdentity(t *testing.T) {
 		t.Fatal("swap-null runner result differs from single-process run")
 	}
 }
+
+// TestMergePartialWarmZeroAllocs: once the collection's entry slice and
+// table have grown, merging a partial appends into capacity it already has
+// — no per-itemset slice, no table growth.
+func TestMergePartialWarmZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	ctx := context.Background()
+	req := RangeRequest{Range: ReplicateRange{From: 0, To: 8}, K: 2, Floor: 2, Seeds: fabricSeeds(3, 8)}
+	var p Partial
+	if err := MineRange(ctx, fabricModel(), req, nil, &p); err != nil {
+		t.Fatal(err)
+	}
+	col := newCollection(2, req.Floor)
+	cfg := Config{MaxEntries: 1 << 30}
+	raise := func(int) {}
+	merge := func() {
+		if err := mergePartial(ctx, col, &p, req.K, 1<<30, req.Floor, 8, cfg, raise); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merge() // grows the table and the entry slice
+	want := col.numEntries()
+	if want == 0 {
+		t.Fatal("the partial merged no entries; the guard would prove nothing")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		col.entries = col.entries[:0]
+		merge()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm mergePartial allocated %v times per merge, want 0", allocs)
+	}
+	if got := col.numEntries(); got != want {
+		t.Fatalf("re-merge recorded %d entries, want %d", got, want)
+	}
+}

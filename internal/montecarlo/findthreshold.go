@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -190,8 +191,10 @@ func (r *Result) Lambda(s int) float64 {
 	return float64(len(r.allSupports)-idx) / float64(r.Delta)
 }
 
-// entry records one replicate's support of one itemset.
+// entry records one replicate's support of one itemset: id is the itemset's
+// id in the collection's table.
 type entry struct {
+	id  int32
 	rep int32
 	sup int32
 }
@@ -199,9 +202,13 @@ type entry struct {
 // collection holds the mined union set W with per-replicate supports. The
 // itemsets live in a string-free mining.ItemsetTable — an open-addressing
 // hash table over the packed [k]uint32 tuples — whose dense insertion-order
-// entry ids index the parallel entries slices. The former map[string]int +
-// Itemset.Key() index allocated one short-lived string per emitted itemset
-// per replicate, which dominated GC pressure in the replicate merge.
+// ids the entries carry. The merge appends every (itemset, replicate,
+// support) record to one flat slice in replicate order, so a merged entry
+// costs an append into capacity the slice already has, never a small slice
+// of its own. Once a halving's merge is done, group sorts the entries by id
+// (a stable counting sort, so each itemset's entries keep ascending
+// replicate order) and indexes them with offsets; the evaluator and
+// finishResult read that grouped form.
 //
 // pruneFloor is the adaptive retention threshold: when the entry volume
 // exceeds the soft cap, entries below a raised pruneFloor are discarded.
@@ -218,9 +225,9 @@ type entry struct {
 type collection struct {
 	k          int
 	index      *mining.ItemsetTable // W: id lookup + packed tuple storage
-	entries    [][]entry            // per itemset id, ascending rep
+	entries    []entry              // merge order until group, then grouped by id
+	off        []int                // after group: id's entries are entries[off[id]:off[id+1]]
 	maxSup     int
-	numEntry   int
 	pruneFloor int
 }
 
@@ -235,8 +242,59 @@ func (col *collection) itemsOf(id int) mining.Itemset {
 	return mining.Itemset(col.index.Items(id))
 }
 
+// entriesOf returns itemset id's entries in ascending replicate order. Valid
+// only after group.
+func (col *collection) entriesOf(id int) []entry {
+	return col.entries[col.off[id]:col.off[id+1]]
+}
+
 // numItemsets returns |W|.
 func (col *collection) numItemsets() int { return col.index.Len() }
+
+// numEntries returns the number of (itemset, replicate) records.
+func (col *collection) numEntries() int { return len(col.entries) }
+
+// reserve makes room for the entries still to come once the entry slice is
+// full, merged of total replicates into the halving: the remaining
+// replicates at the rate seen so far, plus a tenth, so that one allocation
+// usually holds the whole halving (append's own ~1.25x steps would copy the
+// entries some 5x over, and doubling would hold up to twice the room
+// needed). Growth is at least a quarter, so a low estimate still grows
+// geometrically, and the estimate stops at limit, the soft cap the entries
+// are pruned back under. Capacity never changes what is stored.
+func (col *collection) reserve(merged, total, limit int) {
+	n := len(col.entries)
+	more := max(n/4, 1024)
+	if merged > 0 {
+		est := int(float64(n) / float64(merged) * float64(total-merged) * 1.1)
+		more = max(more, min(est, limit-n))
+	}
+	col.entries = slices.Grow(col.entries, more)
+}
+
+// group sorts the entries by itemset id, stably, and builds the offsets
+// entriesOf reads. The merge appends in ascending replicate order, so every
+// itemset's entries come out in ascending replicate order — the order the
+// bound evaluation has always summed in. off[id+2] first counts id; after
+// the prefix sums off[id+1] is the start of id's run, and filling advances
+// it to the run's end, which leaves off[id] at the start.
+func (col *collection) group() {
+	n := col.numItemsets()
+	off := make([]int, n+2)
+	for _, e := range col.entries {
+		off[e.id+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	grouped := make([]entry, len(col.entries))
+	for _, e := range col.entries {
+		grouped[off[e.id+1]] = e
+		off[e.id+1]++
+	}
+	col.entries = grouped
+	col.off = off[:n+1]
+}
 
 // softCapFor returns the entry volume at which pruning kicks in; it must
 // exceed Delta^2 * eps / 4 for the prune justification above to hold, which
@@ -249,47 +307,52 @@ func softCapFor(delta int) int {
 	return limit
 }
 
-// prune raises pruneFloor until at most target entries remain, rebuilding
-// the compact structures. Surviving itemsets are re-inserted in id order, so
-// the rebuilt table assigns the same relative ids a from-scratch merge at the
-// new floor would — the prune schedule stays deterministic for every worker
-// count. Pruning is rare (it fires only when the entry volume crosses the
-// multi-million soft cap), so the rebuild allocates a fresh table.
+// prune raises pruneFloor until at most target entries remain, dropping the
+// entries below it in place. Surviving itemsets are re-inserted in id order,
+// so the rebuilt table assigns the same relative ids a from-scratch merge at
+// the new floor would — the prune schedule stays deterministic for every
+// worker count. Pruning is rare (it fires only when the entry volume crosses
+// the multi-million soft cap), so the rebuild allocates a fresh table. It
+// runs during the merge, on entries still in merge order.
 func (col *collection) prune(target int) {
 	// Histogram of entry supports to pick the new floor.
-	hist := make(map[int]int)
-	for _, es := range col.entries {
-		for _, e := range es {
-			hist[int(e.sup)]++
-		}
+	hist := make([]int, col.maxSup+2)
+	for _, e := range col.entries {
+		hist[e.sup]++
 	}
 	newFloor := col.pruneFloor
-	remaining := col.numEntry
+	remaining := len(col.entries)
 	for remaining > target {
 		remaining -= hist[newFloor]
 		newFloor++
 	}
+	// newID[id] becomes the surviving itemset's id in the rebuilt table: -1
+	// marks an itemset with no entry left, 0 one still waiting for its id.
+	newID := make([]int32, col.index.Len())
+	for i := range newID {
+		newID[i] = -1
+	}
+	for _, e := range col.entries {
+		if int(e.sup) >= newFloor {
+			newID[e.id] = 0
+		}
+	}
 	index := mining.NewItemsetTable(col.k, col.index.Len()/2)
-	entries := col.entries[:0]
-	num := 0
-	for id := 0; id < col.index.Len(); id++ {
-		es := col.entries[id]
-		kept := es[:0]
-		for _, e := range es {
-			if int(e.sup) >= newFloor {
-				kept = append(kept, e)
-			}
+	for id, nid := range newID {
+		if nid == 0 {
+			got, _ := index.Insert(col.index.Items(id))
+			newID[id] = int32(got)
 		}
-		if len(kept) == 0 {
-			continue
+	}
+	kept := col.entries[:0]
+	for _, e := range col.entries {
+		if int(e.sup) >= newFloor {
+			e.id = newID[e.id]
+			kept = append(kept, e)
 		}
-		index.Insert(col.index.Items(id)) // new id == len(entries)
-		entries = append(entries, kept)
-		num += len(kept)
 	}
 	col.index = index
-	col.entries = entries
-	col.numEntry = num
+	col.entries = kept
 	col.pruneFloor = newFloor
 }
 
@@ -346,13 +409,16 @@ func FindPoissonThresholdCtx(ctx context.Context, m randmodel.Model, cfg Config)
 			hsp.End(trace.String("outcome", "error"))
 			return nil, err
 		}
+		// Grouped once mineAll has returned, so the range buffers it
+		// recycled are garbage by then.
+		col.group()
 		// Each halving re-collects; the accepted halving's distribution (the
 		// one whose floor the caller's s_min will sit above) is what persists.
 		if cfg.CollectMinPs {
 			res.MinPs = minPs
 			res.MinPFloor = floor
 		}
-		if col.numEntry == 0 {
+		if col.numEntries() == 0 {
 			// W empty: no k-itemset ever reaches the floor. At floor 1 the
 			// Poisson approximation is vacuous (Q̂ is 0 a.s.); accept 1.
 			if floor <= 1 {
@@ -416,11 +482,9 @@ func FindPoissonThresholdCtx(ctx context.Context, m randmodel.Model, cfg Config)
 
 // finishResult installs the lambda support pool and sorts the curve.
 func finishResult(res *Result, col *collection) {
-	all := make([]int, 0, col.numEntry)
-	for _, es := range col.entries {
-		for _, e := range es {
-			all = append(all, int(e.sup))
-		}
+	all := make([]int, len(col.entries))
+	for i, e := range col.entries {
+		all[i] = int(e.sup)
 	}
 	sort.Ints(all)
 	res.allSupports = all
@@ -498,29 +562,34 @@ func maxExpectedSupport(m randmodel.Model, k int) float64 {
 }
 
 // rangeResult carries one range's partial (or the error that produced none)
-// from an executor goroutine to the merge.
+// from an executor goroutine to the merge, together with the free-list
+// buffer the range was handed (p itself unless the runner returned a
+// partial of its own).
 type rangeResult struct {
 	p   *Partial
+	out *Partial
 	err error
 }
 
 // mineAll mines the k-itemsets with support >= floor from each replicate,
 // pruning adaptively (see collection) when the entry volume exceeds the
-// Delta-dependent soft cap. The replicates are partitioned into explicit
-// ReplicateRange jobs executed concurrently — in-process through MineRange
-// when cfg.Runner is nil (range size 1, so the adaptive floor shortcut and
-// buffer recycling work per replicate), or through cfg.Runner (typically an
-// HTTP fan-out over remote sigfimd workers) otherwise. Either way the merge
-// consumes partials strictly in replicate-index order, so the collection —
-// including the prune schedule — is identical for any worker count, range
-// size, executor, and partial arrival order.
+// Delta-dependent soft cap, and returns the collection in merge order. The
+// replicates are partitioned into explicit ReplicateRange jobs executed
+// concurrently — in-process through MineRange when cfg.Runner is nil (range
+// size 1, so the adaptive floor shortcut works per replicate), or through
+// cfg.Runner (typically an HTTP fan-out over remote sigfimd workers)
+// otherwise. Either way the merge consumes partials strictly in
+// replicate-index order, so the collection — including the prune schedule —
+// is identical for any worker count, range size, executor, and partial
+// arrival order.
 //
 // The local path is the hot loop of the whole system, and it is
 // allocation-free in steady state: each worker keeps one RangeScratch
 // (pooled Vertical whose column backing arrays are reused across replicates
-// via GenerateReusing, plus a mining.Scratch reused across mines) and
-// recycles flat Partial buffers through a free list; the merge indexes
-// itemsets through the collection's string-free table.
+// via GenerateReusing, plus a mining.Scratch reused across mines), every
+// dispatch — local or through a runner — fills a flat Partial recycled
+// through one free list (RangeRequest.Out), and the merge appends into the
+// collection's flat entry slice through its string-free table.
 // Under cfg.CollectMinPs, mineAll also returns the per-replicate minimum
 // marginal p-values (one per seed, replicate order); otherwise the second
 // return is nil.
@@ -598,17 +667,26 @@ func mineAll(ctx context.Context, m randmodel.Model, seeds []uint64, floor int, 
 	for i := range outputs {
 		outputs[i] = make(chan rangeResult, 1)
 	}
-	// Consumed partial buffers return here for any local executor to reuse;
+	// Consumed partial buffers return here for any executor to reuse;
 	// capacity bounds the number of buffers in flight (executors mining +
 	// merge lag).
 	free := make(chan *Partial, 2*inflight+1)
 	var next atomic.Int64
 	for w := 0; w < inflight; w++ {
 		go func() {
-			var scr *RangeScratch
-			if cfg.Runner == nil {
-				scr = NewRangeScratch()
+			run := cfg.Runner
+			if run == nil {
+				scr := NewRangeScratch()
 				scr.Timing = traced
+				run = func(ctx context.Context, req RangeRequest) (*Partial, error) {
+					g0, m0 := scr.GenNanos, scr.MineNanos
+					err := MineRange(ctx, m, req, scr, req.Out)
+					if traced {
+						genNanos.Add(scr.GenNanos - g0)
+						mineNanos.Add(scr.MineNanos - m0)
+					}
+					return req.Out, err
+				}
 			}
 			for {
 				// Cancellation checkpoint: stop claiming ranges once the
@@ -640,27 +718,16 @@ func mineAll(ctx context.Context, m randmodel.Model, seeds []uint64, floor int, 
 					req.Floor = floor
 					req.StatFloor = floor
 				}
-				if cfg.Runner != nil {
-					p, err := cfg.Runner(ctx, req)
-					if err == nil {
-						err = p.Validate(req)
-					}
-					outputs[idx] <- rangeResult{p: p, err: err}
-					continue
-				}
-				var out *Partial
 				select {
-				case out = <-free:
+				case req.Out = <-free:
 				default:
-					out = &Partial{}
+					req.Out = &Partial{}
 				}
-				g0, m0 := scr.GenNanos, scr.MineNanos
-				err := MineRange(ctx, m, req, scr, out)
-				if traced {
-					genNanos.Add(scr.GenNanos - g0)
-					mineNanos.Add(scr.MineNanos - m0)
+				p, err := run(ctx, req)
+				if err == nil {
+					err = p.Validate(req)
 				}
-				outputs[idx] <- rangeResult{p: out, err: err}
+				outputs[idx] <- rangeResult{p: p, out: req.Out, err: err}
 			}
 		}()
 	}
@@ -706,14 +773,12 @@ func mineAll(ctx context.Context, m randmodel.Model, seeds []uint64, floor int, 
 			msp.End(trace.String("outcome", "error"))
 			return nil, nil, err
 		}
-		if cfg.Runner == nil {
-			select {
-			case free <- res.p:
-			default:
-			}
+		select {
+		case free <- res.out:
+		default:
 		}
 	}
-	msp.End(trace.String("outcome", "ok"), trace.Int("entries", col.numEntry),
+	msp.End(trace.String("outcome", "ok"), trace.Int("entries", col.numEntries()),
 		trace.Int("generate_ms", int(genNanos.Load()/1e6)),
 		trace.Int("mine_ms", int(mineNanos.Load()/1e6)),
 		trace.Int("merge_wait_ms", int(stall.Milliseconds())),

@@ -313,45 +313,80 @@ func TestAdaptivePruningPath(t *testing.T) {
 
 func TestCollectionPrune(t *testing.T) {
 	col := newCollection(2, 1)
-	// Three itemsets with supports spread over levels.
-	add := func(items mining.Itemset, reps []int, sups []int) {
-		_, added := col.index.Insert(items)
-		if !added {
+	// Three itemsets with supports spread over levels, merged in replicate
+	// order as mergePartial appends them.
+	for _, items := range []mining.Itemset{{0, 1}, {1, 2}, {2, 3}} {
+		if _, added := col.index.Insert(items); !added {
 			t.Fatalf("duplicate itemset %v in test setup", items)
 		}
-		var es []entry
-		for i := range reps {
-			es = append(es, entry{rep: int32(reps[i]), sup: int32(sups[i])})
-			col.numEntry++
-		}
-		col.entries = append(col.entries, es)
 	}
-	add(mining.Itemset{0, 1}, []int{0, 1, 2}, []int{1, 5, 9})
-	add(mining.Itemset{1, 2}, []int{0, 1}, []int{2, 2})
-	add(mining.Itemset{2, 3}, []int{3}, []int{7})
+	col.entries = []entry{
+		{id: 0, rep: 0, sup: 1}, {id: 1, rep: 0, sup: 2},
+		{id: 0, rep: 1, sup: 5}, {id: 1, rep: 1, sup: 2},
+		{id: 0, rep: 2, sup: 9},
+		{id: 2, rep: 3, sup: 7},
+	}
+	col.maxSup = 9
 	col.prune(3)
-	if col.numEntry > 3 {
-		t.Fatalf("prune left %d entries", col.numEntry)
+	if col.numEntries() > 3 {
+		t.Fatalf("prune left %d entries", col.numEntries())
 	}
 	if col.pruneFloor <= 1 {
 		t.Fatalf("prune did not raise floor: %d", col.pruneFloor)
 	}
-	// Every retained entry respects the new floor.
-	for id, es := range col.entries {
-		for _, e := range es {
-			if int(e.sup) < col.pruneFloor {
-				t.Fatalf("entry below floor retained: %v sup %d", col.itemsOf(id), e.sup)
-			}
+	// Every retained entry respects the new floor, and the survivors keep
+	// their relative id order: {0,1} then {2,3}, {1,2} dropped.
+	for _, e := range col.entries {
+		if int(e.sup) < col.pruneFloor {
+			t.Fatalf("entry below floor retained: %v sup %d", col.itemsOf(int(e.id)), e.sup)
 		}
 	}
-	// Index must be consistent with the entries: every stored tuple must find
-	// its own id again, and ids must cover the entries slice.
-	if col.index.Len() != len(col.entries) {
-		t.Fatalf("table has %d itemsets, entries %d", col.index.Len(), len(col.entries))
+	if col.index.Len() != 2 || !reflect.DeepEqual(col.itemsOf(0), mining.Itemset{0, 1}) || !reflect.DeepEqual(col.itemsOf(1), mining.Itemset{2, 3}) {
+		t.Fatalf("rebuilt table holds %d itemsets, want {0,1} and {2,3} in that order", col.index.Len())
 	}
+	// Index must be consistent with the entries: every stored tuple must find
+	// its own id again, and every entry's id must be in the table.
 	for id := 0; id < col.index.Len(); id++ {
 		if got, added := col.index.Insert(col.index.Items(id)); added || got != id {
 			t.Fatalf("itemset %v maps to id %d (added %v), want %d", col.itemsOf(id), got, added, id)
+		}
+	}
+	col.group()
+	want := [][]entry{
+		{{id: 0, rep: 1, sup: 5}, {id: 0, rep: 2, sup: 9}},
+		{{id: 1, rep: 3, sup: 7}},
+	}
+	for id, es := range want {
+		if got := col.entriesOf(id); !reflect.DeepEqual(got, es) {
+			t.Fatalf("grouped entries of id %d = %v, want %v", id, got, es)
+		}
+	}
+}
+
+// TestCollectionGroupStable: grouping by id keeps each itemset's entries in
+// merge (ascending replicate) order, the order the evaluator has always
+// summed in.
+func TestCollectionGroupStable(t *testing.T) {
+	col := newCollection(1, 1)
+	for it := uint32(0); it < 3; it++ {
+		col.index.Insert(mining.Itemset{it})
+	}
+	col.entries = []entry{
+		{id: 2, rep: 0, sup: 4}, {id: 0, rep: 0, sup: 3},
+		{id: 2, rep: 1, sup: 6}, {id: 1, rep: 1, sup: 2},
+		{id: 0, rep: 2, sup: 8}, {id: 2, rep: 2, sup: 5},
+	}
+	col.group()
+	want := [][]int32{{0, 2}, {1}, {0, 1, 2}}
+	for id, reps := range want {
+		es := col.entriesOf(id)
+		if len(es) != len(reps) {
+			t.Fatalf("id %d: %d entries, want %d", id, len(es), len(reps))
+		}
+		for i, e := range es {
+			if int(e.id) != id || e.rep != reps[i] {
+				t.Fatalf("id %d entry %d = %+v, want rep %d", id, i, e, reps[i])
+			}
 		}
 	}
 }

@@ -112,7 +112,8 @@ type Progress struct {
 }
 
 // JobStatus is the public view of a job, returned by the submit, get, and
-// cancel endpoints.
+// cancel endpoints. Result is the last field: the server encodes the rest
+// and appends the stored result bytes as they are (see appendStatusHead).
 type JobStatus struct {
 	ID          string          `json:"id"`
 	State       JobState        `json:"state"`
@@ -123,10 +124,10 @@ type JobStatus struct {
 	CacheHit    bool            `json:"cache_hit"`
 	Progress    Progress        `json:"progress"`
 	Error       string          `json:"error,omitempty"`
-	Result      json.RawMessage `json:"result,omitempty"`
 	CreatedAt   time.Time       `json:"created_at"`
 	StartedAt   *time.Time      `json:"started_at,omitempty"`
 	FinishedAt  *time.Time      `json:"finished_at,omitempty"`
+	Result      json.RawMessage `json:"result,omitempty"`
 }
 
 // SMinResult is the stored result payload of a KindSMin job.
@@ -498,6 +499,13 @@ func (e *Engine) Submit(req JobRequest) (JobStatus, error) {
 	ds, info, ok := e.registry.Get(req.Dataset)
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: dataset %q is not registered", ErrNotFound, req.Dataset)
+	}
+	if c := req.Config; req.Kind == KindSignificant && c != nil && c.SwapNull {
+		// The chain length depends on the dataset's occurrence count, so
+		// this is the first point it can be checked.
+		if err := ds.CheckSwapChain(c.SwapProposalsPerOccurrence, c.SwapProposals); err != nil {
+			return JobStatus{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
 	}
 	canon := canonicalize(req)
 	key := cacheKeyFor(info.Hash, canon)

@@ -16,8 +16,9 @@ import (
 // calls, canonicalized cache keys (variant spellings share one slot), and
 // the admission errors that keep malformed requests out of the queue.
 
-// compactResult recovers the engine's stored result bytes from the indented
-// status envelope.
+// compactResult returns a status envelope's result in compact form. The
+// server sends the engine's stored bytes verbatim, so compacting leaves
+// them as they are.
 func compactResult(t *testing.T, raw json.RawMessage) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -7,7 +7,8 @@
 // seed, which is what makes result caching sound and lets the service
 // promise bit-identical answers to equivalent direct library calls.
 //
-// HTTP surface (all bodies JSON unless noted):
+// HTTP surface (all bodies compact JSON unless noted; a job status carries
+// its stored result bytes verbatim):
 //
 //	GET    /healthz              liveness probe
 //	GET    /metrics              Prometheus text exposition (see Metrics)
@@ -19,12 +20,13 @@
 //	POST   /v1/partials          mine one Monte Carlo replicate range against
 //	                             a dataset addressed by content hash (the
 //	                             worker side of the distributed fabric; the
-//	                             body is exactly one JSON document, the
-//	                             partial comes back unindented)
+//	                             body is exactly one JSON document; buffers
+//	                             are recycled across requests)
 //	GET    /v1/jobs              list jobs in submission order (no results)
 //	POST   /v1/jobs              submit a job (JobRequest); kinds: significant,
 //	                             smin, closed, maximal, rules
-//	GET    /v1/jobs/{id}         job status / progress / result
+//	GET    /v1/jobs/{id}         job status / progress / result (the stored
+//	                             result bytes, copied as they are)
 //	GET    /v1/jobs/{id}/events  live job stream (Server-Sent Events)
 //	GET    /v1/jobs/{id}/trace   completed job's span tree (see internal/trace)
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
@@ -125,10 +127,7 @@ func (o Options) withDefaults() Options {
 		o.MaxUploadBytes = 1 << 30
 	}
 	if o.PartialsInflight == 0 {
-		o.PartialsInflight = 8
-		if c := 4 * runtime.GOMAXPROCS(0); c > o.PartialsInflight {
-			o.PartialsInflight = c
-		}
+		o.PartialsInflight = defaultPartialsInflight()
 	}
 	if o.TraceRetention == 0 {
 		o.TraceRetention = 128
@@ -137,6 +136,12 @@ func (o Options) withDefaults() Options {
 		o.Logger = slog.Default()
 	}
 	return o
+}
+
+// defaultPartialsInflight is the default cap on concurrently executing
+// POST /v1/partials requests, max(8, 4*GOMAXPROCS).
+func defaultPartialsInflight() int {
+	return max(8, 4*runtime.GOMAXPROCS(0))
 }
 
 // Server ties the registry, the job engine, and the result cache together
@@ -152,16 +157,26 @@ type Server struct {
 	startedAt time.Time
 	handler   http.Handler
 
-	// partialsInflight counts executing POST /v1/partials requests against
-	// partialsCap (<= 0 disables the cap); over the cap the worker sheds load
-	// with 503 so remote coordinators cannot starve this instance's own jobs.
+	// partialsInflight counts executing POST /v1/partials requests, checked
+	// against partialsCap (<= 0 disables the cap); over the cap the worker
+	// sheds load with 503 so remote coordinators cannot starve this
+	// instance's own jobs.
 	partialsInflight atomic.Int64
 	partialsCap      int64
+	// partialFree recycles POST /v1/partials result buffers, so a warm
+	// worker mines and encodes range after range without regrowing them.
+	// It holds at most as many partials as the worker admits at once, and
+	// one once the worker is idle.
+	partialFree chan *sigfim.RangePartial
 }
 
 // New assembles a Server and starts its worker pool.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
+	freeCap := opts.PartialsInflight
+	if freeCap < 0 { // unlimited admission
+		freeCap = defaultPartialsInflight()
+	}
 	reg := NewRegistry()
 	cache := NewResultCache(opts.CacheSize)
 	s := &Server{
@@ -171,6 +186,7 @@ func New(opts Options) *Server {
 		log:         opts.Logger,
 		maxUpload:   opts.MaxUploadBytes,
 		partialsCap: int64(opts.PartialsInflight),
+		partialFree: make(chan *sigfim.RangePartial, freeCap),
 		startedAt:   time.Now().UTC(),
 	}
 	s.metrics = s.engine.Metrics()
@@ -306,13 +322,62 @@ func requestJobID(r *http.Request) string {
 	return id
 }
 
-// writeJSON writes a JSON response body with the given status.
+// writeJSON writes a compact JSON response body with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	_ = json.NewEncoder(w).Encode(v) // the status line is already out; nothing to recover
+}
+
+// writeStatusJSON writes a job status response (see appendStatusHead). The
+// length is known before the first byte goes out, so the response carries
+// a Content-Length a client can size its read buffer by.
+func writeStatusJSON(w http.ResponseWriter, status int, st JobStatus) {
+	head, tail, err := appendStatusHead(nil, st, "\n")
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(st.Result)+len(tail)))
+	w.WriteHeader(status)
+	_ = writeStatusParts(w, head, st.Result, tail) // the status line is already out
+}
+
+// appendStatusHead appends st's compact JSON up to its result to buf and
+// returns it with the tail that closes the document after the result, end
+// included; without a result the head is the whole document. The job's
+// stored result bytes — json.Marshal output, so already compact and valid —
+// are then written as they are, never parsed, compacted or re-encoded:
+// encoding the envelope with the result left out and writing "result"
+// after it (the last field of JobStatus) produces exactly the bytes
+// json.Marshal(st) would, without touching the result's bytes, however
+// large it is.
+func appendStatusHead(buf []byte, st JobStatus, end string) (head []byte, tail string, err error) {
+	hasResult := len(st.Result) > 0
+	st.Result = nil
+	env, err := json.Marshal(st)
+	if err != nil {
+		return nil, "", err
+	}
+	if !hasResult {
+		return append(append(buf, env...), end...), "", nil
+	}
+	buf = append(buf, env[:len(env)-1]...)
+	return append(buf, `,"result":`...), "}" + end, nil
+}
+
+// writeStatusParts writes a status document appendStatusHead split around
+// its result.
+func writeStatusParts(w io.Writer, head, result []byte, tail string) error {
+	if _, err := w.Write(head); err != nil || len(result) == 0 {
+		return err
+	}
+	if _, err := w.Write(result); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, tail)
+	return err
 }
 
 // writeError maps the service error classes onto HTTP statuses.
@@ -418,7 +483,8 @@ func (s *Server) shedPartial(w http.ResponseWriter, reason string, retryAfter in
 // distributed replicate fabric. The request addresses a dataset by content
 // hash and names a replicate range with its per-replicate seeds, as
 // exactly one JSON document (trailing bytes are a 400); the response is
-// the mined partial, unindented. Execution is synchronous on the request
+// the mined partial, mined into buffers recycled from request to request
+// (see Server.partialFree). Execution is synchronous on the request
 // goroutine (the coordinator bounds its own fan-out concurrency) and honors
 // client disconnects through the request context. A draining or saturated
 // worker sheds the request with 503 + Retry-After instead of queueing it.
@@ -427,13 +493,11 @@ func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 		s.shedPartial(w, "worker draining", 30)
 		return
 	}
-	if s.partialsCap > 0 {
-		if s.partialsInflight.Add(1) > s.partialsCap {
-			s.partialsInflight.Add(-1)
-			s.shedPartial(w, "partials inflight cap reached", 1)
-			return
-		}
-		defer s.partialsInflight.Add(-1)
+	n := s.partialsInflight.Add(1)
+	defer s.partialsInflight.Add(-1)
+	if s.partialsCap > 0 && n > s.partialsCap {
+		s.shedPartial(w, "partials inflight cap reached", 1)
+		return
 	}
 	var req sigfim.PartialRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
@@ -459,8 +523,9 @@ func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mineStart := time.Now()
-	p, err := ds.MineReplicateRange(r.Context(), req)
-	if err != nil {
+	p := s.takePartial()
+	defer s.putPartial(p)
+	if err := ds.MineReplicateRange(r.Context(), req, p); err != nil {
 		if r.Context().Err() != nil {
 			return // client gone; nothing useful to write
 		}
@@ -478,12 +543,43 @@ func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 	plog.Info("partial mined",
 		"from", req.From, "to", req.To, "floor", req.Floor,
 		"duration_ms", float64(time.Since(mineStart).Microseconds())/1000)
-	// Unlike writeJSON, no indentation: a partial is mostly item ids, and
-	// indenting puts each on its own line, tripling the bytes to encode,
-	// ship and decode.
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(p)
+	writeJSON(w, http.StatusOK, p)
+}
+
+// takePartial returns an idle partial buffer for POST /v1/partials, or a
+// new one.
+func (s *Server) takePartial() *sigfim.RangePartial {
+	select {
+	case p := <-s.partialFree:
+		return p
+	default:
+		return new(sigfim.RangePartial)
+	}
+}
+
+// putPartial returns a served partial's buffers for the next request,
+// dropping them when the list is full. The last request in flight leaves
+// only its own partial behind: an idle worker keeps one set of buffers
+// warm for the next range, not one per request it once served at once.
+func (s *Server) putPartial(p *sigfim.RangePartial) {
+	if s.partialsInflight.Load() == 1 {
+		s.dropIdlePartials()
+	}
+	select {
+	case s.partialFree <- p:
+	default:
+	}
+}
+
+// dropIdlePartials empties the partial free list.
+func (s *Server) dropIdlePartials() {
+	for {
+		select {
+		case <-s.partialFree:
+		default:
+			return
+		}
+	}
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
@@ -510,7 +606,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if st.State == StateDone { // served synchronously from the result cache
 		status = http.StatusOK
 	}
-	writeJSON(w, status, st)
+	writeStatusJSON(w, status, st)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -519,7 +615,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeStatusJSON(w, http.StatusOK, st)
 }
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the completed job's span
@@ -542,7 +638,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeStatusJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -624,14 +720,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeEvent writes one SSE frame — event name plus the status snapshot as
-// compact JSON — and flushes it; it reports whether the client is still
-// there.
+// compact JSON, its result bytes copied verbatim (see appendStatusHead) — and
+// flushes it; it reports whether the client is still there.
 func writeEvent(w io.Writer, flusher http.Flusher, ev JobEvent) bool {
-	data, err := json.Marshal(ev.Status)
+	head, tail, err := appendStatusHead([]byte("event: "+ev.Type+"\ndata: "), ev.Status, "\n\n")
 	if err != nil {
 		return false
 	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
+	if err := writeStatusParts(w, head, ev.Status.Result, tail); err != nil {
 		return false
 	}
 	flusher.Flush()

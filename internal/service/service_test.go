@@ -143,16 +143,11 @@ func TestEndToEndBitIdentical(t *testing.T) {
 	if final.CacheHit {
 		t.Fatal("first submission reported a cache hit")
 	}
-	// The status envelope is served indented, which re-formats the embedded
-	// result's whitespace but never its value literals; compacting recovers
-	// the engine's stored bytes exactly, so this comparison is bit-identity
-	// on every number, string, and field of the report.
-	var got bytes.Buffer
-	if err := json.Compact(&got, final.Result); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("service result differs from direct call.\nservice: %s\ndirect:  %s", got.Bytes(), want)
+	// The status envelope carries the engine's stored result bytes as they
+	// are, so this comparison is bit-identity on every number, string, and
+	// field of the report.
+	if !bytes.Equal(final.Result, want) {
+		t.Errorf("service result differs from direct call.\nservice: %s\ndirect:  %s", final.Result, want)
 	}
 	if final.Progress.Total == 0 || final.Progress.Done != final.Progress.Total {
 		t.Errorf("progress = %+v, want done == total > 0", final.Progress)

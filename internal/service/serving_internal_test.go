@@ -1,0 +1,113 @@
+package service
+
+import (
+	"context"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"sigfim"
+)
+
+// discardWriter is a ResponseWriter that keeps nothing of the body, so an
+// allocation count taken around a request sees only what the handler
+// allocated.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// bytesPerGet returns the heap bytes one GET /v1/jobs/{id} allocates on
+// average, the response body discarded.
+func bytesPerGet(h http.Handler, id string) float64 {
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil)
+	w := &discardWriter{h: http.Header{}}
+	h.ServeHTTP(w, req) // warm-up
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestCacheHitGetAllocationFlat: serving a cached job's status copies the
+// stored result bytes to the response as they are, so what a GET allocates
+// does not grow with the size of the result — a result 1000 times larger
+// may add at most one copy of itself. Re-encoding the result (re-validating
+// it as a json.RawMessage, or indenting the envelope) costs several copies.
+func TestCacheHitGetAllocationFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	s := New(Options{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	info, err := s.Registry().RegisterFile("golden", "../../testdata/golden_input.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cachedJob stores result under a request's cache key, then submits the
+	// request, which the cache answers; it returns the job's id.
+	cachedJob := func(seed uint64, result []byte) string {
+		req := JobRequest{Dataset: "golden", Kind: KindSMin, K: 2, Config: &sigfim.Config{Delta: 40, Seed: seed}}
+		s.cache.Put(cacheKeyFor(info.Hash, canonicalize(req)), result)
+		st, err := s.engine.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.CacheHit || string(st.Result) != string(result) {
+			t.Fatalf("submit was not answered from the cache: %+v", st)
+		}
+		return st.ID
+	}
+	// numbers builds a compact JSON result of n integers.
+	numbers := func(n int) []byte {
+		var b strings.Builder
+		b.WriteString(`{"values":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.Itoa(i))
+		}
+		b.WriteString("]}")
+		return []byte(b.String())
+	}
+	small, large := numbers(100), numbers(100_000)
+	smallID, largeID := cachedJob(1, small), cachedJob(2, large)
+
+	h := s.Handler()
+	smallBytes, largeBytes := bytesPerGet(h, smallID), bytesPerGet(h, largeID)
+	growth := largeBytes - smallBytes
+	t.Logf("GET allocates %.0f B with a %d-byte result, %.0f B with a %d-byte result", smallBytes, len(small), largeBytes, len(large))
+	if growth > float64(len(large)) {
+		t.Fatalf("a %d-byte larger result made GET allocate %.0f more bytes, more than one copy of it",
+			len(large)-len(small), growth)
+	}
+}
+
+// TestPartialFreeListTrimsWhenIdle: the partial free list holds one buffer
+// per request that was in flight at once, up to the admission cap, and the
+// last request to finish leaves one behind.
+func TestPartialFreeListTrimsWhenIdle(t *testing.T) {
+	s := New(Options{Workers: 1, PartialsInflight: 2, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	// Three requests in flight, finishing one after another.
+	s.partialsInflight.Store(3)
+	for i, want := range []int{1, 2, 1} {
+		s.putPartial(new(sigfim.RangePartial))
+		s.partialsInflight.Add(-1)
+		if got := len(s.partialFree); got != want {
+			t.Fatalf("after request %d finished: %d idle partials, want %d", i+1, got, want)
+		}
+	}
+}

@@ -3,7 +3,10 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"sigfim"
@@ -134,5 +137,25 @@ func TestSwapKnobValidation(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Errorf("body %s: status %d, want 400", body, code)
 		}
+	}
+}
+
+// TestSwapChainOverflowRejectedAtSubmit: a swap chain whose proposals per
+// occurrence times the dataset's occurrences overflows an int can never
+// run, so the engine refuses it with a 400 at submit instead of admitting a
+// job that fails once it runs.
+func TestSwapChainOverflowRejectedAtSubmit(t *testing.T) {
+	srv, ts := newTestServer(t, service.Options{Workers: 1})
+	body := fmt.Sprintf(`{"dataset":"golden","kind":"significant","k":2,"config":{"Delta":20,"SwapNull":true,"SwapProposalsPerOccurrence":%d}}`, math.MaxInt)
+	var e map[string]any
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader([]byte(body)), &e)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d (%v), want 400", code, e)
+	}
+	if msg, _ := e["error"].(string); !strings.Contains(msg, "swap chain length") {
+		t.Errorf("error %q does not name the swap chain length", e["error"])
+	}
+	if n := srv.Engine().Counters().Submitted; n != 0 {
+		t.Errorf("%d jobs admitted, want 0", n)
 	}
 }

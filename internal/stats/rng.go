@@ -60,14 +60,21 @@ func splitmix64(x *uint64) uint64 {
 // NewRNG returns a generator seeded from the given seed. Two RNGs built from
 // the same seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
+	r := new(RNG)
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed restarts r at the state NewRNG(seed) starts from, so one generator
+// serves a sequence of seeded streams without an allocation per stream.
+func (r *RNG) Reseed(seed uint64) {
 	x := seed
 	// The calls run left to right (Go evaluates calls in lexical order).
-	r := &RNG{xoshiro{splitmix64(&x), splitmix64(&x), splitmix64(&x), splitmix64(&x)}}
+	r.x = xoshiro{splitmix64(&x), splitmix64(&x), splitmix64(&x), splitmix64(&x)}
 	// xoshiro must not start from the all-zero state.
 	if r.x == (xoshiro{}) {
 		r.x.s0 = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Split derives an independent generator from the current one. It consumes

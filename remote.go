@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"sigfim/internal/mining"
@@ -129,21 +132,24 @@ func (ds *Dataset) nullModelFor(req PartialRequest) (randmodel.Model, error) {
 }
 
 // MineReplicateRange executes one replicate-range request against this
-// dataset and returns the mined partial. It is the worker side of the
-// distributed fabric — sigfimd's POST /v1/partials calls it — and also the
-// coordinator's local fallback when every remote worker fails, which is what
-// guarantees the two paths cannot diverge: they are the same function. The
-// context is honored at replicate boundaries.
-func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest) (*RangePartial, error) {
+// dataset, filling out (reset first; its backing arrays are reused). It is
+// the worker side of the distributed fabric — sigfimd's POST /v1/partials
+// calls it — and also the coordinator's local fallback when every remote
+// worker fails, which is what guarantees the two paths cannot diverge: they
+// are the same function. The generation and mining buffers come from a
+// bounded free list on the dataset, so a warm dataset mines range after
+// range without regrowing them. The context is honored at replicate
+// boundaries.
+func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, out *RangePartial) error {
 	if req.DatasetHash != "" && req.DatasetHash != ds.Hash() {
-		return nil, fmt.Errorf("sigfim: dataset hash mismatch: request %s, dataset %s", req.DatasetHash, ds.Hash())
+		return fmt.Errorf("sigfim: dataset hash mismatch: request %s, dataset %s", req.DatasetHash, ds.Hash())
 	}
 	algo, err := mining.ParseAlgorithm(req.Algorithm)
 	if err != nil {
-		return nil, fmt.Errorf("sigfim: unknown algorithm %q", req.Algorithm)
+		return fmt.Errorf("sigfim: unknown algorithm %q", req.Algorithm)
 	}
 	if err := checkSwapChainLengths(req.SwapProposalsPerOccurrence, req.SwapProposals); err != nil {
-		return nil, err
+		return err
 	}
 	mreq := montecarlo.RangeRequest{
 		Range:     montecarlo.ReplicateRange{From: req.From, To: req.To},
@@ -157,14 +163,50 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest) (
 	ds.vertical() // force the one-time lazy caches for concurrent safety
 	null, err := ds.nullModelFor(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var p montecarlo.Partial
-	if err := montecarlo.MineRange(ctx, null, mreq, nil, &p); err != nil {
-		return nil, err
+	scr := ds.takeRangeScratch()
+	defer ds.putRangeScratch(scr)
+	return montecarlo.MineRange(ctx, null, mreq, scr, (*montecarlo.Partial)(out))
+}
+
+// maxIdleRangeScratches bounds the range scratches a dataset keeps for
+// reuse. It matches the concurrent partials a sigfimd worker admits by
+// default, max(8, 4·GOMAXPROCS): an idle list never holds more scratches
+// than were mining at once, and that many are then reused instead of
+// regrown.
+func maxIdleRangeScratches() int {
+	return max(8, 4*runtime.GOMAXPROCS(0))
+}
+
+// takeRangeScratch returns an idle range scratch, or a new one.
+func (ds *Dataset) takeRangeScratch() *montecarlo.RangeScratch {
+	ds.scrMu.Lock()
+	defer ds.scrMu.Unlock()
+	ds.scrBusy++
+	if n := len(ds.scrIdle); n > 0 {
+		scr := ds.scrIdle[n-1]
+		ds.scrIdle = ds.scrIdle[:n-1]
+		return scr
 	}
-	out := RangePartial(p)
-	return &out, nil
+	return montecarlo.NewRangeScratch()
+}
+
+// putRangeScratch returns a scratch to the idle list, dropping it when the
+// list is full. The last range in flight leaves only its own scratch
+// behind: a dataset nobody is mining keeps one scratch warm for the next
+// range, not one per range it once mined at once.
+func (ds *Dataset) putRangeScratch(scr *montecarlo.RangeScratch) {
+	ds.scrMu.Lock()
+	defer ds.scrMu.Unlock()
+	ds.scrBusy--
+	if ds.scrBusy == 0 {
+		clear(ds.scrIdle)
+		ds.scrIdle = ds.scrIdle[:0]
+	}
+	if len(ds.scrIdle) < maxIdleRangeScratches() {
+		ds.scrIdle = append(ds.scrIdle, scr)
+	}
 }
 
 // remoteFabric is the coordinator's RangeRunner: it fans replicate ranges
@@ -172,7 +214,12 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest) (
 // of attempts against eligible workers (with every attempt under the pool's
 // HTTP deadline, and optionally a hedged duplicate dispatch once the first
 // attempt straggles past hedgeDelay) and finally falls back to mining the
-// range locally through the identical code path. Safe for concurrent calls.
+// range locally through the identical code path. Every attempt reads its
+// response into a body buffer recycled through bodies, and only the winning
+// body is decoded, into the merge's recycled partial (RangeRequest.Out).
+// The body buffers are kept only while ranges are in flight: when the last
+// one finishes (the end of a halving's fan-out) they are dropped, so the
+// rest of the job does not carry them. Safe for concurrent calls.
 type remoteFabric struct {
 	ds         *Dataset
 	pool       *WorkerPool
@@ -180,7 +227,14 @@ type remoteFabric struct {
 	template   PartialRequest // null model + algorithm; range fields filled per call
 	retries    int            // max remote attempts per range
 	hedgeDelay time.Duration  // 0 disables hedged dispatch
+	bodies     chan *bytes.Buffer
+	active     atomic.Int32 // ranges in run
 }
+
+// fabricBodyBuffers bounds the response buffers one job's fabric keeps for
+// reuse: one per attempt in flight, at the coordinator's default of four
+// ranges dispatched at once, each of which may have a hedged twin.
+const fabricBodyBuffers = 8
 
 // newRangeRunner builds the montecarlo runner that dispatches through
 // cfg.RemotePool. Every range gets one remote attempt per configured worker
@@ -193,6 +247,7 @@ func (ds *Dataset) newRangeRunner(cfg *Config) montecarlo.RangeRunner {
 		hc:         pool.client(),
 		retries:    pool.size(),
 		hedgeDelay: pool.opts.HedgeDelay,
+		bodies:     make(chan *bytes.Buffer, fabricBodyBuffers),
 		template: PartialRequest{
 			DatasetHash:                ds.Hash(),
 			Algorithm:                  cfg.Algorithm,
@@ -204,14 +259,55 @@ func (ds *Dataset) newRangeRunner(cfg *Config) montecarlo.RangeRunner {
 	return f.run
 }
 
+// takeBody returns an idle response buffer, or a new one.
+func (f *remoteFabric) takeBody() *bytes.Buffer {
+	select {
+	case b := <-f.bodies:
+		return b
+	default:
+		return new(bytes.Buffer)
+	}
+}
+
+// putBody returns a response buffer for reuse, dropping it when the list is
+// full.
+func (f *remoteFabric) putBody(b *bytes.Buffer) {
+	select {
+	case f.bodies <- b:
+	default:
+	}
+}
+
+// dropBodies empties the body buffer list.
+func (f *remoteFabric) dropBodies() {
+	for {
+		select {
+		case <-f.bodies:
+		default:
+			return
+		}
+	}
+}
+
 // run executes one range: up to the retry budget of eligible workers are
 // attempted (the supervisor orders them and skips ejected or backed-off
 // ones), then the range runs locally. Only context cancellation aborts
 // without the local fallback — no combination of worker failures can cost
 // the job, and a worker the supervisor has ejected costs nothing at all.
 // Each range records one fabric.range span with per-attempt children, so a
-// job's trace attributes every range to the worker(s) that tried it.
+// job's trace attributes every range to the worker(s) that tried it. The
+// partial lands in req.Out (a fresh one when the caller passed none).
 func (f *remoteFabric) run(ctx context.Context, req montecarlo.RangeRequest) (*montecarlo.Partial, error) {
+	f.active.Add(1)
+	defer func() {
+		if f.active.Add(-1) == 0 {
+			f.dropBodies()
+		}
+	}()
+	out := req.Out
+	if out == nil {
+		out = new(montecarlo.Partial)
+	}
 	wire := f.template
 	wire.From = req.Range.From
 	wire.To = req.Range.To
@@ -226,10 +322,10 @@ func (f *remoteFabric) run(ctx context.Context, req montecarlo.RangeRequest) (*m
 
 	var lastErr error
 	if candidates := f.pool.pick(f.retries); len(candidates) > 0 {
-		p, err := f.runRemote(rctx, req, wire, candidates)
+		err := f.runRemote(rctx, req, wire, candidates, out)
 		if err == nil {
 			rsp.End(trace.String("outcome", "ok"))
-			return p, nil
+			return out, nil
 		}
 		if ctx.Err() != nil {
 			rsp.End(trace.String("outcome", "canceled"))
@@ -239,7 +335,7 @@ func (f *remoteFabric) run(ctx context.Context, req montecarlo.RangeRequest) (*m
 	}
 	f.pool.noteLocalFallback()
 	lctx, lsp := trace.Start(rctx, "fabric.local")
-	rp, err := f.ds.MineReplicateRange(lctx, wire)
+	err := f.ds.MineReplicateRange(lctx, wire, (*RangePartial)(out))
 	lsp.End(trace.String("outcome", "local-fallback"))
 	if err != nil {
 		rsp.End(trace.String("outcome", "error"))
@@ -249,25 +345,28 @@ func (f *remoteFabric) run(ctx context.Context, req montecarlo.RangeRequest) (*m
 		return nil, err
 	}
 	rsp.End(trace.String("outcome", "local-fallback"))
-	p := montecarlo.Partial(*rp)
-	return &p, nil
+	return out, nil
 }
 
 // runRemote walks the candidate workers for one range. Attempts run
 // sequentially on failure; when hedging is enabled, a second attempt is
 // additionally launched in parallel once the current one has straggled past
 // hedgeDelay, and the first valid partial wins (the loser is canceled).
-// Every outcome is reported to the supervisor; attempts canceled because a
-// sibling already won are not failures — losing a hedge race never touches
-// health state — but their cancellation latency still lands in the
-// worker's range-latency histogram (via noteHedgeLoss) so the telemetry
-// accounts for every dispatched request.
-func (f *remoteFabric) runRemote(ctx context.Context, req montecarlo.RangeRequest, wire PartialRequest, candidates []string) (*montecarlo.Partial, error) {
+// Each attempt only reads the response into a body buffer of its own, taken
+// once the response has arrived; the first body to arrive is decoded into
+// out and validated here, so out only ever holds the winning attempt's
+// partial. A body that fails to decode or validate fails its attempt like
+// a transport error. Every outcome is reported to the supervisor; attempts
+// canceled because a sibling already won are not failures — losing a hedge
+// race never touches health state — but their cancellation latency still
+// lands in the worker's range-latency histogram (via noteHedgeLoss) so the
+// telemetry accounts for every dispatched request.
+func (f *remoteFabric) runRemote(ctx context.Context, req montecarlo.RangeRequest, wire PartialRequest, candidates []string, out *montecarlo.Partial) error {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type attempt struct {
-		p      *montecarlo.Partial
+		body   *bytes.Buffer
 		url    string
 		err    error
 		hedged bool
@@ -287,18 +386,8 @@ func (f *remoteFabric) runRemote(ctx context.Context, req montecarlo.RangeReques
 			trace.String("hedged", strconv.FormatBool(hedged)))
 		go func() {
 			start := time.Now()
-			rp, err := postPartial(sctx, f.hc, url, wire)
-			lat := time.Since(start)
-			var p *montecarlo.Partial
-			if err == nil {
-				pp := montecarlo.Partial(*rp)
-				if verr := pp.Validate(req); verr != nil {
-					err = fmt.Errorf("worker %s: %w", url, verr)
-				} else {
-					p = &pp
-				}
-			}
-			results <- attempt{p: p, url: url, err: err, hedged: hedged, lat: lat, sp: sp}
+			body, err := postPartial(sctx, f.hc, url, wire, f.takeBody)
+			results <- attempt{body: body, url: url, err: err, hedged: hedged, lat: time.Since(start), sp: sp}
 		}()
 	}
 	launch(false)
@@ -322,6 +411,9 @@ func (f *remoteFabric) runRemote(ctx context.Context, req montecarlo.RangeReques
 		go func() {
 			for i := 0; i < n; i++ {
 				l := <-results
+				if l.body != nil {
+					f.putBody(l.body)
+				}
 				f.pool.noteHedgeLoss(l.url, l.lat)
 				l.sp.End(trace.String("outcome", "hedge-loss"))
 			}
@@ -333,7 +425,7 @@ func (f *remoteFabric) runRemote(ctx context.Context, req montecarlo.RangeReques
 		select {
 		case <-ctx.Done():
 			drainLosers(outstanding)
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-hedge:
 			hedge = nil
 			if next < len(candidates) {
@@ -343,6 +435,16 @@ func (f *remoteFabric) runRemote(ctx context.Context, req montecarlo.RangeReques
 		case r := <-results:
 			outstanding--
 			if r.err == nil {
+				if err := decodePartial(r.body.Bytes(), wire, (*RangePartial)(out)); err != nil {
+					r.err = fmt.Errorf("worker %s: %w", r.url, err)
+				} else if err := out.Validate(req); err != nil {
+					r.err = fmt.Errorf("worker %s: %w", r.url, err)
+				}
+			}
+			if r.body != nil {
+				f.putBody(r.body)
+			}
+			if r.err == nil {
 				f.pool.reportSuccess(r.url, r.lat, req.Range.To-req.Range.From)
 				outcome := "ok"
 				if r.hedged {
@@ -350,7 +452,7 @@ func (f *remoteFabric) runRemote(ctx context.Context, req montecarlo.RangeReques
 				}
 				r.sp.End(trace.String("outcome", outcome))
 				drainLosers(outstanding)
-				return r.p, nil
+				return nil
 			}
 			f.pool.reportFailure(r.url, r.err)
 			lastErr = r.err
@@ -359,7 +461,7 @@ func (f *remoteFabric) runRemote(ctx context.Context, req montecarlo.RangeReques
 				outstanding++
 			} else if outstanding == 0 {
 				r.sp.End(trace.String("outcome", "error"), trace.String("error", r.err.Error()))
-				return nil, lastErr
+				return lastErr
 			}
 			// Another attempt was just launched or is still in flight, so
 			// from this range's point of view the failure became a retry.
@@ -373,18 +475,20 @@ func (f *remoteFabric) runRemote(ctx context.Context, req montecarlo.RangeReques
 // response past this bound is a misbehaving worker, not a bigger partial.
 const maxPartialResponse = 1 << 30
 
-// postPartial performs one POST /v1/partials round trip against a worker.
-// The 200 body is read through a hard size limit, must be exactly one JSON
-// document (trailing garbage — a truncated proxy buffer, a corrupted stream
-// — is rejected), and must echo the requested range before it is accepted;
-// non-2xx responses come back as *workerHTTPError so the supervisor can
-// classify load shedding (503/429 + Retry-After) apart from hard failures.
-func postPartial(ctx context.Context, hc *http.Client, base string, req PartialRequest) (*RangePartial, error) {
-	body, err := json.Marshal(req)
+// postPartial performs one POST /v1/partials round trip against a worker
+// and reads the 200 body through a hard size limit into a buffer from take
+// (reset first, its capacity reused), which it returns — also alongside a
+// read error, so the caller can recycle it; decodePartial turns the body
+// into a partial. The buffer is taken only once a 200 has arrived, so an
+// attempt holds none while it waits. Non-2xx responses come back as
+// *workerHTTPError so the supervisor can classify load shedding (503/429 +
+// Retry-After) apart from hard failures.
+func postPartial(ctx context.Context, hc *http.Client, base string, req PartialRequest, take func() *bytes.Buffer) (*bytes.Buffer, error) {
+	reqBody, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/partials", bytes.NewReader(body))
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/partials", bytes.NewReader(reqBody))
 	if err != nil {
 		return nil, err
 	}
@@ -420,17 +524,45 @@ func postPartial(ctx context.Context, hc *http.Client, base string, req PartialR
 		}
 		return nil, herr
 	}
-	dec := json.NewDecoder(io.LimitReader(resp.Body, maxPartialResponse))
-	var rp RangePartial
-	if err := dec.Decode(&rp); err != nil {
-		return nil, fmt.Errorf("worker %s: decode partial: %w", base, err)
+	body := take()
+	body.Reset()
+	if _, err := body.ReadFrom(io.LimitReader(resp.Body, maxPartialResponse+1)); err != nil {
+		return body, fmt.Errorf("worker %s: read partial: %w", base, err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("worker %s: trailing data after partial JSON document", base)
+	if body.Len() > maxPartialResponse {
+		return body, fmt.Errorf("worker %s: partial response exceeds %d bytes", base, maxPartialResponse)
 	}
-	if rp.From != req.From || rp.To != req.To || rp.K != req.K || rp.Floor > req.Floor {
-		return nil, fmt.Errorf("worker %s: partial echo mismatch: got range [%d,%d) k=%d floor=%d, want [%d,%d) k=%d floor<=%d",
-			base, rp.From, rp.To, rp.K, rp.Floor, req.From, req.To, req.K, req.Floor)
+	return body, nil
+}
+
+// decodePartial decodes a worker's 200 body into dst, reusing dst's backing
+// arrays. Every field is reset first: items, sups and min_ps are omitempty,
+// so a body without them must not inherit a previous range's values. The
+// body must be exactly one JSON document (trailing garbage — a truncated
+// proxy buffer, a corrupted stream — is rejected) and must echo the
+// requested range and k with a floor at or below the requested one.
+func decodePartial(body []byte, req PartialRequest, dst *RangePartial) error {
+	*dst = RangePartial{Counts: dst.Counts[:0], Items: dst.Items[:0], Sups: dst.Sups[:0], MinPs: dst.MinPs[:0]}
+	// Make room for the arrays up front: encoding/json grows a slice ~1.25x
+	// at a time, which copies a fresh partial's arrays some 5x over. Each
+	// itemset's k item ids and support are followed by a comma but for the
+	// last of either array, so the body's commas bound the itemset count.
+	if n := (bytes.Count(body, []byte{','}) + 2) / (req.K + 1); cap(dst.Sups) < n && req.K > 0 {
+		dst.Items = make([]uint32, 0, n*req.K)
+		dst.Sups = make([]int32, 0, n)
 	}
-	return &rp, nil
+	if err := json.Unmarshal(body, dst); err != nil {
+		// A syntax error whose preceding bytes form a whole document is a
+		// second value after it.
+		var se *json.SyntaxError
+		if errors.As(err, &se) && se.Offset > 0 && json.Valid(body[:se.Offset-1]) {
+			return errors.New("trailing data after partial JSON document")
+		}
+		return fmt.Errorf("decode partial: %w", err)
+	}
+	if dst.From != req.From || dst.To != req.To || dst.K != req.K || dst.Floor > req.Floor {
+		return fmt.Errorf("partial echo mismatch: got range [%d,%d) k=%d floor=%d, want [%d,%d) k=%d floor<=%d",
+			dst.From, dst.To, dst.K, dst.Floor, req.From, req.To, req.K, req.Floor)
+	}
+	return nil
 }

@@ -1,20 +1,36 @@
 package sigfim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 // White-box tests for the hardened worker round trip: postPartial must
-// bound and fully validate a 200 body before the partial is accepted, and
-// classify non-2xx responses for the supervisor.
+// bound a 200 body and classify non-2xx responses for the supervisor, and
+// decodePartial must fully validate the body before the partial is
+// accepted.
+
+// roundTrip runs one postPartial + decodePartial exchange into a fresh
+// partial, as the fabric does for a winning attempt.
+func roundTrip(hc *http.Client, base string, req PartialRequest) (*RangePartial, error) {
+	body, err := postPartial(context.Background(), hc, base, req, newBody)
+	if err != nil {
+		return nil, err
+	}
+	var rp RangePartial
+	if err := decodePartial(body.Bytes(), req, &rp); err != nil {
+		return nil, err
+	}
+	return &rp, nil
+}
 
 // partialEcho answers POST /v1/partials with the JSON produced by mutate
 // (given a valid echo of the request).
@@ -45,7 +61,7 @@ func hardeningRequest() PartialRequest {
 func TestPostPartialAcceptsValidEcho(t *testing.T) {
 	srv := partialEcho(t, func(rp *RangePartial) any { return rp })
 	defer srv.Close()
-	rp, err := postPartial(context.Background(), srv.Client(), srv.URL, hardeningRequest())
+	rp, err := roundTrip(srv.Client(), srv.URL, hardeningRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +78,7 @@ func TestPostPartialRejectsTrailingGarbage(t *testing.T) {
 		w.Write([]byte(`{"from":5,"to":10,"k":2,"floor":3,"counts":[0,0,0,0,0]}{"oops":1}`))
 	}))
 	defer srv.Close()
-	_, err := postPartial(context.Background(), srv.Client(), srv.URL, hardeningRequest())
+	_, err := roundTrip(srv.Client(), srv.URL, hardeningRequest())
 	if err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing garbage accepted: err = %v", err)
 	}
@@ -81,7 +97,7 @@ func TestPostPartialRejectsEchoMismatch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			srv := partialEcho(t, mutate)
 			defer srv.Close()
-			_, err := postPartial(context.Background(), srv.Client(), srv.URL, hardeningRequest())
+			_, err := roundTrip(srv.Client(), srv.URL, hardeningRequest())
 			if err == nil || !strings.Contains(err.Error(), "echo mismatch") {
 				t.Fatalf("mismatched echo accepted: err = %v", err)
 			}
@@ -94,7 +110,7 @@ func TestPostPartialRejectsEchoMismatch(t *testing.T) {
 func TestPostPartialAcceptsLowerFloor(t *testing.T) {
 	srv := partialEcho(t, func(rp *RangePartial) any { rp.Floor = 1; return rp })
 	defer srv.Close()
-	if _, err := postPartial(context.Background(), srv.Client(), srv.URL, hardeningRequest()); err != nil {
+	if _, err := roundTrip(srv.Client(), srv.URL, hardeningRequest()); err != nil {
 		t.Fatalf("lower-floor echo refused: %v", err)
 	}
 }
@@ -106,7 +122,7 @@ func TestPostPartialClassifiesShedding(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]string{"error": "worker draining"})
 	}))
 	defer srv.Close()
-	_, err := postPartial(context.Background(), srv.Client(), srv.URL, hardeningRequest())
+	_, err := roundTrip(srv.Client(), srv.URL, hardeningRequest())
 	var he *workerHTTPError
 	if !errors.As(err, &he) {
 		t.Fatalf("want *workerHTTPError, got %v", err)
@@ -127,7 +143,7 @@ func TestPostPartialClassifiesHardHTTPFailure(t *testing.T) {
 		http.Error(w, "kaboom", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	_, err := postPartial(context.Background(), srv.Client(), srv.URL, hardeningRequest())
+	_, err := roundTrip(srv.Client(), srv.URL, hardeningRequest())
 	var he *workerHTTPError
 	if !errors.As(err, &he) {
 		t.Fatalf("want *workerHTTPError, got %v", err)
@@ -155,11 +171,17 @@ func TestWorkerPoolDedicatedClient(t *testing.T) {
 	}
 }
 
-// FuzzPartialResponse drives postPartial against a worker that answers 200
-// with an arbitrary body. postPartial must never panic, and it may accept
-// only a single JSON document that echoes the requested range and k with a
-// floor at or below the requested one — the partial it returns must be
-// exactly that document.
+// newBody is a body buffer source that never recycles.
+func newBody() *bytes.Buffer { return new(bytes.Buffer) }
+
+// FuzzPartialResponse drives postPartial and decodePartial against a worker
+// that answers 200 with an arbitrary body. Neither may panic, and a partial
+// is accepted only from a single JSON document that echoes the requested
+// range and k with a floor at or below the requested one — the partial
+// must be exactly that document. Every body is decoded twice: into a fresh
+// partial, and into a recycled one still holding a previous range's items,
+// supports and min p-values, as the coordinator's free list hands it out.
+// The two must agree, so no field of an earlier range can survive a decode.
 func FuzzPartialResponse(f *testing.F) {
 	f.Add([]byte(`{"from":5,"to":10,"k":2,"floor":3,"counts":[0,0,0,0,0]}`))
 	f.Add([]byte(`{"from":5,"to":10,"k":2,"floor":1,"counts":[1,0,2,0,0],"items":[1,2,3,4],"sups":[5,6]}`))
@@ -167,6 +189,9 @@ func FuzzPartialResponse(f *testing.F) {
 	f.Add([]byte(`{"from":6,"to":11,"k":2,"floor":3}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"from":5,"to":10,"k":2,"floor":3,"counts":[0,0`))
+	// A range without min_ps after the recycled partial's range with them:
+	// the stale min p-values must not survive.
+	f.Add([]byte(`{"from":5,"to":10,"k":2,"floor":3,"counts":[0,1,0,0,0],"items":[2,7],"sups":[4]}`))
 
 	// The worker is an httptest recorder behind an in-memory transport: a
 	// socket per rejected body would exhaust ephemeral ports within seconds
@@ -180,12 +205,31 @@ func FuzzPartialResponse(f *testing.F) {
 		return rec.Result(), nil
 	})}
 	req := hardeningRequest()
+	// previous is a valid partial of the same range that carries min_ps, the
+	// state a recycled partial is in when the next range arrives.
+	previous := []byte(`{"from":5,"to":10,"k":2,"floor":3,"counts":[2,0,0,1,0],"items":[1,2,3,4,5,6],"sups":[9,8,7],"min_ps":[0.25,2,2,0.5,2]}`)
 
 	f.Fuzz(func(t *testing.T, resp []byte) {
 		body = resp
-		rp, err := postPartial(context.Background(), hc, "http://worker.test", req)
+		buf, err := postPartial(context.Background(), hc, "http://worker.test", req, newBody)
 		if err != nil {
+			t.Fatalf("200 response refused before decoding: %v", err)
+		}
+		var fresh RangePartial
+		freshErr := decodePartial(buf.Bytes(), req, &fresh)
+		var recycled RangePartial
+		if err := decodePartial(previous, req, &recycled); err != nil {
+			t.Fatal(err)
+		}
+		recycledErr := decodePartial(buf.Bytes(), req, &recycled)
+		if (freshErr == nil) != (recycledErr == nil) {
+			t.Fatalf("fresh decode err = %v, recycled decode err = %v", freshErr, recycledErr)
+		}
+		if freshErr != nil {
 			return
+		}
+		if !samePartial(&fresh, &recycled) {
+			t.Fatalf("recycled decode %+v differs from fresh decode %+v", recycled, fresh)
 		}
 		var doc RangePartial
 		if uerr := json.Unmarshal(resp, &doc); uerr != nil {
@@ -194,10 +238,18 @@ func FuzzPartialResponse(f *testing.F) {
 		if doc.From != req.From || doc.To != req.To || doc.K != req.K || doc.Floor > req.Floor {
 			t.Fatalf("accepted a partial that does not echo the request: %q", resp)
 		}
-		if !reflect.DeepEqual(*rp, doc) {
-			t.Fatalf("returned partial %+v differs from the document %+v", *rp, doc)
+		if !samePartial(&fresh, &doc) {
+			t.Fatalf("returned partial %+v differs from the document %+v", fresh, doc)
 		}
 	})
+}
+
+// samePartial reports whether two partials hold the same values; a nil and
+// an empty slice count as equal, since both encode and merge alike.
+func samePartial(a, b *RangePartial) bool {
+	return a.From == b.From && a.To == b.To && a.Floor == b.Floor && a.K == b.K &&
+		slices.Equal(a.Counts, b.Counts) && slices.Equal(a.Items, b.Items) &&
+		slices.Equal(a.Sups, b.Sups) && slices.Equal(a.MinPs, b.MinPs)
 }
 
 // roundTripFunc adapts a function to http.RoundTripper.

@@ -10,6 +10,7 @@ import (
 
 	"sigfim/internal/dataset"
 	"sigfim/internal/mining"
+	"sigfim/internal/montecarlo"
 	"sigfim/internal/randmodel"
 	"sigfim/internal/stats"
 )
@@ -27,6 +28,12 @@ type Dataset struct {
 	prepOnce sync.Once // guards the lazy vertical index + item supports
 	hashOnce sync.Once // guards hash
 	hash     string
+
+	// scrIdle holds idle replicate-range scratches for MineReplicateRange,
+	// at most maxIdleRangeScratches of them; scrBusy counts those in use.
+	scrMu   sync.Mutex
+	scrIdle []*montecarlo.RangeScratch
+	scrBusy int
 }
 
 // FromTransactions builds a Dataset from raw transactions. Item ids may

@@ -162,6 +162,20 @@ func (ds *Dataset) swapModel(perOccurrence, proposals int) (*randmodel.SwapModel
 	return m, nil
 }
 
+// CheckSwapChain reports the error a swap-null analysis of this dataset
+// fails with for the given chain lengths (Config.SwapProposalsPerOccurrence
+// and Config.SwapProposals): a negative length, or proposals per occurrence
+// whose chain over the dataset's occurrences overflows an int. A service
+// runs it when it admits a job, so such a job is refused up front instead
+// of failing once it runs.
+func (ds *Dataset) CheckSwapChain(perOccurrence, proposals int) error {
+	if err := checkSwapChainLengths(perOccurrence, proposals); err != nil {
+		return err
+	}
+	_, err := ds.swapModel(perOccurrence, proposals)
+	return err
+}
+
 // checkSwapChainLengths rejects negative swap chain lengths, which would
 // otherwise fall back to the chain's defaults without notice.
 func checkSwapChainLengths(perOccurrence, proposals int) error {

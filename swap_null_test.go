@@ -72,10 +72,10 @@ func TestNegativeSwapChainLengthRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "swap chain lengths") {
 			t.Errorf("Significant(ppo=%d, proposals=%d): err = %v, want a swap chain length error", c.ppo, c.proposals, err)
 		}
-		_, err = d.MineReplicateRange(context.Background(), PartialRequest{
+		err = d.MineReplicateRange(context.Background(), PartialRequest{
 			From: 0, To: 1, K: 2, Floor: 2, Seeds: []uint64{42},
 			SwapNull: true, SwapProposalsPerOccurrence: c.ppo, SwapProposals: c.proposals,
-		})
+		}, new(RangePartial))
 		if err == nil || !strings.Contains(err.Error(), "swap chain lengths") {
 			t.Errorf("MineReplicateRange(ppo=%d, proposals=%d): err = %v, want a swap chain length error", c.ppo, c.proposals, err)
 		}
@@ -97,10 +97,10 @@ func TestOverflowingSwapChainLengthRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "swap chain length") {
 		t.Errorf("Significant(ppo=%d): err = %v, want a swap chain length error", ppo, err)
 	}
-	_, err = d.MineReplicateRange(context.Background(), PartialRequest{
+	err = d.MineReplicateRange(context.Background(), PartialRequest{
 		From: 0, To: 1, K: 2, Floor: 1, Seeds: []uint64{42},
 		SwapNull: true, SwapProposalsPerOccurrence: ppo,
-	})
+	}, new(RangePartial))
 	if err == nil || !strings.Contains(err.Error(), "swap chain length") {
 		t.Errorf("MineReplicateRange(ppo=%d): err = %v, want a swap chain length error", ppo, err)
 	}

@@ -46,6 +46,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"smin bad null", []string{"smin", "-in", goldenPath, "-null", "bogus"}, 1, "unknown null model", ""},
 		{"smin rejects swap null", []string{"smin", "-in", goldenPath, "-null", "swap"}, 1, "independence null", ""},
 		{"significant bad null", []string{"significant", "-in", goldenPath, "-null", "bogus"}, 1, "unknown null model", ""},
+		{"significant bad alpha", []string{"significant", "-in", goldenPath, "-k", "2", "-alpha", "1.5"}, 1, "Alpha must be in [0, 1)", ""},
 		{"mine ok", []string{"mine", "-in", goldenPath, "-minsup", "80", "-k", "2", "-top", "3"}, 0, "", "itemsets with support >= 80"},
 		{"smin ok", []string{"smin", "-in", goldenPath, "-delta", "30", "-seed", "5"}, 0, "", "s_min = "},
 		{"significant swap ok", []string{"significant", "-in", goldenPath, "-delta", "30", "-seed", "5", "-null", "swap", "-swap-ppo", "2", "-top", "0"}, 0, "", "null model: swap randomization"},

@@ -30,6 +30,23 @@
 //	        report.SStar, report.NumSignificant, report.Lambda)
 //	}
 //
+// # Configuration
+//
+// Config carries the analysis knobs; its zero value (or nil) selects the
+// paper's settings: alpha = beta = 0.05, epsilon = 0.01, Delta = 1000
+// replicates, at most 100000 materialized itemsets, the automatic miner and
+// the independence null. Dataset.ResolveConfig is the one place its
+// defaults and checks live. Significant and FindSMin resolve their Config
+// with it before any work, and sigfimd resolves every significant and smin
+// job with it at submission, so the service refuses (400, with the same
+// message) exactly the configurations the library rejects, and a bad one
+// never costs a replicate. Budgets must lie in [0, 1) and counts must be
+// >= 0, with 0 selecting the default and NaN an error; the algorithm and
+// correction must be known names; FindSMin refuses SwapNull; and a swap
+// chain's length must fit an int. The resolved Config has every default
+// filled, the baseline settled (a Correction implies it), and what the
+// analysis ignores zeroed; sigfimd keys its result cache on it.
+//
 // # Architecture: paper concepts to packages
 //
 // The pipeline behind Significant maps onto the internal packages as
@@ -272,12 +289,11 @@
 // swap smin jobs to HTTP 400. A swap-null analysis reads its s_min from the
 // Significant report.
 //
-// The sigfimd result cache canonicalizes the null-model configuration into
-// its key as three fields: null_model ("independence" or "swap"), swap_ppo
-// (the per-occurrence burn-in, with the default of 8 filled in), and
-// swap_proposals (the absolute override; when it is set, swap_ppo is zeroed
-// as irrelevant). Under the independence null both swap fields are zeroed,
-// so stray chain knobs never split the cache.
+// The sigfimd result cache keys a job on its resolved Config (see
+// Configuration), which carries only the chain knob the null reads: none
+// under the independence null, and under the swap null either the absolute
+// SwapProposals or the per-occurrence length with its default of 8 filled
+// in. Stray chain knobs therefore never split the cache.
 //
 // # Parallelism and determinism
 //

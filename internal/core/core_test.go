@@ -319,17 +319,6 @@ func TestAnalyzeOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSMinOverride(t *testing.T) {
-	v := genNull(200, uniformFreqs(15, 0.2), 77)
-	a, err := Analyze("o", v, 2, Options{Delta: 100, Seed: 3, SMinOverride: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Proc2.SMin != 25 && a.Proc2.SMin < a.MC.Floor {
-		t.Errorf("override not applied: sMin=%d", a.Proc2.SMin)
-	}
-}
-
 func TestAnalyzeWithSwapNullModel(t *testing.T) {
 	// Swap randomization as the null: on a small planted dataset the
 	// methodology should still detect the planted pair (its joint support

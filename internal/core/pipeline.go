@@ -23,12 +23,6 @@ type Options struct {
 	Delta int
 	// Seed fixes all random streams.
 	Seed uint64
-	// MaxEntries caps Algorithm 1's (itemset, replicate) records; zero
-	// keeps the montecarlo default.
-	MaxEntries int
-	// SMinOverride skips Algorithm 1 and uses this Poisson threshold
-	// directly (with MC lambda estimation still run); zero disables.
-	SMinOverride int
 	// RunProcedure1 additionally runs the Procedure 1 baseline for
 	// comparison.
 	RunProcedure1 bool
@@ -65,16 +59,14 @@ type Options struct {
 	// (see montecarlo.Config.Runner); nil keeps the in-process pool. The
 	// merged result is bit-identical either way.
 	Runner montecarlo.RangeRunner
-	// RangeSize and RangeInflight tune Runner dispatches; see
-	// montecarlo.Config. They cannot influence the result.
-	RangeSize     int
-	RangeInflight int
+	// RangeSize tunes Runner dispatches; see montecarlo.Config. It cannot
+	// influence the result.
+	RangeSize int
 }
 
 // The pipeline's defaults: withDefaults fills them into zero Options
-// fields, and every caller that must agree with the pipeline on them (the
-// public Config, the service's cache-key canonicalization) reads these
-// names.
+// fields, and sigfim.ResolveConfig, which the library and the service's
+// cache key share, fills them into a public Config.
 const (
 	DefaultAlpha   = 0.05 // Procedure 2's confidence budget
 	DefaultBeta    = 0.05 // FDR budget of both procedures
@@ -158,18 +150,16 @@ func AnalyzeCtx(ctx context.Context, name string, v *dataset.Vertical, k int, op
 	}
 
 	mc, err := montecarlo.FindPoissonThresholdCtx(ctx, model, montecarlo.Config{
-		K:             k,
-		Delta:         opts.Delta,
-		Epsilon:       opts.Epsilon,
-		Seed:          opts.Seed,
-		MaxEntries:    opts.MaxEntries,
-		Workers:       opts.Workers,
-		Algorithm:     opts.Algorithm,
-		Progress:      opts.Progress,
-		Runner:        opts.Runner,
-		RangeSize:     opts.RangeSize,
-		RangeInflight: opts.RangeInflight,
-		CollectMinPs:  opts.RunProcedure1 && correction == CorrectionWestfallYoung,
+		K:            k,
+		Delta:        opts.Delta,
+		Epsilon:      opts.Epsilon,
+		Seed:         opts.Seed,
+		Workers:      opts.Workers,
+		Algorithm:    opts.Algorithm,
+		Progress:     opts.Progress,
+		Runner:       opts.Runner,
+		RangeSize:    opts.RangeSize,
+		CollectMinPs: opts.RunProcedure1 && correction == CorrectionWestfallYoung,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: Algorithm 1: %w", err)
@@ -178,9 +168,6 @@ func AnalyzeCtx(ctx context.Context, name string, v *dataset.Vertical, k int, op
 		return nil, err
 	}
 	sMin := mc.SMin
-	if opts.SMinOverride > 0 {
-		sMin = opts.SMinOverride
-	}
 	if sMin < mc.Floor {
 		// Lambda estimates only exist down to the mining floor.
 		sMin = mc.Floor

@@ -10,7 +10,7 @@ import (
 // bytes the original job produced, so a cached answer is byte-for-byte
 // indistinguishable from recomputing — sound because the whole pipeline is
 // deterministic for a fixed seed and the key captures everything the result
-// depends on (dataset content hash, kind, k, canonicalized configuration; see
+// depends on (dataset content hash, kind, k, resolved configuration; see
 // canonicalRequest). Worker count is deliberately NOT part of the key: the
 // engine guarantees bit-identical results for every worker count.
 type ResultCache struct {

@@ -15,9 +15,9 @@ import (
 	"sigfim"
 )
 
-// clampFrac maps an arbitrary fuzzed float into the [0, 1) range validate
-// accepts, sending NaN/Inf/out-of-range values to 0 (the "use the default"
-// spelling).
+// clampFrac maps an arbitrary fuzzed float into the [0, 1) range the
+// resolver accepts, sending NaN/Inf/out-of-range values to 0 (the "use the
+// default" spelling).
 func clampFrac(v float64) float64 {
 	if !(v >= 0 && v < 1) { // also catches NaN
 		return 0
@@ -25,39 +25,65 @@ func clampFrac(v float64) float64 {
 	return v
 }
 
-// clampNonNeg maps an arbitrary fuzzed int into the non-negative range
-// validate accepts.
+// clampNonNeg maps an arbitrary fuzzed int into [0, 2^30): the resolver
+// accepts it, a +1 perturbation cannot overflow, and no swap chain over
+// fuzzPartialData's occurrences overflows an int.
 func clampNonNeg(v int) int {
 	if v < 0 {
 		return 0
 	}
-	return v
+	return v % (1 << 30)
 }
 
-// FuzzCacheKeyCanonical fuzzes the cache-key normal form: from one fuzzed
-// configuration it derives a second request that spells every implicit
-// default out explicitly, perturbs every knob the canonical form declares
-// irrelevant (Workers always; alpha/beta/baseline/max-patterns for smin
-// jobs; swap knobs the null-model selection ignores), and asserts both
-// requests land on the same cache key — while seed, dataset hash, and delta
-// perturbations always move the key. If canonicalize's default-filling ever
-// drifts from the pipeline's, or an irrelevant knob leaks into the key and
-// splits cache slots, this finds the counterexample.
+// otherFrac returns a valid budget that resolves differently from v, whose
+// default is def.
+func otherFrac(v, def float64) float64 {
+	if v == 0 {
+		v = def
+	}
+	if v == 0.5 {
+		return 0.25
+	}
+	return 0.5
+}
+
+// FuzzCacheKeyCanonical fuzzes the cache-key normal form, which keys a
+// statistical job on its Config as sigfim.ResolveConfig resolves it against
+// the job's dataset. From one fuzzed configuration it derives a second
+// request that spells every implicit default out explicitly and perturbs
+// every knob the analysis ignores (Workers always; alpha, beta, baseline,
+// correction and max patterns for smin jobs; swap knobs the chosen null
+// does not read), and asserts both requests land on the same cache key.
+// Then it moves each result-bearing field in turn, and the key must move
+// with it: seed, delta, epsilon, algorithm, k, kind and the dataset hash
+// always; alpha, beta, correction and max patterns for significant jobs;
+// and the swap knob the chosen null reads. A resolver that drifts from the
+// pipeline's defaults, leaks an ignored knob into the key (splitting cache
+// slots), or drops a relevant one (serving one analysis's bytes for
+// another) fails here.
 func FuzzCacheKeyCanonical(f *testing.F) {
 	f.Add(true, 2, 0.0, 0.0, 0.0, 0, uint64(9), false, 0, false, 0, 0, uint8(0), 3, "h1")
 	f.Add(true, 3, 0.1, 0.2, 0.05, 500, uint64(1), true, 50, true, 4, 0, uint8(1), 0, "h2")
 	f.Add(true, 1, 0.0, 0.0, 0.0, 0, uint64(0), false, 0, true, 0, 900, uint8(2), 8, "")
 	f.Add(false, 4, 0.9, 0.0, 0.5, 12, uint64(777), true, 3, false, 5, 6, uint8(3), 1, "deadbeef")
+	f.Add(true, 2, 0.0, 0.0, 0.0, 40, uint64(5), false, 0, false, 0, 0, uint8(16), 0, "h3")
+	f.Add(true, 2, 0.5, 0.5, 0.5, 40, uint64(5), true, 0, false, 0, 0, uint8(23), 0, "h4")
+	ds, err := sigfim.ReadFIMI(strings.NewReader(fuzzPartialData))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, significant bool, k int,
 		alpha, beta, epsilon float64, delta int, seed uint64,
 		baseline bool, maxPatterns int, swapNull bool, swapPPO, swapProposals int,
-		algoSel uint8, workersB int, hash string) {
+		sel uint8, workersB int, hash string) {
 
 		kind := KindSMin
 		if significant {
 			kind = KindSignificant
 		}
+		// sel picks the algorithm and, above that, the correction.
 		algos := []string{"", sigfim.AlgoAuto, sigfim.AlgoEclat, sigfim.AlgoApriori, sigfim.AlgoFPGrowth}
+		corrections := []string{"", sigfim.CorrectionBY, sigfim.CorrectionBonferroni, sigfim.CorrectionHolm, sigfim.CorrectionWestfallYoung}
 		cfg := sigfim.Config{
 			Alpha:                      clampFrac(alpha),
 			Beta:                       clampFrac(beta),
@@ -65,19 +91,18 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 			Delta:                      clampNonNeg(delta),
 			Seed:                       seed,
 			WithBaseline:               baseline,
+			Correction:                 corrections[int(sel)/len(algos)%len(corrections)],
 			MaxPatterns:                clampNonNeg(maxPatterns),
 			SwapNull:                   significant && swapNull, // smin jobs reject SwapNull
 			SwapProposalsPerOccurrence: clampNonNeg(swapPPO),
 			SwapProposals:              clampNonNeg(swapProposals),
-			Algorithm:                  algos[int(algoSel)%len(algos)],
+			Algorithm:                  algos[int(sel)%len(algos)],
 		}
-		if k < 1 {
-			k = 1
-		}
+		k = max(1, clampNonNeg(k))
 		a := JobRequest{Dataset: "d", Kind: kind, K: k, Config: &cfg}
 
 		// b is the same request with nothing left implicit and every
-		// canonically-irrelevant knob perturbed.
+		// knob the analysis ignores perturbed.
 		bcfg := cfg
 		bcfg.Workers = clampNonNeg(workersB) // performance-only, any kind
 		if bcfg.Epsilon == 0 {
@@ -100,6 +125,15 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 				bcfg.MaxPatterns = 100000
 			}
 			switch {
+			case bcfg.Correction != "":
+				// A correction implies the baseline, and its name is
+				// case-normalized.
+				bcfg.WithBaseline = true
+				bcfg.Correction = strings.ToUpper(bcfg.Correction)
+			case bcfg.WithBaseline:
+				bcfg.Correction = sigfim.CorrectionBY
+			}
+			switch {
 			case !bcfg.SwapNull:
 				// Independence null: the swap chain knobs cannot matter.
 				bcfg.SwapProposalsPerOccurrence = clampNonNeg(swapPPO) + 3
@@ -116,32 +150,33 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 				}
 			}
 		} else {
-			// smin jobs ignore Procedure 2's knobs and the null selection.
+			// smin jobs ignore Procedure 2's knobs, the baseline and the
+			// null selection.
 			bcfg.Alpha = clampFrac(alpha + 0.25)
 			bcfg.Beta = clampFrac(beta + 0.25)
 			bcfg.WithBaseline = !baseline
+			bcfg.Correction = corrections[(int(sel)+1)%len(corrections)]
 			bcfg.MaxPatterns = clampNonNeg(maxPatterns) + 11
 			bcfg.SwapProposalsPerOccurrence = clampNonNeg(swapPPO) + 3
 			bcfg.SwapProposals = clampNonNeg(swapProposals) + 7
 		}
 		b := JobRequest{Dataset: "d", Kind: kind, K: k, Config: &bcfg}
 
-		// Both spellings must be accepted by the same validation the engine
+		// Both spellings must be accepted by the same checks the engine
 		// applies before keying — equivalence over rejected requests would
 		// be vacuous.
 		var e Engine
-		if err := e.validate(a); err != nil {
-			t.Fatalf("request a rejected: %v", err)
+		canonOf := func(req JobRequest) canonicalRequest {
+			t.Helper()
+			err := e.validate(req)
+			canon, cerr := canonicalize(ds, req)
+			if err != nil || cerr != nil {
+				t.Fatalf("request %s k=%d %+v rejected: %v, %v", req.Kind, req.K, req.Config, err, cerr)
+			}
+			return canon
 		}
-		if err := e.validate(b); err != nil {
-			t.Fatalf("request b rejected: %v", err)
-		}
-
-		ca, cb := canonicalize(a), canonicalize(b)
-		if ca != cb {
-			t.Fatalf("equivalent requests canonicalize differently:\na: %+v\nb: %+v", ca, cb)
-		}
-		ka, kb := cacheKeyFor(hash, ca), cacheKeyFor(hash, cb)
+		keyOf := func(req JobRequest) string { return cacheKeyFor(hash, canonOf(req)) }
+		ka, kb := keyOf(a), keyOf(b)
 		if ka != kb {
 			t.Fatalf("equivalent requests got distinct cache keys:\n%s\n%s", ka, kb)
 		}
@@ -151,26 +186,60 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 
 		// A nil config is the all-defaults spelling of the zero config.
 		if reflect.DeepEqual(cfg, sigfim.Config{}) {
-			nilKey := cacheKeyFor(hash, canonicalize(JobRequest{Dataset: "d", Kind: kind, K: k}))
-			if nilKey != ka {
+			if nilKey := keyOf(JobRequest{Dataset: "d", Kind: kind, K: k}); nilKey != ka {
 				t.Fatalf("nil config keyed differently from zero config:\n%s\n%s", nilKey, ka)
 			}
 		}
 
-		// Result-bearing fields must move the key: seed, delta, and the
-		// dataset identity are all part of what the cached bytes depend on.
-		scfg := cfg
-		scfg.Seed = seed + 1
-		if sk := cacheKeyFor(hash, canonicalize(JobRequest{Dataset: "d", Kind: kind, K: k, Config: &scfg})); sk == ka {
-			t.Fatal("seed change did not change the cache key")
+		// Result-bearing fields must move the key.
+		moves := func(what, kind string, k int, c sigfim.Config) {
+			t.Helper()
+			if keyOf(JobRequest{Dataset: "d", Kind: kind, K: k, Config: &c}) == ka {
+				t.Fatalf("%s change did not change the cache key %s", what, ka)
+			}
 		}
-		dcfg := cfg
-		dcfg.Delta = clampNonNeg(delta) + 1
-		if dk := cacheKeyFor(hash, canonicalize(JobRequest{Dataset: "d", Kind: kind, K: k, Config: &dcfg})); dk == ka {
-			t.Fatal("delta change did not change the cache key")
+		perturb := func(edit func(c *sigfim.Config)) sigfim.Config {
+			c := cfg
+			edit(&c)
+			return c
 		}
-		if hk := cacheKeyFor(hash+"x", ca); hk == ka {
+		moves("seed", kind, k, perturb(func(c *sigfim.Config) { c.Seed++ }))
+		moves("delta", kind, k, perturb(func(c *sigfim.Config) { c.Delta++ }))
+		moves("epsilon", kind, k, perturb(func(c *sigfim.Config) { c.Epsilon = otherFrac(c.Epsilon, 0.01) }))
+		moves("algorithm", kind, k, perturb(func(c *sigfim.Config) {
+			c.Algorithm = sigfim.AlgoApriori
+			if cfg.Algorithm == sigfim.AlgoApriori {
+				c.Algorithm = sigfim.AlgoFPGrowth
+			}
+		}))
+		moves("k", kind, k+1, cfg)
+		if kind == KindSignificant {
+			moves("kind", KindSMin, k, perturb(func(c *sigfim.Config) { c.SwapNull = false }))
+		} else {
+			moves("kind", KindSignificant, k, cfg)
+		}
+		if cacheKeyFor(hash+"x", canonOf(a)) == ka {
 			t.Fatal("dataset hash change did not change the cache key")
+		}
+		if kind == KindSignificant {
+			moves("alpha", kind, k, perturb(func(c *sigfim.Config) { c.Alpha = otherFrac(c.Alpha, 0.05) }))
+			moves("beta", kind, k, perturb(func(c *sigfim.Config) { c.Beta = otherFrac(c.Beta, 0.05) }))
+			moves("max patterns", kind, k, perturb(func(c *sigfim.Config) { c.MaxPatterns++ }))
+			moves("correction", kind, k, perturb(func(c *sigfim.Config) {
+				// Holm turns the baseline on, or replaces the correction
+				// it runs under.
+				c.Correction = sigfim.CorrectionHolm
+				if cfg.Correction == sigfim.CorrectionHolm {
+					c.Correction = sigfim.CorrectionBY
+				}
+			}))
+			switch {
+			case !cfg.SwapNull:
+			case cfg.SwapProposals > 0:
+				moves("swap proposals", kind, k, perturb(func(c *sigfim.Config) { c.SwapProposals++ }))
+			default:
+				moves("swap proposals per occurrence", kind, k, perturb(func(c *sigfim.Config) { c.SwapProposalsPerOccurrence++ }))
+			}
 		}
 	})
 }

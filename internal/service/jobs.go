@@ -12,9 +12,6 @@ import (
 	"time"
 
 	"sigfim"
-	"sigfim/internal/core"
-	"sigfim/internal/mining"
-	"sigfim/internal/randmodel"
 	"sigfim/internal/trace"
 )
 
@@ -282,7 +279,9 @@ func (e *Engine) Draining() bool {
 	return e.closed
 }
 
-// validate checks a request before it is admitted, so queued jobs can only
+// validate checks a request's shape before it is admitted: its kind, k
+// against min_support, and the rules fields. Submit then resolves a
+// statistical job's Config against its dataset, so queued jobs can only
 // fail for runtime reasons, never for malformed parameters.
 func (e *Engine) validate(req JobRequest) error {
 	switch req.Kind {
@@ -315,103 +314,44 @@ func (e *Engine) validate(req JobRequest) error {
 		if req.MaxLen < 0 {
 			return fmt.Errorf("%w: max_len must be >= 0, got %d", ErrBadRequest, req.MaxLen)
 		}
-	}
-	if c := req.Config; c != nil {
-		if _, err := mining.ParseAlgorithm(c.Algorithm); err != nil {
-			return fmt.Errorf("%w: unknown algorithm %q", ErrBadRequest, c.Algorithm)
-		}
-		if c.Delta < 0 || c.MaxPatterns < 0 || c.Workers < 0 {
-			return fmt.Errorf("%w: delta, max patterns, and workers must be >= 0", ErrBadRequest)
-		}
-		if c.SwapProposalsPerOccurrence < 0 || c.SwapProposals < 0 {
-			return fmt.Errorf("%w: swap chain lengths must be >= 0", ErrBadRequest)
-		}
-		if c.Alpha < 0 || c.Alpha >= 1 || c.Beta < 0 || c.Beta >= 1 || c.Epsilon < 0 || c.Epsilon >= 1 {
-			return fmt.Errorf("%w: alpha, beta, and epsilon must be in [0, 1) (0 = default)", ErrBadRequest)
-		}
-		if _, err := sigfim.ParseCorrection(c.Correction); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		if req.Kind == KindSMin && c.SwapNull {
-			// FindSMin always runs the independence null; silently returning
-			// an independence-model threshold for a swap-null request would
-			// be a wrong answer, so refuse instead.
-			return fmt.Errorf("%w: SwapNull is not supported for %q jobs (FindSMin uses the independence null)", ErrBadRequest, KindSMin)
+		if c := req.Config; req.Kind == KindRules && c != nil && !(c.Beta >= 0 && c.Beta < 1) {
+			return fmt.Errorf("%w: rules Beta must be in [0, 1) (0 = unfiltered), got %v", ErrBadRequest, c.Beta)
 		}
 	}
 	return nil
 }
 
-// canonicalRequest is the cache-key normal form of a job request: defaults
-// are filled in exactly as the pipeline fills them, fields a kind ignores
-// are zeroed, and performance-only knobs (Workers) are dropped entirely —
-// the engine guarantees bit-identical results for every worker count, so two
-// requests differing only in Workers share one cache slot. Algorithm stays
-// in the key: every algorithm mines identical itemsets, but float-valued
-// report fields (lambda estimates, p-values) can differ in their last bits
-// across algorithms, and the cache contract is bit-identity.
+// canonicalRequest is the cache-key normal form of a job request. A
+// significant or smin job keys on its Config as sigfim.ResolveConfig
+// resolves it: defaults filled, fields the analysis ignores zeroed, the
+// baseline flag and correction settled. Workers is cleared, since the
+// engine is bit-identical for every worker count. Algorithm stays: every
+// algorithm mines identical itemsets, but float-valued report fields
+// (lambda estimates, p-values) can differ in their last bits across
+// algorithms, and the cache contract is bit-identity.
 //
-// The null model canonicalizes to three fields. NullModel is "independence"
-// or "swap" (smin jobs are always "independence": they reject SwapNull at
-// validation). Under the swap null, SwapPPO carries the per-occurrence
-// burn-in with the pipeline's default
-// (randmodel.DefaultProposalsPerOccurrence) filled in, and SwapProposals the
-// absolute override; whichever of the two the pipeline would ignore is
-// zeroed, so a request that spells out a default (or sets a knob its own
-// configuration makes irrelevant) still shares the cache slot of the run it
-// is guaranteed to reproduce.
-//
-// Correction follows the same logic: it is the normalized correction name
-// when the baseline actually runs and empty otherwise, and WithBaseline is
-// the effective flag (an explicit Correction implies the baseline), so
-// {WithBaseline: true} and {Correction: "by"} share one slot. The mining
-// kinds (closed, maximal, rules) zero the whole statistical block including
-// Algorithm — their library calls take no algorithm knob — and carry only
-// the fields that parameterize them; rules jobs keep Beta with its zero
-// meaning "unfiltered", unlike significant jobs where zero means 0.05.
+// The mining kinds (closed, maximal, rules) read no analysis config, so
+// they carry only the fields that parameterize them; rules jobs keep Beta
+// with its zero meaning "unfiltered", unlike significant jobs where zero
+// means 0.05.
 type canonicalRequest struct {
-	Kind          string  `json:"kind"`
-	K             int     `json:"k"`
-	MinSupport    int     `json:"min_support"`
-	MinConfidence float64 `json:"min_confidence"`
-	MaxLen        int     `json:"max_len"`
-	Alpha         float64 `json:"alpha"`
-	Beta          float64 `json:"beta"`
-	Epsilon       float64 `json:"epsilon"`
-	Delta         int     `json:"delta"`
-	Seed          uint64  `json:"seed"`
-	WithBaseline  bool    `json:"with_baseline"`
-	Correction    string  `json:"correction"`
-	MaxPatterns   int     `json:"max_patterns"`
-	NullModel     string  `json:"null_model"`
-	SwapPPO       int     `json:"swap_ppo"`
-	SwapProposals int     `json:"swap_proposals"`
-	Algorithm     string  `json:"algorithm"`
+	Kind          string         `json:"kind"`
+	K             int            `json:"k"`
+	MinSupport    int            `json:"min_support"`
+	MinConfidence float64        `json:"min_confidence"`
+	MaxLen        int            `json:"max_len"`
+	Beta          float64        `json:"beta"`
+	Config        *sigfim.Config `json:"config,omitempty"`
 }
 
-// Canonical null-model names.
-const (
-	nullIndependence = "independence"
-	nullSwap         = "swap"
-)
-
-// canonicalize builds the canonical form of a validated request.
-func canonicalize(req JobRequest) canonicalRequest {
-	cfg := sigfim.Config{}
-	if req.Config != nil {
-		cfg = *req.Config
-	}
+// canonicalize builds the canonical form of a validated request against
+// its dataset. The error is the resolver's, for a bad statistical config.
+func canonicalize(ds *sigfim.Dataset, req JobRequest) (canonicalRequest, error) {
 	c := canonicalRequest{Kind: req.Kind}
-
-	// The mining kinds depend only on their own parameters: every miner
-	// emits the identical pattern set, the dataset carries no randomness,
-	// and no analysis config is read (rules jobs read Beta alone). The
-	// whole statistical block — including Algorithm — stays zero, so
-	// requests differing only in irrelevant config share one cache slot.
 	switch req.Kind {
 	case KindClosed, KindMaximal:
 		c.MinSupport = req.MinSupport
-		return c
+		return c, nil
 	case KindRules:
 		c.MinSupport = req.MinSupport
 		c.MinConfidence = req.MinConfidence
@@ -419,62 +359,19 @@ func canonicalize(req JobRequest) canonicalRequest {
 		if c.MaxLen == 0 {
 			c.MaxLen = 4
 		}
-		// Beta keeps its raw zero semantic here: zero means unfiltered
-		// Rules, any positive value means SignificantRules at that budget.
-		c.Beta = cfg.Beta
-		return c
+		if req.Config != nil {
+			c.Beta = req.Config.Beta
+		}
+		return c, nil
 	}
-
+	cfg, err := ds.ResolveConfig(req.K, req.Config, req.Kind == KindSMin)
+	if err != nil {
+		return c, err
+	}
+	cfg.Workers = 0
 	c.K = req.K
-	c.Epsilon = cfg.Epsilon
-	c.Delta = cfg.Delta
-	c.Seed = cfg.Seed
-	c.NullModel = nullIndependence
-	c.Algorithm = cfg.Algorithm
-	if c.Epsilon == 0 {
-		c.Epsilon = core.DefaultEpsilon
-	}
-	if c.Delta == 0 {
-		c.Delta = core.DefaultDelta
-	}
-	if c.Algorithm == "" {
-		c.Algorithm = sigfim.AlgoAuto
-	}
-	if req.Kind == KindSignificant {
-		c.Alpha = cfg.Alpha
-		c.Beta = cfg.Beta
-		c.MaxPatterns = cfg.MaxPatterns
-		if c.Alpha == 0 {
-			c.Alpha = core.DefaultAlpha
-		}
-		if c.Beta == 0 {
-			c.Beta = core.DefaultBeta
-		}
-		if c.MaxPatterns == 0 {
-			c.MaxPatterns = core.DefaultMaxPatterns
-		}
-		// An explicit Correction implies the baseline (mirroring
-		// sigfim.Config), and the correction name only matters when the
-		// baseline runs.
-		c.WithBaseline = cfg.WithBaseline || cfg.Correction != ""
-		if c.WithBaseline {
-			c.Correction, _ = sigfim.ParseCorrection(cfg.Correction) // validated at admission
-		}
-		if cfg.SwapNull {
-			c.NullModel = nullSwap
-			if cfg.SwapProposals > 0 {
-				// An absolute chain length overrides the per-occurrence
-				// knob, so the latter cannot influence the result.
-				c.SwapProposals = cfg.SwapProposals
-			} else {
-				c.SwapPPO = cfg.SwapProposalsPerOccurrence
-				if c.SwapPPO == 0 {
-					c.SwapPPO = randmodel.DefaultProposalsPerOccurrence
-				}
-			}
-		}
-	}
-	return c
+	c.Config = &cfg
+	return c, nil
 }
 
 // cacheKeyFor composes the full cache key: dataset identity plus the
@@ -482,7 +379,8 @@ func canonicalize(req JobRequest) canonicalRequest {
 func cacheKeyFor(dsHash string, c canonicalRequest) string {
 	b, err := json.Marshal(c)
 	if err != nil {
-		// canonicalRequest contains only scalars; Marshal cannot fail.
+		// canonicalRequest holds only scalars and a resolved Config, whose
+		// floats are finite; Marshal cannot fail.
 		panic(fmt.Sprintf("service: canonical request marshal: %v", err))
 	}
 	return dsHash + "|" + string(b)
@@ -500,14 +398,13 @@ func (e *Engine) Submit(req JobRequest) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: dataset %q is not registered", ErrNotFound, req.Dataset)
 	}
-	if c := req.Config; req.Kind == KindSignificant && c != nil && c.SwapNull {
-		// The chain length depends on the dataset's occurrence count, so
-		// this is the first point it can be checked.
-		if err := ds.CheckSwapChain(c.SwapProposalsPerOccurrence, c.SwapProposals); err != nil {
-			return JobStatus{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
+	// The config is resolved against the dataset (a swap chain's length
+	// depends on its occurrences), so this is the first point it can be
+	// checked.
+	canon, err := canonicalize(ds, req)
+	if err != nil {
+		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	canon := canonicalize(req)
 	key := cacheKeyFor(info.Hash, canon)
 
 	e.mu.Lock()
@@ -534,8 +431,12 @@ func (e *Engine) Submit(req JobRequest) (JobStatus, error) {
 		// A cache hit is a completed run: report the same terminal progress a
 		// computed job ends with (all Delta replicates merged), so watchers
 		// and dashboards never see a done job stuck at 0/0.
-		j.progressDone.Store(int64(canon.Delta))
-		j.progressTotal.Store(int64(canon.Delta))
+		var delta int64
+		if canon.Config != nil {
+			delta = int64(canon.Config.Delta)
+		}
+		j.progressDone.Store(delta)
+		j.progressTotal.Store(delta)
 		e.cacheHits.Add(1)
 		e.completed.Add(1)
 		e.metrics.jobFinished(j.req.Kind, StateDone, 0, false)

@@ -55,11 +55,16 @@ func TestCacheHitGetAllocationFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds, _, _ := s.Registry().Get("golden")
 	// cachedJob stores result under a request's cache key, then submits the
 	// request, which the cache answers; it returns the job's id.
 	cachedJob := func(seed uint64, result []byte) string {
 		req := JobRequest{Dataset: "golden", Kind: KindSMin, K: 2, Config: &sigfim.Config{Delta: 40, Seed: seed}}
-		s.cache.Put(cacheKeyFor(info.Hash, canonicalize(req)), result)
+		canon, err := canonicalize(ds, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.cache.Put(cacheKeyFor(info.Hash, canon), result)
 		st, err := s.engine.Submit(req)
 		if err != nil {
 			t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sigfim/internal/mining"
 	"sigfim/internal/montecarlo"
 	"sigfim/internal/randmodel"
 	"sigfim/internal/trace"
@@ -115,22 +114,6 @@ type RangePartial struct {
 	MinPs []float64 `json:"min_ps,omitempty"`
 }
 
-// nullModelFor builds the null model a PartialRequest names, constructed
-// from the same dataset state the single-process pipeline uses — the worker
-// and the coordinator therefore generate value-identical replicates. The
-// independence model comes prepared (randmodel.IndependentModel.Prepare):
-// one request draws a whole range of replicates from it. A swap chain
-// length that overflows an int is an error, as in Significant.
-func (ds *Dataset) nullModelFor(req PartialRequest) (randmodel.Model, error) {
-	if req.SwapNull {
-		return ds.swapModel(req.SwapProposalsPerOccurrence, req.SwapProposals)
-	}
-	return randmodel.IndependentModel{
-		T:     ds.d.NumTransactions(),
-		Freqs: ds.frequencies(),
-	}.Prepare(), nil
-}
-
 // MineReplicateRange executes one replicate-range request against this
 // dataset, filling out (reset first; its backing arrays are reused). It is
 // the worker side of the distributed fabric — sigfimd's POST /v1/partials
@@ -144,11 +127,12 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, o
 	if req.DatasetHash != "" && req.DatasetHash != ds.Hash() {
 		return fmt.Errorf("sigfim: dataset hash mismatch: request %s, dataset %s", req.DatasetHash, ds.Hash())
 	}
-	algo, err := mining.ParseAlgorithm(req.Algorithm)
+	algo, err := parseAlgorithm(req.Algorithm)
 	if err != nil {
-		return fmt.Errorf("sigfim: unknown algorithm %q", req.Algorithm)
+		return err
 	}
-	if err := checkSwapChainLengths(req.SwapProposalsPerOccurrence, req.SwapProposals); err != nil {
+	perOccurrence, proposals, err := ds.swapLengths(req.SwapNull, req.SwapProposalsPerOccurrence, req.SwapProposals)
+	if err != nil {
 		return err
 	}
 	mreq := montecarlo.RangeRequest{
@@ -161,9 +145,18 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, o
 		Workers:   req.Workers,
 	}
 	ds.vertical() // force the one-time lazy caches for concurrent safety
-	null, err := ds.nullModelFor(req)
-	if err != nil {
-		return err
+	// The null model is built from the same dataset state the
+	// single-process pipeline uses, so the worker and the coordinator
+	// generate value-identical replicates. The independence model comes
+	// prepared: one request draws a whole range of replicates from it.
+	var null randmodel.Model
+	if req.SwapNull {
+		null = ds.swapModel(perOccurrence, proposals)
+	} else {
+		null = randmodel.IndependentModel{
+			T:     ds.d.NumTransactions(),
+			Freqs: ds.frequencies(),
+		}.Prepare()
 	}
 	scr := ds.takeRangeScratch()
 	defer ds.putRangeScratch(scr)

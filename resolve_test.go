@@ -1,0 +1,133 @@
+package sigfim
+
+import (
+	"math"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+)
+
+// TestNaNBudgetsRejected: a NaN Alpha, Beta or Epsilon is an error from
+// both entry points. A range check of the form "x <= 0 || x >= 1" is false
+// for NaN and lets it through, and a NaN budget then yields a wrong report
+// (s* = ∞ for NaN Alpha or Beta, a moved ŝ_min for NaN Epsilon) with no
+// error.
+func TestNaNBudgetsRejected(t *testing.T) {
+	d, err := OpenFIMI("testdata/golden_input.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Alpha", Config{Alpha: nan}},
+		{"Beta", Config{Beta: nan}},
+		{"Epsilon", Config{Epsilon: nan}},
+	} {
+		c.cfg.Delta, c.cfg.Seed = 120, 9
+		if rep, err := d.Significant(2, &c.cfg); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("Significant with NaN %s: err = %v (report %+v), want an error naming it", c.name, err, rep)
+		}
+		if s, err := d.FindSMin(2, &c.cfg); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("FindSMin with NaN %s: err = %v (s_min %d), want an error naming it", c.name, err, s)
+		}
+	}
+}
+
+// TestBadConfigRejectedBeforeAnyReplicate: every bad configuration errors
+// before Algorithm 1 merges a single replicate, so a bad budget costs no
+// Monte Carlo work; Procedure 2, which reads Alpha and Beta, runs only
+// after all of Algorithm 1.
+func TestBadConfigRejectedBeforeAnyReplicate(t *testing.T) {
+	d, err := OpenFIMI("testdata/golden_input.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		k        int
+		cfg      Config
+		findSMin bool // FindSMin only; Significant otherwise
+	}{
+		{"alpha above 1", 2, Config{Alpha: 1.5}, false},
+		{"negative beta", 2, Config{Beta: -0.2}, false},
+		{"alpha 1 on smin", 2, Config{Alpha: 1}, true},
+		{"epsilon 1", 2, Config{Epsilon: 1}, false},
+		{"negative delta", 2, Config{Delta: -1}, false},
+		{"negative max patterns", 2, Config{MaxPatterns: -1}, false},
+		{"negative workers", 2, Config{Workers: -1}, true},
+		{"unknown algorithm", 2, Config{Algorithm: "quantum"}, false},
+		{"unknown correction", 2, Config{Correction: "bh"}, false},
+		{"negative swap length", 2, Config{SwapNull: true, SwapProposals: -1}, false},
+		{"swap chain overflow", 2, Config{SwapNull: true, SwapProposalsPerOccurrence: math.MaxInt}, false},
+		{"smin swap null", 2, Config{SwapNull: true}, true},
+		{"k 0", 0, Config{}, false},
+	} {
+		var merged atomic.Int64
+		cfg := c.cfg
+		cfg.Progress = func(done, total int) { merged.Add(1) }
+		if c.findSMin {
+			_, err = d.FindSMin(c.k, &cfg)
+		} else {
+			_, err = d.Significant(c.k, &cfg)
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if n := merged.Load(); n > 0 {
+			t.Errorf("%s: rejected after %d replicate merges, want none", c.name, n)
+		}
+	}
+}
+
+// TestResolveConfig pins the resolved form: defaults filled, the baseline
+// settled, what the analysis ignores zeroed, and a resolved Config
+// resolving to itself.
+func TestResolveConfig(t *testing.T) {
+	d, err := FromTransactions([][]uint32{{0, 1}, {1, 2}, {0, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaults := Config{Alpha: 0.05, Beta: 0.05, Epsilon: 0.01, Delta: 1000, MaxPatterns: 100000, Algorithm: AlgoAuto}
+	with := func(edit func(c *Config)) Config {
+		c := defaults
+		edit(&c)
+		return c
+	}
+	for _, c := range []struct {
+		name     string
+		in       *Config
+		findSMin bool
+		want     Config
+	}{
+		{"nil", nil, false, defaults},
+		{"spelled-out defaults", &defaults, false, defaults},
+		{"baseline runs BY", &Config{WithBaseline: true}, false,
+			with(func(c *Config) { c.WithBaseline, c.Correction = true, CorrectionBY })},
+		{"correction implies the baseline", &Config{Correction: " Holm "}, false,
+			with(func(c *Config) { c.WithBaseline, c.Correction = true, CorrectionHolm })},
+		{"independence ignores swap knobs", &Config{SwapProposalsPerOccurrence: 3, SwapProposals: 9, Workers: 2}, false,
+			with(func(c *Config) { c.Workers = 2 })},
+		{"swap default length", &Config{SwapNull: true}, false,
+			with(func(c *Config) { c.SwapNull, c.SwapProposalsPerOccurrence = true, 8 })},
+		{"absolute swap length wins", &Config{SwapNull: true, SwapProposalsPerOccurrence: 3, SwapProposals: 9}, false,
+			with(func(c *Config) { c.SwapNull, c.SwapProposals = true, 9 })},
+		{"smin drops Procedure 2 and the baseline", &Config{Alpha: 0.1, Beta: 0.2, MaxPatterns: 5, Correction: "holm", Seed: 4}, true,
+			with(func(c *Config) { c.Alpha, c.Beta, c.MaxPatterns, c.Seed = 0, 0, 0, 4 })},
+	} {
+		got, err := d.ResolveConfig(2, c.in, c.findSMin)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: resolved to\n%+v, want\n%+v", c.name, got, c.want)
+		}
+		if again, err := d.ResolveConfig(2, &got, c.findSMin); err != nil || !reflect.DeepEqual(again, got) {
+			t.Errorf("%s: resolving the resolved config gave %+v, %v", c.name, again, err)
+		}
+	}
+}

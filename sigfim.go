@@ -267,11 +267,20 @@ type MineOptions struct {
 
 // Mine runs classical frequent itemset mining.
 func (ds *Dataset) Mine(opts MineOptions) ([]Pattern, error) {
-	algo, err := mining.ParseAlgorithm(opts.Algorithm)
+	algo, err := parseAlgorithm(opts.Algorithm)
 	if err != nil {
-		return nil, fmt.Errorf("sigfim: unknown algorithm %q", opts.Algorithm)
+		return nil, err
 	}
 	return ds.mineParsed(algo, opts)
+}
+
+// parseAlgorithm maps an Algo* name ("" = auto) to its miner.
+func parseAlgorithm(name string) (mining.Algorithm, error) {
+	algo, err := mining.ParseAlgorithm(name)
+	if err != nil {
+		return 0, fmt.Errorf("sigfim: unknown algorithm %q", name)
+	}
+	return algo, nil
 }
 
 // mineParsed is Mine after algorithm-name resolution; internal callers that

@@ -34,7 +34,9 @@ func ParseCorrection(s string) (string, error) {
 
 // Config tunes the significance methodology. The zero value (or a nil
 // pointer) selects the paper's experimental settings: alpha = beta = 0.05,
-// epsilon = 0.01, Delta = 1000 Monte Carlo replicates.
+// epsilon = 0.01, Delta = 1000 Monte Carlo replicates. ResolveConfig fills
+// the defaults and checks every field; Significant and FindSMin run it
+// before any work.
 type Config struct {
 	// Alpha is the confidence budget: with probability at least 1-Alpha no
 	// level of the threshold ladder is falsely rejected.
@@ -119,70 +121,137 @@ type Config struct {
 	RemotePool *WorkerPool `json:"-"`
 }
 
-func (c *Config) withDefaults() (core.Options, error) {
-	o := core.Options{}
-	if c != nil {
-		o.Alpha = c.Alpha
-		o.Beta = c.Beta
-		o.Epsilon = c.Epsilon
-		o.Delta = c.Delta
-		o.Seed = c.Seed
-		o.RunProcedure1 = c.WithBaseline || c.Correction != ""
-		o.Workers = c.Workers
-		o.Progress = c.Progress
-		if err := checkSwapChainLengths(c.SwapProposalsPerOccurrence, c.SwapProposals); err != nil {
-			return o, err
-		}
-		algo, err := mining.ParseAlgorithm(c.Algorithm)
-		if err != nil {
-			return o, fmt.Errorf("sigfim: unknown algorithm %q", c.Algorithm)
-		}
-		o.Algorithm = algo
-		correction, err := ParseCorrection(c.Correction)
-		if err != nil {
-			return o, err
-		}
-		o.Correction = correction
-	}
-	return o, nil
+// ResolveConfig returns the configuration a k-itemset analysis of ds runs
+// with, or the first error in cfg (nil selects every default). Significant
+// and FindSMin (findSMin) resolve their Config with it before any work, and
+// sigfimd resolves every significant and smin job with it at submission, so
+// the library errors exactly when the service answers 400, and the service
+// keys its result cache on what the analysis actually reads. In the
+// returned Config:
+//   - every default is filled: Alpha, Beta, Epsilon, Delta, MaxPatterns,
+//     Algorithm ("" becomes AlgoAuto) and, under the swap null,
+//     SwapProposalsPerOccurrence;
+//   - WithBaseline reports whether the baseline runs (WithBaseline or a
+//     Correction), and Correction is normalized when it does and empty
+//     otherwise;
+//   - what the analysis ignores is zero: the swap knobs the chosen null
+//     does not read and, for FindSMin, Procedure 2's and the baseline's
+//     fields.
+//
+// Budgets must lie in [0, 1) and counts must be >= 0, with 0 selecting the
+// default; NaN is an error. Only a swap-null configuration reads the
+// dataset, to check that the chain length fits an int. A resolved Config
+// resolves to itself.
+func (ds *Dataset) ResolveConfig(k int, cfg *Config, findSMin bool) (Config, error) {
+	c, _, err := ds.resolveConfig(k, cfg, findSMin)
+	return c, err
 }
 
-// swapModel builds the swap null over ds. It rejects a per-replicate chain
-// length that overflows an int, which the chain would otherwise run as a
-// practically endless one.
-func (ds *Dataset) swapModel(perOccurrence, proposals int) (*randmodel.SwapModel, error) {
-	m := &randmodel.SwapModel{
+// resolveConfig is ResolveConfig that also returns the parsed miner.
+func (ds *Dataset) resolveConfig(k int, cfg *Config, findSMin bool) (Config, mining.Algorithm, error) {
+	var c Config
+	if cfg != nil {
+		c = *cfg
+	}
+	if k < 1 {
+		return Config{}, 0, fmt.Errorf("sigfim: k must be >= 1, got %d", k)
+	}
+	budgets := []struct {
+		name string
+		v    *float64
+		def  float64
+	}{
+		{"Alpha", &c.Alpha, core.DefaultAlpha},
+		{"Beta", &c.Beta, core.DefaultBeta},
+		{"Epsilon", &c.Epsilon, core.DefaultEpsilon},
+	}
+	for _, b := range budgets {
+		if !(*b.v >= 0 && *b.v < 1) { // false for NaN too
+			return Config{}, 0, fmt.Errorf("sigfim: %s must be in [0, 1) (0 = %v), got %v", b.name, b.def, *b.v)
+		}
+		if *b.v == 0 {
+			*b.v = b.def
+		}
+	}
+	counts := []struct {
+		name string
+		v    *int
+		def  int
+	}{
+		{"Delta", &c.Delta, core.DefaultDelta},
+		{"MaxPatterns", &c.MaxPatterns, core.DefaultMaxPatterns},
+		{"Workers", &c.Workers, 0}, // 0 = every CPU
+	}
+	for _, n := range counts {
+		if *n.v < 0 {
+			return Config{}, 0, fmt.Errorf("sigfim: %s must be >= 0, got %d", n.name, *n.v)
+		}
+		if *n.v == 0 {
+			*n.v = n.def
+		}
+	}
+	algo, err := parseAlgorithm(c.Algorithm)
+	if err != nil {
+		return Config{}, 0, err
+	}
+	if c.Algorithm == "" {
+		c.Algorithm = AlgoAuto
+	}
+	correction, err := ParseCorrection(c.Correction)
+	if err != nil {
+		return Config{}, 0, err
+	}
+	c.WithBaseline = c.WithBaseline || c.Correction != ""
+	if findSMin {
+		if c.SwapNull {
+			return Config{}, 0, fmt.Errorf("sigfim: FindSMin supports only the independence null (Config.SwapNull must be false); run Significant for a swap-null analysis")
+		}
+		c.Alpha, c.Beta, c.MaxPatterns, c.WithBaseline = 0, 0, 0, false
+	}
+	c.Correction = ""
+	if c.WithBaseline {
+		c.Correction = correction
+	}
+	c.SwapProposalsPerOccurrence, c.SwapProposals, err = ds.swapLengths(c.SwapNull, c.SwapProposalsPerOccurrence, c.SwapProposals)
+	if err != nil {
+		return Config{}, 0, err
+	}
+	return c, algo, nil
+}
+
+// swapLengths checks the swap chain lengths (Config.SwapProposalsPerOccurrence
+// and Config.SwapProposals) and returns the ones the chosen null reads:
+// none under the independence null, the absolute length when it is set,
+// and otherwise the per-occurrence length with its default filled in.
+// Negative lengths are an error under either null, and so is a
+// per-occurrence length whose chain over the dataset's occurrences
+// overflows an int, which would otherwise run practically forever.
+func (ds *Dataset) swapLengths(swapNull bool, perOccurrence, proposals int) (int, int, error) {
+	if perOccurrence < 0 || proposals < 0 {
+		return 0, 0, fmt.Errorf("sigfim: swap chain lengths must be >= 0, got %d proposals per occurrence and %d proposals", perOccurrence, proposals)
+	}
+	switch {
+	case !swapNull:
+		return 0, 0, nil
+	case proposals > 0:
+		return 0, proposals, nil
+	case perOccurrence == 0:
+		perOccurrence = randmodel.DefaultProposalsPerOccurrence
+	}
+	if err := ds.swapModel(perOccurrence, 0).CheckChainLength(); err != nil {
+		return 0, 0, fmt.Errorf("sigfim: %w", err)
+	}
+	return perOccurrence, 0, nil
+}
+
+// swapModel builds the swap null over ds for chain lengths swapLengths
+// returned.
+func (ds *Dataset) swapModel(perOccurrence, proposals int) *randmodel.SwapModel {
+	return &randmodel.SwapModel{
 		Base:                   ds.d,
 		ProposalsPerOccurrence: perOccurrence,
 		Proposals:              proposals,
 	}
-	if err := m.CheckChainLength(); err != nil {
-		return nil, fmt.Errorf("sigfim: %w", err)
-	}
-	return m, nil
-}
-
-// CheckSwapChain reports the error a swap-null analysis of this dataset
-// fails with for the given chain lengths (Config.SwapProposalsPerOccurrence
-// and Config.SwapProposals): a negative length, or proposals per occurrence
-// whose chain over the dataset's occurrences overflows an int. A service
-// runs it when it admits a job, so such a job is refused up front instead
-// of failing once it runs.
-func (ds *Dataset) CheckSwapChain(perOccurrence, proposals int) error {
-	if err := checkSwapChainLengths(perOccurrence, proposals); err != nil {
-		return err
-	}
-	_, err := ds.swapModel(perOccurrence, proposals)
-	return err
-}
-
-// checkSwapChainLengths rejects negative swap chain lengths, which would
-// otherwise fall back to the chain's defaults without notice.
-func checkSwapChainLengths(perOccurrence, proposals int) error {
-	if perOccurrence < 0 || proposals < 0 {
-		return fmt.Errorf("sigfim: swap chain lengths must be >= 0, got %d proposals per occurrence and %d proposals", perOccurrence, proposals)
-	}
-	return nil
 }
 
 // LadderStep reports one comparison of the support-threshold ladder.
@@ -257,20 +326,21 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts, err := cfg.withDefaults()
+	c, algo, err := ds.resolveConfig(k, cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	if cfg != nil && cfg.SwapNull {
-		m, err := ds.swapModel(cfg.SwapProposalsPerOccurrence, cfg.SwapProposals)
-		if err != nil {
-			return nil, err
-		}
-		opts.NullModel = m
+	opts := core.Options{
+		Alpha: c.Alpha, Beta: c.Beta, Epsilon: c.Epsilon, Delta: c.Delta, Seed: c.Seed,
+		RunProcedure1: c.WithBaseline, Correction: c.Correction,
+		Workers: c.Workers, Algorithm: algo, Progress: c.Progress,
 	}
-	if cfg != nil && cfg.RemotePool != nil {
-		opts.Runner = ds.newRangeRunner(cfg)
-		opts.RangeSize = cfg.RemotePool.rangeSize(opts.Delta)
+	if c.SwapNull {
+		opts.NullModel = ds.swapModel(c.SwapProposalsPerOccurrence, c.SwapProposals)
+	}
+	if c.RemotePool != nil {
+		opts.Runner = ds.newRangeRunner(&c)
+		opts.RangeSize = c.RemotePool.rangeSize(c.Delta)
 	}
 	_, warm := trace.Start(ctx, "dataset.warmup")
 	v := ds.vertical()
@@ -294,15 +364,11 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 		rep.SStar = a.Proc2.SStar
 		rep.NumSignificant = a.Proc2.Q
 		rep.Lambda = a.Proc2.Lambda
-		maxPat := core.DefaultMaxPatterns
-		if cfg != nil && cfg.MaxPatterns > 0 {
-			maxPat = cfg.MaxPatterns
-		}
-		if rep.NumSignificant <= int64(maxPat) {
+		if rep.NumSignificant <= int64(c.MaxPatterns) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			ps, err := ds.mineParsed(opts.Algorithm, MineOptions{K: k, MinSupport: rep.SStar, Workers: opts.Workers})
+			ps, err := ds.mineParsed(algo, MineOptions{K: k, MinSupport: rep.SStar, Workers: c.Workers})
 			if err != nil {
 				return nil, err
 			}
@@ -348,18 +414,9 @@ func (ds *Dataset) FindSMinCtx(ctx context.Context, k int, cfg *Config) (int, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg != nil && cfg.SwapNull {
-		return 0, fmt.Errorf("sigfim: FindSMin supports only the independence null (Config.SwapNull must be false); run Significant for a swap-null analysis")
-	}
-	opts, err := cfg.withDefaults()
+	c, algo, err := ds.resolveConfig(k, cfg, true)
 	if err != nil {
 		return 0, err
-	}
-	if opts.Delta == 0 {
-		opts.Delta = core.DefaultDelta
-	}
-	if opts.Epsilon == 0 {
-		opts.Epsilon = core.DefaultEpsilon
 	}
 	_, warm := trace.Start(ctx, "dataset.warmup")
 	freqs := ds.frequencies()
@@ -369,12 +426,12 @@ func (ds *Dataset) FindSMinCtx(ctx context.Context, k int, cfg *Config) (int, er
 		Freqs: freqs,
 	}
 	mcfg := montecarlo.Config{
-		K: k, Delta: opts.Delta, Epsilon: opts.Epsilon, Seed: opts.Seed,
-		Workers: opts.Workers, Algorithm: opts.Algorithm, Progress: opts.Progress,
+		K: k, Delta: c.Delta, Epsilon: c.Epsilon, Seed: c.Seed,
+		Workers: c.Workers, Algorithm: algo, Progress: c.Progress,
 	}
-	if cfg != nil && cfg.RemotePool != nil {
-		mcfg.Runner = ds.newRangeRunner(cfg)
-		mcfg.RangeSize = cfg.RemotePool.rangeSize(opts.Delta)
+	if c.RemotePool != nil {
+		mcfg.Runner = ds.newRangeRunner(&c)
+		mcfg.RangeSize = c.RemotePool.rangeSize(c.Delta)
 	}
 	res, err := montecarlo.FindPoissonThresholdCtx(ctx, m, mcfg)
 	if err != nil {

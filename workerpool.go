@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"sigfim/internal/core"
 )
 
 // Worker supervision for the distributed replicate fabric. A WorkerPool
@@ -619,15 +617,12 @@ func (p *WorkerPool) AutotuneRangeSize(delta int, target time.Duration) int {
 const DefaultRangeTarget = 2 * time.Second
 
 // rangeSize resolves the range size for one remote run of delta replicates
-// (0 = core.DefaultDelta): a pinned RangeSize wins; otherwise the pool
+// (a resolved Config.Delta): a pinned RangeSize wins; otherwise the pool
 // autotunes toward RangeTarget, and returns 0 — montecarlo's static
 // heuristic — while it has no latency observation yet.
 func (p *WorkerPool) rangeSize(delta int) int {
 	if p.opts.RangeSize != 0 {
 		return p.opts.RangeSize
-	}
-	if delta == 0 {
-		delta = core.DefaultDelta
 	}
 	return p.AutotuneRangeSize(delta, p.opts.RangeTarget)
 }

@@ -51,7 +51,6 @@ type app struct {
 	trials        int
 	workers       int
 	verbose       bool
-	algo          mining.Algorithm
 	correction    string
 	swapNull      bool
 	swapPPO       int
@@ -87,7 +86,7 @@ func main() {
 }
 
 // run is main without os.Exit: usage errors (bad flags, bad -k/-datasets
-// lists, unknown algorithms) report on stderr with exit code 2, and the
+// lists, unknown datasets) report on stderr with exit code 2, and the
 // selected tables print to stdout. Tests drive it directly.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
@@ -101,7 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 20090629, "base random seed")
 	verbose := fs.Bool("verbose", false, "print per-step diagnostics")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all CPUs, 1 = serial)")
-	algoName := fs.String("algo", "auto", "mining algorithm: auto|eclat|eclat-bits|apriori|fpgrowth")
 	null := fs.String("null", "independence", "null model for tables 2-5: independence|swap")
 	correction := fs.String("correction", "", "Procedure 1 correction for table 5: by|bonferroni|holm|westfall-young (\"\" = by)")
 	swapPPO := fs.Int("swap-ppo", 0, "swap null: proposals per matrix occurrence per replicate (0 = 8)")
@@ -126,11 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	algo, err := mining.ParseAlgorithm(*algoName)
-	if err != nil {
-		fmt.Fprintln(stderr, "experiments:", err)
-		return 2
-	}
 	corr, err := core.ParseCorrection(*correction)
 	if err != nil {
 		fmt.Fprintln(stderr, "experiments:", err)
@@ -151,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	a := &app{
 		seed: *seed, delta: *delta, trials: *trials, workers: *workers,
-		verbose: *verbose, algo: algo, correction: corr, out: stdout,
+		verbose: *verbose, correction: corr, out: stdout,
 		swapNull: swapNull, swapPPO: *swapPPO, swapProposals: *swapProposals,
 	}
 	want := func(n int) bool { return *table == 0 || *table == n }
@@ -235,7 +228,7 @@ func (a *app) table2(specs []synth.Spec, ks []int) {
 		null := a.nullFor(spec.Name, real)
 		for i, k := range ks {
 			res, err := montecarlo.FindPoissonThreshold(null, montecarlo.Config{
-				K: k, Delta: a.delta, Epsilon: 0.01, Seed: a.seed, Workers: a.workers, Algorithm: a.algo,
+				K: k, Delta: a.delta, Epsilon: 0.01, Seed: a.seed, Workers: a.workers,
 			})
 			if err != nil {
 				cells[i] = "err:" + err.Error()
@@ -257,7 +250,7 @@ func (a *app) table3(specs []synth.Spec, ks []int) {
 		nm := a.coreNull(v) // one model per spec: its snapshot/pool warm across ks
 		for _, k := range ks {
 			an, err := core.Analyze(spec.Name, v, k, core.Options{
-				Delta: a.delta, Seed: a.seed, Workers: a.workers, Algorithm: a.algo,
+				Delta: a.delta, Seed: a.seed, Workers: a.workers,
 				NullModel: nm,
 			})
 			if err != nil {
@@ -297,7 +290,7 @@ func (a *app) table4(specs []synth.Spec, ks []int) {
 		null := a.nullFor(spec.Name, real)
 		for i, k := range ks {
 			mc, err := montecarlo.FindPoissonThreshold(null, montecarlo.Config{
-				K: k, Delta: a.delta, Epsilon: 0.01, Seed: a.seed, Workers: a.workers, Algorithm: a.algo,
+				K: k, Delta: a.delta, Epsilon: 0.01, Seed: a.seed, Workers: a.workers,
 			})
 			if err != nil {
 				cells[i] = "err:" + err.Error()
@@ -316,7 +309,7 @@ func (a *app) table4(specs []synth.Spec, ks []int) {
 			finite := 0
 			for trial := 0; trial < a.trials; trial++ {
 				v := null.Generate(stats.NewRNG(a.seed + uint64(1000+trial)))
-				p2, err := core.Procedure2Ex(v, k, sMin, lambda, 0.05, 0.05, core.SplitEqual, a.workers, a.algo)
+				p2, err := core.Procedure2Ex(v, k, sMin, lambda, 0.05, 0.05, core.SplitEqual, a.workers, mining.Auto)
 				if err != nil {
 					cells[i] = "err:" + err.Error()
 					break
@@ -344,7 +337,7 @@ func (a *app) table5(specs []synth.Spec, ks []int) {
 		nm := a.coreNull(v) // one model per spec: its snapshot/pool warm across ks
 		for _, k := range ks {
 			an, err := core.Analyze(spec.Name, v, k, core.Options{
-				Delta: a.delta, Seed: a.seed, Workers: a.workers, Algorithm: a.algo, RunProcedure1: true,
+				Delta: a.delta, Seed: a.seed, Workers: a.workers, RunProcedure1: true,
 				Correction: a.correction, NullModel: nm,
 			})
 			if err != nil {

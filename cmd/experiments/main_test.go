@@ -21,7 +21,6 @@ func TestRunExitCodes(t *testing.T) {
 		{"flag help", []string{"-h"}, 0, "-table", ""},
 		{"bad k list", []string{"-k", "2,zero"}, 2, "bad k", ""},
 		{"zero k", []string{"-k", "0"}, 2, "bad k", ""},
-		{"bad algorithm", []string{"-algo", "quantum"}, 2, "unknown algorithm", ""},
 		{"unknown dataset", []string{"-datasets", "NoSuchProfile"}, 2, "unknown dataset", ""},
 		{"bad table", []string{"-table", "9"}, 2, "-table must be 0-5", ""},
 		{"negative scale", []string{"-scale=-2"}, 2, "-scale must be >= 0", ""},

@@ -5,16 +5,17 @@
 // Subcommands:
 //
 //	sigfim mine -in data.dat -minsup 100 [-k 2] [-algo auto|eclat|eclat-bits|apriori|fpgrowth] [-workers N] [-top 50]
-//	    Classical frequent itemset mining.
+//	    Classical frequent itemset mining. -algo picks the miner; auto and
+//	    eclat run in parallel, the others are serial reference miners.
 //	sigfim smin -in data.dat -k 2 [-delta 1000] [-eps 0.01] [-seed 1]
-//	    [-algo fpgrowth] [-workers N] [-workers-remote URL,URL]
+//	    [-workers N] [-workers-remote URL,URL]
 //	    Algorithm 1: estimate the Poisson threshold ŝ_min of the dataset's
 //	    independence null model. (-null swap is rejected: the standalone
 //	    threshold is defined against the paper's independence null; use
 //	    "significant -null swap" for a swap-null analysis.)
 //	sigfim significant -in data.dat -k 2 [-alpha 0.05] [-beta 0.05]
 //	    [-delta 1000] [-baseline] [-correction by|bonferroni|holm|westfall-young]
-//	    [-algo fpgrowth] [-workers N] [-top 50]
+//	    [-workers N] [-top 50]
 //	    [-null independence|swap] [-swap-ppo 8] [-swap-proposals N]
 //	    [-workers-remote URL,URL]
 //	    The full methodology: ŝ_min, the threshold ladder, s*, and the
@@ -44,11 +45,13 @@
 //	    dispatch outcomes, ejections, next health probe).
 //	    -server defaults to $SIGFIM_SERVER, then http://127.0.0.1:8080.
 //
-// The smin and significant subcommands accept -workers-remote-rangesize
-// (auto = size remote ranges from each worker's observed latency, or a fixed
-// positive integer) and -workers-remote-rangetarget (the wall time an
-// autotuned range aims for, default 2s); range size never changes result
-// bytes.
+// The smin and significant subcommands accept -algo for compatibility and
+// ignore it (after rejecting an unknown name): every analysis mines with
+// auto, since every miner mines the same itemsets. They also accept
+// -workers-remote-rangesize (auto = size remote ranges from each worker's
+// observed latency, or a fixed positive integer) and
+// -workers-remote-rangetarget (the wall time an autotuned range aims for,
+// default 2s); range size never changes result bytes.
 //
 // Errors go to stderr with a non-zero exit status: 2 for usage errors (bad
 // flags, unknown subcommands), 1 for runtime failures (unreadable input,
@@ -106,7 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// The FlagSet already printed the problem to stderr.
 			return 2
 		}
-		fmt.Fprintln(stderr, "sigfim:", err)
+		// Library errors already carry the prefix; print it once.
+		fmt.Fprintln(stderr, "sigfim:", strings.TrimPrefix(err.Error(), "sigfim: "))
 		return 1
 	}
 	return 0
@@ -244,7 +248,7 @@ func cmdSMin(args []string, stdout, stderr io.Writer) error {
 	eps := fs.Float64("eps", 0.01, "Poisson tolerance")
 	seed := fs.Uint64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all CPUs, 1 = serial)")
-	algo := fs.String("algo", "auto", "mining algorithm: auto|eclat|eclat-bits|apriori|fpgrowth")
+	algo := fs.String("algo", "auto", "accepted and ignored: every analysis mines with auto (an unknown name is still an error)")
 	null := fs.String("null", "independence", "null model: independence (swap is rejected — see doc)")
 	remotePool := remoteFlags(fs)
 	if err := parse(fs, args); err != nil {
@@ -288,7 +292,7 @@ func cmdSignificant(args []string, stdout, stderr io.Writer) error {
 	correction := fs.String("correction", "", "baseline correction: by|bonferroni|holm|westfall-young (implies -baseline; \"\" = by)")
 	top := fs.Int("top", 50, "print at most this many itemsets (0 = all)")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all CPUs, 1 = serial)")
-	algo := fs.String("algo", "auto", "mining algorithm: auto|eclat|eclat-bits|apriori|fpgrowth")
+	algo := fs.String("algo", "auto", "accepted and ignored: every analysis mines with auto (an unknown name is still an error)")
 	null := fs.String("null", "independence", "null model: independence|swap")
 	swapPPO := fs.Int("swap-ppo", 0, "swap null: proposals per matrix occurrence per replicate (0 = 8)")
 	swapProposals := fs.Int("swap-proposals", 0, "swap null: absolute proposals per replicate (overrides -swap-ppo)")

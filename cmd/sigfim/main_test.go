@@ -78,6 +78,13 @@ func TestRunExitCodes(t *testing.T) {
 			if code != 0 && stderr.Len() == 0 {
 				t.Error("non-zero exit with empty stderr")
 			}
+			if code == 1 {
+				for _, line := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+					if n := strings.Count(line, "sigfim:"); n != 1 {
+						t.Errorf("error line %q carries %d \"sigfim:\" prefixes, want 1", line, n)
+					}
+				}
+			}
 		})
 	}
 }

@@ -34,8 +34,9 @@
 //
 // Config carries the analysis knobs; its zero value (or nil) selects the
 // paper's settings: alpha = beta = 0.05, epsilon = 0.01, Delta = 1000
-// replicates, at most 100000 materialized itemsets, the automatic miner and
-// the independence null. Dataset.ResolveConfig is the one place its
+// replicates, at most 100000 materialized itemsets and the independence
+// null; every analysis mines with the automatic miner, and Config.Algorithm
+// is accepted for compatibility, checked, and otherwise ignored. Dataset.ResolveConfig is the one place its
 // defaults and checks live. Significant and FindSMin resolve their Config
 // with it before any work, and sigfimd resolves every significant and smin
 // job with it at submission, so the service refuses (400, with the same
@@ -104,20 +105,22 @@
 // implies FDR control each slots into the same beta budget. The report's
 // Baseline.Correction field records which mode produced the family.
 //
-// Mining engine. internal/mining implements the miners every stage above
-// consumes — Eclat over sorted tid lists or dense bitsets, level-wise
-// Apriori with a candidate prefix trie, FP-Growth with sharded conditional
-// pattern trees, a hash-based path for very low thresholds on sparse data,
-// closed and maximal itemset enumeration — behind one entry point per
-// operation the method needs, each over every algorithm:
+// Mining engine. internal/mining implements the miners — Eclat over sorted
+// tid lists, a hash-based path for very low thresholds on sparse data,
+// closed and maximal itemset enumeration, and three serial reference
+// miners (Eclat over dense bitsets, level-wise Apriori with a candidate
+// prefix trie, FP-Growth with conditional pattern trees) — behind one
+// entry point per operation the method needs, each over the vertical
+// layout and every algorithm. Every stage above mines with Auto:
 //
 //   - Stream (Algorithm 1, Procedure 1): mining.VisitKAlgoScratch emits
 //     every k-itemset at a floor.
 //   - Count (Procedure 2): mining.SupportHistogramAlgoScratch plus
 //     mining.CumulativeQ give Q_{k,s} at every threshold from one pass,
 //     without materializing the possibly enormous family.
-//   - Materialize (the report): mining.Mine / mining.MineVertical; fixed-k
-//     runs collect the stream.
+//   - Materialize (the report): mining.Mine; fixed-k runs collect the
+//     stream, and the horizontal reference miners convert the vertical
+//     layout to transactions first.
 //
 // The default algorithm, Auto, has one policy everywhere: the hash path at
 // floors <= 8 when enumerating every transaction's k-subsets costs no more
@@ -300,19 +303,17 @@
 // Mining and the significance pipeline run on a parallel engine. Both
 // MineOptions and Config expose a Workers knob: 0 (the default) uses every
 // CPU, 1 forces serial execution, and any other value bounds the worker
-// goroutines. Eclat shards the prefix tree's first-item equivalence classes
-// across the pool, Apriori parallelizes its candidate-counting scans over
-// transaction chunks, FP-Growth shards the header-table suffix classes of
-// the global tree (its support-counting and transaction-preprocessing scans
-// also run chunked), and the Monte Carlo estimator splits workers between
+// goroutines. Eclat (Auto and AlgoEclat) shards the prefix tree's
+// first-item equivalence classes across the pool; the reference miners
+// always run serially. The Monte Carlo estimator splits workers between
 // replicate-level and intra-mine parallelism.
 //
-// Both option structs also expose an Algorithm knob (the Algo* constants)
-// selecting the miner that drives every stage — plain mining, Monte Carlo
-// replicate mining, and Procedure 2's counting pass. Every algorithm mines
-// exactly the same itemsets, so the choice affects performance only.
+// Both option structs also expose an Algorithm knob (the Algo* constants).
+// Only MineOptions reads it: every algorithm mines exactly the same
+// itemsets, so the choice is a speed choice, and every statistical stage
+// mines with Auto.
 //
-// The engine guarantees determinism: for a fixed Seed and algorithm, every
+// The engine guarantees determinism: for a fixed Seed, every
 // result — including FindSMin's threshold and the complete Significant
 // report — is identical for every worker count. Parallel reductions merge
 // per-worker buffers in a fixed order (mining output order even matches the

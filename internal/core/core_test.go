@@ -274,7 +274,7 @@ func TestAnalyzeEmpiricalFDROnPlanted(t *testing.T) {
 		if !a.Proc2.Found {
 			continue
 		}
-		discovered, err := mining.MineVertical(v, mining.Options{K: 2, MinSupport: a.Proc2.SStar})
+		discovered, err := mining.Mine(v, mining.Options{K: 2, MinSupport: a.Proc2.SStar})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestProcedure1StreamingMatchesDirectBY(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Direct recomputation.
-	mined, err := mining.MineVertical(v, mining.Options{K: 2, MinSupport: 5})
+	mined, err := mining.Mine(v, mining.Options{K: 2, MinSupport: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,12 +45,6 @@ type Options struct {
 	// runtime.NumCPU(), 1 forces serial execution. Results are identical for
 	// every worker count.
 	Workers int
-	// Algorithm selects the frequent-itemset miner driving Algorithm 1's
-	// replicate mining, Procedure 2's counting pass and Procedure 1's
-	// mining passes (mining.Auto picks Eclat with an automatic layout;
-	// mining.FPGrowth and mining.Apriori force those engines). All algorithms mine identical
-	// itemsets, so the choice affects performance only.
-	Algorithm mining.Algorithm
 	// Progress, when non-nil, receives Algorithm 1's replicate-merge progress
 	// (done, total); see montecarlo.Config.Progress. It cannot influence the
 	// result.
@@ -155,7 +149,6 @@ func AnalyzeCtx(ctx context.Context, name string, v *dataset.Vertical, k int, op
 		Epsilon:      opts.Epsilon,
 		Seed:         opts.Seed,
 		Workers:      opts.Workers,
-		Algorithm:    opts.Algorithm,
 		Progress:     opts.Progress,
 		Runner:       opts.Runner,
 		RangeSize:    opts.RangeSize,
@@ -179,7 +172,7 @@ func AnalyzeCtx(ctx context.Context, name string, v *dataset.Vertical, k int, op
 		}
 		return mc.Lambda(s)
 	}
-	p2, err := Procedure2Ex(v, k, sMin, lambda, opts.Alpha, opts.Beta, SplitEqual, opts.Workers, opts.Algorithm)
+	p2, err := Procedure2Ex(v, k, sMin, lambda, opts.Alpha, opts.Beta, SplitEqual, opts.Workers, mining.Auto)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +181,7 @@ func AnalyzeCtx(ctx context.Context, name string, v *dataset.Vertical, k int, op
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p1, err := procedure1(v, k, sMin, opts.Beta, correction, mc.MinPs, opts.Algorithm)
+		p1, err := Procedure1Ex(v, k, sMin, opts.Beta, correction, mc.MinPs)
 		if err != nil {
 			return nil, err
 		}

@@ -78,12 +78,6 @@ const maxMaterializedFamily = 200_000
 // stochastically smaller than the exact one, so the adjusted p-values are
 // conservative, never liberal.
 func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction string, minPs []float64) (*Procedure1Result, error) {
-	return procedure1(v, k, sMin, beta, correction, minPs, mining.Auto)
-}
-
-// procedure1 is Procedure1Ex mining F_k(sMin) with algo; below
-// maxMaterializedFamily flagged itemsets the result does not depend on it.
-func procedure1(v *dataset.Vertical, k, sMin int, beta float64, correction string, minPs []float64, algo mining.Algorithm) (*Procedure1Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
@@ -115,7 +109,7 @@ func procedure1(v *dataset.Vertical, k, sMin int, beta float64, correction strin
 	// Pass 1: p-values only.
 	var pvals []float64
 	s := mining.NewScratch()
-	mining.VisitKAlgoScratch(v, k, sMin, 1, algo, s, func(items mining.Itemset, sup int) {
+	mining.VisitKAlgoScratch(v, k, sMin, 1, mining.Auto, s, func(items mining.Itemset, sup int) {
 		pvals = append(pvals, pvalOf(items, sup))
 	})
 	m := math.Exp(stats.LogChoose(n, k))
@@ -172,7 +166,7 @@ func procedure1(v *dataset.Vertical, k, sMin int, beta float64, correction strin
 	res.FamilySize = sort.SearchFloat64s(pvals, math.Nextafter(threshold, 2))
 
 	// Pass 2: materialize the rejected itemsets (capped).
-	mining.VisitKAlgoScratch(v, k, sMin, 1, algo, s, func(items mining.Itemset, sup int) {
+	mining.VisitKAlgoScratch(v, k, sMin, 1, mining.Auto, s, func(items mining.Itemset, sup int) {
 		if len(res.Family) >= maxMaterializedFamily {
 			return
 		}

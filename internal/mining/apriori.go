@@ -13,11 +13,8 @@ import (
 
 // aprioriLevels returns frequent itemsets level by level, each level
 // lexicographically sorted, stopping after maxLevel levels (maxLevel <= 0:
-// until no candidates survive). Candidate generation is serial; each level's
-// counting pass shards the transactions over the workers with per-worker
-// count arrays merged by integer addition, so the output is identical for
-// any worker count.
-func aprioriLevels(d *dataset.Dataset, maxLevel, minSupport, workers int) [][]Result {
+// until no candidates survive). Apriori is a serial reference miner.
+func aprioriLevels(d *dataset.Dataset, maxLevel, minSupport int) [][]Result {
 	if minSupport < 1 {
 		panic("mining: Apriori requires minSupport >= 1")
 	}
@@ -39,7 +36,11 @@ func aprioriLevels(d *dataset.Dataset, maxLevel, minSupport, workers int) [][]Re
 			break
 		}
 		trie := buildCandidateTrie(candidates)
-		countCandidates(trie, d.Transactions(), l, workers)
+		for _, tr := range d.Transactions() {
+			if len(tr) >= l {
+				trie.walkCount(tr, l)
+			}
+		}
 		next := trie.collect(minSupport)
 		sortByItems(next)
 		if len(next) == 0 {
@@ -116,31 +117,21 @@ func hasAllSubsets(cand Itemset, freq map[string]struct{}) bool {
 
 // candidateTrie is a prefix trie over sorted candidate itemsets; leaves carry
 // counters. Counting a transaction walks the trie over the transaction's
-// items, visiting exactly the candidates contained in it. Each leaf also
-// carries a dense index so parallel counting can accumulate into flat
-// per-worker arrays instead of the shared nodes.
+// items, visiting exactly the candidates contained in it.
 type candidateTrie struct {
 	children map[uint32]*candidateTrie
 	count    int
 	leaf     bool
-	idx      int // dense leaf index, assigned at build time
-}
-
-// trieRoot pairs the root node with the leaf count the per-worker count
-// arrays are sized by.
-type trieRoot struct {
-	*candidateTrie
-	numLeaves int
 }
 
 func newTrieNode() *candidateTrie {
 	return &candidateTrie{children: make(map[uint32]*candidateTrie)}
 }
 
-func buildCandidateTrie(cands []Itemset) trieRoot {
-	root := trieRoot{candidateTrie: newTrieNode()}
+func buildCandidateTrie(cands []Itemset) *candidateTrie {
+	root := newTrieNode()
 	for _, c := range cands {
-		node := root.candidateTrie
+		node := root
 		for _, it := range c {
 			child, ok := node.children[it]
 			if !ok {
@@ -149,88 +140,25 @@ func buildCandidateTrie(cands []Itemset) trieRoot {
 			}
 			node = child
 		}
-		if !node.leaf {
-			node.leaf = true
-			node.idx = root.numLeaves
-			root.numLeaves++
-		}
+		node.leaf = true
 	}
 	return root
 }
 
-// countCandidates runs the level-l counting pass: every candidate's count is
-// the number of transactions containing it. With workers > 1 the transactions
-// are sharded into contiguous chunks claimed dynamically; each worker counts
-// into its own flat array (the trie is read-only during the pass) and the
-// arrays are summed into the leaves afterwards.
-func countCandidates(trie trieRoot, txs [][]uint32, l, workers int) {
-	const chunkSize = 1024
-	numChunks := (len(txs) + chunkSize - 1) / chunkSize
-	if workers <= 1 || numChunks <= 1 {
-		for _, tr := range txs {
-			if len(tr) >= l {
-				trie.walkCount(tr, l, nil)
-			}
-		}
-		return
-	}
-	if workers > numChunks {
-		workers = numChunks
-	}
-	counts := make([][]int32, workers)
-	for w := range counts {
-		counts[w] = make([]int32, trie.numLeaves)
-	}
-	parallelShards(numChunks, workers, func(w, chunk int) {
-		lo := chunk * chunkSize
-		hi := lo + chunkSize
-		if hi > len(txs) {
-			hi = len(txs)
-		}
-		for _, tr := range txs[lo:hi] {
-			if len(tr) >= l {
-				trie.walkCount(tr, l, counts[w])
-			}
-		}
-	})
-	merged := counts[0]
-	for _, c := range counts[1:] {
-		for i, n := range c {
-			merged[i] += n
-		}
-	}
-	trie.addCounts(merged)
-}
-
 // walkCount increments every candidate of length `remaining` contained in the
-// sorted transaction tr — into the leaf itself when counts is nil, into
-// counts[leaf.idx] otherwise.
-func (n *candidateTrie) walkCount(tr []uint32, remaining int, counts []int32) {
+// sorted transaction tr.
+func (n *candidateTrie) walkCount(tr []uint32, remaining int) {
 	if remaining == 0 {
 		if n.leaf {
-			if counts == nil {
-				n.count++
-			} else {
-				counts[n.idx]++
-			}
+			n.count++
 		}
 		return
 	}
 	// Prune: not enough items left to complete a candidate.
 	for i := 0; i+remaining <= len(tr); i++ {
 		if child, ok := n.children[tr[i]]; ok {
-			child.walkCount(tr[i+1:], remaining-1, counts)
+			child.walkCount(tr[i+1:], remaining-1)
 		}
-	}
-}
-
-// addCounts folds a merged flat count array into the leaf counters.
-func (n *candidateTrie) addCounts(counts []int32) {
-	if n.leaf {
-		n.count += int(counts[n.idx])
-	}
-	for _, child := range n.children {
-		child.addCounts(counts)
 	}
 }
 

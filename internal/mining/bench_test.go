@@ -103,7 +103,7 @@ func BenchmarkLowThresholdEclat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		newEclatShards(v, 3, 1, 1, false, NewScratch()).stream(func(Itemset, int) { n++ })
+		newEclatShards(v, 3, 1, 1, NewScratch()).stream(func(Itemset, int) { n++ })
 	}
 }
 
@@ -161,22 +161,18 @@ func BenchmarkNullK3LowFloor(b *testing.B) {
 // benchSink keeps benchmarked results live.
 var benchSink int
 
-// Parallel-engine scaling on the dense synthetic profile, per algorithm. On
-// multi-core hardware workers=4 should be >= 2x workers=1; on a single-core
-// runner the sub-benchmarks collapse to roughly equal times (the engine adds
-// only shard-buffer overhead). FP-Growth's serial global-tree build is a
-// fixed cost, so its speedup ceiling is set by the mining fraction (Amdahl)
-// and by header-item skew.
+// Parallel-engine scaling on the dense synthetic profile. On multi-core
+// hardware workers=4 should be >= 2x workers=1; on a single-core runner the
+// sub-benchmarks collapse to roughly equal times (the engine adds only
+// shard-buffer overhead).
 func BenchmarkStreamParallel(b *testing.B) {
 	v := benchDataset(b).Vertical()
-	for _, algo := range []Algorithm{EclatTids, EclatBits, FPGrowth} {
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%v/workers=%d", algo, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					benchVisit(b, v, 3, 60, w, algo)
-				}
-			})
-		}
+	for _, w := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchVisit(b, v, 3, 60, w, EclatTids)
+			}
+		})
 	}
 }
 
@@ -201,7 +197,7 @@ func BenchmarkCountVsMaterialize(b *testing.B) {
 	})
 	b.Run("materialize", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := MineVertical(v, Options{K: 2, MinSupport: 50, Workers: 1}); err != nil {
+			if _, err := Mine(v, Options{K: 2, MinSupport: 50, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

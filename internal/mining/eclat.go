@@ -14,7 +14,7 @@ import (
 // Fixed-size-k mining prunes the tree at depth k, which is what the paper's
 // procedures need (they mine k-itemsets for one k at a time). Over tid lists
 // every node counts instead of intersecting, Zaki's L2 trick at every depth
-// (countNode); the bitset layout intersects every candidate.
+// (countNode); the serial bitset reference miner intersects every candidate.
 //
 // Every kernel threads a *Scratch carrying its mutable buffers (per-depth
 // intersection storage, prefix and sort stacks, pooled dense columns), so a
@@ -156,20 +156,18 @@ func (e eclatShards) countNode(s *Scratch, a int, tids bitset.TidList, emit func
 	}
 }
 
-// eclatKBitsetSubtree is the intersect-all DFS over dense bitset columns;
-// cols[i] is the column of items[i]. The caller
-// must have sized s's bitset scratch via ensureBits.
-func eclatKBitsetSubtree(v *dataset.Vertical, items []uint32, cols []*bitset.Bitset, s *Scratch, k, minSupport, first int, emit func(Itemset, int)) {
-	it := items[first]
-	if len(v.Tids[it]) < minSupport {
+// eclatBitsVisitK streams every k-itemset with support >= minSupport by
+// the serial intersect-all DFS over dense bitset columns, in DFS order.
+func eclatBitsVisitK(v *dataset.Vertical, k, minSupport int, s *Scratch, emit func(Itemset, int)) {
+	items := frequentItemsInto(s.items[:0], v, minSupport)
+	s.items = items
+	if len(items) < k {
 		return
 	}
+	cols := s.columns(v, items)
+	s.ensureBits(v.NumTransactions, k)
 	s.ensureDepth(k)
-	prefix := append(s.prefix[:0], it)
-	if k == 1 {
-		s.emitSortedScratch(prefix, len(v.Tids[it]), emit)
-		return
-	}
+	prefix := s.prefix[:0]
 	var rec func(start int, acc *bitset.Bitset)
 	rec = func(start int, acc *bitset.Bitset) {
 		depth := len(prefix)
@@ -189,7 +187,14 @@ func eclatKBitsetSubtree(v *dataset.Vertical, items []uint32, cols []*bitset.Bit
 			prefix = prefix[:depth]
 		}
 	}
-	rec(first+1, cols[first])
+	for first := 0; first <= len(items)-k; first++ {
+		prefix = append(prefix[:0], items[first])
+		if k == 1 {
+			s.emitSortedScratch(prefix, len(v.Tids[items[first]]), emit)
+		} else {
+			rec(first+1, cols[first])
+		}
+	}
 }
 
 // eclatAll mines every itemset (any size >= 1 up to maxLen; maxLen <= 0

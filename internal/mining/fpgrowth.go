@@ -3,7 +3,6 @@ package mining
 import (
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"sigfim/internal/dataset"
 )
@@ -22,13 +21,9 @@ import (
 // which beats the former per-node map: fanout is bounded by the frequent-item
 // count and shrinks rapidly with depth.
 //
-// Parallel decomposition: after the (serial-insertion) global tree build, the
-// header-table ranks are independent bottom-up suffix classes — mining rank r
-// reads only the global tree (immutable once built) and private conditional
-// trees, so the classes shard across the same dynamic worker pool Eclat uses.
-// Every emission path either streams into per-worker accumulators (histogram)
-// or ends in a lexicographic sort over distinct itemsets, so output is
-// bit-identical to serial, including order, for every worker count.
+// FP-Growth is a serial reference miner: every mine runs on one goroutine,
+// and every emission path ends in a lexicographic sort over distinct
+// itemsets.
 
 // fpNode is one FP-tree node; all links are indices into the owning tree's
 // node arena, -1 meaning none. Node 0 is the root (rank -1).
@@ -107,7 +102,6 @@ type fpScratch struct {
 	sortBuf  []uint32   // emit-time sort buffer
 	pathBuf  []int32    // prefix-path buffer for conditional builds
 	ranksBuf []int32    // per-transaction filter/sort buffer for builds
-	ranks    []int32    // frequent top-level ranks in mining order
 	buf      itemsetBuf // pattern collection (fixed-k streaming)
 	order    []int32    // sort permutation over buf
 }
@@ -121,13 +115,10 @@ func (f *fpScratch) condTree(depth int) *fpTree {
 }
 
 // fpBuild computes the rank order and builds the global FP-tree into s.fp,
-// returning the number of ranks (frequent items). The support scan and the
-// per-transaction filter/sort shard over the workers; insertion stays serial
-// in transaction order, so the tree — node counts AND header-chain order —
-// is identical to a fully serial build.
-func fpBuild(d *dataset.Dataset, minSupport, workers int, s *Scratch) int {
+// returning the number of ranks (frequent items).
+func fpBuild(d *dataset.Dataset, minSupport int, s *Scratch) int {
 	fs := &s.fp
-	supports := fpItemSupports(d, workers)
+	supports := d.ItemSupports()
 	if cap(fs.rank) < d.NumItems() {
 		fs.rank = make([]int32, d.NumItems())
 	}
@@ -153,108 +144,13 @@ func fpBuild(d *dataset.Dataset, minSupport, workers int, s *Scratch) int {
 	}
 	numRanks := len(items)
 	fs.global.reset(numRanks)
-	txs := d.Transactions()
-	const chunkSize = 1024
-	numChunks := (len(txs) + chunkSize - 1) / chunkSize
-	if workers <= 1 || numChunks <= 1 {
-		for _, tr := range txs {
-			fs.ranksBuf = fpFilterSortRanks(fs.ranksBuf[:0], tr, fs.rank)
-			if len(fs.ranksBuf) > 0 {
-				fs.global.insert(fs.ranksBuf, 1)
-			}
+	for _, tr := range d.Transactions() {
+		fs.ranksBuf = fpFilterSortRanks(fs.ranksBuf[:0], tr, fs.rank)
+		if len(fs.ranksBuf) > 0 {
+			fs.global.insert(fs.ranksBuf, 1)
 		}
-		return numRanks
-	}
-	// Producer/consumer: workers filter chunks claimed off an atomic counter
-	// while the consumer inserts finished chunks strictly in chunk order. The
-	// semaphore bounds outstanding filtered chunks (filtering outruns the
-	// serial insertion), keeping the transient footprint O(workers · chunk)
-	// instead of a near-full filtered copy of the dataset.
-	if workers > numChunks {
-		workers = numChunks
-	}
-	outputs := make([]chan [][]int32, numChunks)
-	for i := range outputs {
-		outputs[i] = make(chan [][]int32, 1)
-	}
-	sem := make(chan struct{}, 2*workers)
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				sem <- struct{}{}
-				chunk := int(next.Add(1)) - 1
-				if chunk >= numChunks {
-					<-sem
-					return
-				}
-				lo := chunk * chunkSize
-				hi := lo + chunkSize
-				if hi > len(txs) {
-					hi = len(txs)
-				}
-				out := make([][]int32, hi-lo)
-				arena := make([]int32, 0, (hi-lo)*8)
-				for i, tr := range txs[lo:hi] {
-					start := len(arena)
-					arena = fpFilterSortRanks(arena, tr, fs.rank)
-					if len(arena) > start {
-						out[i] = arena[start:len(arena):len(arena)]
-					}
-				}
-				outputs[chunk] <- out
-			}
-		}()
-	}
-	for chunk := 0; chunk < numChunks; chunk++ {
-		for _, ranks := range <-outputs[chunk] {
-			if len(ranks) > 0 {
-				fs.global.insert(ranks, 1)
-			}
-		}
-		<-sem
 	}
 	return numRanks
-}
-
-// fpItemSupports counts n(i) for every item. With workers > 1 the scan
-// shards the transactions into chunks counted into per-worker flat arrays
-// (the pattern Apriori's candidate counting uses) merged by integer addition;
-// serial runs read the dataset's cached supports.
-func fpItemSupports(d *dataset.Dataset, workers int) []int {
-	txs := d.Transactions()
-	const chunkSize = 2048
-	numChunks := (len(txs) + chunkSize - 1) / chunkSize
-	if workers <= 1 || numChunks <= 1 {
-		return d.ItemSupports()
-	}
-	if workers > numChunks {
-		workers = numChunks
-	}
-	counts := make([][]int32, workers)
-	for w := range counts {
-		counts[w] = make([]int32, d.NumItems())
-	}
-	parallelShards(numChunks, workers, func(w, chunk int) {
-		lo := chunk * chunkSize
-		hi := lo + chunkSize
-		if hi > len(txs) {
-			hi = len(txs)
-		}
-		c := counts[w]
-		for _, tr := range txs[lo:hi] {
-			for _, it := range tr {
-				c[it]++
-			}
-		}
-	})
-	out := make([]int, d.NumItems())
-	for _, c := range counts {
-		for i, n := range c {
-			out[i] += int(n)
-		}
-	}
-	return out
 }
 
 // fpFilterSortRanks appends the ranks of the transaction's frequent items to
@@ -274,9 +170,7 @@ func fpFilterSortRanks(dst []int32, tr []uint32, rank []int32) []int32 {
 // fpMineRank emits the suffix class of rank rk in tree t: the pattern
 // (current descent suffix ∪ {rank rk's item}) and, recursively, everything
 // below it via rk's conditional tree. Patterns are emitted as id-sorted
-// scratch slices valid only during the call. t is read but never mutated, so
-// distinct top-level ranks may be mined concurrently from the same tree as
-// long as each worker brings its own fpScratch for the descent state.
+// scratch slices valid only during the call; t is read but never mutated.
 func fpMineRank(t *fpTree, rk int32, depth int, ws *fpScratch, rankItem []uint32, minSupport, maxLen, onlyLen int, emit func(Itemset, int)) {
 	ws.pattern = append(ws.pattern, rankItem[rk])
 	if onlyLen == 0 || len(ws.pattern) == onlyLen {
@@ -314,76 +208,42 @@ func fpMineRank(t *fpTree, rk int32, depth int, ws *fpScratch, rankItem []uint32
 	ws.pattern = ws.pattern[:len(ws.pattern)-1]
 }
 
-// fpShards builds the global FP-tree into s and returns its frequent
-// top-level ranks in mining order — descending rank, least frequent first,
-// the traditional bottom-up visit — with the worker count capped at their
-// number. Each rank's suffix class is one shard.
-func fpShards(d *dataset.Dataset, minSupport, workers int, s *Scratch) ([]int32, int) {
-	numRanks := fpBuild(d, minSupport, workers, s)
+// fpMine builds the global FP-tree into s and mines every frequent
+// top-level rank's suffix class — patterns up to maxLen, emitted only at
+// length onlyLen when it is positive — in descending rank order, least
+// frequent first, the traditional bottom-up visit.
+func fpMine(d *dataset.Dataset, minSupport, maxLen, onlyLen int, s *Scratch, emit func(Itemset, int)) {
+	numRanks := fpBuild(d, minSupport, s)
 	fs := &s.fp
-	fs.ranks = fs.ranks[:0]
 	for rk := int32(numRanks) - 1; rk >= 0; rk-- {
 		if fs.global.support[rk] >= int32(minSupport) {
-			fs.ranks = append(fs.ranks, rk)
+			fpMineRank(&fs.global, rk, 0, fs, fs.rankItem, minSupport, maxLen, onlyLen, emit)
 		}
 	}
-	return fs.ranks, shardWorkers(s, len(fs.ranks), workers)
-}
-
-// fpMineShards mines every rank's suffix class — patterns up to maxLen,
-// emitted only at length onlyLen when it is positive — serially on s.fp or
-// across the worker pool on per-worker child scratches; sink(w, shard)
-// returns the emit callback of one shard mined by worker w.
-func fpMineShards(s *Scratch, ranks []int32, workers, minSupport, maxLen, onlyLen int, sink func(w, shard int) func(Itemset, int)) {
-	fs := &s.fp
-	parallelShards(len(ranks), workers, func(w, shard int) {
-		ws := fs
-		if workers > 1 {
-			ws = &s.child(w).fp
-		}
-		fpMineRank(&fs.global, ranks[shard], 0, ws, fs.rankItem, minSupport, maxLen, onlyLen, sink(w, shard))
-	})
 }
 
 // fpGrowthAll mines every pattern of size 1..maxLen (maxLen <= 0:
 // unbounded) and returns them lexicographically sorted and freshly
-// allocated. The final total sort over distinct itemsets makes the output
-// independent of the shard schedule, so it is identical for every worker
-// count.
-func fpGrowthAll(d *dataset.Dataset, minSupport, maxLen, workers int, s *Scratch) []Result {
-	ranks, workers := fpShards(d, minSupport, workers, s)
-	bufs := make([][]Result, len(ranks))
-	fpMineShards(s, ranks, workers, minSupport, maxLen, 0, func(_, shard int) func(Itemset, int) {
-		return func(pattern Itemset, sup int) {
-			bufs[shard] = append(bufs[shard], Result{Items: pattern.Clone(), Support: sup})
-		}
+// allocated.
+func fpGrowthAll(d *dataset.Dataset, minSupport, maxLen int, s *Scratch) []Result {
+	var out []Result
+	fpMine(d, minSupport, maxLen, 0, s, func(pattern Itemset, sup int) {
+		out = append(out, Result{Items: pattern.Clone(), Support: sup})
 	})
-	out := mergeShardResults(bufs)
 	sortByItems(out)
 	return out
 }
 
 // fpGrowthVisitK streams the k-itemsets with support >= minSupport to emit
-// in lexicographic order, using only scratch storage in the serial case: the
-// patterns collect into a flat buffer that is permutation-sorted and
-// replayed. emit receives a scratch slice valid only during the call.
-func fpGrowthVisitK(d *dataset.Dataset, k, minSupport, workers int, s *Scratch, emit func(Itemset, int)) {
-	ranks, workers := fpShards(d, minSupport, workers, s)
+// in lexicographic order, using only scratch storage: the patterns collect
+// into a flat buffer that is permutation-sorted and replayed. emit receives
+// a scratch slice valid only during the call.
+func fpGrowthVisitK(d *dataset.Dataset, k, minSupport int, s *Scratch, emit func(Itemset, int)) {
 	fs := &s.fp
 	fs.buf = itemsetBuf{items: fs.buf.items[:0], sups: fs.buf.sups[:0]}
-	if workers <= 1 {
-		add := fs.buf.add
-		fpMineShards(s, ranks, workers, minSupport, k, k, func(int, int) func(Itemset, int) { return add })
-	} else {
-		bufs := make([]itemsetBuf, len(ranks))
-		fpMineShards(s, ranks, workers, minSupport, k, k, func(_, shard int) func(Itemset, int) { return bufs[shard].add })
-		for _, b := range bufs {
-			fs.buf.items = append(fs.buf.items, b.items...)
-			fs.buf.sups = append(fs.buf.sups, b.sups...)
-		}
-	}
+	fpMine(d, minSupport, k, k, s, fs.buf.add)
 	// Lexicographic permutation sort over the collection; itemsets are
-	// distinct, so the order is total and shard-schedule independent.
+	// distinct, so the order is total.
 	fs.order = fs.order[:0]
 	for i := range fs.buf.sups {
 		fs.order = append(fs.order, int32(i))
@@ -400,19 +260,4 @@ func fpGrowthVisitK(d *dataset.Dataset, k, minSupport, workers int, s *Scratch, 
 	for _, id := range fs.order {
 		emit(fs.buf.at(int(id), k), int(fs.buf.sups[id]))
 	}
-}
-
-// fpGrowthCount adds the k-itemsets with support >= minSupport into hist by
-// support without materializing any itemset: the rank shards count into
-// per-worker histograms merged by addition — order is irrelevant to a
-// histogram, so nothing is buffered.
-func fpGrowthCount(d *dataset.Dataset, k, minSupport, workers int, s *Scratch, hist []int64) {
-	ranks, workers := fpShards(d, minSupport, workers, s)
-	hists := workerHistograms(hist, workers)
-	counters := make([]func(Itemset, int), len(hists))
-	for w, h := range hists {
-		counters[w] = func(_ Itemset, sup int) { h[sup]++ }
-	}
-	fpMineShards(s, ranks, workers, minSupport, k, k, func(w, _ int) func(Itemset, int) { return counters[w] })
-	mergeWorkerHistograms(hists)
 }

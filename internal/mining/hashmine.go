@@ -313,12 +313,9 @@ func (s *Scratch) radixSort(a, tmp []uint64, lo uint) (sorted, free []uint64) {
 
 // visitShortcut streams the fixed-k mines that bypass the Eclat DFS on the
 // tid-list layout — k = 1, read off the item supports in item order, and the
-// low-floor hash path — and reports whether it handled the mine. EclatBits
-// always runs the DFS.
-func visitShortcut(v *dataset.Vertical, k, minSupport int, algo Algorithm, s *Scratch, emit func(Itemset, int)) bool {
+// low-floor hash path — and reports whether it handled the mine.
+func visitShortcut(v *dataset.Vertical, k, minSupport int, s *Scratch, emit func(Itemset, int)) bool {
 	switch {
-	case algo == EclatBits:
-		return false
 	case k == 1:
 		s.ensureDepth(1)
 		item := s.prefix[:1]

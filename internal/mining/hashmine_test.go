@@ -50,7 +50,7 @@ func TestHashMineAgreesWithEclat(t *testing.T) {
 		for k := 2; k <= 4; k++ {
 			for _, minSup := range []int{1, 2, 3} {
 				want := map[string]int{}
-				newEclatShards(v, k, minSup, 1, false, NewScratch()).stream(func(items Itemset, sup int) {
+				newEclatShards(v, k, minSup, 1, NewScratch()).stream(func(items Itemset, sup int) {
 					want[items.Key()] = sup
 				})
 				got := map[string]int{}
@@ -204,11 +204,11 @@ func TestSubsetEnumerationCost(t *testing.T) {
 func TestMineKMatchesEclatOnDense(t *testing.T) {
 	r := stats.NewRNG(5)
 	d := randomDataset(r, 8, 40)
-	a, err := Mine(d, Options{K: 2, MinSupport: 2})
+	a, err := Mine(d.Vertical(), Options{K: 2, MinSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Mine(d, Options{K: 2, MinSupport: 2, Algorithm: EclatBits})
+	b, err := Mine(d.Vertical(), Options{K: 2, MinSupport: 2, Algorithm: EclatBits})
 	if err != nil {
 		t.Fatal(err)
 	}

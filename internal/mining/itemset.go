@@ -1,9 +1,10 @@
 // Package mining implements the frequent itemset mining engine under the
-// significance methodology: Apriori (level-wise, candidate prefix trie),
-// Eclat (vertical depth-first search over tid lists or bitsets), FP-Growth
-// (conditional pattern trees), fixed-size-k mining (the primitive the paper's
-// procedures consume), support histograms for multi-threshold counting, and
-// closed-itemset filtering.
+// significance methodology: Auto (parallel Eclat over tid lists with a
+// low-floor subset-sorting path), the serial reference miners Apriori
+// (level-wise, candidate prefix trie), bitset Eclat and FP-Growth
+// (conditional pattern trees), fixed-size-k mining (the primitive the
+// paper's procedures consume), support histograms for multi-threshold
+// counting, and closed-itemset filtering.
 //
 // There is no Go frequent-itemset-mining library to lean on, so the package
 // is self-contained; all algorithms agree with each other and with brute

@@ -131,11 +131,11 @@ func TestCountKernelMatchesTidListDFS(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 4} {
 					name := fmt.Sprintf("%s k=%d floor=%d workers=%d", tc.name, k, floor, workers)
-					if diff := streamDiff(want, newEclatShards(v, k, floor, workers, false, NewScratch()).stream); diff != "" {
+					if diff := streamDiff(want, newEclatShards(v, k, floor, workers, NewScratch()).stream); diff != "" {
 						t.Fatalf("%s: stream differs from the DFS: %s", name, diff)
 					}
 					hist := make([]int64, v.MaxItemSupport()+1)
-					newEclatShards(v, k, floor, workers, false, NewScratch()).count(hist)
+					newEclatShards(v, k, floor, workers, NewScratch()).count(hist)
 					if !reflect.DeepEqual(hist, wantHist) {
 						t.Fatalf("%s: count %v, DFS histogram %v", name, hist, wantHist)
 					}
@@ -165,7 +165,7 @@ func TestCountKernelMatchesTidListDFS(t *testing.T) {
 	// At floor 5 the kernel must keep the pair at the floor and drop the
 	// one below it.
 	got := collectScratch(func(emit func(Itemset, int)) {
-		newEclatShards(floorEdges.Vertical(), 2, 5, 1, false, NewScratch()).stream(emit)
+		newEclatShards(floorEdges.Vertical(), 2, 5, 1, NewScratch()).stream(emit)
 	})
 	if want := []Result{{Items: Itemset{0, 1}, Support: 5}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("floor-edges at floor 5: %v, want %v", got, want)
@@ -239,11 +239,11 @@ func FuzzCountKernel(f *testing.F) {
 		want := intersectAllDFS(v, k, floor)
 		wantHist := histogramOf(v, want)
 		for _, workers := range []int{1, 3} {
-			if diff := streamDiff(want, newEclatShards(v, k, floor, workers, false, NewScratch()).stream); diff != "" {
+			if diff := streamDiff(want, newEclatShards(v, k, floor, workers, NewScratch()).stream); diff != "" {
 				t.Fatalf("k=%d floor=%d workers=%d: stream differs from the DFS %v: %s", k, floor, workers, want, diff)
 			}
 			hist := make([]int64, v.MaxItemSupport()+1)
-			newEclatShards(v, k, floor, workers, false, NewScratch()).count(hist)
+			newEclatShards(v, k, floor, workers, NewScratch()).count(hist)
 			if !reflect.DeepEqual(hist, wantHist) {
 				t.Fatalf("k=%d floor=%d workers=%d: count %v, DFS histogram %v", k, floor, workers, hist, wantHist)
 			}

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"slices"
 
 	"sigfim/internal/dataset"
 )
@@ -79,13 +80,13 @@ type Options struct {
 	MaxLen int
 	// Algorithm selects the strategy; Auto by default.
 	Algorithm Algorithm
-	// Workers bounds the goroutines of the parallel engine; 0 selects
-	// runtime.NumCPU(), 1 forces the serial path. For a fixed algorithm the
-	// output is identical — values and order — for every worker count:
-	// Eclat shards first-item prefix classes, Apriori shards its counting
-	// scans, and FP-Growth shards the header-table suffix classes of the
-	// global tree. (Orders differ BETWEEN algorithms: Eclat emits DFS
-	// order, Apriori and FP-Growth emit lexicographically sorted output.)
+	// Workers bounds the goroutines of the parallel engine, which Auto and
+	// EclatTids run: 0 selects runtime.NumCPU(), 1 forces the serial path.
+	// The engine shards first-item prefix classes, and its output is
+	// identical — values and order — for every worker count. EclatBits,
+	// Apriori and FPGrowth are serial reference miners and ignore Workers.
+	// (Orders differ BETWEEN algorithms: Eclat emits DFS order, Apriori and
+	// FP-Growth emit lexicographically sorted output.)
 	Workers int
 }
 
@@ -105,60 +106,28 @@ func (o Options) validate() error {
 
 // Mine materializes the itemsets the options select. Fixed-k runs (K > 0)
 // collect VisitKAlgoScratch's stream; all-sizes runs use the algorithm's
-// all-sizes miner. Apriori and FP-Growth mine d as-is; Eclat mines its
-// vertical layout.
-func Mine(d *dataset.Dataset, opts Options) ([]Result, error) {
+// all-sizes miner. Apriori and FP-Growth mine v converted to transactions.
+func Mine(v *dataset.Vertical, opts Options) ([]Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if opts.Algorithm == Apriori || opts.Algorithm == FPGrowth {
-		return mine(d, nil, opts), nil
-	}
-	return mine(nil, d.Vertical(), opts), nil
-}
-
-// MineVertical is Mine over the vertical layout (the natural input when
-// datasets come from the random generator); Apriori and FP-Growth convert it
-// to transactions first.
-func MineVertical(v *dataset.Vertical, opts Options) ([]Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	return mine(nil, v, opts), nil
-}
-
-// mine runs validated options against whichever layout the caller holds: d
-// (horizontal algorithms only) or v.
-func mine(d *dataset.Dataset, v *dataset.Vertical, opts Options) []Result {
-	workers := resolveWorkers(opts.Workers)
-	s := NewScratch()
-	if opts.K > 0 {
+	workers, s := resolveWorkers(opts.Workers), NewScratch()
+	switch {
+	case opts.K > 0:
 		var out []Result
-		visitK(d, v, opts.K, opts.MinSupport, workers, opts.Algorithm, s, func(items Itemset, sup int) {
+		visitK(v, opts.K, opts.MinSupport, workers, opts.Algorithm, s, func(items Itemset, sup int) {
 			out = append(out, Result{Items: items.Clone(), Support: sup})
 		})
-		return out
-	}
-	switch opts.Algorithm {
-	case Apriori:
-		var out []Result
-		for _, level := range aprioriLevels(horizontal(d, v, s), opts.MaxLen, opts.MinSupport, workers) {
-			out = append(out, level...)
-		}
-		return out
-	case FPGrowth:
-		return fpGrowthAll(horizontal(d, v, s), opts.MinSupport, opts.MaxLen, workers, s)
+		return out, nil
+	case opts.Algorithm == Apriori:
+		return slices.Concat(aprioriLevels(s.horizontal(v), opts.MaxLen, opts.MinSupport)...), nil
+	case opts.Algorithm == FPGrowth:
+		return fpGrowthAll(s.horizontal(v), opts.MinSupport, opts.MaxLen, s), nil
+	case opts.Algorithm == EclatBits:
+		return eclatAll(v, opts.MinSupport, opts.MaxLen, 1), nil
 	default:
-		return eclatAll(v, opts.MinSupport, opts.MaxLen, workers)
+		return eclatAll(v, opts.MinSupport, opts.MaxLen, workers), nil
 	}
-}
-
-// horizontal returns d when the caller holds it, else v converted into s.
-func horizontal(d *dataset.Dataset, v *dataset.Vertical, s *Scratch) *dataset.Dataset {
-	if d != nil {
-		return d
-	}
-	return s.horizontal(v)
 }
 
 // VisitKAlgoScratch streams every k-itemset with support >= minSupport to
@@ -169,31 +138,34 @@ func horizontal(d *dataset.Dataset, v *dataset.Vertical, s *Scratch) *dataset.Da
 // identical for every worker count (orders differ BETWEEN algorithms: Eclat
 // variants emit DFS order, the hash path first-occurrence order over the
 // transaction scan, Apriori and FP-Growth lexicographically sorted output).
+// workers applies to Auto and EclatTids only; the other algorithms mine
+// serially.
 //
 // s may be nil. This is the entry point of the Monte Carlo replicate engine:
 // with a reused per-worker Scratch the serial paths of every algorithm
 // stream straight from pooled buffers, so a worker's second replicate
 // allocates nothing.
 func VisitKAlgoScratch(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch, emit func(items Itemset, support int)) {
-	visitK(nil, v, k, minSupport, resolveWorkers(workers), algo, ensureScratch(s), emit)
+	visitK(v, k, minSupport, resolveWorkers(workers), algo, ensureScratch(s), emit)
 }
 
-// visitK is VisitKAlgoScratch over either layout (see mine) with resolved
-// workers and a non-nil Scratch.
-func visitK(d *dataset.Dataset, v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch, emit func(Itemset, int)) {
+// visitK is VisitKAlgoScratch with resolved workers and a non-nil Scratch.
+func visitK(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch, emit func(Itemset, int)) {
 	checkK(k, minSupport)
 	switch algo {
 	case Apriori:
-		if levels := aprioriLevels(horizontal(d, v, s), k, minSupport, workers); len(levels) == k {
+		if levels := aprioriLevels(s.horizontal(v), k, minSupport); len(levels) == k {
 			for _, r := range levels[k-1] {
 				emit(r.Items, r.Support)
 			}
 		}
 	case FPGrowth:
-		fpGrowthVisitK(horizontal(d, v, s), k, minSupport, workers, s, emit)
+		fpGrowthVisitK(s.horizontal(v), k, minSupport, s, emit)
+	case EclatBits:
+		eclatBitsVisitK(v, k, minSupport, s, emit)
 	default:
-		if !visitShortcut(v, k, minSupport, algo, s, emit) {
-			newEclatShards(v, k, minSupport, workers, algo == EclatBits, s).stream(emit)
+		if !visitShortcut(v, k, minSupport, s, emit) {
+			newEclatShards(v, k, minSupport, workers, s).stream(emit)
 		}
 	}
 }
@@ -203,25 +175,23 @@ func visitK(d *dataset.Dataset, v *dataset.Vertical, k, minSupport, workers int,
 // number of k-itemsets of support exactly s, len(hist) is the largest item
 // support plus one, and CumulativeQ turns it into Q_{k,s} for every s >=
 // minSupport. Every algorithm yields the same histogram, so the choice only
-// affects speed; shards count into per-worker histograms merged by integer
-// addition, never through the stream's replay buffers. s may be nil; a
-// reused Scratch pools the horizontal conversion, the dense columns, the
-// FP-tree arenas and the DFS buffers across calls.
+// affects speed. Auto and EclatTids shards count into per-worker histograms
+// merged by integer addition, never through the stream's replay buffers;
+// the serial reference miners count their stream. s may be nil; a reused
+// Scratch pools the horizontal conversion, the dense columns, the FP-tree
+// arenas and the DFS buffers across calls.
 func SupportHistogramAlgoScratch(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch) []int64 {
 	checkK(k, minSupport)
 	s = ensureScratch(s)
-	workers = resolveWorkers(workers)
 	hist := make([]int64, v.MaxItemSupport()+1)
 	count := func(_ Itemset, sup int) { hist[sup]++ }
 	switch algo {
-	case Apriori:
-		visitK(nil, v, k, minSupport, workers, algo, s, count)
-	case FPGrowth:
-		fpGrowthCount(s.horizontal(v), k, minSupport, workers, s, hist)
-	default:
-		if !visitShortcut(v, k, minSupport, algo, s, count) {
-			newEclatShards(v, k, minSupport, workers, algo == EclatBits, s).count(hist)
+	case Auto, EclatTids:
+		if !visitShortcut(v, k, minSupport, s, count) {
+			newEclatShards(v, k, minSupport, resolveWorkers(workers), s).count(hist)
 		}
+	default:
+		visitK(v, k, minSupport, 1, algo, s, count)
 	}
 	return hist
 }

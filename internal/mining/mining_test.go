@@ -70,10 +70,10 @@ func resultsEqual(a, b []Result) bool {
 	return true
 }
 
-// mustMine is MineVertical for options known to be valid.
+// mustMine is Mine for options known to be valid.
 func mustMine(t *testing.T, v *dataset.Vertical, opts Options) []Result {
 	t.Helper()
-	rs, err := MineVertical(v, opts)
+	rs, err := Mine(v, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestAllAlgorithmsAgreeWithBruteForce(t *testing.T) {
 						if !reflect.DeepEqual(hist, histogramOf(v, stream)) {
 							t.Fatalf("%s: histogram differs from the stream's", name)
 						}
-						mined, err := Mine(d, Options{K: k, MinSupport: minSup, Algorithm: algo, Workers: workers})
+						mined, err := Mine(d.Vertical(), Options{K: k, MinSupport: minSup, Algorithm: algo, Workers: workers})
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -167,7 +167,7 @@ func TestAllSizesAgree(t *testing.T) {
 		for _, minSup := range []int{1, 3} {
 			var want []Result
 			for _, algo := range allAlgorithms {
-				got, err := Mine(d, Options{MinSupport: minSup, Algorithm: algo})
+				got, err := Mine(d.Vertical(), Options{MinSupport: minSup, Algorithm: algo})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +186,7 @@ func TestMaxLenCap(t *testing.T) {
 	d := randomDataset(r, 8, 30)
 	for _, maxLen := range []int{1, 2, 3} {
 		for _, algo := range allAlgorithms {
-			rs, err := Mine(d, Options{MinSupport: 2, MaxLen: maxLen, Algorithm: algo})
+			rs, err := Mine(d.Vertical(), Options{MinSupport: 2, MaxLen: maxLen, Algorithm: algo})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,9 +202,10 @@ func TestMaxLenCap(t *testing.T) {
 func TestMineFacade(t *testing.T) {
 	r := stats.NewRNG(99)
 	d := randomDataset(r, 8, 40)
+	v := d.Vertical()
 	want := bruteMineK(d, 2, 3)
 	for _, algo := range allAlgorithms {
-		got, err := Mine(d, Options{K: 2, MinSupport: 3, Algorithm: algo})
+		got, err := Mine(v, Options{K: 2, MinSupport: 3, Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -212,27 +213,14 @@ func TestMineFacade(t *testing.T) {
 			t.Fatalf("%v disagrees with brute force", algo)
 		}
 	}
-	for _, mine := range []func(Options) ([]Result, error){
-		func(o Options) ([]Result, error) { return Mine(d, o) },
-		func(o Options) ([]Result, error) { return MineVertical(d.Vertical(), o) },
-	} {
-		if _, err := mine(Options{K: 2, MinSupport: 0}); err == nil {
-			t.Error("MinSupport 0 accepted")
-		}
-		if _, err := mine(Options{K: -1, MinSupport: 1}); err == nil {
-			t.Error("negative K accepted")
-		}
-		if _, err := mine(Options{K: 1, MinSupport: 1, Algorithm: Algorithm(99)}); err == nil {
-			t.Error("unknown algorithm accepted")
-		}
+	if _, err := Mine(v, Options{K: 2, MinSupport: 0}); err == nil {
+		t.Error("MinSupport 0 accepted")
 	}
-	// Vertical facade with horizontal algorithms round-trips.
-	got, err := MineVertical(d.Vertical(), Options{K: 2, MinSupport: 3, Algorithm: FPGrowth})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Mine(v, Options{K: -1, MinSupport: 1}); err == nil {
+		t.Error("negative K accepted")
 	}
-	if !resultsEqual(got, append([]Result(nil), want...)) {
-		t.Fatal("MineVertical(FPGrowth) disagrees")
+	if _, err := Mine(v, Options{K: 1, MinSupport: 1, Algorithm: Algorithm(99)}); err == nil {
+		t.Error("unknown algorithm accepted")
 	}
 }
 
@@ -244,7 +232,7 @@ func TestCountKMatchesMine(t *testing.T) {
 		v := randomDataset(r, 9, 40).Vertical()
 		for k := 1; k <= 3; k++ {
 			for _, s := range []int{1, 2, 4} {
-				rs, err := MineVertical(v, Options{K: k, MinSupport: s})
+				rs, err := Mine(v, Options{K: k, MinSupport: s})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -269,7 +257,7 @@ func TestSupportHistogram(t *testing.T) {
 	}
 	q := CumulativeQ(hist)
 	for s := minSup; s < len(hist); s++ {
-		rs, err := MineVertical(v, Options{K: k, MinSupport: s})
+		rs, err := Mine(v, Options{K: k, MinSupport: s})
 		if err != nil {
 			t.Fatal(err)
 		}

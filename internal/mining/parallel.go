@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sigfim/internal/bitset"
 	"sigfim/internal/dataset"
 )
 
@@ -76,12 +75,11 @@ func parallelShards(n, workers int, fn func(worker, shard int)) {
 	wg.Wait()
 }
 
-// eclatShards is the fixed-k Eclat search split into its first-item
-// subtrees over either layout: the frequent items in eclat order, n subtrees
-// (zero when fewer than k items are frequent), the worker count capped at n
-// with its scratches ready, and — for the bitset layout — the dense columns,
-// or — for tid lists — the rank index in the parent scratch s, built once and
-// shared read-only by every worker's counting kernel.
+// eclatShards is the fixed-k tid-list Eclat search split into its
+// first-item subtrees: the frequent items in eclat order, n subtrees (zero
+// when fewer than k items are frequent), the worker count capped at n with
+// its scratches ready, and the rank index in the parent scratch s, built
+// once and shared read-only by every worker's counting kernel.
 //
 // The struct stays under 128 bytes so the parallel stream's closure captures
 // it by value: a larger one moves the receiver to the heap on every call,
@@ -89,32 +87,22 @@ func parallelShards(n, workers int, fn func(worker, shard int)) {
 type eclatShards struct {
 	v             *dataset.Vertical
 	items         []uint32
-	cols          []*bitset.Bitset // bitset layout only; cols[i] is items[i]'s column
-	bits          bool
 	k, minSupport int
 	n, workers    int
 	s             *Scratch
 }
 
-func newEclatShards(v *dataset.Vertical, k, minSupport, workers int, bits bool, s *Scratch) eclatShards {
+func newEclatShards(v *dataset.Vertical, k, minSupport, workers int, s *Scratch) eclatShards {
 	s.items = frequentItemsInto(s.items[:0], v, minSupport)
-	e := eclatShards{v: v, items: s.items, bits: bits, k: k, minSupport: minSupport, s: s}
+	e := eclatShards{v: v, items: s.items, k: k, minSupport: minSupport, s: s}
 	if len(e.items) < k {
 		return e
 	}
 	e.n = len(e.items) - k + 1
 	e.workers = shardWorkers(s, e.n, workers)
-	switch {
-	case bits:
-		e.cols = s.columns(v, e.items)
-		for w := 0; w < e.workers; w++ {
-			e.scratch(w).ensureBits(v.NumTransactions, k)
-		}
-	default:
-		s.rankIndex(v, e.items)
-		for w := 0; w < e.workers; w++ {
-			e.scratch(w).ensureRows(k, len(e.items))
-		}
+	s.rankIndex(v, e.items)
+	for w := 0; w < e.workers; w++ {
+		e.scratch(w).ensureRows(k, len(e.items))
 	}
 	return e
 }
@@ -131,10 +119,6 @@ func (e eclatShards) scratch(w int) *Scratch {
 // member (in eclat order) is items[first]; ascending first is DFS order.
 func (e eclatShards) subtree(w, first int, emit func(Itemset, int)) {
 	s := e.scratch(w)
-	if e.bits {
-		eclatKBitsetSubtree(e.v, e.items, e.cols, s, e.k, e.minSupport, first, emit)
-		return
-	}
 	s.prefix = append(s.prefix[:0], e.items[first])
 	e.countNode(s, first, e.v.Tids[e.items[first]], emit)
 }

@@ -72,13 +72,13 @@ func TestCrossAlgorithmEquivalenceAcrossWorkers(t *testing.T) {
 			v := d.Vertical()
 			for _, k := range tc.ks {
 				for _, s := range tc.sups {
-					want, err := Mine(d, Options{K: k, MinSupport: s, Algorithm: FPGrowth, Workers: 1})
+					want, err := Mine(d.Vertical(), Options{K: k, MinSupport: s, Algorithm: FPGrowth, Workers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, workers := range []int{1, 4, 8} {
 						for _, algo := range allAlgorithms {
-							got, err := MineVertical(v, Options{
+							got, err := Mine(v, Options{
 								K: k, MinSupport: s, Algorithm: algo, Workers: workers,
 							})
 							if err != nil {
@@ -119,7 +119,7 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 						}
 					}
 				}
-				want, err := Mine(d, Options{MinSupport: 5, MaxLen: 3, Algorithm: algo, Workers: 1})
+				want, err := Mine(d.Vertical(), Options{MinSupport: 5, MaxLen: 3, Algorithm: algo, Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,39 +127,12 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 					t.Fatalf("%v: empty all-sizes output, test is vacuous", algo)
 				}
 				for _, workers := range []int{2, 8} {
-					got, err := Mine(d, Options{MinSupport: 5, MaxLen: 3, Algorithm: algo, Workers: workers})
+					got, err := Mine(d.Vertical(), Options{MinSupport: 5, MaxLen: 3, Algorithm: algo, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%v all sizes w=%d: parallel order differs from serial", algo, workers)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestFPGrowthParallelMatchesSerialExactly pins the sharded FP-Growth
-// engine: sharding the header-table suffix classes across the worker pool
-// yields materialized output bit-identical to the serial miner — values AND
-// order — at Workers 1, 4, and 8, for fixed k and all sizes.
-func TestFPGrowthParallelMatchesSerialExactly(t *testing.T) {
-	for _, tc := range crossAlgoCases {
-		t.Run(tc.name, func(t *testing.T) {
-			d := tc.gen()
-			for _, opts := range []Options{{K: 1}, {K: 2}, {K: 3}, {MaxLen: 3}} {
-				for _, s := range tc.sups {
-					opts.MinSupport, opts.Algorithm, opts.Workers = s, FPGrowth, 1
-					want, err := Mine(d, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, workers := range []int{4, 8} {
-						opts.Workers = workers
-						if got, _ := Mine(d, opts); !reflect.DeepEqual(got, want) {
-							t.Fatalf("FPGrowth k=%d s=%d w=%d: parallel output differs from serial", opts.K, s, workers)
-						}
 					}
 				}
 			}

@@ -36,16 +36,16 @@ func TestScratchReuseAcrossDatasets(t *testing.T) {
 	}
 	runs := []run{
 		{"eclatTidList/A", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vA, 2, 3, 1, false, s).stream(emit) })
+			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vA, 2, 3, 1, s).stream(emit) })
 		}},
 		{"eclatTidList/B", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vB, 3, 2, 1, false, s).stream(emit) })
+			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vB, 3, 2, 1, s).stream(emit) })
 		}},
 		{"eclatBitset/A", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vA, 2, 3, 1, true, s).stream(emit) })
+			return collectScratch(func(emit func(Itemset, int)) { eclatBitsVisitK(vA, 2, 3, s, emit) })
 		}},
 		{"eclatBitset/B", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { newEclatShards(vB, 3, 2, 1, true, s).stream(emit) })
+			return collectScratch(func(emit func(Itemset, int)) { eclatBitsVisitK(vB, 3, 2, s, emit) })
 		}},
 		{"hashMine/B", func(s *Scratch) interface{} {
 			return collectScratch(func(emit func(Itemset, int)) { subsetMineK(vB, 2, 1, s, emit) })
@@ -54,10 +54,10 @@ func TestScratchReuseAcrossDatasets(t *testing.T) {
 			return collectScratch(func(emit func(Itemset, int)) { subsetMineK(vA, 3, 2, s, emit) })
 		}},
 		{"fpGrowthVisitK/A", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { fpGrowthVisitK(dA, 2, 3, 1, s, emit) })
+			return collectScratch(func(emit func(Itemset, int)) { fpGrowthVisitK(dA, 2, 3, s, emit) })
 		}},
 		{"fpGrowthVisitK/B", func(s *Scratch) interface{} {
-			return collectScratch(func(emit func(Itemset, int)) { fpGrowthVisitK(dB, 3, 2, 1, s, emit) })
+			return collectScratch(func(emit func(Itemset, int)) { fpGrowthVisitK(dB, 3, 2, s, emit) })
 		}},
 		{"histogramAuto/A", func(s *Scratch) interface{} {
 			return SupportHistogramAlgoScratch(vA, 2, 3, 1, Auto, s)

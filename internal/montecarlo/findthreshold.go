@@ -65,10 +65,11 @@ type Config struct {
 	// merged in replicate order and intra-mine shards replay in serial
 	// order, so the output is identical for any worker count.
 	Workers int
-	// Algorithm selects the replicate miner (mining.Auto picks Eclat with an
-	// automatic physical layout; mining.FPGrowth and mining.Apriori force
-	// those engines). Every algorithm mines the same itemsets, and for a
-	// fixed algorithm the result is identical for any worker count.
+	// Algorithm selects the replicate miner. Every algorithm mines the same
+	// itemsets, so the result is identical for any algorithm and worker
+	// count. The zero value, mining.Auto, is the one production miner and
+	// the only one parallelized within a mine; the others are serial
+	// reference miners the mining tests and the benchmark compare against.
 	Algorithm mining.Algorithm
 	// Progress, when non-nil, is called on the merge goroutine after each
 	// replicate's itemsets have been merged, with the number merged so far

@@ -69,7 +69,7 @@ func Generate(v *dataset.Vertical, opts Options) ([]Rule, error) {
 	if maxLen < 2 {
 		return nil, fmt.Errorf("rules: MaxLen must be >= 2, got %d", maxLen)
 	}
-	frequent, err := mining.MineVertical(v, mining.Options{
+	frequent, err := mining.Mine(v, mining.Options{
 		MinSupport: opts.MinSupport, MaxLen: maxLen, Algorithm: mining.EclatTids, Workers: 1,
 	})
 	if err != nil {

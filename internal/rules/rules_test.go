@@ -81,7 +81,7 @@ func TestRuleCountMatchesSubsetCombinatorics(t *testing.T) {
 	// With MinConfidence 0, every frequent itemset of size j yields
 	// 2^j - 2 rules.
 	v := toy()
-	frequent, err := mining.MineVertical(v, mining.Options{MinSupport: 2, MaxLen: 3})
+	frequent, err := mining.Mine(v, mining.Options{MinSupport: 2, MaxLen: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,12 +51,12 @@ func otherFrac(v, def float64) float64 {
 // statistical job on its Config as sigfim.ResolveConfig resolves it against
 // the job's dataset. From one fuzzed configuration it derives a second
 // request that spells every implicit default out explicitly and perturbs
-// every knob the analysis ignores (Workers always; alpha, beta, baseline,
-// correction and max patterns for smin jobs; swap knobs the chosen null
-// does not read), and asserts both requests land on the same cache key.
-// Then it moves each result-bearing field in turn, and the key must move
-// with it: seed, delta, epsilon, algorithm, k, kind and the dataset hash
-// always; alpha, beta, correction and max patterns for significant jobs;
+// every knob the analysis ignores (Workers and Algorithm always; alpha,
+// beta, baseline, correction and max patterns for smin jobs; swap knobs the
+// chosen null does not read), and asserts both requests land on the same
+// cache key; no accepted algorithm name may move it. Then it moves each
+// result-bearing field in turn, and the key must move with it: seed,
+// delta, epsilon, k, kind and the dataset hash always; alpha, beta, correction and max patterns for significant jobs;
 // and the swap knob the chosen null reads. A resolver that drifts from the
 // pipeline's defaults, leaks an ignored knob into the key (splitting cache
 // slots), or drops a relevant one (serving one analysis's bytes for
@@ -111,9 +111,7 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 		if bcfg.Delta == 0 {
 			bcfg.Delta = 1000
 		}
-		if bcfg.Algorithm == "" {
-			bcfg.Algorithm = sigfim.AlgoAuto
-		}
+		bcfg.Algorithm = algos[(int(sel)+1)%len(algos)]
 		if kind == KindSignificant {
 			if bcfg.Alpha == 0 {
 				bcfg.Alpha = 0.05
@@ -206,12 +204,13 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 		moves("seed", kind, k, perturb(func(c *sigfim.Config) { c.Seed++ }))
 		moves("delta", kind, k, perturb(func(c *sigfim.Config) { c.Delta++ }))
 		moves("epsilon", kind, k, perturb(func(c *sigfim.Config) { c.Epsilon = otherFrac(c.Epsilon, 0.01) }))
-		moves("algorithm", kind, k, perturb(func(c *sigfim.Config) {
-			c.Algorithm = sigfim.AlgoApriori
-			if cfg.Algorithm == sigfim.AlgoApriori {
-				c.Algorithm = sigfim.AlgoFPGrowth
+		// The miner is a speed choice only: no accepted name moves the key.
+		for _, algo := range []string{"", sigfim.AlgoAuto, sigfim.AlgoEclat, "eclat-tids", sigfim.AlgoEclatBit, sigfim.AlgoApriori, sigfim.AlgoFPGrowth} {
+			c := perturb(func(c *sigfim.Config) { c.Algorithm = algo })
+			if got := keyOf(JobRequest{Dataset: "d", Kind: kind, K: k, Config: &c}); got != ka {
+				t.Fatalf("algorithm %q moved the cache key:\n%s\n%s", algo, got, ka)
 			}
-		}))
+		}
 		moves("k", kind, k+1, cfg)
 		if kind == KindSignificant {
 			moves("kind", KindSMin, k, perturb(func(c *sigfim.Config) { c.SwapNull = false }))
@@ -293,7 +292,7 @@ func FuzzPartialRequest(f *testing.F) {
 	f.Add([]byte(valid + valid))
 	f.Add([]byte(valid + " \n\t"))
 	f.Add([]byte(valid[:len(valid)-5]))
-	f.Add([]byte(`{"dataset_hash":"@hash","from":3,"to":5,"k":3,"floor":1,"stat_floor":2,"seeds":[7,8],"algorithm":"fpgrowth","workers":3}`))
+	f.Add([]byte(`{"dataset_hash":"@hash","from":3,"to":5,"k":3,"floor":1,"stat_floor":2,"seeds":[7,8],"workers":3}`))
 	f.Add([]byte(`{"dataset_hash":"@hash","from":0,"to":1,"k":2,"floor":1,"seeds":[4],"swap_null":true,"swap_proposals":50}`))
 	f.Add([]byte(`{"dataset_hash":"@hash","from":0,"to":1,"k":2,"floor":1,"seeds":[4],"extra":1}`))
 	f.Add([]byte(`{"dataset_hash":"nope","from":0,"to":1,"k":2,"floor":1,"seeds":[4]}`))

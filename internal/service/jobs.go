@@ -94,9 +94,10 @@ type JobRequest struct {
 	// Config carries the full analysis configuration; nil selects the
 	// paper's defaults. Field names follow sigfim.Config (Alpha, Beta,
 	// Epsilon, Delta, Seed, WithBaseline, Correction, MaxPatterns, SwapNull,
-	// SwapProposalsPerOccurrence, SwapProposals, Workers, Algorithm). Rules
-	// jobs read only Beta (> 0 switches to SignificantRules at that FDR
-	// budget); closed and maximal jobs ignore Config entirely.
+	// SwapProposalsPerOccurrence, SwapProposals, Workers, Algorithm; the
+	// last is checked and otherwise ignored). Rules jobs read only Beta
+	// (> 0 switches to SignificantRules at that FDR budget); closed and
+	// maximal jobs ignore Config entirely.
 	Config *sigfim.Config `json:"config,omitempty"`
 }
 
@@ -325,10 +326,9 @@ func (e *Engine) validate(req JobRequest) error {
 // significant or smin job keys on its Config as sigfim.ResolveConfig
 // resolves it: defaults filled, fields the analysis ignores zeroed, the
 // baseline flag and correction settled. Workers is cleared, since the
-// engine is bit-identical for every worker count. Algorithm stays: every
-// algorithm mines identical itemsets, but float-valued report fields
-// (lambda estimates, p-values) can differ in their last bits across
-// algorithms, and the cache contract is bit-identity.
+// engine is bit-identical for every worker count. Algorithm needs no
+// clearing: every analysis mines with auto, so the resolver keys every
+// accepted name to that one slot.
 //
 // The mining kinds (closed, maximal, rules) read no analysis config, so
 // they carry only the fields that parameterize them; rules jobs keep Beta

@@ -175,6 +175,32 @@ func TestCorrectionInCacheKey(t *testing.T) {
 	}
 }
 
+// TestAlgorithmNotInCacheKey: every analysis mines with auto, so a
+// significant job resubmitted with only Algorithm changed is a synchronous
+// cache hit serving the stored bytes.
+func TestAlgorithmNotInCacheKey(t *testing.T) {
+	_, ts := newTestServer(t, service.Options{Workers: 1})
+	req := service.JobRequest{Dataset: "golden", Kind: service.KindSignificant, K: 2,
+		Config: &sigfim.Config{Delta: 40, Seed: 3, Correction: sigfim.CorrectionWestfallYoung}}
+	st1, code := submit(t, ts, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (err %q)", code, st1.Error)
+	}
+	first := waitState(t, ts, st1.ID, service.StateDone)
+	for _, algo := range []string{sigfim.AlgoApriori, sigfim.AlgoFPGrowth, sigfim.AlgoEclatBit, sigfim.AlgoAuto} {
+		cfg := *req.Config
+		cfg.Algorithm = algo
+		req.Config = &cfg
+		st, code := submit(t, ts, req)
+		if code != http.StatusOK || !st.CacheHit {
+			t.Fatalf("Algorithm %q resubmit: status %d cacheHit %v, want cache hit", algo, code, st.CacheHit)
+		}
+		if !bytes.Equal(st.Result, first.Result) {
+			t.Errorf("Algorithm %q: cached bytes differ from computed bytes", algo)
+		}
+	}
+}
+
 func TestJobValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Workers: 1})
 	cases := []struct {

@@ -26,10 +26,10 @@ func plantedTransactions(seed uint64, n, t int, p float64) [][]uint32 {
 	return tx
 }
 
-// TestFPGrowthGoldenWorkerIdentity pins the FP-Growth acceptance criterion on
-// the committed golden fixture: mining with -algo fpgrowth is bit-identical —
-// values and order — for Workers 1, 2, 4, and 8, and the full Significant
-// pipeline driven by FP-Growth agrees with the default Eclat-driven pipeline.
+// TestFPGrowthGoldenWorkerIdentity pins, on the committed golden fixture,
+// that mining with -algo fpgrowth is bit-identical — values and order — for
+// Workers 1, 2, 4, and 8 (the serial reference miner ignores Workers), and
+// that a Significant config naming FP-Growth agrees with the default one.
 func TestFPGrowthGoldenWorkerIdentity(t *testing.T) {
 	d, err := OpenFIMI("testdata/golden_input.dat")
 	if err != nil {

@@ -69,8 +69,6 @@ type PartialRequest struct {
 	// statistic. Must be >= Floor; coordinators collecting it pin the two
 	// equal. Zero (the default) skips collection.
 	StatFloor int `json:"stat_floor,omitempty"`
-	// Algorithm is one of the Algo* constants ("" = auto).
-	Algorithm string `json:"algorithm,omitempty"`
 	// Seeds holds one RNG seed per replicate; Seeds[i] drives replicate
 	// From+i. The coordinator derives them from the root stream, so a
 	// replicate's substream never depends on which worker executes it.
@@ -127,10 +125,6 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, o
 	if req.DatasetHash != "" && req.DatasetHash != ds.Hash() {
 		return fmt.Errorf("sigfim: dataset hash mismatch: request %s, dataset %s", req.DatasetHash, ds.Hash())
 	}
-	algo, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		return err
-	}
 	perOccurrence, proposals, err := ds.swapLengths(req.SwapNull, req.SwapProposalsPerOccurrence, req.SwapProposals)
 	if err != nil {
 		return err
@@ -140,7 +134,6 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, o
 		K:         req.K,
 		Floor:     req.Floor,
 		StatFloor: req.StatFloor,
-		Algorithm: algo,
 		Seeds:     req.Seeds,
 		Workers:   req.Workers,
 	}
@@ -217,7 +210,7 @@ type remoteFabric struct {
 	ds         *Dataset
 	pool       *WorkerPool
 	hc         *http.Client
-	template   PartialRequest // null model + algorithm; range fields filled per call
+	template   PartialRequest // null model; range fields filled per call
 	retries    int            // max remote attempts per range
 	hedgeDelay time.Duration  // 0 disables hedged dispatch
 	bodies     chan *bytes.Buffer
@@ -243,7 +236,6 @@ func (ds *Dataset) newRangeRunner(cfg *Config) montecarlo.RangeRunner {
 		bodies:     make(chan *bytes.Buffer, fabricBodyBuffers),
 		template: PartialRequest{
 			DatasetHash:                ds.Hash(),
-			Algorithm:                  cfg.Algorithm,
 			SwapNull:                   cfg.SwapNull,
 			SwapProposalsPerOccurrence: cfg.SwapProposalsPerOccurrence,
 			SwapProposals:              cfg.SwapProposals,

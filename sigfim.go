@@ -227,7 +227,8 @@ type Pattern struct {
 
 // Algorithm names accepted by MineOptions.Algorithm and Config.Algorithm.
 // Every algorithm mines exactly the same itemsets; the choice affects
-// performance only.
+// performance only, and only Dataset.Mine acts on it: every statistical
+// job mines with AlgoAuto.
 const (
 	// AlgoAuto mines vertically: fixed-k runs at floors <= 8 take the
 	// transaction-subset hash path when enumerating the subsets costs no
@@ -238,13 +239,12 @@ const (
 	// for fixed k it takes AlgoAuto's dispatch, low-floor hash path
 	// included.
 	AlgoEclat = "eclat"
-	// AlgoEclatBit forces vertical mining over dense bitsets.
+	// AlgoEclatBit forces serial vertical mining over dense bitsets.
 	AlgoEclatBit = "eclat-bits"
-	// AlgoApriori forces level-wise horizontal mining with a candidate
-	// prefix trie.
+	// AlgoApriori forces serial level-wise horizontal mining with a
+	// candidate prefix trie.
 	AlgoApriori = "apriori"
-	// AlgoFPGrowth forces FP-tree mining with parallel sharded conditional
-	// trees.
+	// AlgoFPGrowth forces serial FP-tree mining.
 	AlgoFPGrowth = "fpgrowth"
 )
 
@@ -259,9 +259,10 @@ type MineOptions struct {
 	MaxLen int
 	// Algorithm is one of the Algo* constants ("" = auto).
 	Algorithm string
-	// Workers bounds the goroutines of the parallel mining engine: 0 uses
-	// every CPU, 1 forces serial mining. Results are identical for every
-	// worker count.
+	// Workers bounds the goroutines of the parallel mining engine that
+	// AlgoAuto and AlgoEclat run: 0 uses every CPU, 1 forces serial mining.
+	// The other algorithms always mine serially. Results are identical for
+	// every worker count.
 	Workers int
 }
 
@@ -271,39 +272,13 @@ func (ds *Dataset) Mine(opts MineOptions) ([]Pattern, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ds.mineParsed(algo, opts)
-}
-
-// parseAlgorithm maps an Algo* name ("" = auto) to its miner.
-func parseAlgorithm(name string) (mining.Algorithm, error) {
-	algo, err := mining.ParseAlgorithm(name)
-	if err != nil {
-		return 0, fmt.Errorf("sigfim: unknown algorithm %q", name)
-	}
-	return algo, nil
-}
-
-// mineParsed is Mine after algorithm-name resolution; internal callers that
-// already hold a parsed mining.Algorithm use it directly. Horizontal
-// algorithms mine the wrapper's horizontal dataset as-is instead of
-// round-tripping it through the vertical index.
-func (ds *Dataset) mineParsed(algo mining.Algorithm, opts MineOptions) ([]Pattern, error) {
-	ds.vertical() // force the one-time lazy caches for concurrent safety
-	mopts := mining.Options{
+	rs, err := mining.Mine(ds.vertical(), mining.Options{
 		K:          opts.K,
 		MinSupport: opts.MinSupport,
 		MaxLen:     opts.MaxLen,
 		Algorithm:  algo,
 		Workers:    opts.Workers,
-	}
-	var rs []mining.Result
-	var err error
-	switch algo {
-	case mining.Apriori, mining.FPGrowth:
-		rs, err = mining.Mine(ds.d, mopts)
-	default:
-		rs, err = mining.MineVertical(ds.vertical(), mopts)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -313,6 +288,15 @@ func (ds *Dataset) mineParsed(algo mining.Algorithm, opts MineOptions) ([]Patter
 		out[i] = Pattern{Items: r.Items, Support: r.Support}
 	}
 	return out, nil
+}
+
+// parseAlgorithm maps an Algo* name ("" = auto) to its miner.
+func parseAlgorithm(name string) (mining.Algorithm, error) {
+	algo, err := mining.ParseAlgorithm(name)
+	if err != nil {
+		return 0, fmt.Errorf("sigfim: unknown algorithm %q", name)
+	}
+	return algo, nil
 }
 
 // CountK returns Q_{k,s}: the number of k-itemsets with support >= s,

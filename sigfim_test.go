@@ -264,34 +264,61 @@ func TestSignificantEndToEndPlanted(t *testing.T) {
 	}
 }
 
-// TestSignificantReportIndependentOfMiner: every miner emits the same
-// itemsets in its own order, and the report must not show which one ran.
-// The Bms1/4 Westfall-Young baseline at k = 3 flags thousands of itemsets,
-// many tied in both p-value and support, so an order that is not total
-// would expose the miner's emission order in Baseline.Significant.
+// TestSignificantReportIndependentOfMiner: Config.Algorithm is accepted for
+// compatibility and otherwise ignored, so no accepted name may show in a
+// result. For every name, the Westfall-Young report under both nulls is
+// JSON byte-identical to auto's, FindSMin gives auto's ŝ_min, and
+// ResolveConfig returns AlgoAuto. The Bms1/4 baseline at k = 3 flags
+// thousands of itemsets, many tied in both p-value and support, so an
+// order that is not total would also show here; the swap null runs at
+// k = 2 on Bms1/8, where its chain stays cheap.
 func TestSignificantReportIndependentOfMiner(t *testing.T) {
 	spec, err := BenchmarkProfile("Bms1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := spec.Scale(4).Real(20090629)
-	var want []byte
-	for _, algo := range []string{AlgoAuto, AlgoFPGrowth} {
-		rep, err := d.Significant(3, &Config{Delta: 40, Seed: 3, Workers: 1, Correction: CorrectionWestfallYoung, Algorithm: algo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Baseline == nil || len(rep.Baseline.Significant) < 100 {
-			t.Fatalf("%s: baseline too small to test ordering: %+v", algo, rep.Baseline)
-		}
-		got, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Fatalf("%s: report JSON differs from %s's", algo, AlgoAuto)
+	names := []string{AlgoAuto, "", AlgoEclat, "eclat-tids", AlgoEclatBit, AlgoApriori, AlgoFPGrowth}
+	for _, c := range []struct {
+		d        *Dataset
+		k        int
+		swapNull bool
+		minFlags int
+	}{
+		{spec.Scale(4).Real(20090629), 3, false, 100},
+		{spec.Scale(8).Real(20090629), 2, true, 10},
+	} {
+		var want []byte
+		var wantSMin int
+		for _, algo := range names {
+			cfg := &Config{Delta: 40, Seed: 3, Workers: 1, Correction: CorrectionWestfallYoung, SwapNull: c.swapNull, SwapProposals: 20000, Algorithm: algo}
+			if resolved, err := c.d.ResolveConfig(c.k, cfg, false); err != nil || resolved.Algorithm != AlgoAuto {
+				t.Fatalf("%q resolved to algorithm %q (%v), want %q", algo, resolved.Algorithm, err, AlgoAuto)
+			}
+			rep, err := c.d.Significant(c.k, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Baseline == nil || len(rep.Baseline.Significant) < c.minFlags {
+				t.Fatalf("%q swap=%v: baseline too small to test ordering: %+v", algo, c.swapNull, rep.Baseline)
+			}
+			got, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sMin, err := c.d.FindSMin(c.k, &Config{Delta: 40, Seed: 3, Workers: 1, Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want, wantSMin = got, sMin
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%q swap=%v: report JSON differs from %q's", algo, c.swapNull, AlgoAuto)
+			}
+			if sMin != wantSMin {
+				t.Fatalf("%q: FindSMin = %d, %q's is %d", algo, sMin, AlgoAuto, wantSMin)
+			}
 		}
 	}
 }

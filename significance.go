@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sigfim/internal/core"
-	"sigfim/internal/mining"
 	"sigfim/internal/montecarlo"
 	"sigfim/internal/randmodel"
 	"sigfim/internal/trace"
@@ -92,10 +91,9 @@ type Config struct {
 	// 0 uses every CPU, 1 forces serial execution. For a fixed Seed the
 	// report is identical for every worker count.
 	Workers int
-	// Algorithm selects the frequent-itemset miner used by every mining
-	// stage (one of the Algo* constants; "" = auto, which picks Eclat with
-	// an automatic physical layout). All algorithms mine identical itemsets,
-	// so the choice affects performance only.
+	// Algorithm is accepted for compatibility and otherwise ignored: it
+	// must be "" or one of the Algo* constants, and every analysis mines
+	// with AlgoAuto, since every miner mines identical itemsets.
 	Algorithm string
 	// Progress, when non-nil, receives the Monte Carlo replicate progress
 	// (replicates merged so far, total Delta) from Algorithm 1's merge
@@ -128,9 +126,9 @@ type Config struct {
 // the library errors exactly when the service answers 400, and the service
 // keys its result cache on what the analysis actually reads. In the
 // returned Config:
-//   - every default is filled: Alpha, Beta, Epsilon, Delta, MaxPatterns,
-//     Algorithm ("" becomes AlgoAuto) and, under the swap null,
-//     SwapProposalsPerOccurrence;
+//   - every default is filled: Alpha, Beta, Epsilon, Delta, MaxPatterns
+//     and, under the swap null, SwapProposalsPerOccurrence;
+//   - Algorithm is AlgoAuto for every accepted name;
 //   - WithBaseline reports whether the baseline runs (WithBaseline or a
 //     Correction), and Correction is normalized when it does and empty
 //     otherwise;
@@ -143,18 +141,12 @@ type Config struct {
 // dataset, to check that the chain length fits an int. A resolved Config
 // resolves to itself.
 func (ds *Dataset) ResolveConfig(k int, cfg *Config, findSMin bool) (Config, error) {
-	c, _, err := ds.resolveConfig(k, cfg, findSMin)
-	return c, err
-}
-
-// resolveConfig is ResolveConfig that also returns the parsed miner.
-func (ds *Dataset) resolveConfig(k int, cfg *Config, findSMin bool) (Config, mining.Algorithm, error) {
 	var c Config
 	if cfg != nil {
 		c = *cfg
 	}
 	if k < 1 {
-		return Config{}, 0, fmt.Errorf("sigfim: k must be >= 1, got %d", k)
+		return Config{}, fmt.Errorf("sigfim: k must be >= 1, got %d", k)
 	}
 	budgets := []struct {
 		name string
@@ -167,7 +159,7 @@ func (ds *Dataset) resolveConfig(k int, cfg *Config, findSMin bool) (Config, min
 	}
 	for _, b := range budgets {
 		if !(*b.v >= 0 && *b.v < 1) { // false for NaN too
-			return Config{}, 0, fmt.Errorf("sigfim: %s must be in [0, 1) (0 = %v), got %v", b.name, b.def, *b.v)
+			return Config{}, fmt.Errorf("sigfim: %s must be in [0, 1) (0 = %v), got %v", b.name, b.def, *b.v)
 		}
 		if *b.v == 0 {
 			*b.v = b.def
@@ -184,27 +176,24 @@ func (ds *Dataset) resolveConfig(k int, cfg *Config, findSMin bool) (Config, min
 	}
 	for _, n := range counts {
 		if *n.v < 0 {
-			return Config{}, 0, fmt.Errorf("sigfim: %s must be >= 0, got %d", n.name, *n.v)
+			return Config{}, fmt.Errorf("sigfim: %s must be >= 0, got %d", n.name, *n.v)
 		}
 		if *n.v == 0 {
 			*n.v = n.def
 		}
 	}
-	algo, err := parseAlgorithm(c.Algorithm)
-	if err != nil {
-		return Config{}, 0, err
+	if _, err := parseAlgorithm(c.Algorithm); err != nil {
+		return Config{}, err
 	}
-	if c.Algorithm == "" {
-		c.Algorithm = AlgoAuto
-	}
+	c.Algorithm = AlgoAuto
 	correction, err := ParseCorrection(c.Correction)
 	if err != nil {
-		return Config{}, 0, err
+		return Config{}, err
 	}
 	c.WithBaseline = c.WithBaseline || c.Correction != ""
 	if findSMin {
 		if c.SwapNull {
-			return Config{}, 0, fmt.Errorf("sigfim: FindSMin supports only the independence null (Config.SwapNull must be false); run Significant for a swap-null analysis")
+			return Config{}, fmt.Errorf("sigfim: FindSMin supports only the independence null (Config.SwapNull must be false); run Significant for a swap-null analysis")
 		}
 		c.Alpha, c.Beta, c.MaxPatterns, c.WithBaseline = 0, 0, 0, false
 	}
@@ -214,9 +203,9 @@ func (ds *Dataset) resolveConfig(k int, cfg *Config, findSMin bool) (Config, min
 	}
 	c.SwapProposalsPerOccurrence, c.SwapProposals, err = ds.swapLengths(c.SwapNull, c.SwapProposalsPerOccurrence, c.SwapProposals)
 	if err != nil {
-		return Config{}, 0, err
+		return Config{}, err
 	}
-	return c, algo, nil
+	return c, nil
 }
 
 // swapLengths checks the swap chain lengths (Config.SwapProposalsPerOccurrence
@@ -326,14 +315,14 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c, algo, err := ds.resolveConfig(k, cfg, false)
+	c, err := ds.ResolveConfig(k, cfg, false)
 	if err != nil {
 		return nil, err
 	}
 	opts := core.Options{
 		Alpha: c.Alpha, Beta: c.Beta, Epsilon: c.Epsilon, Delta: c.Delta, Seed: c.Seed,
 		RunProcedure1: c.WithBaseline, Correction: c.Correction,
-		Workers: c.Workers, Algorithm: algo, Progress: c.Progress,
+		Workers: c.Workers, Progress: c.Progress,
 	}
 	if c.SwapNull {
 		opts.NullModel = ds.swapModel(c.SwapProposalsPerOccurrence, c.SwapProposals)
@@ -368,7 +357,7 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			ps, err := ds.mineParsed(algo, MineOptions{K: k, MinSupport: rep.SStar, Workers: c.Workers})
+			ps, err := ds.Mine(MineOptions{K: k, MinSupport: rep.SStar, Workers: c.Workers})
 			if err != nil {
 				return nil, err
 			}
@@ -414,7 +403,7 @@ func (ds *Dataset) FindSMinCtx(ctx context.Context, k int, cfg *Config) (int, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c, algo, err := ds.resolveConfig(k, cfg, true)
+	c, err := ds.ResolveConfig(k, cfg, true)
 	if err != nil {
 		return 0, err
 	}
@@ -427,7 +416,7 @@ func (ds *Dataset) FindSMinCtx(ctx context.Context, k int, cfg *Config) (int, er
 	}
 	mcfg := montecarlo.Config{
 		K: k, Delta: c.Delta, Epsilon: c.Epsilon, Seed: c.Seed,
-		Workers: c.Workers, Algorithm: algo, Progress: c.Progress,
+		Workers: c.Workers, Progress: c.Progress,
 	}
 	if c.RemotePool != nil {
 		mcfg.Runner = ds.newRangeRunner(&c)

@@ -339,7 +339,10 @@
 //     uniforms and their table logs are drawn 256 at a time into a
 //     stack-held stats.UniformBlock, and the RNG is rewound to the last
 //     uniform used at the end of each replicate, so the stream, too, is
-//     the per-draw loop's.
+//     the per-draw loop's. On amd64 CPUs with AVX2 (detected at start-up)
+//     the block's logs come from one assembly kernel, four at a time, with
+//     the table log's operations in its order, so they have the same bits
+//     as the Go loop every other CPU runs.
 //   - Mining: every kernel (Eclat over tid lists or bitsets, FP-Growth,
 //     Apriori's horizontal conversion, the low-threshold hash path) threads
 //     a reusable per-worker mining.Scratch carrying its DFS buffers, dense

@@ -70,7 +70,7 @@ func ReadFIMI(r io.Reader) (*Dataset, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d: %v", lineNo, err)
 			}
-			if v > math.MaxUint32 {
+			if uint64(v) > math.MaxUint32 {
 				// Item ids are stored as uint32; silently wrapping would
 				// alias distinct ids, so refuse the input instead.
 				return nil, fmt.Errorf("dataset: line %d: item id %d overflows uint32", lineNo, v)

@@ -21,18 +21,17 @@ func benchDataset(b *testing.B) *dataset.Dataset {
 	freqs := z.Frequencies()
 	const t = 20000
 	tx := make([][]uint32, t)
+	var blk stats.UniformBlock
+	blk.Reset(r)
+	var col []uint32
 	for item, f := range freqs {
 		// Place the item's occurrences by geometric skips over the t rows.
-		g := stats.NewGeometricGap(f)
-		for pos := 0; ; pos++ {
-			gap, ok := g.Below(r.Float64Open(), t-pos)
-			if !ok {
-				break
-			}
-			pos += gap
+		col = stats.NewGeometricGap(f).AppendSuccesses(col[:0], t, &blk)
+		for _, pos := range col {
 			tx[pos] = append(tx[pos], uint32(item))
 		}
 	}
+	blk.Release()
 	return dataset.MustNew(800, tx)
 }
 

@@ -33,6 +33,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -164,7 +165,7 @@ type Server struct {
 	partialsInflight atomic.Int64
 	partialsCap      int64
 	// partialFree recycles POST /v1/partials result buffers, so a warm
-	// worker mines and encodes range after range without regrowing them.
+	// worker mines range after range without regrowing them.
 	// It holds at most as many partials as the worker admits at once, and
 	// one once the worker is idle.
 	partialFree chan *sigfim.RangePartial
@@ -484,10 +485,11 @@ func (s *Server) shedPartial(w http.ResponseWriter, reason string, retryAfter in
 // hash and names a replicate range with its per-replicate seeds, as
 // exactly one JSON document (trailing bytes are a 400); the response is
 // the mined partial, mined into buffers recycled from request to request
-// (see Server.partialFree). Execution is synchronous on the request
-// goroutine (the coordinator bounds its own fan-out concurrency) and honors
-// client disconnects through the request context. A draining or saturated
-// worker sheds the request with 503 + Retry-After instead of queueing it.
+// (see Server.partialFree) and sent with a Content-Length. Execution is
+// synchronous on the request goroutine (the coordinator bounds its own
+// fan-out concurrency) and honors client disconnects through the request
+// context. A draining or saturated worker sheds the request with 503 +
+// Retry-After instead of queueing it.
 func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 	if s.engine.Draining() {
 		s.shedPartial(w, "worker draining", 30)
@@ -543,7 +545,19 @@ func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 	plog.Info("partial mined",
 		"from", req.From, "to", req.To, "floor", req.Floor,
 		"duration_ms", float64(time.Since(mineStart).Microseconds())/1000)
-	writeJSON(w, http.StatusOK, p)
+	// Encode first, so the response carries a Content-Length the
+	// coordinator sizes its read buffer by. The buffer is not recycled with
+	// the partial: kept on the free list it raised the one-process
+	// fabric-lowfloor cluster's peak RSS by ~10%.
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(p); err != nil {
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body.Bytes()) // the status line is already out; nothing to recover
 }
 
 // takePartial returns an idle partial buffer for POST /v1/partials, or a

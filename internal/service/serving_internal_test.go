@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -114,5 +116,50 @@ func TestPartialFreeListTrimsWhenIdle(t *testing.T) {
 		if got := len(s.partialFree); got != want {
 			t.Fatalf("after request %d finished: %d idle partials, want %d", i+1, got, want)
 		}
+	}
+}
+
+// TestPartialResponseHasContentLength: a 200 from POST /v1/partials
+// declares its body's length, so the coordinator reads it into a buffer
+// sized once; the body is the partial's JSON encoding with its newline.
+func TestPartialResponseHasContentLength(t *testing.T) {
+	s := shedTestServer(t, Options{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	ds, _, _ := s.Registry().Get("golden")
+	for _, r := range [][2]int{{0, 16}, {16, 20}} {
+		seeds := make([]uint64, r[1]-r[0])
+		for i := range seeds {
+			seeds[i] = uint64(r[0] + i)
+		}
+		reqBody, err := json.Marshal(sigfim.PartialRequest{DatasetHash: ds.Hash(), From: r[0], To: r[1], K: 2, Floor: 1, Seeds: seeds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/partials", "application/json", bytes.NewReader(reqBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("range %v: HTTP %d, %v: %s", r, resp.StatusCode, err, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("range %v: Content-Length %d, transfer encoding %v, for a %d-byte body",
+				r, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		var p sigfim.RangePartial
+		if err := json.Unmarshal(body, &p); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(&p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("range %v: the body is not the partial's JSON encoding", r)
+		}
+		t.Logf("range %v: %d-byte body", r, len(body))
 	}
 }

@@ -36,6 +36,32 @@ func BenchmarkGeometricGapColumn(b *testing.B) {
 	blk.Release()
 }
 
+// BenchmarkUniformBlockFill draws blocks of uniforms with their table
+// logs, the logs from the AVX2 kernel (where the CPU has it) and from the
+// fastLog loop.
+func BenchmarkUniformBlockFill(b *testing.B) {
+	for _, path := range []struct {
+		name   string
+		kernel bool
+	}{{"kernel", true}, {"go", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.kernel && !useLogKernel {
+				b.Skip("no AVX2 log kernel on this CPU")
+			}
+			if !path.kernel {
+				defer LogKernelOff()()
+			}
+			var blk UniformBlock
+			blk.Reset(NewRNG(6))
+			for i := 0; i < b.N; i++ {
+				blk.fill()
+			}
+			blk.Release()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockSize), "ns/uniform")
+		})
+	}
+}
+
 // BenchmarkNaiveBernoulliColumn is the baseline the gap walk replaces:
 // one coin flip per transaction.
 func BenchmarkNaiveBernoulliColumn(b *testing.B) {

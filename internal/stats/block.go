@@ -7,11 +7,13 @@ import "math/bits"
 const blockSize = 256
 
 // UniformBlock hands out an RNG's Float64Open uniforms together with their
-// table logs (fastLog), drawn blockSize at a time: the fill keeps the
-// xoshiro state in locals and computes every log in the same loop, so the
-// per-draw work of the gap walk (GeometricGap.AppendSuccesses) is a few
-// float operations on a loaded log instead of a generator step and a log
-// polynomial on the critical path.
+// table logs (fastLog), drawn blockSize at a time: the fill draws the
+// uniforms with the xoshiro state in locals, then computes the block's
+// logs, so the per-draw work of the gap walk
+// (GeometricGap.AppendSuccesses) is a few float operations on a loaded log
+// instead of a generator step and a log polynomial on the critical path.
+// On amd64 CPUs with AVX2 the logs come from the logBlock kernel, four at
+// a time, and elsewhere from a fastLog loop; both give the same bits.
 //
 // A block reads ahead of its caller. Release rewinds the RNG to just after
 // the last uniform handed out, so between Reset and Release the RNG must
@@ -36,8 +38,8 @@ func (b *UniformBlock) Reset(r *RNG) {
 // fill draws the next blockSize raw outputs of b's RNG with their logs and
 // keeps the nonzero ones: the zero rejection of Float64Open, so the block
 // holds the uniforms Float64Open would return, in order. A zero (2^-53 per
-// draw) is dropped by a compaction pass after the loop, which keeps the
-// loop itself free of a running count.
+// draw) is dropped by a compaction pass after the logs, which keeps the
+// loops themselves free of a running count.
 func (b *UniformBlock) fill() {
 	x := b.r.x
 	b.start = x
@@ -45,11 +47,17 @@ func (b *UniformBlock) fill() {
 	for k := range b.u {
 		var bits uint64
 		x, bits = x.next()
-		u := toFloat64(bits)
-		b.u[k], b.lg[k] = u, fastLog(u)
-		zero = zero || u == 0
+		b.u[k] = toFloat64(bits)
+		zero = zero || b.u[k] == 0
 	}
 	b.r.x = x
+	if useLogKernel {
+		logBlock(&b.lg, &b.u, &logTab)
+	} else {
+		for k := range b.u {
+			b.lg[k] = fastLog(b.u[k])
+		}
+	}
 	b.n, b.i = blockSize, 0
 	if zero {
 		b.n = 0

@@ -72,6 +72,81 @@ func TestUniformBlockZeroRejection(t *testing.T) {
 	}
 }
 
+// TestLogBlockMatchesFastLog: the AVX2 kernel gives fastLog's bits on both
+// edges of every table cell in three binades, across the cell ending at 1.0
+// and up to 1-2^-53, on the smallest multiples of 2^-53, and on random
+// uniforms.
+func TestLogBlockMatchesFastLog(t *testing.T) {
+	if !useLogKernel {
+		t.Skip("no AVX2 log kernel on this CPU")
+	}
+	var us []float64
+	for _, scale := range []float64{1, 0.5, 0x1p-40} {
+		for i := 0; i < 1<<logTabBits; i++ {
+			lo := math.Float64frombits(logTabOff + uint64(i)<<(52-logTabBits))
+			hi := math.Float64frombits(logTabOff + uint64(i+1)<<(52-logTabBits))
+			for _, u := range []float64{lo * scale, math.Nextafter(lo, 2) * scale, math.Nextafter(hi, 0) * scale} {
+				if u > 0 && u < 1 {
+					us = append(us, u)
+				}
+			}
+		}
+	}
+	for u := 1 - 0x1p-53; u > 1-0x1p-9; u = 1 - 2*(1-u) {
+		us = append(us, u, math.Nextafter(u, 0))
+	}
+	for j := 1; j <= 4096; j++ {
+		us = append(us, float64(j)*0x1p-53)
+	}
+	r := NewRNG(14)
+	for len(us) < 64*blockSize {
+		us = append(us, r.Float64Open())
+	}
+	var u, lg [blockSize]float64
+	for len(us) > 0 {
+		n := copy(u[:], us)
+		us = us[n:]
+		logBlock(&lg, &u, &logTab)
+		for k := 0; k < n; k++ {
+			if want := fastLog(u[k]); math.Float64bits(lg[k]) != math.Float64bits(want) {
+				t.Fatalf("logBlock(%v [%#x]) = %v [%#x], fastLog %v [%#x]", u[k], math.Float64bits(u[k]),
+					lg[k], math.Float64bits(lg[k]), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestUniformBlockSameWithoutLogKernel: blocks filled with the fastLog loop
+// hold the uniforms and log bits the kernel's blocks hold, zero-rejecting
+// blocks included, and leave the RNG in the same place.
+func TestUniformBlockSameWithoutLogKernel(t *testing.T) {
+	for seed := uint64(0); seed < 16; seed++ {
+		x := NewRNG(seed).x
+		if seed%4 == 0 {
+			x.s1 = 0 // the block's first draw is 0
+		}
+		on, off := &RNG{x}, &RNG{x}
+		var a, b UniformBlock
+		a.Reset(on)
+		b.Reset(off)
+		for k := 0; k < 3; k++ {
+			a.fill()
+			restore := LogKernelOff()
+			b.fill()
+			restore()
+			if a.n != b.n || a.u != b.u || on.x != off.x {
+				t.Fatalf("seed %d block %d: uniforms or RNG differ without the kernel", seed, k)
+			}
+			for i := range a.lg {
+				if math.Float64bits(a.lg[i]) != math.Float64bits(b.lg[i]) {
+					t.Fatalf("seed %d block %d: log %d of %v is %#x with the kernel, %#x without",
+						seed, k, i, a.u[i], math.Float64bits(a.lg[i]), math.Float64bits(b.lg[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestIndexBlockMatchesIntn: an IndexBlock hands out the values of Intn(n)
 // in order and Release leaves the RNG where that many Intn calls do. The
 // bounds run from 1 to math.MaxInt; at 3<<61 a quarter of the raw outputs

@@ -8,10 +8,9 @@ import "math"
 // per-p constants, so a caller drawing many gaps at one p — a column of
 // the null model, every replicate of a job — computes them once.
 //
-// Below and AppendSuccesses return exactly the integers the reference
-// expression math.Floor(math.Log(u)/math.Log1p(-p)) gives, so a stream of
-// gaps is the same whichever way it is computed; see certify for the
-// certificate.
+// AppendSuccesses returns exactly the gaps the reference expression
+// math.Floor(math.Log(u)/math.Log1p(-p)) gives, so a stream of gaps is the
+// same whichever way it is computed; see certify for the certificate.
 type GeometricGap struct {
 	logq float64 // log1p(-p)
 	inv  float64 // 1 / logq
@@ -25,31 +24,21 @@ func NewGeometricGap(p float64) GeometricGap {
 	return GeometricGap{logq: logq, inv: 1 / logq}
 }
 
-// gapSlack is the certification margin of Below, relative and absolute:
+// gapSlack is the certification margin of certify, relative and absolute:
 // the fast estimate y is trusted to lie within gapSlack*(1+y) of the
 // reference quotient. fastLog's relative error is below 1e-13 and the
 // product with inv adds a few ulps, so the margin is >= 10^4 times the
 // worst error, wide enough to absorb FMA contraction on any target.
 const gapSlack = 1e-9
 
-// Below returns gap(u) and true when gap(u) < limit, and (0, false)
-// otherwise. u must be a uniform from RNG.Float64Open (in (0, 1)) and limit
-// must be >= 0. The comparison with limit is made on the float quotient
-// before any int conversion, so gaps beyond the int range (tiny p) end a
-// walk instead of wrapping. See certify for how the integer is obtained.
-func (g GeometricGap) Below(u float64, limit int) (int, bool) {
-	gap, end, sure := g.certify(fastLog(u), limit)
-	if !sure {
-		return g.reference(u, limit)
-	}
-	return gap, !end
-}
-
 // AppendSuccesses appends to dst, ascending, the positions in [0, t) of the
 // successes of t independent Bernoulli(p) trials, and returns it: the
 // independence null model's column walk. Each success takes one uniform
-// off b and the walk's end one more; the gaps between successes are
-// exactly Below's for those uniforms, read from b's precomputed logs.
+// off b and the walk's end one more. The gap before each success is the
+// reference expression's for its uniform, certified from b's precomputed
+// log; the walk ends when the next gap would reach t. That test is made on
+// the float quotient before any int conversion, so gaps beyond the int
+// range (tiny p) end a walk instead of wrapping.
 func (g GeometricGap) AppendSuccesses(dst []uint32, t int, b *UniformBlock) []uint32 {
 	i, n := b.i, b.n
 	for pos := -1; ; {
@@ -96,7 +85,8 @@ func (g GeometricGap) certify(lg float64, limit int) (gap int, end, sure bool) {
 	return int(fl), false, y*(1+gapSlack)+gapSlack < fl+1
 }
 
-// reference is the exact fallback: the reference expression itself.
+// reference is the exact fallback: the reference expression itself. It
+// returns gap(u) and true when gap(u) < limit, and (0, false) otherwise.
 func (g GeometricGap) reference(u float64, limit int) (int, bool) {
 	gap := math.Floor(math.Log(u) / g.logq)
 	if gap >= float64(limit) {

@@ -94,7 +94,7 @@ func TestGeometricPMFAndSampler(t *testing.T) {
 	r := NewRNG(5)
 	obs := make([]float64, cells+1)
 	for i := 0; i < trials; i++ {
-		gap, ok := g.Below(r.Float64Open(), cells)
+		gap, ok := gapBelow(g, r.Float64Open(), cells)
 		if !ok {
 			gap = cells
 		}

@@ -1,0 +1,10 @@
+package stats
+
+// LogKernelOff makes UniformBlock.fill compute its logs with the fastLog
+// loop, the path of CPUs without AVX2, until restore is called. It is not
+// safe to use while other tests draw blocks.
+func LogKernelOff() (restore func()) {
+	prev := useLogKernel
+	useLogKernel = false
+	return func() { useLogKernel = prev }
+}

@@ -3,10 +3,12 @@ package stats
 import "math"
 
 // fastLog is a table-driven natural logarithm for the geometric-gap fast
-// path (GeometricGap.Below). It is not correctly rounded and is never used
-// where a result must equal math.Log's: Below only trusts it when an error
-// margin far wider than fastLog's worst case cannot change the integer it
-// derives, and recomputes with math.Log otherwise.
+// path (GeometricGap.certify). It is not correctly rounded and is never used
+// where a result must equal math.Log's: certify only trusts it when an
+// error margin far wider than fastLog's worst case cannot change the integer
+// it derives, and the walk recomputes with math.Log otherwise. On amd64
+// with AVX2, UniformBlock takes its logs from logBlock, which computes the
+// same bits four at a time.
 //
 // x = 2^k * z with z in [logTabOff, 2*logTabOff) ≈ [0.707, 1.414), so
 // log x = k*ln2 + log z never cancels badly. The top logTabBits bits of z's
@@ -21,14 +23,16 @@ import "math"
 // (TestFastLogRelativeError). The domain is positive normal x; the caller
 // passes uniforms from RNG.Float64Open, which are multiples of 2^-53.
 func fastLog(x float64) float64 {
-	// Kept under the inlining budget, so UniformBlock.fill runs it inline:
-	// tmp's top bits pick the cell, its arithmetic shift by 52 is k (floor,
-	// negative for x < logTabOff), and ix minus tmp's exponent bits is z.
-	ix := math.Float64bits(x)
-	tmp := ix - logTabOff
+	// Kept under the inlining budget, so UniformBlock.fill can run it
+	// inline: tmp's top bits pick the cell, its arithmetic shift by 52 is k
+	// (floor, negative for x < logTabOff), and its low 52 bits on top of
+	// logTabOff are z. Every product is wrapped in float64(), which the Go
+	// spec makes round, so no compiler may fuse it with an add: the result
+	// has the same bits on every target, and equals logBlock's.
+	tmp := math.Float64bits(x) - logTabOff
 	c := logTab[(tmp>>(52-logTabBits))%(1<<logTabBits)]
-	r := math.Float64frombits(ix-tmp&(0xfff<<52))*c.invc - 1
-	return float64(int64(tmp)>>52)*math.Ln2 + c.logc + (r + r*r*(-1.0/2+r*(1.0/3+r*(-1.0/4+r*(1.0/5)))))
+	r := float64(math.Float64frombits(tmp&(1<<52-1)+logTabOff)*c.invc) - 1
+	return float64(float64(int64(tmp)>>52)*math.Ln2) + c.logc + (r + float64(float64(r*r)*(-1.0/2+float64(r*(1.0/3+float64(r*(-1.0/4+float64(r*(1.0/5)))))))))
 }
 
 const (

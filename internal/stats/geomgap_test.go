@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// referenceGap is the expression GeometricGap.Below must reproduce: the
+// referenceGap is the expression the certified gap must reproduce: the
 // inversion every sampler of this package evaluated before the fast path.
 // The float comparison with limit stands in for the int conversion, which
 // wraps for gaps beyond the int range.
@@ -17,7 +17,18 @@ func referenceGap(u, p float64, limit int) (int, bool) {
 	return int(gap), true
 }
 
-// checkGap compares Below with the reference at u for limits around the
+// gapBelow takes one gap the way the column walk does: certify on u's
+// table log, and the reference fallback when certify is not sure. It
+// returns gap(u) and true when gap(u) < limit, and (0, false) otherwise.
+func gapBelow(g GeometricGap, u float64, limit int) (int, bool) {
+	gap, end, sure := g.certify(fastLog(u), limit)
+	if !sure {
+		return g.reference(u, limit)
+	}
+	return gap, !end
+}
+
+// checkGap compares gapBelow with the reference at u for limits around the
 // reference gap, so both the gap and the walk-ending decision are pinned.
 func checkGap(t *testing.T, u, p float64) {
 	t.Helper()
@@ -32,9 +43,9 @@ func checkGap(t *testing.T, u, p float64) {
 	}
 	for _, limit := range limits {
 		w, wOK := referenceGap(u, p, limit)
-		got, ok := g.Below(u, limit)
+		got, ok := gapBelow(g, u, limit)
 		if got != w || ok != wOK {
-			t.Fatalf("Below(u=%v [%#x], p=%v, limit=%d) = (%d, %v), reference (%d, %v)",
+			t.Fatalf("gap(u=%v [%#x], p=%v, limit=%d) = (%d, %v), reference (%d, %v)",
 				u, math.Float64bits(u), p, limit, got, ok, w, wOK)
 		}
 	}
@@ -42,7 +53,7 @@ func checkGap(t *testing.T, u, p float64) {
 
 // TestFastLogRelativeError bounds fastLog against math.Log on random
 // uniforms and on both sides of every table-cell boundary in three binades,
-// including the cell ending at 1.0 where log u vanishes. Below's margin
+// including the cell ending at 1.0 where log u vanishes. certify's margin
 // (gapSlack = 1e-9) relies on this bound holding with room to spare.
 func TestFastLogRelativeError(t *testing.T) {
 	const bound = 1e-13
@@ -80,7 +91,7 @@ func TestFastLogRelativeError(t *testing.T) {
 	t.Logf("worst relative error %.3g", worst)
 }
 
-// TestGeometricGapAdversarial feeds Below the uniforms where it is most
+// TestGeometricGapAdversarial feeds certify the uniforms where it is most
 // likely to disagree with the reference: the Nextafter neighbours of
 // q^g, the u at which the reference gap steps from g-1 to g, for many g and
 // for p across [1e-6, 1-1e-9], plus the extreme uniforms 2^-53 and 1-2^-53.
@@ -116,7 +127,7 @@ func TestGeometricGapAdversarial(t *testing.T) {
 	}
 }
 
-// TestGeometricGapMatchesReferenceOnDraws runs Below and the reference on
+// TestGeometricGapMatchesReferenceOnDraws runs certify and the reference on
 // the uniforms the samplers actually see, over the frequency range of the
 // null models.
 func TestGeometricGapMatchesReferenceOnDraws(t *testing.T) {
@@ -127,7 +138,7 @@ func TestGeometricGapMatchesReferenceOnDraws(t *testing.T) {
 	}
 }
 
-// FuzzGeometricGap checks Below against the reference for arbitrary
+// FuzzGeometricGap checks certify against the reference for arbitrary
 // uniforms (uBits maps to a Float64Open value) and probabilities.
 func FuzzGeometricGap(f *testing.F) {
 	f.Add(uint64(1<<11), 1e-6)
@@ -143,7 +154,7 @@ func FuzzGeometricGap(f *testing.F) {
 }
 
 // TestTinyProbabilityGapsDoNotWrap pins the int-overflow fix: for p below
-// ~4e-18 the reference quotient exceeds the int range, and Below must end
+// ~4e-18 the reference quotient exceeds the int range, and a gap must end
 // the walk rather than return a wrapped (negative or small) gap.
 func TestTinyProbabilityGapsDoNotWrap(t *testing.T) {
 	for _, p := range []float64{1e-19, 1e-300} {
@@ -151,11 +162,11 @@ func TestTinyProbabilityGapsDoNotWrap(t *testing.T) {
 		r := NewRNG(13)
 		for i := 0; i < 100; i++ {
 			u := r.Float64Open()
-			if gap, ok := g.Below(u, 10); ok {
-				t.Fatalf("p=%v u=%v: Below(u, 10) = %d, want the walk to end", p, u, gap)
+			if gap, ok := gapBelow(g, u, 10); ok {
+				t.Fatalf("p=%v u=%v: gap below 10 = %d, want the walk to end", p, u, gap)
 			}
-			if gap, ok := g.Below(u, math.MaxInt); ok && gap < 1<<40 {
-				t.Fatalf("p=%v u=%v: Below(u, MaxInt) = %d, want a huge gap or none", p, u, gap)
+			if gap, ok := gapBelow(g, u, math.MaxInt); ok && gap < 1<<40 {
+				t.Fatalf("p=%v u=%v: gap below MaxInt = %d, want a huge gap or none", p, u, gap)
 			}
 		}
 	}

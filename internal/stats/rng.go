@@ -8,10 +8,15 @@
 // checks the tests compare against.
 //
 // Everything in this package is implemented from scratch on top of the Go
-// standard library (math only). The distributions expose exact upper tails
-// (survival functions) because the paper's procedures compute p-values of the
-// form Pr(Bin(t,f) >= s) and Pr(Poisson(lambda) >= q), where naive summation
-// would be both slow and numerically unstable.
+// standard library (math and math/bits). One piece is assembly: on amd64
+// CPUs with AVX2, found by CPUID/XGETBV at start-up, UniformBlock computes
+// its table logs with an AVX2 kernel (fastlog_amd64.s) that gives the same
+// bits as the Go loop every other CPU runs.
+//
+// The distributions expose exact upper tails (survival functions) because
+// the paper's procedures compute p-values of the form Pr(Bin(t,f) >= s)
+// and Pr(Poisson(lambda) >= q), where naive summation would be both slow
+// and numerically unstable.
 package stats
 
 import "math/bits"

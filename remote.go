@@ -464,8 +464,9 @@ const maxPartialResponse = 1 << 30
 // and reads the 200 body through a hard size limit into a buffer from take
 // (reset first, its capacity reused), which it returns — also alongside a
 // read error, so the caller can recycle it; decodePartial turns the body
-// into a partial. The buffer is taken only once a 200 has arrived, so an
-// attempt holds none while it waits. Non-2xx responses come back as
+// into a partial. A declared Content-Length within the limit sizes the
+// buffer before the read. The buffer is taken only once a 200 has arrived,
+// so an attempt holds none while it waits. Non-2xx responses come back as
 // *workerHTTPError so the supervisor can classify load shedding (503/429 +
 // Retry-After) apart from hard failures.
 func postPartial(ctx context.Context, hc *http.Client, base string, req PartialRequest, take func() *bytes.Buffer) (*bytes.Buffer, error) {
@@ -511,6 +512,11 @@ func postPartial(ctx context.Context, hc *http.Client, base string, req PartialR
 	}
 	body := take()
 	body.Reset()
+	if n := resp.ContentLength; n > 0 && n <= maxPartialResponse {
+		// ReadFrom wants MinRead bytes of room even once the body is in,
+		// to see EOF; without them it would double the buffer at the end.
+		body.Grow(int(n) + bytes.MinRead)
+	}
 	if _, err := body.ReadFrom(io.LimitReader(resp.Body, maxPartialResponse+1)); err != nil {
 		return body, fmt.Errorf("worker %s: read partial: %w", base, err)
 	}

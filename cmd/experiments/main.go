@@ -12,7 +12,8 @@
 // (ŝ_min) on the random counterparts; Table 3 runs Procedure 2 on the "real"
 // variants; Table 4 applies Procedure 2 to pure-random instances and counts
 // finite outcomes; Table 5 compares Procedure 1 and Procedure 2 power.
-// -table 0 runs everything.
+// -table 0 runs everything. Tables 3 and 5 are the library's Significant
+// on the real variant, exactly as a caller of package sigfim runs it.
 //
 // -scale divides every profile's transaction count (default 16; use 1 for
 // the paper's full-size runs — hours of CPU). Scaled thresholds shrink
@@ -29,11 +30,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
 
+	"sigfim"
 	"sigfim/internal/core"
 	"sigfim/internal/dataset"
 	"sigfim/internal/mining"
@@ -58,26 +59,34 @@ type app struct {
 	out           io.Writer
 }
 
+// profile is one selected benchmark profile at its scale: Tables 1, 2 and
+// 4 drive the substrates with the embedded synth.Spec, and Tables 3 and 5
+// run the public API on pub.
+type profile struct {
+	synth.Spec
+	pub sigfim.BenchmarkSpec
+}
+
 // nullFor builds the selected null model for one generated instance: the
 // paper's independence model from the measured profile, or margin-preserving
 // swap randomization seeded from the instance itself.
 func (a *app) nullFor(name string, v *dataset.Vertical) randmodel.Model {
-	if m := a.coreNull(v); m != nil {
-		return m
+	if a.swapNull {
+		return &randmodel.SwapModel{
+			Base:                   v.Horizontal(),
+			ProposalsPerOccurrence: a.swapPPO,
+			Proposals:              a.swapProposals,
+		}
 	}
 	return randmodel.FromProfile(dataset.ExtractVertical(name, v))
 }
 
-// coreNull is the core.Options.NullModel value for one instance: nil keeps
-// the pipeline's default (independence from the measured profile).
-func (a *app) coreNull(v *dataset.Vertical) randmodel.Model {
-	if !a.swapNull {
-		return nil
-	}
-	return &randmodel.SwapModel{
-		Base:                   v.Horizontal(),
-		ProposalsPerOccurrence: a.swapPPO,
-		Proposals:              a.swapProposals,
+// config is the Config Tables 3 and 5 run Significant with; a non-empty
+// correction adds the Procedure 1 baseline.
+func (a *app) config(correction string) *sigfim.Config {
+	return &sigfim.Config{
+		Delta: a.delta, Seed: a.seed, Workers: a.workers, Correction: correction,
+		SwapNull: a.swapNull, SwapProposalsPerOccurrence: a.swapPPO, SwapProposals: a.swapProposals,
 	}
 }
 
@@ -124,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	corr, err := core.ParseCorrection(*correction)
+	corr, err := sigfim.ParseCorrection(*correction)
 	if err != nil {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return 2
@@ -178,7 +187,7 @@ func parseKs(s string) ([]int, error) {
 	return ks, nil
 }
 
-func selectSpecs(names string, scale int) ([]synth.Spec, error) {
+func selectSpecs(names string, scale int) ([]profile, error) {
 	var specs []synth.Spec
 	if names == "" {
 		specs = synth.Profiles()
@@ -191,19 +200,24 @@ func selectSpecs(names string, scale int) ([]synth.Spec, error) {
 			specs = append(specs, s)
 		}
 	}
-	for i := range specs {
+	profiles := make([]profile, len(specs))
+	for i, s := range specs {
 		f := scale
 		if f == 0 {
-			f = synth.RecommendedScale(specs[i].Name)
+			f = synth.RecommendedScale(s.Name)
 		}
-		specs[i] = specs[i].Scale(f)
+		pub, err := sigfim.BenchmarkProfile(s.Name)
+		if err != nil {
+			return nil, err
+		}
+		profiles[i] = profile{Spec: s.Scale(f), pub: pub.Scale(f)}
 	}
-	return specs, nil
+	return profiles, nil
 }
 
 // table1 reports the measured parameters of one generated "real" instance of
 // each profile, next to the published targets.
-func (a *app) table1(specs []synth.Spec) {
+func (a *app) table1(specs []profile) {
 	fmt.Fprintln(a.out, "== Table 1: benchmark dataset parameters (measured on one synthetic instance) ==")
 	fmt.Fprintf(a.out, "%-12s %8s %-24s %7s %9s\n", "Dataset", "n", "[fmin; fmax]", "m", "t")
 	for _, spec := range specs {
@@ -219,7 +233,7 @@ func (a *app) table1(specs []synth.Spec) {
 // table2 runs Algorithm 1 on each random counterpart: a random dataset with
 // the same transaction count and item frequencies as the (generated) real
 // benchmark instance, exactly as the paper's RandX datasets are defined.
-func (a *app) table2(specs []synth.Spec, ks []int) {
+func (a *app) table2(specs []profile, ks []int) {
 	fmt.Fprintln(a.out, "== Table 2: ŝ_min from Algorithm 1 (eps=0.01) on random counterparts ==")
 	a.header("Dataset", ks, func(k int) string { return fmt.Sprintf("k=%d", k) })
 	for _, spec := range specs {
@@ -242,26 +256,26 @@ func (a *app) table2(specs []synth.Spec, ks []int) {
 }
 
 // table3 runs Procedure 2 on the planted "real" variants.
-func (a *app) table3(specs []synth.Spec, ks []int) {
+func (a *app) table3(specs []profile, ks []int) {
 	fmt.Fprintln(a.out, "== Table 3: Procedure 2 (alpha=beta=0.05) on the benchmark datasets ==")
 	fmt.Fprintf(a.out, "%-12s %4s %10s %12s %12s\n", "Dataset", "k", "s*", "Q_{k,s*}", "lambda(s*)")
 	for _, spec := range specs {
-		v := spec.GenerateReal(a.seed)
-		nm := a.coreNull(v) // one model per spec: its snapshot/pool warm across ks
+		ds := spec.pub.Real(a.seed)
 		for _, k := range ks {
-			an, err := core.Analyze(spec.Name, v, k, core.Options{
-				Delta: a.delta, Seed: a.seed, Workers: a.workers,
-				NullModel: nm,
-			})
+			rep, err := ds.Significant(k, a.config(""))
 			if err != nil {
 				fmt.Fprintf(a.out, "%-12s %4d  error: %v\n", spec.Name, k, err)
 				continue
 			}
-			a.printProc2Row(spec.Name, k, an.Proc2)
+			if rep.Infinite {
+				fmt.Fprintf(a.out, "%-12s %4d %10s %12d %12d\n", spec.Name, k, "inf", 0, 0)
+			} else {
+				fmt.Fprintf(a.out, "%-12s %4d %10d %12d %12.3g\n", spec.Name, k, rep.SStar, rep.NumSignificant, rep.Lambda)
+			}
 			if a.verbose {
-				for _, st := range an.Proc2.Steps {
+				for i, st := range rep.Steps {
 					fmt.Fprintf(a.out, "    step i=%d s=%d Q=%d lam=%.4g p=%.4g rej=%v\n",
-						st.I, st.S, st.Q, st.Lambda, st.PValue, st.Rejected)
+						i, st.S, st.Q, st.Lambda, st.PValue, st.Rejected)
 				}
 			}
 		}
@@ -269,19 +283,11 @@ func (a *app) table3(specs []synth.Spec, ks []int) {
 	fmt.Fprintln(a.out)
 }
 
-func (a *app) printProc2Row(name string, k int, p2 *core.Procedure2Result) {
-	if p2.Found {
-		fmt.Fprintf(a.out, "%-12s %4d %10d %12d %12.3g\n", name, k, p2.SStar, p2.Q, p2.Lambda)
-	} else {
-		fmt.Fprintf(a.out, "%-12s %4d %10s %12d %12d\n", name, k, "inf", 0, 0)
-	}
-}
-
 // table4 applies Procedure 2 to pure-random instances. Algorithm 1 runs once
 // per (profile, k) — ŝ_min and the lambda estimates are properties of the
 // null model, not of any individual instance — and each trial then runs only
 // the Procedure 2 ladder against its own instance.
-func (a *app) table4(specs []synth.Spec, ks []int) {
+func (a *app) table4(specs []profile, ks []int) {
 	fmt.Fprintf(a.out, "== Table 4: finite s* count over %d random instances per profile ==\n", a.trials)
 	a.header("Dataset", ks, func(k int) string { return fmt.Sprintf("k=%d", k) })
 	for _, spec := range specs {
@@ -296,16 +302,7 @@ func (a *app) table4(specs []synth.Spec, ks []int) {
 				cells[i] = "err:" + err.Error()
 				continue
 			}
-			sMin := mc.SMin
-			if sMin < mc.Floor {
-				sMin = mc.Floor
-			}
-			lambda := func(s int) float64 {
-				if s < mc.Floor {
-					s = mc.Floor
-				}
-				return mc.Lambda(s)
-			}
+			sMin, lambda := mc.Ladder()
 			finite := 0
 			for trial := 0; trial < a.trials; trial++ {
 				v := null.Generate(stats.NewRNG(a.seed + uint64(1000+trial)))
@@ -329,27 +326,24 @@ func (a *app) table4(specs []synth.Spec, ks []int) {
 
 // table5 compares Procedure 1's family size |R| against Procedure 2's,
 // under the correction selected by -correction.
-func (a *app) table5(specs []synth.Spec, ks []int) {
+func (a *app) table5(specs []profile, ks []int) {
 	fmt.Fprintf(a.out, "== Table 5: Procedure 1 |R| and power ratio r = Q_{k,s*}/|R| (beta=0.05, correction=%s) ==\n", a.correction)
 	fmt.Fprintf(a.out, "%-12s %4s %10s %10s\n", "Dataset", "k", "|R|", "r")
 	for _, spec := range specs {
-		v := spec.GenerateReal(a.seed)
-		nm := a.coreNull(v) // one model per spec: its snapshot/pool warm across ks
+		ds := spec.pub.Real(a.seed)
 		for _, k := range ks {
-			an, err := core.Analyze(spec.Name, v, k, core.Options{
-				Delta: a.delta, Seed: a.seed, Workers: a.workers, RunProcedure1: true,
-				Correction: a.correction, NullModel: nm,
-			})
+			rep, err := ds.Significant(k, a.config(a.correction))
 			if err != nil {
 				fmt.Fprintf(a.out, "%-12s %4d  error: %v\n", spec.Name, k, err)
 				continue
 			}
-			r := an.PowerRatio()
-			rs := fmt.Sprintf("%.3f", r)
-			if math.IsInf(r, 1) {
+			// The report's ratio is 0 when |R| = 0; the paper's r is then
+			// infinite if Procedure 2 found a threshold.
+			rs := fmt.Sprintf("%.3f", rep.PowerRatio)
+			if !rep.Infinite && rep.Baseline.NumSignificant == 0 {
 				rs = "inf"
 			}
-			fmt.Fprintf(a.out, "%-12s %4d %10d %10s\n", spec.Name, k, an.Proc1.FamilySize, rs)
+			fmt.Fprintf(a.out, "%-12s %4d %10d %10s\n", spec.Name, k, rep.Baseline.NumSignificant, rs)
 		}
 	}
 	fmt.Fprintln(a.out)

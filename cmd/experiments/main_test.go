@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -42,6 +44,38 @@ func TestRunExitCodes(t *testing.T) {
 			}
 			if code != 0 && stderr.Len() == 0 {
 				t.Error("non-zero exit with empty stderr")
+			}
+		})
+	}
+}
+
+// TestTablesGolden pins the stdout of Tables 3 and 5 byte for byte on
+// small profiles: Table 3 with its ladder trace, Table 5 under
+// Westfall-Young (s* = 28 and 4 on Bms1/8 for k = 2 and 3), and Table 5
+// with Delta = 10, too few replicates for any Westfall-Young rejection,
+// where a finite s* over an empty baseline prints r = inf. The goldens
+// were recorded from the tables' earlier implementation on the internal
+// pipeline, so they also pin the public API to it.
+func TestTablesGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   string
+	}{
+		{"table3_verbose.golden", "-table 3 -verbose -datasets Bms1,Retail -k 2,3 -delta 60 -scale 8"},
+		{"table5_westfall_young.golden", "-table 5 -correction westfall-young -datasets Bms1,Retail -k 2,3 -delta 60 -scale 8"},
+		{"table5_empty_baseline.golden", "-table 5 -correction westfall-young -datasets Bms1 -k 2,3 -delta 10 -scale 8"},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(strings.Fields(tc.args), &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("stdout differs from %s\ngot:\n%s\nwant:\n%s", tc.golden, stdout.String(), want)
 			}
 		})
 	}

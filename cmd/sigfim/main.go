@@ -47,11 +47,10 @@
 //
 // The smin and significant subcommands accept -algo for compatibility and
 // ignore it (after rejecting an unknown name): every analysis mines with
-// auto, since every miner mines the same itemsets. They also accept
-// -workers-remote-rangesize (auto = size remote ranges from each worker's
-// observed latency, or a fixed positive integer) and
-// -workers-remote-rangetarget (the wall time an autotuned range aims for,
-// default 2s); range size never changes result bytes.
+// auto, since every miner mines the same itemsets. With -workers-remote,
+// remote ranges are sized by the worker pool: a static split for the
+// first run, then from each worker's observed latency; range size never
+// changes result bytes.
 //
 // Errors go to stderr with a non-zero exit status: 2 for usage errors (bad
 // flags, unknown subcommands), 1 for runtime failures (unreadable input,
@@ -63,7 +62,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"sigfim"
@@ -191,41 +189,19 @@ func splitWorkers(s string) []string {
 	return out
 }
 
-// parseRangeSize maps a -workers-remote-rangesize value onto
-// WorkerPoolOptions.RangeSize: "auto" selects latency-driven autotuning
-// (0), a positive integer pins the replicates per remote range.
-func parseRangeSize(v string) (int, error) {
-	if v == "" || v == "auto" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("invalid -workers-remote-rangesize %q (want auto or a positive integer)", v)
-	}
-	return n, nil
-}
-
 // remoteFlags registers the -workers-remote* flags on fs. After parsing,
 // the returned function builds the WorkerPool they describe, or nil when
 // -workers-remote lists no worker; the caller closes a non-nil pool.
-func remoteFlags(fs *flag.FlagSet) func() (*sigfim.WorkerPool, error) {
+func remoteFlags(fs *flag.FlagSet) func() *sigfim.WorkerPool {
 	remote := fs.String("workers-remote", "", "comma-separated sigfimd worker URLs to shard replicates across")
 	timeout := fs.Duration("workers-remote-timeout", 0, "per-range HTTP deadline for remote workers (0 = 2m)")
 	hedge := fs.Duration("workers-remote-hedge", 0, "hedge a straggling range onto a second worker after this delay (0 disables)")
-	rangeSize := fs.String("workers-remote-rangesize", "auto", "replicates per remote range: auto (latency-driven) or a positive integer")
-	rangeTarget := fs.Duration("workers-remote-rangetarget", 0, "target wall time per autotuned remote range (0 = 2s)")
-	return func() (*sigfim.WorkerPool, error) {
-		size, err := parseRangeSize(*rangeSize)
-		if err != nil {
-			return nil, err
-		}
+	return func() *sigfim.WorkerPool {
 		urls := splitWorkers(*remote)
 		if len(urls) == 0 {
-			return nil, nil
+			return nil
 		}
-		return sigfim.NewWorkerPool(urls, sigfim.WorkerPoolOptions{
-			Timeout: *timeout, HedgeDelay: *hedge, RangeSize: size, RangeTarget: *rangeTarget,
-		}), nil
+		return sigfim.NewWorkerPool(urls, sigfim.WorkerPoolOptions{Timeout: *timeout, HedgeDelay: *hedge})
 	}
 }
 
@@ -258,10 +234,7 @@ func cmdSMin(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	pool, err := remotePool()
-	if err != nil {
-		return err
-	}
+	pool := remotePool()
 	if pool != nil {
 		defer pool.Close()
 	}
@@ -304,10 +277,7 @@ func cmdSignificant(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	pool, err := remotePool()
-	if err != nil {
-		return err
-	}
+	pool := remotePool()
 	if pool != nil {
 		defer pool.Close()
 	}

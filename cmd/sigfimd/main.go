@@ -9,7 +9,6 @@
 //	        [-cache N] [-max-upload BYTES] [-metrics=false]
 //	        [-workers-remote http://h1:8080,http://h2:8080]
 //	        [-workers-remote-timeout 2m] [-workers-remote-hedge 500ms]
-//	        [-workers-remote-rangesize auto|N] [-workers-remote-rangetarget 2s]
 //	        [-partials-inflight N] [-trace-retention N] [-debug-addr :6060]
 //
 // Each -data flag registers one FIMI file (gzip detected transparently)
@@ -42,10 +41,9 @@
 // instance can act as a worker — the flag only controls whether this one
 // fans out; -partials-inflight bounds how many partials a worker mines
 // concurrently before it sheds load with 503 + Retry-After.
-// -workers-remote-rangesize pins the replicates per dispatched range, or
-// (the "auto" default) sizes ranges from each worker's observed latency so a
-// range takes about -workers-remote-rangetarget of wall time; either way the
-// result bytes are unchanged.
+// Ranges are sized by the coordinator: a static split until the workers'
+// latency has been observed, then about 2 s of wall time per range on the
+// slowest worker; either way the result bytes are unchanged.
 //
 // Every job records a span trace — queue wait, dataset warm-up, Monte Carlo
 // phases, per-range fabric dispatches — served at GET /v1/jobs/{id}/trace
@@ -69,7 +67,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -115,8 +112,6 @@ func run(args []string, stderr io.Writer) int {
 	workersRemote := fs.String("workers-remote", "", "comma-separated sigfimd worker base URLs to shard Monte Carlo replicates across (coordinator mode)")
 	remoteTimeout := fs.Duration("workers-remote-timeout", 0, "per-range HTTP deadline for remote workers (0 = 2m)")
 	remoteHedge := fs.Duration("workers-remote-hedge", 0, "hedge a straggling range onto a second worker after this delay (0 disables)")
-	remoteRangeSize := fs.String("workers-remote-rangesize", "auto", "replicates per remote range: auto (latency-driven) or a positive integer")
-	remoteRangeTarget := fs.Duration("workers-remote-rangetarget", 0, "target wall time per autotuned remote range (0 = 2s)")
 	partialsInflight := fs.Int("partials-inflight", 0, "max concurrent POST /v1/partials before shedding with 503 (0 = max(8, 4*GOMAXPROCS), negative = unlimited)")
 	traceRetention := fs.Int("trace-retention", 0, "completed job traces kept for GET /v1/jobs/{id}/trace (0 = 128, negative disables)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty disables; keep private)")
@@ -136,31 +131,20 @@ func run(args []string, stderr io.Writer) int {
 			remote = append(remote, w)
 		}
 	}
-	rangeSize := 0
-	if v := *remoteRangeSize; v != "" && v != "auto" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			fmt.Fprintf(stderr, "sigfimd: invalid -workers-remote-rangesize %q (want auto or a positive integer)\n", v)
-			return 2
-		}
-		rangeSize = n
-	}
 
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
 	srv := service.New(service.Options{
-		Workers:           *workers,
-		QueueCap:          *queue,
-		CacheSize:         *cacheSize,
-		MaxUploadBytes:    *maxUpload,
-		DisableMetrics:    !*metricsOn,
-		RemoteWorkers:     remote,
-		RemoteTimeout:     *remoteTimeout,
-		RemoteHedgeDelay:  *remoteHedge,
-		RemoteRangeSize:   rangeSize,
-		RemoteRangeTarget: *remoteRangeTarget,
-		PartialsInflight:  *partialsInflight,
-		TraceRetention:    *traceRetention,
-		Logger:            logger,
+		Workers:          *workers,
+		QueueCap:         *queue,
+		CacheSize:        *cacheSize,
+		MaxUploadBytes:   *maxUpload,
+		DisableMetrics:   !*metricsOn,
+		RemoteWorkers:    remote,
+		RemoteTimeout:    *remoteTimeout,
+		RemoteHedgeDelay: *remoteHedge,
+		PartialsInflight: *partialsInflight,
+		TraceRetention:   *traceRetention,
+		Logger:           logger,
 	})
 	for _, e := range data {
 		info, err := srv.Registry().RegisterFile(e.name, e.path)

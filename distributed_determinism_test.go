@@ -38,13 +38,18 @@ func discardLogger() *slog.Logger {
 // startWorkers boots n sigfimd worker instances with the golden dataset
 // registered and returns their base URLs. Each worker is a complete service;
 // the coordinator addresses the dataset by content hash.
-func startWorkers(t *testing.T, n int) []string {
+func startWorkers(t *testing.T, n int, extra ...*sigfim.Dataset) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
 		srv := service.New(service.Options{Logger: discardLogger()})
 		if _, err := srv.Registry().RegisterFile("golden", "testdata/golden_input.dat"); err != nil {
 			t.Fatalf("register golden dataset: %v", err)
+		}
+		for j, d := range extra {
+			if _, err := srv.Registry().Register("extra"+strconv.Itoa(j), d, "test"); err != nil {
+				t.Fatalf("register dataset %d: %v", j, err)
+			}
 		}
 		hs := httptest.NewServer(srv.Handler())
 		t.Cleanup(hs.Close)
@@ -207,13 +212,52 @@ func TestDistributedFindSMin(t *testing.T) {
 	for _, rangeSize := range []int{0, 1, 13} {
 		got, err := d.FindSMin(2, &sigfim.Config{
 			Delta: 120, Seed: 9,
-			RemotePool: testPool(t, workers, sigfim.WorkerPoolOptions{RangeSize: rangeSize}),
+			RemotePool: testPool(t, workers, sigfim.PinRangeSize(sigfim.WorkerPoolOptions{}, rangeSize)),
 		})
 		if err != nil {
 			t.Fatalf("rangeSize=%d: %v", rangeSize, err)
 		}
 		if got != local {
 			t.Fatalf("rangeSize=%d: distributed s_min = %d, single-process = %d", rangeSize, got, local)
+		}
+	}
+}
+
+// TestFindSMinMatchesSignificant: FindSMin and Significant set Algorithm 1
+// up through one helper, so for the same Config under the independence
+// null FindSMin returns the ŝ_min that Significant reports, in process and
+// through a 2-worker pool.
+func TestFindSMinMatchesSignificant(t *testing.T) {
+	var datasets []*sigfim.Dataset
+	var names []string
+	for _, name := range []string{"Bms1", "Retail"} {
+		spec, err := sigfim.BenchmarkProfile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []int{64, 16} {
+			datasets = append(datasets, spec.Scale(scale).Real(1))
+			names = append(names, spec.Scale(scale).Name())
+		}
+	}
+	pool := testPool(t, startWorkers(t, 2, datasets...), sigfim.WorkerPoolOptions{})
+	for i, d := range datasets {
+		for _, k := range []int{2, 3} {
+			for _, remote := range []*sigfim.WorkerPool{nil, pool} {
+				cfg := &sigfim.Config{Delta: 100, Seed: 5, RemotePool: remote}
+				rep, err := d.Significant(k, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sMin, err := d.FindSMin(k, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sMin != rep.SMin {
+					t.Errorf("%s k=%d remote=%v: FindSMin = %d, Significant SMin = %d",
+						names[i], k, remote != nil, sMin, rep.SMin)
+				}
+			}
 		}
 	}
 }
@@ -359,11 +403,10 @@ func testPool(t *testing.T, urls []string, opts sigfim.WorkerPoolOptions) *sigfi
 // outcomes can eject the worker before every class was injected.
 func chaosPool(t *testing.T, chaos string) *sigfim.WorkerPool {
 	t.Helper()
-	return testPool(t, []string{chaos}, sigfim.WorkerPoolOptions{
+	return testPool(t, []string{chaos}, sigfim.PinRangeSize(sigfim.WorkerPoolOptions{
 		Timeout:    500 * time.Millisecond,
 		EjectAfter: len(chaosSchedule),
-		RangeSize:  3,
-	})
+	}, 3))
 }
 
 // chaosWorker proxies /v1/partials to target, applying the schedule one
@@ -579,11 +622,10 @@ func TestHungWorkerCannotStallJob(t *testing.T) {
 
 	hung := hungWorker(t)
 	live := startWorkers(t, 1)
-	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.WorkerPoolOptions{
+	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.PinRangeSize(sigfim.WorkerPoolOptions{
 		Timeout:    300 * time.Millisecond,
 		EjectAfter: 2,
-		RangeSize:  10,
-	})
+	}, 10))
 	defer pool.Close()
 
 	start := time.Now()
@@ -633,12 +675,11 @@ func TestHedgedDispatch(t *testing.T) {
 
 	hung := hungWorker(t)
 	live := startWorkers(t, 1)
-	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.WorkerPoolOptions{
+	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.PinRangeSize(sigfim.WorkerPoolOptions{
 		Timeout:    10 * time.Second, // deadline alone would be slow; hedging wins first
 		EjectAfter: 1000,             // keep the hung worker in rotation so hedges keep firing
-		RangeSize:  10,
 		HedgeDelay: 50 * time.Millisecond,
-	})
+	}, 10))
 	defer pool.Close()
 
 	dist, err := d.Significant(2, &sigfim.Config{Delta: 120, Seed: 9, RemotePool: pool})

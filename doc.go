@@ -69,8 +69,8 @@
 // Carlo: internal/montecarlo generates Delta random replicates, mines each,
 // and searches the empirical bound curve for b1+b2 <= eps/4.
 // internal/chenstein provides the exact analytic counterpart used as a test
-// oracle. Exported as Dataset.FindSMin; the replicate count for a target
-// confidence is montecarlo.DeltaForConfidence (Theorem 4).
+// oracle. Exported as Dataset.FindSMin; Theorem 4 puts the replicate
+// count for confidence 1 - delta at 8 ln(1/delta)/eps.
 //
 // Threshold selection with FDR control, s* (Procedure 2). internal/core
 // tests the geometric ladder s_i = s_min + 2^i against exact Poisson tails
@@ -237,10 +237,10 @@
 // ("sigfim jobs trace" renders the tree). The same per-worker latency that
 // the trace records feeds a range-latency histogram and EWMA
 // (sigfimd_fabric_range_seconds, sigfimd_fabric_replicate_seconds_ewma),
-// and when WorkerPoolOptions.RangeSize is 0 the pool autotunes range sizes
-// from that EWMA toward WorkerPoolOptions.RangeTarget of wall time per range
-// (default 2s, clamped to [1, Delta/workers]) — sizing changes batching
-// only, never bytes. An opt-in net/http/pprof listener (sigfimd
+// and once a worker's latency is observed the pool sizes ranges from that
+// EWMA to take about 2s of wall time each (clamped to [1, Delta/workers];
+// before that, montecarlo's static split) — sizing changes batching only,
+// never bytes. An opt-in net/http/pprof listener (sigfimd
 // -debug-addr) completes the surface.
 //
 // # Null models

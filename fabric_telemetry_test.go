@@ -96,28 +96,28 @@ func TestAutotuneRangeSize(t *testing.T) {
 	pool := NewWorkerPool([]string{"http://a", "http://b"}, WorkerPoolOptions{})
 	defer pool.Close()
 
-	if got := pool.AutotuneRangeSize(1000, 0); got != 0 {
+	if got := pool.autotuneRangeSize(1000, 0); got != 0 {
 		t.Fatalf("no observations: autotune = %d, want 0 (no opinion)", got)
 	}
 
 	// 8 replicates in 2s = 0.25 s/replicate (exact in binary): the 2s default
 	// target asks for 8-replicate ranges.
 	pool.reportSuccess("http://a", 2*time.Second, 8)
-	if got := pool.AutotuneRangeSize(1000, 0); got != 8 {
+	if got := pool.autotuneRangeSize(1000, 0); got != 8 {
 		t.Fatalf("autotune = %d, want 8", got)
 	}
 	// Upper clamp: delta/workers keeps every worker busy.
-	if got := pool.AutotuneRangeSize(10, 0); got != 5 {
+	if got := pool.autotuneRangeSize(10, 0); got != 5 {
 		t.Fatalf("autotune(delta=10) = %d, want 5 (delta/workers)", got)
 	}
 	// Lower clamp: a target below one replicate's latency still ships work.
-	if got := pool.AutotuneRangeSize(1000, time.Millisecond); got != 1 {
+	if got := pool.autotuneRangeSize(1000, time.Millisecond); got != 1 {
 		t.Fatalf("autotune(target=1ms) = %d, want 1", got)
 	}
 
 	// The slowest worker sets the pace: b at 1 s/replicate drags the size to 2.
 	pool.reportSuccess("http://b", 8*time.Second, 8)
-	if got := pool.AutotuneRangeSize(1000, 0); got != 2 {
+	if got := pool.autotuneRangeSize(1000, 0); got != 2 {
 		t.Fatalf("autotune with slow worker = %d, want 2", got)
 	}
 
@@ -128,11 +128,11 @@ func TestAutotuneRangeSize(t *testing.T) {
 	if st := workerStatus(t, pool, "http://b"); st.State != WorkerEjected {
 		t.Fatalf("worker b not ejected: %+v", st)
 	}
-	if got := pool.AutotuneRangeSize(1000, 0); got != 8 {
+	if got := pool.autotuneRangeSize(1000, 0); got != 8 {
 		t.Fatalf("autotune after ejection = %d, want 8", got)
 	}
 
-	if got := pool.AutotuneRangeSize(0, 0); got != 0 {
+	if got := pool.autotuneRangeSize(0, 0); got != 0 {
 		t.Fatalf("autotune(delta=0) = %d, want 0", got)
 	}
 }

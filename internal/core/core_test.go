@@ -7,9 +7,49 @@ import (
 	"sigfim/internal/dataset"
 	"sigfim/internal/mht"
 	"sigfim/internal/mining"
+	"sigfim/internal/montecarlo"
 	"sigfim/internal/randmodel"
 	"sigfim/internal/stats"
 )
+
+// analysis is the paper's pipeline on one dataset, chained as sigfim's
+// Dataset.SignificantCtx chains it: Algorithm 1, Procedure 2 from the
+// start of the ladder Algorithm 1 returns, and Procedure 1 when asked.
+type analysis struct {
+	mc    *montecarlo.Result
+	proc2 *Procedure2Result
+	proc1 *Procedure1Result // nil unless a correction was given
+}
+
+// analyze runs the pipeline on v at the default budgets. cfg configures
+// Algorithm 1 (K is set to k and a zero Epsilon to the default); a nil null
+// selects the independence model from v's frequencies, and a non-empty
+// correction runs Procedure 1 under it.
+func analyze(t *testing.T, v *dataset.Vertical, k int, cfg montecarlo.Config, null randmodel.Model, correction string) analysis {
+	t.Helper()
+	if null == nil {
+		null = randmodel.IndependentModel{T: v.NumTransactions, Freqs: v.Frequencies()}
+	}
+	cfg.K = k
+	if cfg.Epsilon == 0 {
+		cfg.Epsilon = DefaultEpsilon
+	}
+	mc, err := montecarlo.FindPoissonThreshold(null, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := analysis{mc: mc}
+	sMin, lambda := mc.Ladder()
+	if a.proc2, err = Procedure2Ex(v, k, sMin, lambda, DefaultAlpha, DefaultBeta, SplitEqual, cfg.Workers, mining.Auto); err != nil {
+		t.Fatal(err)
+	}
+	if correction != "" {
+		if a.proc1, err = Procedure1Ex(v, k, sMin, DefaultBeta, correction, mc.MinPs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a
+}
 
 // genNull draws a dataset from the independence model.
 func genNull(t int, freqs []float64, seed uint64) *dataset.Vertical {
@@ -99,9 +139,6 @@ func TestProcedure2LadderShape(t *testing.T) {
 		if math.Abs(res.Steps[i].AlphaI-0.05/float64(wantH)) > 1e-15 {
 			t.Errorf("alpha_i = %v", res.Steps[i].AlphaI)
 		}
-	}
-	if _, inf := res.SStarOrInf(); !inf {
-		t.Error("SStarOrInf should report infinity")
 	}
 }
 
@@ -202,15 +239,12 @@ func TestAnalyzeNullReturnsInfinity(t *testing.T) {
 	foundCount := 0
 	for seed := uint64(0); seed < 4; seed++ {
 		v := genNull(300, freqs, 100+seed)
-		a, err := Analyze("null", v, 2, Options{Delta: 150, Seed: 7, RunProcedure1: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Proc2.Found {
+		a := analyze(t, v, 2, montecarlo.Config{Delta: 150, Seed: 7}, nil, CorrectionBY)
+		if a.proc2.Found {
 			foundCount++
 		}
-		if a.Proc1.FamilySize > 2 {
-			t.Errorf("seed %d: Procedure 1 flagged %d on null data", seed, a.Proc1.FamilySize)
+		if a.proc1.FamilySize > 2 {
+			t.Errorf("seed %d: Procedure 1 flagged %d on null data", seed, a.proc1.FamilySize)
 		}
 	}
 	if foundCount > 1 {
@@ -231,21 +265,17 @@ func TestAnalyzePlantedFindsThresholdAndBeatsProc1(t *testing.T) {
 		}
 		v = plant(v, []uint32{uint32(2 * i), uint32(2*i + 1)}, tids)
 	}
-	a, err := Analyze("planted", v, 2, Options{Delta: 200, Seed: 9, RunProcedure1: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Proc2.Found {
+	a := analyze(t, v, 2, montecarlo.Config{Delta: 200, Seed: 9}, nil, CorrectionBY)
+	if !a.proc2.Found {
 		t.Fatal("Procedure 2 missed planted structure")
 	}
-	if a.Proc2.Lambda > float64(a.Proc2.Q) {
+	if a.proc2.Lambda > float64(a.proc2.Q) {
 		t.Errorf("flagged family smaller than null expectation: Q=%d lambda=%v",
-			a.Proc2.Q, a.Proc2.Lambda)
+			a.proc2.Q, a.proc2.Lambda)
 	}
-	r := a.PowerRatio()
-	if r < 0.9 && a.Proc1.FamilySize > 0 {
+	if n := a.proc1.FamilySize; n > 0 && float64(a.proc2.Q) < 0.9*float64(n) {
 		t.Errorf("power ratio %v < 1: Proc2 Q=%d vs Proc1 |R|=%d",
-			r, a.Proc2.Q, a.Proc1.FamilySize)
+			float64(a.proc2.Q)/float64(n), a.proc2.Q, n)
 	}
 }
 
@@ -267,14 +297,11 @@ func TestAnalyzeEmpiricalFDROnPlanted(t *testing.T) {
 			}
 			v = plant(v, x, tids)
 		}
-		a, err := Analyze("fdr", v, 2, Options{Delta: 150, Seed: 31 + trial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Proc2.Found {
+		a := analyze(t, v, 2, montecarlo.Config{Delta: 150, Seed: 31 + trial}, nil, "")
+		if !a.proc2.Found {
 			continue
 		}
-		discovered, err := mining.Mine(v, mining.Options{K: 2, MinSupport: a.Proc2.SStar})
+		discovered, err := mining.Mine(v, mining.Options{K: 2, MinSupport: a.proc2.SStar})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,31 +321,6 @@ func TestAnalyzeEmpiricalFDROnPlanted(t *testing.T) {
 	}
 }
 
-func TestRatioConventions(t *testing.T) {
-	p2 := &Procedure2Result{Found: true, Q: 10}
-	p1 := &Procedure1Result{FamilySize: 5}
-	if got := Ratio(p2, p1); got != 2 {
-		t.Errorf("Ratio = %v, want 2", got)
-	}
-	if got := Ratio(&Procedure2Result{}, p1); got != 0 {
-		t.Errorf("not-found ratio = %v, want 0", got)
-	}
-	if got := Ratio(p2, &Procedure1Result{}); !math.IsInf(got, 1) {
-		t.Errorf("empty-R ratio = %v, want +Inf", got)
-	}
-}
-
-func TestAnalyzeOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Alpha != 0.05 || o.Beta != 0.05 || o.Epsilon != 0.01 || o.Delta != 1000 {
-		t.Errorf("defaults = %+v", o)
-	}
-	v := genNull(50, uniformFreqs(5, 0.2), 1)
-	if _, err := Analyze("x", v, 0, Options{Delta: 10}); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 func TestAnalyzeWithSwapNullModel(t *testing.T) {
 	// Swap randomization as the null: on a small planted dataset the
 	// methodology should still detect the planted pair (its joint support
@@ -331,15 +333,9 @@ func TestAnalyzeWithSwapNullModel(t *testing.T) {
 	}
 	v = plant(v, []uint32{0, 1}, tids)
 	base := v.Horizontal()
-	a, err := Analyze("swap", v, 2, Options{
-		Delta:     60,
-		Seed:      13,
-		NullModel: &randmodel.SwapModel{Base: base, ProposalsPerOccurrence: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Proc2.Found {
+	a := analyze(t, v, 2, montecarlo.Config{Delta: 60, Seed: 13},
+		&randmodel.SwapModel{Base: base, ProposalsPerOccurrence: 4}, "")
+	if !a.proc2.Found {
 		t.Error("swap-null analysis missed the planted pair")
 	}
 }
@@ -405,57 +401,20 @@ func TestProcedure1EmptyFamily(t *testing.T) {
 }
 
 func TestBudgetSplitWeights(t *testing.T) {
-	for _, bs := range []BudgetSplit{SplitEqual, SplitGeometric} {
-		for _, h := range []int{1, 2, 5, 12} {
-			w := bs.splitWeights(h)
-			if len(w) != h {
-				t.Fatalf("split %v h=%d: %d weights", bs, h, len(w))
-			}
-			sum := 0.0
-			for _, x := range w {
-				if x <= 0 {
-					t.Fatalf("non-positive weight %v", x)
-				}
-				sum += x
-			}
-			if math.Abs(sum-1) > 1e-12 {
-				t.Fatalf("split %v h=%d: weights sum to %v", bs, h, sum)
-			}
+	for _, h := range []int{1, 2, 5, 12} {
+		w := SplitEqual.splitWeights(h)
+		if len(w) != h {
+			t.Fatalf("h=%d: %d weights", h, len(w))
 		}
-	}
-	// Geometric front-loads.
-	w := SplitGeometric.splitWeights(4)
-	if !(w[0] > w[1] && w[1] > w[2] && w[2] > w[3]) {
-		t.Fatalf("geometric weights not decreasing: %v", w)
-	}
-}
-
-func TestProcedure2SplitGeometricFindsEarlySignal(t *testing.T) {
-	// A signal just above s_min: geometric splits concentrate budget on the
-	// early rungs, so if the equal split rejects, the geometric must reject
-	// at the same or an earlier rung.
-	freqs := uniformFreqs(30, 0.1)
-	v := genNull(400, freqs, 21)
-	tids := make([]uint32, 60)
-	for i := range tids {
-		tids[i] = uint32(i)
-	}
-	v = plant(v, []uint32{0, 1}, tids)
-	lam := func(s int) float64 {
-		return 435 * stats.Binomial{N: 400, P: 0.01}.UpperTail(s)
-	}
-	eq, err := Procedure2Ex(v, 2, 10, lam, 0.05, 0.05, SplitEqual, 0, mining.Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	geo, err := Procedure2Ex(v, 2, 10, lam, 0.05, 0.05, SplitGeometric, 0, mining.Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq.Found && !geo.Found {
-		t.Error("geometric split lost an early signal the equal split found")
-	}
-	if eq.Found && geo.Found && geo.SStar > eq.SStar {
-		t.Errorf("geometric split rejected later: %d vs %d", geo.SStar, eq.SStar)
+		sum := 0.0
+		for _, x := range w {
+			if x <= 0 {
+				t.Fatalf("non-positive weight %v", x)
+			}
+			sum += x
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Fatalf("h=%d: weights sum to %v", h, sum)
+		}
 	}
 }

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"sigfim/internal/mining"
+	"sigfim/internal/montecarlo"
 )
 
 // Procedure1Ex correction-dispatch tests: name normalization, the
 // Bonferroni <= Holm <= BY family-size ordering guaranteed by theory, the
-// Westfall-Young path against the resampled null, and the analysis-level
-// wiring that collects min-p shards only when the correction needs them.
+// Westfall-Young path against the resampled null, and its need for the
+// min-p values Algorithm 1 collects.
 
 func TestParseCorrection(t *testing.T) {
 	cases := map[string]string{
@@ -140,34 +141,22 @@ func TestProcedure1ExWestfallYoung(t *testing.T) {
 func TestAnalyzeWestfallYoungCollectsMinPs(t *testing.T) {
 	freqs := uniformFreqs(20, 0.12)
 	v := genNull(300, freqs, 3)
-	opts := Options{Delta: 60, Seed: 11, Workers: 1, RunProcedure1: true, Correction: CorrectionWestfallYoung}
-	a, err := Analyze("wy", v, 2, opts)
-	if err != nil {
-		t.Fatal(err)
+	cfg := montecarlo.Config{Delta: 60, Seed: 11, Workers: 1, CollectMinPs: true}
+	a := analyze(t, v, 2, cfg, nil, CorrectionWestfallYoung)
+	if len(a.mc.MinPs) != cfg.Delta {
+		t.Fatalf("len(MinPs) = %d, want Delta = %d", len(a.mc.MinPs), cfg.Delta)
 	}
-	if len(a.MC.MinPs) != opts.Delta {
-		t.Fatalf("len(MC.MinPs) = %d, want Delta = %d", len(a.MC.MinPs), opts.Delta)
-	}
-	if a.Proc1 == nil || a.Proc1.Correction != CorrectionWestfallYoung {
-		t.Fatalf("Proc1 = %+v, want westfall-young baseline", a.Proc1)
+	if a.proc1.Correction != CorrectionWestfallYoung {
+		t.Fatalf("Procedure 1 correction = %q, want westfall-young", a.proc1.Correction)
 	}
 
-	// The default analysis must not pay for collection it does not use.
-	opts.Correction = ""
-	a, err = Analyze("by", v, 2, opts)
-	if err != nil {
-		t.Fatal(err)
+	// Without the collection Westfall-Young has no null distribution, and
+	// an unknown correction has no rule: both fail before any mining.
+	sMin, _ := a.mc.Ladder()
+	if _, err := Procedure1Ex(v, 2, sMin, DefaultBeta, CorrectionWestfallYoung, nil); err == nil {
+		t.Error("westfall-young without min-p values accepted")
 	}
-	if len(a.MC.MinPs) != 0 {
-		t.Errorf("BY analysis collected %d min-p values", len(a.MC.MinPs))
-	}
-	if a.Proc1 == nil || a.Proc1.Correction != CorrectionBY {
-		t.Fatalf("Proc1 correction = %q, want by", a.Proc1.Correction)
-	}
-
-	// Unknown corrections fail before any mining.
-	opts.Correction = "bh"
-	if _, err := Analyze("bad", v, 2, opts); err == nil {
+	if _, err := Procedure1Ex(v, 2, sMin, DefaultBeta, "bh", a.mc.MinPs); err == nil {
 		t.Error("unknown correction accepted")
 	}
 }

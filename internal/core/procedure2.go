@@ -18,39 +18,18 @@ type LambdaFunc func(s int) float64
 // BudgetSplit selects how the error budgets alpha and beta are divided over
 // the ladder's h comparisons. Theorem 6 holds for ANY split with
 // sum(alpha_i) = alpha and sum(1/beta_i) <= beta; the paper's experiments
-// use the equal split.
+// use the equal split, the only one implemented.
 type BudgetSplit int
 
-const (
-	// SplitEqual assigns alpha_i = alpha/h and 1/beta_i = beta/h — the
-	// paper's experimental configuration.
-	SplitEqual BudgetSplit = iota
-	// SplitGeometric assigns budgets proportional to 2^{-i}: the earliest
-	// (lowest-support) comparisons receive most of the budget, favoring a
-	// smaller s* (and hence a larger returned family) when the signal sits
-	// just above s_min, at the price of less power for late rungs.
-	SplitGeometric
-)
+// SplitEqual assigns alpha_i = alpha/h and 1/beta_i = beta/h — the paper's
+// experimental configuration.
+const SplitEqual BudgetSplit = 0
 
 // splitWeights returns normalized weights w_i summing to 1 for h levels.
-func (bs BudgetSplit) splitWeights(h int) []float64 {
+func (BudgetSplit) splitWeights(h int) []float64 {
 	w := make([]float64, h)
-	switch bs {
-	case SplitGeometric:
-		total := 0.0
-		x := 1.0
-		for i := range w {
-			w[i] = x
-			total += x
-			x /= 2
-		}
-		for i := range w {
-			w[i] /= total
-		}
-	default:
-		for i := range w {
-			w[i] = 1 / float64(h)
-		}
+	for i := range w {
+		w[i] = 1 / float64(h)
 	}
 	return w
 }

@@ -14,11 +14,7 @@
 //     FDR at most beta.
 package core
 
-import (
-	"math"
-
-	"sigfim/internal/mining"
-)
+import "sigfim/internal/mining"
 
 // SignificantItemset is one discovery of Procedure 1.
 type SignificantItemset struct {
@@ -95,26 +91,4 @@ type Procedure2Result struct {
 	Lambda float64
 	// Steps traces every comparison performed, in ladder order.
 	Steps []Step
-}
-
-// SStarOrInf formats s* respecting the infinite convention: it returns
-// (s*, false) when a threshold was found and (0, true) otherwise.
-func (r *Procedure2Result) SStarOrInf() (int, bool) {
-	if r.Found {
-		return r.SStar, false
-	}
-	return 0, true
-}
-
-// Ratio returns the paper's Table 5 power ratio r = Q_{k,s*} / |R| between
-// Procedure 2's family size and Procedure 1's. Zero when Procedure 2 found
-// no threshold; +Inf when Procedure 1 found nothing but Procedure 2 did.
-func Ratio(p2 *Procedure2Result, p1 *Procedure1Result) float64 {
-	if !p2.Found {
-		return 0
-	}
-	if p1.FamilySize == 0 {
-		return math.Inf(1)
-	}
-	return float64(p2.Q) / float64(p1.FamilySize)
 }

@@ -120,16 +120,3 @@ func WriteFIMI(w io.Writer, d *Dataset) error {
 	}
 	return bw.Flush()
 }
-
-// WriteFIMIFile writes the dataset to a file in FIMI format.
-func WriteFIMIFile(path string, d *Dataset) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteFIMI(f, d); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -3,17 +3,17 @@
 //
 //   - Bonferroni and Holm, the classical FWER procedures (Holm is the
 //     uniformly more powerful step-down refinement);
-//   - Benjamini-Hochberg and Benjamini-Yekutieli, the FDR step-up
-//     procedures — Benjamini-Yekutieli is the paper's Theorem 5 and the
-//     default engine of Procedure 1, valid under arbitrary dependence;
+//   - Benjamini-Yekutieli, the FDR step-up procedure of the paper's
+//     Theorem 5 and the default engine of Procedure 1, valid under
+//     arbitrary dependence;
 //   - Westfall-Young, the resampling-based min-p step-down procedure,
 //     whose null distribution is the per-replicate minimum p-value that
 //     montecarlo.MineRange collects while Algorithm 1's replicates are
 //     mined (Config.CollectMinPs).
 //
 // Two API shapes coexist. The mask functions (Bonferroni, Holm,
-// BenjaminiHochberg, BenjaminiYekutieli) answer "which hypotheses does this
-// procedure reject at this level" directly. The adjusted-p functions
+// BenjaminiYekutieli) answer "which hypotheses does this procedure reject
+// at this level" directly. The adjusted-p functions
 // (BonferroniAdjust, HolmAdjust, WestfallYoung) instead return one adjusted
 // p-value per hypothesis — the smallest level at which the procedure would
 // reject it — which composes with any downstream threshold via
@@ -121,21 +121,6 @@ func Holm(pvalues []float64, alpha float64) []bool {
 	return reject
 }
 
-// BenjaminiHochberg runs the BH step-up procedure at level q: reject the
-// smallest i p-values where i = max{i : p_(i) <= (i/m) q}, with
-// m = len(pvalues). Returns the rejection mask aligned with the input
-// order. Controls the false discovery rate (expected fraction of false
-// rejections among all rejections) at q under independence or positive
-// regression dependence; itemset supports are arbitrarily dependent, which
-// is why Procedure 1 defaults to BenjaminiYekutieli instead.
-func BenjaminiHochberg(pvalues []float64, q float64) []bool {
-	m := float64(len(pvalues))
-	if m == 0 {
-		return nil
-	}
-	return stepUp(pvalues, func(i int) float64 { return float64(i) / m * q })
-}
-
 // BenjaminiYekutieli runs the BY step-up procedure at level beta with an
 // explicit total hypothesis count mTotal (paper Theorem 5): reject the
 // smallest ell p-values where
@@ -156,15 +141,6 @@ func BenjaminiYekutieli(pvalues []float64, beta float64, mTotal float64) []bool 
 	}
 	denom := m * Harmonic(m)
 	return stepUp(pvalues, func(i int) float64 { return float64(i) / denom * beta })
-}
-
-// BYThreshold returns the p-value rejection threshold that the BY procedure
-// used for its ell-th rejection; diagnostic for reports.
-func BYThreshold(ell int, beta float64, mTotal float64) float64 {
-	if mTotal <= 0 || ell <= 0 {
-		return 0
-	}
-	return float64(ell) / (mTotal * Harmonic(mTotal)) * beta
 }
 
 // BonferroniAdjust returns the Bonferroni adjusted p-values

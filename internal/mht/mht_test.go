@@ -67,11 +67,22 @@ func TestHolmDominatesBonferroni(t *testing.T) {
 	}
 }
 
+// benjaminiHochberg is the BH step-up procedure at level q with
+// m = len(pvalues): the reference TestBYMoreConservativeThanBH holds BY
+// against, and through it the BH tests check the step-up engine BY shares.
+func benjaminiHochberg(pvalues []float64, q float64) []bool {
+	m := float64(len(pvalues))
+	if m == 0 {
+		return nil
+	}
+	return stepUp(pvalues, func(i int) float64 { return float64(i) / m * q })
+}
+
 func TestBHKnownExample(t *testing.T) {
 	// Worked example: m=10, q=0.05; thresholds 0.005*i. Largest i with
 	// p_(i) <= 0.005i is i=2 (0.008 <= 0.010); i>=3 all fail.
 	p := []float64{0.001, 0.008, 0.039, 0.041, 0.042, 0.06, 0.074, 0.205, 0.212, 0.216}
-	got := BenjaminiHochberg(p, 0.05)
+	got := benjaminiHochberg(p, 0.05)
 	wantRejected := 2
 	count := 0
 	for _, b := range got {
@@ -100,7 +111,7 @@ func TestBYMoreConservativeThanBH(t *testing.T) {
 				p[i] *= 1e-5
 			}
 		}
-		bh := BenjaminiHochberg(p, 0.05)
+		bh := benjaminiHochberg(p, 0.05)
 		by := BenjaminiYekutieli(p, 0.05, 0)
 		for i := range p {
 			if by[i] && !bh[i] {
@@ -118,13 +129,6 @@ func TestBYExplicitM(t *testing.T) {
 	if !got[0] || got[1] || got[2] {
 		t.Fatalf("BY with m=1e15: %v", got)
 	}
-	thr := BYThreshold(1, 0.05, m)
-	if thr <= 0 || thr > 1e-15 {
-		t.Errorf("BY threshold = %v", thr)
-	}
-	if BYThreshold(0, 0.05, m) != 0 || BYThreshold(1, 0.05, 0) != 0 {
-		t.Error("degenerate thresholds should be 0")
-	}
 }
 
 func TestStepUpRejectsPrefixOfSorted(t *testing.T) {
@@ -138,7 +142,7 @@ func TestStepUpRejectsPrefixOfSorted(t *testing.T) {
 			p[i] = r.Float64()
 		}
 		for _, mask := range [][]bool{
-			BenjaminiHochberg(p, 0.2),
+			benjaminiHochberg(p, 0.2),
 			BenjaminiYekutieli(p, 0.2, 0),
 		} {
 			for i := range p {
@@ -175,7 +179,7 @@ func TestBHControlsFDRSimulation(t *testing.T) {
 				p[i] = r.Float64() * 1e-4
 			}
 		}
-		sumFDR += EmpiricalFDR(BenjaminiHochberg(p, q), isNull)
+		sumFDR += EmpiricalFDR(benjaminiHochberg(p, q), isNull)
 	}
 	avg := sumFDR / trials
 	if avg > q*1.15 {
@@ -392,7 +396,7 @@ func TestWestfallYoungNeverZeroAndValid(t *testing.T) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if got := BenjaminiHochberg(nil, 0.05); got != nil {
+	if got := benjaminiHochberg(nil, 0.05); got != nil {
 		t.Error("BH(nil) should be nil")
 	}
 	if got := BenjaminiYekutieli(nil, 0.05, 0); len(got) != 0 {

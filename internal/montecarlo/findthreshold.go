@@ -127,15 +127,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// DeltaForConfidence returns the Theorem 4 replicate count 8 ln(1/delta)/eps
-// guaranteeing Pr(b1(ŝ_min)+b2(ŝ_min) <= eps) >= 1 - delta.
-func DeltaForConfidence(eps, delta float64) int {
-	if eps <= 0 || delta <= 0 || delta >= 1 {
-		panic("montecarlo: DeltaForConfidence domain error")
-	}
-	return int(math.Ceil(8 * math.Log(1/delta) / eps))
-}
-
 // BoundPoint is one evaluated point of the empirical bound curve. Partial
 // marks points whose accumulation stopped early once the bound provably
 // exceeded the acceptance target; their B1/B2 are lower bounds on the true
@@ -190,6 +181,14 @@ func (r *Result) Lambda(s int) float64 {
 	}
 	idx := sort.SearchInts(r.allSupports, s)
 	return float64(len(r.allSupports)-idx) / float64(r.Delta)
+}
+
+// Ladder returns where Procedure 2's threshold ladder starts and the lambda
+// estimates it tests against: ŝ_min raised to the mining floor, since the
+// estimates only exist down to it, and Lambda with its argument clamped to
+// the floor.
+func (r *Result) Ladder() (sMin int, lambda func(s int) float64) {
+	return max(r.SMin, r.Floor), func(s int) float64 { return r.Lambda(max(s, r.Floor)) }
 }
 
 // entry records one replicate's support of one itemset: id is the itemset's

@@ -34,20 +34,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestDeltaForConfidence(t *testing.T) {
-	got := DeltaForConfidence(0.01, 0.05)
-	want := int(math.Ceil(8 * math.Log(20) / 0.01))
-	if got != want {
-		t.Errorf("DeltaForConfidence = %d, want %d", got, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid domain should panic")
-		}
-	}()
-	DeltaForConfidence(0, 0.5)
-}
-
 func TestFindThresholdDeterministicBySeed(t *testing.T) {
 	m := uniformModel(30, 300, 0.1)
 	cfg := Config{K: 2, Delta: 200, Epsilon: 0.01, Seed: 99}

@@ -127,23 +127,3 @@ func fullColumn(col bitset.TidList, t int) bitset.TidList {
 	}
 	return col
 }
-
-// ExpectedItemsetSupport returns t * prod(f_i over the itemset): the mean of
-// the Binomial support distribution of the itemset under this model.
-func (m IndependentModel) ExpectedItemsetSupport(items []uint32) float64 {
-	p := 1.0
-	for _, it := range items {
-		p *= m.Freqs[it]
-	}
-	return float64(m.T) * p
-}
-
-// ItemsetSupportDist returns the exact Binomial distribution of the support
-// of the given itemset under the model.
-func (m IndependentModel) ItemsetSupportDist(items []uint32) stats.Binomial {
-	p := 1.0
-	for _, it := range items {
-		p *= m.Freqs[it]
-	}
-	return stats.Binomial{N: m.T, P: p}
-}

@@ -121,17 +121,6 @@ func TestPairSupportMatchesProductBinomial(t *testing.T) {
 	}
 }
 
-func TestExpectedItemsetSupport(t *testing.T) {
-	m := IndependentModel{T: 1000, Freqs: []float64{0.1, 0.2, 0.5}}
-	if got := m.ExpectedItemsetSupport([]uint32{0, 1}); math.Abs(got-20) > 1e-12 {
-		t.Errorf("expected support = %v, want 20", got)
-	}
-	d := m.ItemsetSupportDist([]uint32{0, 2})
-	if d.N != 1000 || math.Abs(d.P-0.05) > 1e-12 {
-		t.Errorf("support dist = %+v", d)
-	}
-}
-
 func TestReplicates(t *testing.T) {
 	m := IndependentModel{T: 50, Freqs: []float64{0.5, 0.5}}
 	r := stats.NewRNG(3)

@@ -212,8 +212,8 @@ type Engine struct {
 	// probe backoff, per-worker statistics — persists between jobs. Set once
 	// before the first submission; results are bit-identical to local
 	// execution, so the field is deliberately absent from cache keys and
-	// request canonicalization. The pool's options carry hedging and
-	// range sizing.
+	// request canonicalization. The pool's options carry the per-range
+	// timeout and hedging; it sizes ranges itself.
 	pool *sigfim.WorkerPool
 
 	// traces retains the last N completed job traces (nil disables

@@ -87,15 +87,6 @@ type Options struct {
 	// RemoteHedgeDelay, when positive, hedges straggling ranges onto a second
 	// worker after the delay; the first valid partial wins.
 	RemoteHedgeDelay time.Duration
-	// RemoteRangeSize pins the replicates per dispatched range in
-	// coordinator mode; 0 autotunes from observed per-worker latency
-	// (targeting RemoteRangeTarget of wall time per range) once the pool has
-	// seen a successful range, with a static heuristic before that. Range
-	// size can never change result bytes.
-	RemoteRangeSize int
-	// RemoteRangeTarget is the per-range wall time autotuned sizing aims
-	// for (0 = 2s).
-	RemoteRangeTarget time.Duration
 	// TraceRetention bounds how many completed job traces are retained for
 	// GET /v1/jobs/{id}/trace (default 128; negative disables tracing).
 	// Traces evict LRU independently of job records, so a queryable job may
@@ -195,10 +186,8 @@ func New(opts Options) *Server {
 	s.engine.traces = trace.NewStore(opts.TraceRetention)
 	if len(opts.RemoteWorkers) > 0 {
 		s.pool = sigfim.NewWorkerPool(opts.RemoteWorkers, sigfim.WorkerPoolOptions{
-			Timeout:     opts.RemoteTimeout,
-			HedgeDelay:  opts.RemoteHedgeDelay,
-			RangeSize:   opts.RemoteRangeSize,
-			RangeTarget: opts.RemoteRangeTarget,
+			Timeout:    opts.RemoteTimeout,
+			HedgeDelay: opts.RemoteHedgeDelay,
 		})
 		s.engine.pool = s.pool
 	}

@@ -172,15 +172,16 @@ func TestFabricRangeMetrics(t *testing.T) {
 	}
 }
 
-// TestCoordinatorForwardsRangeSize: a coordinator's dispatch settings reach
-// the fabric. With RemoteRangeSize 10, every montecarlo.mine span of a
-// distributed job must split its Delta replicates into Delta/10 ranges of
-// 10.
+// TestCoordinatorForwardsRangeSize: a coordinator's range size reaches the
+// fabric. Before its pool has observed any worker latency, the first job
+// splits its replicates by montecarlo's static rule, 4 ranges per
+// in-flight slot at 4 slots: every montecarlo.mine span of a Delta = 40
+// job carries 14 ranges of 3.
 func TestCoordinatorForwardsRangeSize(t *testing.T) {
 	const delta = 40
 	_, worker := newTestServer(t, service.Options{Workers: 1})
 	_, coord := newTestServer(t, service.Options{
-		Workers: 1, RemoteWorkers: []string{worker.URL}, RemoteRangeSize: 10,
+		Workers: 1, RemoteWorkers: []string{worker.URL},
 	})
 
 	st, _ := submit(t, coord, service.JobRequest{
@@ -202,11 +203,11 @@ func TestCoordinatorForwardsRangeSize(t *testing.T) {
 		if got := attrValue(sp, "replicates"); got != strconv.Itoa(delta) {
 			t.Errorf("montecarlo.mine replicates = %q, want %d", got, delta)
 		}
-		if got := attrValue(sp, "range_size"); got != "10" {
-			t.Errorf("montecarlo.mine range_size = %q, want 10", got)
+		if got := attrValue(sp, "range_size"); got != "3" {
+			t.Errorf("montecarlo.mine range_size = %q, want 3", got)
 		}
-		if got := attrValue(sp, "ranges"); got != strconv.Itoa(delta/10) {
-			t.Errorf("montecarlo.mine ranges = %q, want %d", got, delta/10)
+		if got := attrValue(sp, "ranges"); got != "14" {
+			t.Errorf("montecarlo.mine ranges = %q, want 14", got)
 		}
 	}
 	if mines == 0 {

@@ -1,24 +1,26 @@
-package synth
+package synth_test
 
 import (
 	"testing"
 
-	"sigfim/internal/core"
+	"sigfim"
 )
 
 func TestPowerDemoExhibitsRatioAboveOne(t *testing.T) {
-	spec := PowerDemo()
-	v := spec.GenerateReal(3)
-	a, err := core.Analyze(spec.Name, v, 2, core.Options{Delta: 150, Seed: 11, RunProcedure1: true})
+	spec, err := sigfim.BenchmarkProfile("PowerDemo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("found=%v s*=%d Q=%d lambda=%g |R|=%d r=%g",
-		a.Proc2.Found, a.Proc2.SStar, a.Proc2.Q, a.Proc2.Lambda, a.Proc1.FamilySize, a.PowerRatio())
-	if !a.Proc2.Found {
+	rep, err := spec.Real(3).Significant(2, &sigfim.Config{Delta: 150, Seed: 11, WithBaseline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("s*=%d Q=%d lambda=%g |R|=%d r=%g",
+		rep.SStar, rep.NumSignificant, rep.Lambda, rep.Baseline.NumSignificant, rep.PowerRatio)
+	if rep.Infinite {
 		t.Fatal("PowerDemo: Procedure 2 found nothing")
 	}
-	if r := a.PowerRatio(); r <= 1.5 && a.Proc1.FamilySize > 0 {
+	if r := rep.PowerRatio; r <= 1.5 && rep.Baseline.NumSignificant > 0 {
 		t.Errorf("PowerDemo ratio r = %v, want >> 1", r)
 	}
 }

@@ -138,19 +138,10 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, o
 		Workers:   req.Workers,
 	}
 	ds.vertical() // force the one-time lazy caches for concurrent safety
-	// The null model is built from the same dataset state the
-	// single-process pipeline uses, so the worker and the coordinator
-	// generate value-identical replicates. The independence model comes
-	// prepared: one request draws a whole range of replicates from it.
-	var null randmodel.Model
-	if req.SwapNull {
-		null = ds.swapModel(perOccurrence, proposals)
-	} else {
-		null = randmodel.IndependentModel{
-			T:     ds.d.NumTransactions(),
-			Freqs: ds.frequencies(),
-		}.Prepare()
-	}
+	// The null model is the one Significant and FindSMin build, so the
+	// worker and the coordinator generate value-identical replicates. It
+	// comes prepared: one request draws a whole range of replicates from it.
+	null := randmodel.Prepare(ds.nullModel(req.SwapNull, perOccurrence, proposals))
 	scr := ds.takeRangeScratch()
 	defer ds.putRangeScratch(scr)
 	return montecarlo.MineRange(ctx, null, mreq, scr, (*montecarlo.Partial)(out))

@@ -131,3 +131,32 @@ func TestResolveConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestAlgorithm1CollectsMinPsOnlyForWestfallYoung: Algorithm 1 pays for
+// the Westfall-Young min-p distribution exactly when the baseline reads it,
+// never for another correction, no baseline, or FindSMin.
+func TestAlgorithm1CollectsMinPsOnlyForWestfallYoung(t *testing.T) {
+	d, err := FromTransactions([][]uint32{{0, 1}, {1, 2}, {0, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cfg      Config
+		findSMin bool
+		want     bool
+	}{
+		{Config{}, false, false},
+		{Config{WithBaseline: true}, false, false},
+		{Config{Correction: CorrectionHolm}, false, false},
+		{Config{Correction: CorrectionWestfallYoung}, false, true},
+		{Config{Correction: CorrectionWestfallYoung}, true, false},
+	} {
+		r, err := d.ResolveConfig(2, &c.cfg, c.findSMin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, mcfg := d.algorithm1(2, &r); mcfg.CollectMinPs != c.want {
+			t.Errorf("%+v (FindSMin %v): CollectMinPs = %v, want %v", c.cfg, c.findSMin, mcfg.CollectMinPs, c.want)
+		}
+	}
+}

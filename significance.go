@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"sigfim/internal/core"
+	"sigfim/internal/mining"
 	"sigfim/internal/montecarlo"
 	"sigfim/internal/randmodel"
 	"sigfim/internal/trace"
@@ -104,12 +105,13 @@ type Config struct {
 	Progress func(completed, total int) `json:"-"`
 	// RemotePool, when non-nil, shards the Monte Carlo replicates across
 	// the sigfimd workers the pool supervises (see NewWorkerPool; its
-	// WorkerPoolOptions carry the per-range timeout, hedging and range
-	// sizing). nil runs everything in-process. Remote execution is
-	// bit-identical to a local run: each replicate consumes the same RNG
-	// substream regardless of which worker executes it, failed ranges are
-	// retried on the other workers and finally mined locally through the
-	// identical code path, and partials merge in replicate-index order.
+	// WorkerPoolOptions carry the per-range timeout and hedging, and the
+	// pool sizes the ranges). nil runs everything in-process. Remote
+	// execution is bit-identical to a local run: each replicate consumes
+	// the same RNG substream regardless of which worker executes it,
+	// failed ranges are retried on the other workers and finally mined
+	// locally through the identical code path, and partials merge in
+	// replicate-index order.
 	// Sharing one pool across analyses (as a sigfimd coordinator does
 	// across jobs) preserves worker-health state — ejections, backoff
 	// schedules, latency statistics — between runs; the caller closes it.
@@ -319,40 +321,46 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{
-		Alpha: c.Alpha, Beta: c.Beta, Epsilon: c.Epsilon, Delta: c.Delta, Seed: c.Seed,
-		RunProcedure1: c.WithBaseline, Correction: c.Correction,
-		Workers: c.Workers, Progress: c.Progress,
-	}
-	if c.SwapNull {
-		opts.NullModel = ds.swapModel(c.SwapProposalsPerOccurrence, c.SwapProposals)
-	}
-	if c.RemotePool != nil {
-		opts.Runner = ds.newRangeRunner(&c)
-		opts.RangeSize = c.RemotePool.rangeSize(c.Delta)
-	}
 	_, warm := trace.Start(ctx, "dataset.warmup")
 	v := ds.vertical()
 	warm.End()
-	a, err := core.AnalyzeCtx(ctx, "dataset", v, k, opts)
+	null, mcfg := ds.algorithm1(k, &c)
+	mc, err := montecarlo.FindPoissonThresholdCtx(ctx, null, mcfg)
+	if err != nil {
+		return nil, fmt.Errorf("sigfim: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sMin, lambda := mc.Ladder()
+	p2, err := core.Procedure2Ex(v, k, sMin, lambda, c.Alpha, c.Beta, core.SplitEqual, c.Workers, mining.Auto)
 	if err != nil {
 		return nil, err
 	}
+	var p1 *core.Procedure1Result
+	if c.WithBaseline {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if p1, err = core.Procedure1Ex(v, k, sMin, c.Beta, c.Correction, mc.MinPs); err != nil {
+			return nil, err
+		}
+	}
 	rep := &Report{
 		K:     k,
-		SMin:  a.Proc2.SMin,
-		Alpha: a.Proc2.Alpha,
-		Beta:  a.Proc2.Beta,
+		SMin:  p2.SMin,
+		Alpha: p2.Alpha,
+		Beta:  p2.Beta,
 	}
-	for _, st := range a.Proc2.Steps {
+	for _, st := range p2.Steps {
 		rep.Steps = append(rep.Steps, LadderStep{
 			S: st.S, Q: st.Q, Lambda: st.Lambda, PValue: st.PValue, Rejected: st.Rejected,
 		})
 	}
-	if a.Proc2.Found {
-		rep.SStar = a.Proc2.SStar
-		rep.NumSignificant = a.Proc2.Q
-		rep.Lambda = a.Proc2.Lambda
+	if p2.Found {
+		rep.SStar = p2.SStar
+		rep.NumSignificant = p2.Q
+		rep.Lambda = p2.Lambda
 		if rep.NumSignificant <= int64(c.MaxPatterns) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -366,21 +374,50 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 	} else {
 		rep.Infinite = true
 	}
-	if a.Proc1 != nil {
+	if p1 != nil {
 		b := &BaselineReport{
-			Correction:     a.Proc1.Correction,
-			NumSignificant: a.Proc1.FamilySize,
-			NumTested:      a.Proc1.NumMined,
+			Correction:     p1.Correction,
+			NumSignificant: p1.FamilySize,
+			NumTested:      p1.NumMined,
 		}
-		for _, s := range a.Proc1.Family {
+		for _, s := range p1.Family {
 			b.Significant = append(b.Significant, Pattern{Items: s.Items, Support: s.Support})
 		}
 		rep.Baseline = b
-		if a.Proc1.FamilySize > 0 {
-			rep.PowerRatio = a.PowerRatio()
+		if p2.Found && p1.FamilySize > 0 {
+			rep.PowerRatio = float64(p2.Q) / float64(p1.FamilySize)
 		}
 	}
 	return rep, nil
+}
+
+// algorithm1 returns the null model and the Algorithm 1 configuration that
+// a resolved Config c runs k-itemsets with: the null of c's SwapNull, and,
+// with a RemotePool, the pool's range runner and its current range size.
+// The Westfall-Young min-p distribution is collected exactly when the
+// baseline reads it. SignificantCtx and FindSMinCtx both start here, so
+// for the same Config they run the same Algorithm 1.
+func (ds *Dataset) algorithm1(k int, c *Config) (randmodel.Model, montecarlo.Config) {
+	mcfg := montecarlo.Config{
+		K: k, Delta: c.Delta, Epsilon: c.Epsilon, Seed: c.Seed,
+		Workers: c.Workers, Progress: c.Progress,
+		CollectMinPs: c.Correction == CorrectionWestfallYoung,
+	}
+	if c.RemotePool != nil {
+		mcfg.Runner = ds.newRangeRunner(c)
+		mcfg.RangeSize = c.RemotePool.rangeSize(c.Delta)
+	}
+	return ds.nullModel(c.SwapNull, c.SwapProposalsPerOccurrence, c.SwapProposals), mcfg
+}
+
+// nullModel builds the null for chain lengths swapLengths returned: swap
+// randomization over the dataset, or the paper's independence model from
+// its item frequencies.
+func (ds *Dataset) nullModel(swapNull bool, perOccurrence, proposals int) randmodel.Model {
+	if swapNull {
+		return ds.swapModel(perOccurrence, proposals)
+	}
+	return randmodel.IndependentModel{T: ds.d.NumTransactions(), Freqs: ds.frequencies()}
 }
 
 // FindSMin runs Algorithm 1 alone against the independence null model and
@@ -408,21 +445,9 @@ func (ds *Dataset) FindSMinCtx(ctx context.Context, k int, cfg *Config) (int, er
 		return 0, err
 	}
 	_, warm := trace.Start(ctx, "dataset.warmup")
-	freqs := ds.frequencies()
+	null, mcfg := ds.algorithm1(k, &c)
 	warm.End()
-	m := randmodel.IndependentModel{
-		T:     ds.d.NumTransactions(),
-		Freqs: freqs,
-	}
-	mcfg := montecarlo.Config{
-		K: k, Delta: c.Delta, Epsilon: c.Epsilon, Seed: c.Seed,
-		Workers: c.Workers, Progress: c.Progress,
-	}
-	if c.RemotePool != nil {
-		mcfg.Runner = ds.newRangeRunner(&c)
-		mcfg.RangeSize = c.RemotePool.rangeSize(c.Delta)
-	}
-	res, err := montecarlo.FindPoissonThresholdCtx(ctx, m, mcfg)
+	res, err := montecarlo.FindPoissonThresholdCtx(ctx, null, mcfg)
 	if err != nil {
 		return 0, fmt.Errorf("sigfim: %w", err)
 	}

@@ -25,10 +25,10 @@ func spanAttr(sp trace.Span, key string) string {
 }
 
 // TestAutotunedRangeSizeBitIdentity closes the observability loop: a pool
-// with RangeSize 0 sizes ranges from its observed per-worker EWMA (after a
-// first run has seeded it), and the autotuned sizing must stay
-// byte-identical to the single-process run at every coordinator worker
-// count and range target. Each pool is shared across its runs exactly as a
+// sizes ranges from its observed per-worker EWMA (after a first run has
+// seeded it), and the autotuned sizing must stay byte-identical to the
+// single-process run at every coordinator worker count and range target
+// (set through a test seam). Each pool is shared across its runs exactly as a
 // sigfimd coordinator shares it across jobs.
 func TestAutotunedRangeSizeBitIdentity(t *testing.T) {
 	d := goldenDataset(t)
@@ -50,7 +50,7 @@ func TestAutotunedRangeSizeBitIdentity(t *testing.T) {
 		{4, 10 * time.Millisecond},
 		{8, 10 * time.Second},
 	} {
-		pool := testPool(t, workers, sigfim.WorkerPoolOptions{RangeTarget: run.target})
+		pool := testPool(t, workers, sigfim.AimRangesAt(sigfim.WorkerPoolOptions{}, run.target))
 		cfg := &sigfim.Config{Delta: 120, Seed: 9, Workers: run.workers, RemotePool: pool}
 
 		// First run: no latency observed yet, so the static heuristic sizes

@@ -92,25 +92,16 @@ type WorkerPoolOptions struct {
 	// duplicate work for tail latency; it cannot influence the result
 	// because partials are deterministic and validated before merging.
 	HedgeDelay time.Duration
-	// RangeSize pins the number of replicates per dispatched range. 0
-	// autotunes: once the pool has observed worker latency, ranges are
-	// sized to take about RangeTarget of wall time on the slowest worker
-	// (see AutotuneRangeSize); before any observation a static heuristic
-	// keeps a few ranges in flight per worker. Range size cannot influence
-	// the result — partials merge in replicate-index order whatever the
-	// split.
-	RangeSize int
-	// RangeTarget is the per-range wall time autotuned sizing aims for
-	// when RangeSize is 0 (0 = DefaultRangeTarget). Shorter targets sharpen
-	// retry/hedge granularity; longer ones amortize more dispatch overhead.
-	RangeTarget time.Duration
 	// Transport overrides the HTTP transport (nil builds a dedicated one with
 	// bounded connection reuse). Tests use this to inject faults.
 	Transport http.RoundTripper
 
-	// Test seams (package-internal): a fake clock and a fake probe.
-	now   func() time.Time
-	probe func(ctx context.Context, base string) error
+	// Test seams (package-internal): a fake clock, a fake probe, a pinned
+	// range size and another autotuning target (see rangeSize).
+	now       func() time.Time
+	probe     func(ctx context.Context, base string) error
+	rangeSize int
+	rangeWall time.Duration
 }
 
 func (o WorkerPoolOptions) withDefaults() WorkerPoolOptions {
@@ -214,7 +205,7 @@ type RangeLatencyStats struct {
 	Buckets []uint64 `json:"buckets"`
 	// EWMAReplicateSeconds is the smoothed per-replicate latency from
 	// successful dispatches; 0 until the first success. It drives range-size
-	// autotuning (see AutotuneRangeSize).
+	// autotuning (see autotuneRangeSize).
 	EWMAReplicateSeconds float64 `json:"ewma_replicate_seconds,omitempty"`
 }
 
@@ -575,20 +566,21 @@ func (p *WorkerPool) noteLocalFallback() {
 	p.locals++
 }
 
-// AutotuneRangeSize suggests a replicate-range size for a job of delta
+// autotuneRangeSize suggests a replicate-range size for a job of delta
 // replicates from observed worker latency: the slowest non-ejected
 // worker's per-replicate EWMA is scaled so one range takes about target
-// wall time on it, clamped to [1, delta/workers] so every worker still
-// sees work. It returns 0 — "no opinion, use the static heuristic" — when
-// no worker has a latency observation yet. Range size can never change
-// result bytes (partials merge in replicate order and replicate i always
-// consumes seed i), so autotuning is free to pick any value.
-func (p *WorkerPool) AutotuneRangeSize(delta int, target time.Duration) int {
+// wall time on it (0 = defaultRangeWall), clamped to [1, delta/workers]
+// so every worker still sees work. It returns 0 — "no opinion, use the
+// static heuristic" — when no worker has a latency observation yet. Range
+// size can never change result bytes (partials merge in replicate order
+// and replicate i always consumes seed i), so autotuning is free to pick
+// any value.
+func (p *WorkerPool) autotuneRangeSize(delta int, target time.Duration) int {
 	if delta <= 0 {
 		return 0
 	}
 	if target <= 0 {
-		target = DefaultRangeTarget
+		target = defaultRangeWall
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -611,20 +603,21 @@ func (p *WorkerPool) AutotuneRangeSize(delta int, target time.Duration) int {
 	return size
 }
 
-// DefaultRangeTarget is the per-range wall time autotuning aims for when
-// no explicit target is configured: long enough to amortize the HTTP
-// round trip, short enough that retry and hedging stay responsive.
-const DefaultRangeTarget = 2 * time.Second
+// defaultRangeWall is the per-range wall time autotuning aims for: long
+// enough to amortize the HTTP round trip, short enough that retry and
+// hedging stay responsive.
+const defaultRangeWall = 2 * time.Second
 
 // rangeSize resolves the range size for one remote run of delta replicates
-// (a resolved Config.Delta): a pinned RangeSize wins; otherwise the pool
-// autotunes toward RangeTarget, and returns 0 — montecarlo's static
-// heuristic — while it has no latency observation yet.
+// (a resolved Config.Delta): the pool autotunes toward defaultRangeWall,
+// and returns 0 — montecarlo's static split — while it has no latency
+// observation yet. Tests may pin the size or move the target through the
+// options' seams.
 func (p *WorkerPool) rangeSize(delta int) int {
-	if p.opts.RangeSize != 0 {
-		return p.opts.RangeSize
+	if p.opts.rangeSize != 0 {
+		return p.opts.rangeSize
 	}
-	return p.AutotuneRangeSize(delta, p.opts.RangeTarget)
+	return p.autotuneRangeSize(delta, p.opts.rangeWall)
 }
 
 // Snapshot returns the pool's current supervision state, workers in

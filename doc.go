@@ -328,21 +328,25 @@
 // package. That loop reuses all of its storage in steady state:
 //
 //   - Generation: models implementing randmodel.InPlaceGenerator refill a
-//     per-worker vertical dataset in place, reusing the per-item column
-//     arrays across replicates; the consumed random stream is identical to
-//     fresh generation, so results cannot differ. The independence null
-//     builds each item's geometric-gap constants once per job
-//     (randmodel.Prepare) and draws gaps through stats.GeometricGap: a
-//     table log whose result is trusted only when a margin ~10^4 times its
-//     worst error cannot move the integer gap, and recomputed with
-//     math.Log otherwise, so every replicate keeps its exact bytes. The
-//     uniforms and their table logs are drawn 256 at a time into a
-//     stack-held stats.UniformBlock, and the RNG is rewound to the last
-//     uniform used at the end of each replicate, so the stream, too, is
-//     the per-draw loop's. On amd64 CPUs with AVX2 (detected at start-up)
-//     the block's logs come from one assembly kernel, four at a time, with
-//     the table log's operations in its order, so they have the same bits
-//     as the Go loop every other CPU runs.
+//     per-worker vertical dataset in place, reusing its column storage
+//     across replicates — for the independence null one pooled arena
+//     holding every column back to back, for the swap null per-item column
+//     arrays; the consumed random stream is identical to fresh generation,
+//     so results cannot differ. The independence null builds each item's
+//     geometric-gap constants once per job (randmodel.Prepare) and draws
+//     gaps through stats.GeometricGap: a table log whose result is trusted
+//     only when a margin ~10^4 times its worst error cannot move the
+//     integer gap, and recomputed with math.Log otherwise, so every
+//     replicate keeps its exact bytes. The uniforms and their table logs
+//     are drawn 256 at a time into a stack-held stats.UniformBlock, and
+//     the RNG is rewound to the last uniform used at the end of each
+//     replicate, so the stream, too, is the per-draw loop's. On amd64 CPUs
+//     with AVX2 (detected at start-up) two assembly kernels take over: one
+//     computes the block's logs four at a time, with the table log's
+//     operations in its order, so they have the same bits as the Go loop
+//     every other CPU runs; the other walks the columns, certifying,
+//     placing and storing four gaps per step and leaving the lanes it
+//     cannot certify to the Go walk, so it places the same gaps.
 //   - Mining: every kernel (Eclat over tid lists or bitsets, FP-Growth,
 //     Apriori's horizontal conversion, the low-threshold hash path) threads
 //     a reusable per-worker mining.Scratch carrying its DFS buffers, dense

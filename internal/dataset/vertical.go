@@ -13,6 +13,13 @@ import (
 type Vertical struct {
 	NumTransactions int
 	Tids            []bitset.TidList
+
+	// Arena is pooled tid storage for a generator that lays every column
+	// out in one array (randmodel.IndependentModel.GenerateInto): its
+	// columns are capacity-capped subslices of it, back to back. Reuse
+	// keeps it, so a worker's replicates share one allocation. Only the
+	// generator that set it reads it.
+	Arena []uint32
 }
 
 // NewVertical validates and wraps per-item tid lists. Lists must be strictly
@@ -35,8 +42,8 @@ func NewVertical(numTransactions int, tids []bitset.TidList) (*Vertical, error) 
 func (v *Vertical) NumItems() int { return len(v.Tids) }
 
 // Reuse reshapes v to numTransactions transactions over numItems items with
-// every tid list empty, preserving the per-item backing arrays so generators
-// can refill the columns without reallocating. The Monte Carlo replicate
+// every tid list empty, preserving the per-item backing arrays and Arena so
+// generators can refill the columns without reallocating. The Monte Carlo replicate
 // engine calls this once per replicate on a per-worker Vertical.
 func (v *Vertical) Reuse(numTransactions, numItems int) {
 	v.NumTransactions = numTransactions

@@ -24,9 +24,10 @@ func benchDataset(b *testing.B) *dataset.Dataset {
 	var blk stats.UniformBlock
 	blk.Reset(r)
 	var col []uint32
+	var ends [1]int
 	for item, f := range freqs {
 		// Place the item's occurrences by geometric skips over the t rows.
-		col = stats.NewGeometricGap(f).AppendSuccesses(col[:0], t, &blk)
+		col = blk.AppendColumns(col[:0], ends[:], t, []stats.GeometricGap{stats.NewGeometricGap(f)})
 		for _, pos := range col {
 			tx[pos] = append(tx[pos], uint32(item))
 		}

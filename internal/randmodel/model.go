@@ -9,11 +9,14 @@
 //     from stats.GeometricGap, whose certified fast path (a table log
 //     checked against a wide error margin, with the exact expression as
 //     fallback) returns the same integers as floor(log(u)/log1p(-f_i)), so
-//     a seed draws the same dataset however the gaps are computed. Prepare
-//     builds every item's gap constants once per job. The uniforms come
-//     from a stats.UniformBlock that draws them and their table logs 256
-//     at a time and rewinds the RNG to the last one used, so a replicate
-//     consumes exactly the stream a per-draw loop would.
+//     a seed draws the same dataset however the gaps are computed; on
+//     amd64 CPUs with AVX2 an assembly kernel certifies and places four
+//     gaps per step. Prepare builds every item's gap constants once per
+//     job. The uniforms come from a stats.UniformBlock that draws them and
+//     their table logs 256 at a time and rewinds the RNG to the last one
+//     used, so a replicate consumes exactly the stream a per-draw loop
+//     would. A replicate's columns are laid out back to back in one pooled
+//     arena on its dataset.Vertical.
 //   - Swap randomization (Gionis et al. 2006) — the alternative null model
 //     the paper cites, preserving both item frequencies AND transaction
 //     lengths exactly via margin-preserving 2x2 swaps.
@@ -39,11 +42,12 @@ type Model interface {
 }
 
 // InPlaceGenerator is the optional pooled-generation interface: GenerateInto
-// refills a caller-owned Vertical, reusing its per-item column backing
-// arrays, so a worker that mines thousands of replicates allocates column
-// storage only while the buffers are still growing. Both shipped null models
-// implement it — IndependentModel directly, *SwapModel through a pooled
-// chain scratch — and models that don't simply fall back to Generate.
+// refills a caller-owned Vertical, reusing its column storage, so a worker
+// that mines thousands of replicates allocates column storage only while the
+// buffers are still growing. Both shipped null models implement it —
+// IndependentModel with one arena for all its columns (Vertical.Arena),
+// *SwapModel with per-item column backing arrays and a pooled chain scratch
+// — and models that don't simply fall back to Generate.
 type InPlaceGenerator interface {
 	// GenerateInto draws one dataset into v, which is reshaped via
 	// (*dataset.Vertical).Reuse and must not be shared with a previous

@@ -25,13 +25,14 @@ func BenchmarkPoissonUpperTail(b *testing.B) {
 // independence null model's column walk.
 func BenchmarkGeometricGapColumn(b *testing.B) {
 	const t = 100000
-	g := NewGeometricGap(1e-3)
+	gaps := []GeometricGap{NewGeometricGap(1e-3)}
 	var blk UniformBlock
 	blk.Reset(NewRNG(2))
 	var col []uint32
+	var ends [1]int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		col = g.AppendSuccesses(col[:0], t, &blk)
+		col = blk.AppendColumns(col[:0], ends[:], t, gaps)
 	}
 	blk.Release()
 }
@@ -59,6 +60,55 @@ func BenchmarkUniformBlockFill(b *testing.B) {
 			blk.Release()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockSize), "ns/uniform")
 		})
+	}
+}
+
+// BenchmarkColumnWalk walks every column of one null replicate per
+// iteration (AppendColumns over prepared gaps into a reused arena) with the
+// AVX2 walk kernel, where the CPU has it, and with the Go walk, on the
+// Retail/8 and Bms1/4 null frequency vectors of
+// BenchmarkIndependentGenerateInto. Every column's frequency is in (0, 1),
+// so a walk takes one uniform per success and one per column; ns/uniform
+// includes the block fills (BenchmarkUniformBlockFill times those alone).
+func BenchmarkColumnWalk(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		t     int
+		freqs []float64
+	}{
+		{"Retail8", 88162 / 8, FitPowerLaw(16470, 1.13e-05, 0.57, 10.2).Frequencies()},
+		{"Bms1_4", 59602 / 4, FitPowerLaw(497, 1.68e-05, 0.06, 1.95).Frequencies()},
+	} {
+		gaps := make([]GeometricGap, len(c.freqs))
+		for i, f := range c.freqs {
+			gaps[i] = NewGeometricGap(f)
+		}
+		ends := make([]int, len(gaps))
+		for _, path := range []struct {
+			name   string
+			kernel bool
+		}{{"kernel", true}, {"go", false}} {
+			b.Run(c.name+"/"+path.name, func(b *testing.B) {
+				if path.kernel && !useWalkKernel {
+					b.Skip("no AVX2 walk kernel on this CPU")
+				}
+				if !path.kernel {
+					defer WalkKernelOff()()
+				}
+				var blk UniformBlock
+				blk.Reset(NewRNG(7))
+				dst := blk.AppendColumns(nil, ends, c.t, gaps)
+				dst = make([]uint32, 0, 2*len(dst))
+				uniforms := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst = blk.AppendColumns(dst[:0], ends, c.t, gaps)
+					uniforms += len(dst) + len(gaps)
+				}
+				blk.Release()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uniforms), "ns/uniform")
+			})
+		}
 	}
 }
 

@@ -9,9 +9,9 @@ const blockSize = 256
 // UniformBlock hands out an RNG's Float64Open uniforms together with their
 // table logs (fastLog), drawn blockSize at a time: the fill draws the
 // uniforms with the xoshiro state in locals, then computes the block's
-// logs, so the per-draw work of the gap walk
-// (GeometricGap.AppendSuccesses) is a few float operations on a loaded log
-// instead of a generator step and a log polynomial on the critical path.
+// logs, so the per-draw work of the gap walk (AppendColumns) is a few
+// float operations on a loaded log instead of a generator step and a log
+// polynomial on the critical path.
 // On amd64 CPUs with AVX2 the logs come from the logBlock kernel, four at
 // a time, and elsewhere from a fastLog loop; both give the same bits.
 //

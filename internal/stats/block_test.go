@@ -193,13 +193,14 @@ func referenceColumn(r *RNG, p float64, t int) []uint32 {
 // the reference left its copy.
 func checkGapColumns(t *testing.T, seed uint64, p float64, height int) {
 	t.Helper()
-	g := NewGeometricGap(p)
+	gaps := []GeometricGap{NewGeometricGap(p)}
 	r, ref := NewRNG(seed), NewRNG(seed)
 	var b UniformBlock
 	b.Reset(r)
 	var col []uint32
+	var ends [1]int
 	for drawn, c := 0, 0; drawn <= 2*blockSize; c++ {
-		col = g.AppendSuccesses(col[:0], height, &b)
+		col = b.AppendColumns(col[:0], ends[:], height, gaps)
 		want := referenceColumn(ref, p, height)
 		if len(col) != len(want) {
 			t.Fatalf("seed %d p=%v t=%d column %d: %d successes, reference %d", seed, p, height, c, len(col), len(want))

@@ -8,3 +8,12 @@ func LogKernelOff() (restore func()) {
 	useLogKernel = false
 	return func() { useLogKernel = prev }
 }
+
+// WalkKernelOff makes UniformBlock.AppendColumns walk every lane in Go, the
+// path of CPUs without AVX2, until restore is called. It is not safe to use
+// while other tests walk columns.
+func WalkKernelOff() (restore func()) {
+	prev := useWalkKernel
+	useWalkKernel = false
+	return func() { useWalkKernel = prev }
+}

@@ -10,10 +10,16 @@ import (
 
 // TestGenerateIntoSameWithoutLogKernel: the Retail/8 and Bms1/4 null
 // replicates of BenchmarkIndependentGenerateInto have the same columns and
-// leave the RNG in the same place whether UniformBlock.fill takes its logs
-// from the AVX2 kernel or from the fastLog loop. On a CPU without the
-// kernel both runs take the loop.
+// leave the RNG in the same place under all four combinations of
+// UniformBlock.fill's logs (AVX2 kernel or fastLog loop) and
+// AppendColumns's walk (AVX2 kernel or Go walk). On a CPU without the
+// kernels every run takes the Go paths.
 func TestGenerateIntoSameWithoutLogKernel(t *testing.T) {
+	type path struct {
+		name      string
+		log, walk bool
+	}
+	paths := []path{{"log+walk kernels", true, true}, {"log kernel", true, false}, {"walk kernel", false, true}, {"no kernel", false, false}}
 	for _, c := range []struct {
 		name string
 		m    randmodel.IndependentModel
@@ -23,28 +29,43 @@ func TestGenerateIntoSameWithoutLogKernel(t *testing.T) {
 	} {
 		m := c.m.Prepare()
 		for seed := uint64(0); seed < 8; seed++ {
-			on, off := &dataset.Vertical{}, &dataset.Vertical{}
-			ron, roff := stats.NewRNG(seed), stats.NewRNG(seed)
-			m.GenerateInto(ron, on)
-			restore := stats.LogKernelOff()
-			m.GenerateInto(roff, off)
-			restore()
-			if len(on.Tids) != len(off.Tids) {
-				t.Fatalf("%s seed %d: %d columns with the kernel, %d without", c.name, seed, len(on.Tids), len(off.Tids))
-			}
-			for i := range on.Tids {
-				a, b := on.Tids[i], off.Tids[i]
-				if len(a) != len(b) {
-					t.Fatalf("%s seed %d: column %d has %d tids with the kernel, %d without", c.name, seed, i, len(a), len(b))
+			var want *dataset.Vertical
+			var wantNext uint64
+			for _, p := range paths {
+				v, r := &dataset.Vertical{}, stats.NewRNG(seed)
+				var restore []func()
+				if !p.log {
+					restore = append(restore, stats.LogKernelOff())
 				}
-				for j := range a {
-					if a[j] != b[j] {
-						t.Fatalf("%s seed %d: column %d tid %d is %d with the kernel, %d without", c.name, seed, i, j, a[j], b[j])
+				if !p.walk {
+					restore = append(restore, stats.WalkKernelOff())
+				}
+				m.GenerateInto(r, v)
+				for _, f := range restore {
+					f()
+				}
+				next := r.Uint64()
+				if want == nil {
+					want, wantNext = v, next
+					continue
+				}
+				if len(v.Tids) != len(want.Tids) {
+					t.Fatalf("%s seed %d: %d columns with the %s, %d with the %s", c.name, seed, len(v.Tids), p.name, len(want.Tids), paths[0].name)
+				}
+				for i := range v.Tids {
+					a, b := v.Tids[i], want.Tids[i]
+					if len(a) != len(b) {
+						t.Fatalf("%s seed %d: column %d has %d tids with the %s, %d with the %s", c.name, seed, i, len(a), p.name, len(b), paths[0].name)
+					}
+					for j := range a {
+						if a[j] != b[j] {
+							t.Fatalf("%s seed %d: column %d tid %d is %d with the %s, %d with the %s", c.name, seed, i, j, a[j], p.name, b[j], paths[0].name)
+						}
 					}
 				}
-			}
-			if ron.Uint64() != roff.Uint64() {
-				t.Fatalf("%s seed %d: the RNG stands elsewhere with the kernel than without", c.name, seed)
+				if next != wantNext {
+					t.Fatalf("%s seed %d: the RNG stands elsewhere with the %s than with the %s", c.name, seed, p.name, paths[0].name)
+				}
 			}
 		}
 	}

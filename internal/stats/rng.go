@@ -8,10 +8,13 @@
 // checks the tests compare against.
 //
 // Everything in this package is implemented from scratch on top of the Go
-// standard library (math and math/bits). One piece is assembly: on amd64
-// CPUs with AVX2, found by CPUID/XGETBV at start-up, UniformBlock computes
-// its table logs with an AVX2 kernel (fastlog_amd64.s) that gives the same
-// bits as the Go loop every other CPU runs.
+// standard library (math and math/bits). Two pieces are assembly, chosen
+// on amd64 CPUs with AVX2, found by CPUID/XGETBV at start-up: UniformBlock
+// computes its table logs with one AVX2 kernel (fastlog_amd64.s) that gives
+// the same bits as the Go loop every other CPU runs, and walks the null
+// model's columns with another (walk_amd64.s) that certifies, places and
+// stores four geometric gaps per step, leaving to the Go walk the lanes it
+// cannot certify; both walks place exactly the reference gaps.
 //
 // The distributions expose exact upper tails (survival functions) because
 // the paper's procedures compute p-values of the form Pr(Bin(t,f) >= s)

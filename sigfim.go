@@ -212,8 +212,14 @@ func (ds *Dataset) SwapTwin(seed uint64) *Dataset {
 // by the profile. A frequency at or below 0, or NaN, gives an item that
 // never occurs; one at or above 1 gives an item in every transaction. A
 // negative transaction count gives a dataset with no transactions.
+// Transaction ids are uint32, so a profile has at most 2^32 transactions:
+// GenerateRandom panics on a larger count, with the error
+// randmodel.IndependentModel.Validate returns for it.
 func GenerateRandom(p Profile, seed uint64) *Dataset {
 	m := randmodel.IndependentModel{T: max(p.NumTransactions, 0), Freqs: p.Freqs}
+	if uint64(m.T) > randmodel.MaxTransactions {
+		panic(m.Validate())
+	}
 	return fromVertical(m.Generate(stats.NewRNG(seed)))
 }
 

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"sigfim/internal/randmodel"
 )
 
 func toyDataset(t *testing.T) *Dataset {
@@ -163,6 +165,34 @@ func TestGenerateRandomOutOfRangeFrequencies(t *testing.T) {
 			t.Errorf("item %d support %d, want %d", item, got, want)
 		}
 	}
+}
+
+// TestTidRangeBound: a null model of more than 2^32 transactions once
+// passed validation and then wrapped its tids past 2^32 onto earlier ones,
+// breaking a column's strictly increasing order. Validate rejects it and
+// GenerateRandom refuses it with Validate's message, before drawing; 2^32
+// itself is accepted.
+func TestTidRangeBound(t *testing.T) {
+	one := uint64(1)
+	limit, over := int(one<<32), int(one<<32+1)
+	if uint64(over) != one<<32+1 {
+		t.Skip("int is 32 bits: no count can pass the tid range")
+	}
+	if err := (randmodel.IndependentModel{T: limit, Freqs: []float64{2e-9}}).Validate(); err != nil {
+		t.Fatalf("T = 2^32 rejected: %v", err)
+	}
+	err := (randmodel.IndependentModel{T: over, Freqs: []float64{2e-9}}).Validate()
+	if err == nil {
+		t.Fatal("T = 2^32+1 accepted")
+	}
+	defer func() {
+		got, ok := recover().(error)
+		if !ok || got.Error() != err.Error() {
+			t.Fatalf("GenerateRandom(T = 2^32+1) panicked with %v, want %q", got, err)
+		}
+	}()
+	GenerateRandom(Profile{NumTransactions: over, Freqs: []float64{2e-9}}, 3)
+	t.Fatal("GenerateRandom(T = 2^32+1) returned")
 }
 
 // TestGenerateRandomNegativeTransactionCount: a negative count once

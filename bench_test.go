@@ -133,7 +133,7 @@ func BenchmarkTable5Power(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					rep, err = d.Significant(k, &Config{
 						Delta: benchDelta, Seed: benchSeed,
-						WithBaseline: true, MaxPatterns: 1,
+						Correction: CorrectionBY, MaxPatterns: 1,
 					})
 					if err != nil {
 						b.Fatal(err)

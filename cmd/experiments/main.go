@@ -5,7 +5,7 @@
 //
 //	experiments -table N [-scale F] [-delta D] [-k list] [-datasets list]
 //	            [-trials T] [-seed S] [-workers W] [-verbose]
-//	            [-null independence|swap] [-swap-ppo 8] [-swap-proposals N]
+//	            [-null independence|swap] [-swap-ppo 8]
 //	            [-correction by|bonferroni|holm|westfall-young]
 //
 // Table 1 prints the benchmark profile parameters; Table 2 runs Algorithm 1
@@ -20,7 +20,7 @@
 // roughly in proportion; the qualitative pattern is preserved.
 //
 // -correction picks the multiple-testing correction Procedure 1 uses in
-// Table 5 (default: the paper's Benjamini–Yekutieli step-up). The
+// Table 5 (default by, the paper's Benjamini–Yekutieli step-up). The
 // Westfall–Young mode resamples per-replicate min-p statistics on the same
 // Monte Carlo replicates, so Table 5 then shows the power the resampling
 // correction buys over the analytic ones.
@@ -47,16 +47,15 @@ import (
 // app carries one invocation's settings and output sink; run() builds it
 // from the flags, so run is reentrant (no mutable package state).
 type app struct {
-	seed          uint64
-	delta         int
-	trials        int
-	workers       int
-	verbose       bool
-	correction    string
-	swapNull      bool
-	swapPPO       int
-	swapProposals int
-	out           io.Writer
+	seed       uint64
+	delta      int
+	trials     int
+	workers    int
+	verbose    bool
+	correction string
+	swapNull   bool
+	swapPPO    int
+	out        io.Writer
 }
 
 // profile is one selected benchmark profile at its scale: Tables 1, 2 and
@@ -75,7 +74,6 @@ func (a *app) nullFor(name string, v *dataset.Vertical) randmodel.Model {
 		return &randmodel.SwapModel{
 			Base:                   v.Horizontal(),
 			ProposalsPerOccurrence: a.swapPPO,
-			Proposals:              a.swapProposals,
 		}
 	}
 	return randmodel.FromProfile(dataset.ExtractVertical(name, v))
@@ -86,7 +84,7 @@ func (a *app) nullFor(name string, v *dataset.Vertical) randmodel.Model {
 func (a *app) config(correction string) *sigfim.Config {
 	return &sigfim.Config{
 		Delta: a.delta, Seed: a.seed, Workers: a.workers, Correction: correction,
-		SwapNull: a.swapNull, SwapProposalsPerOccurrence: a.swapPPO, SwapProposals: a.swapProposals,
+		SwapNull: a.swapNull, SwapProposalsPerOccurrence: a.swapPPO,
 	}
 }
 
@@ -110,9 +108,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("verbose", false, "print per-step diagnostics")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all CPUs, 1 = serial)")
 	null := fs.String("null", "independence", "null model for tables 2-5: independence|swap")
-	correction := fs.String("correction", "", "Procedure 1 correction for table 5: by|bonferroni|holm|westfall-young (\"\" = by)")
+	correction := fs.String("correction", sigfim.CorrectionBY, "Procedure 1 correction for table 5: by|bonferroni|holm|westfall-young")
 	swapPPO := fs.Int("swap-ppo", 0, "swap null: proposals per matrix occurrence per replicate (0 = 8)")
-	swapProposals := fs.Int("swap-proposals", 0, "swap null: absolute proposals per replicate (overrides -swap-ppo)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -134,6 +131,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	corr, err := sigfim.ParseCorrection(*correction)
+	if err == nil && corr == "" {
+		err = fmt.Errorf("-correction must name a correction for table 5")
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return 2
@@ -154,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	a := &app{
 		seed: *seed, delta: *delta, trials: *trials, workers: *workers,
 		verbose: *verbose, correction: corr, out: stdout,
-		swapNull: swapNull, swapPPO: *swapPPO, swapProposals: *swapProposals,
+		swapNull: swapNull, swapPPO: *swapPPO,
 	}
 	want := func(n int) bool { return *table == 0 || *table == n }
 	if want(1) {

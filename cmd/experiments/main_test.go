@@ -26,6 +26,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown dataset", []string{"-datasets", "NoSuchProfile"}, 2, "unknown dataset", ""},
 		{"bad table", []string{"-table", "9"}, 2, "-table must be 0-5", ""},
 		{"negative scale", []string{"-scale=-2"}, 2, "-scale must be >= 0", ""},
+		{"empty correction", []string{"-correction", " "}, 2, "-correction must name a correction", ""},
+		{"removed swap-proposals flag", []string{"-swap-proposals", "9"}, 2, "flag provided but not defined", ""},
 		{"table1 ok", []string{"-table", "1", "-datasets", "Bms1", "-scale", "64"}, 0, "", "== Table 1"},
 	}
 	for _, tc := range cases {

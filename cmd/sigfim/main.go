@@ -14,20 +14,20 @@
 //	    threshold is defined against the paper's independence null; use
 //	    "significant -null swap" for a swap-null analysis.)
 //	sigfim significant -in data.dat -k 2 [-alpha 0.05] [-beta 0.05]
-//	    [-delta 1000] [-baseline] [-correction by|bonferroni|holm|westfall-young]
+//	    [-delta 1000] [-correction by|bonferroni|holm|westfall-young]
 //	    [-workers N] [-top 50]
-//	    [-null independence|swap] [-swap-ppo 8] [-swap-proposals N]
+//	    [-null independence|swap] [-swap-ppo 8]
 //	    [-workers-remote URL,URL]
 //	    The full methodology: ŝ_min, the threshold ladder, s*, and the
 //	    significant family with its FDR certificate. -null swap replaces the
 //	    independence null with margin-preserving swap randomization;
 //	    -swap-ppo sets the per-replicate burn-in in proposals per matrix
-//	    occurrence, -swap-proposals overrides it with an absolute count.
-//	    -correction picks the baseline's multiple-testing correction (and
-//	    implies -baseline): by is the paper's Benjamini-Yekutieli default,
-//	    westfall-young calibrates against the replicate min-p distribution
-//	    collected from the same Monte Carlo replicates (see the README's
-//	    "Multiple testing corrections").
+//	    occurrence. -correction also runs the per-itemset baseline
+//	    (Procedure 1) under that multiple-testing correction: by is the
+//	    paper's Benjamini-Yekutieli procedure, westfall-young calibrates
+//	    against the replicate min-p distribution collected from the same
+//	    Monte Carlo replicates (see the README's "Multiple testing
+//	    corrections"). Without -correction no baseline runs.
 //	    -workers-remote shards the Monte Carlo replicates across running
 //	    sigfimd instances that have the same dataset registered (matched by
 //	    content hash); the result is bit-identical to a local run.
@@ -261,14 +261,12 @@ func cmdSignificant(args []string, stdout, stderr io.Writer) error {
 	beta := fs.Float64("beta", 0.05, "FDR budget")
 	delta := fs.Int("delta", 1000, "Monte Carlo replicates")
 	seed := fs.Uint64("seed", 1, "random seed")
-	baseline := fs.Bool("baseline", false, "also run the per-itemset baseline (Procedure 1)")
-	correction := fs.String("correction", "", "baseline correction: by|bonferroni|holm|westfall-young (implies -baseline; \"\" = by)")
+	correction := fs.String("correction", "", "also run the per-itemset baseline (Procedure 1) under this correction: by|bonferroni|holm|westfall-young (\"\" = no baseline)")
 	top := fs.Int("top", 50, "print at most this many itemsets (0 = all)")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all CPUs, 1 = serial)")
 	algo := fs.String("algo", "auto", "accepted and ignored: every analysis mines with auto (an unknown name is still an error)")
 	null := fs.String("null", "independence", "null model: independence|swap")
 	swapPPO := fs.Int("swap-ppo", 0, "swap null: proposals per matrix occurrence per replicate (0 = 8)")
-	swapProposals := fs.Int("swap-proposals", 0, "swap null: absolute proposals per replicate (overrides -swap-ppo)")
 	remotePool := remoteFlags(fs)
 	if err := parse(fs, args); err != nil {
 		return err
@@ -287,8 +285,8 @@ func cmdSignificant(args []string, stdout, stderr io.Writer) error {
 	}
 	rep, err := d.Significant(*k, &sigfim.Config{
 		Alpha: *alpha, Beta: *beta, Delta: *delta, Seed: *seed,
-		WithBaseline: *baseline, Correction: *correction, Workers: *workers, Algorithm: *algo,
-		SwapNull: swap, SwapProposalsPerOccurrence: *swapPPO, SwapProposals: *swapProposals,
+		Correction: *correction, Workers: *workers, Algorithm: *algo,
+		SwapNull: swap, SwapProposalsPerOccurrence: *swapPPO,
 		RemotePool: pool,
 	})
 	if err != nil {

@@ -104,7 +104,7 @@ func TestDistributedSignificantBitIdentity(t *testing.T) {
 		cfg  func() *sigfim.Config
 	}{
 		{"independence", func() *sigfim.Config {
-			return &sigfim.Config{Delta: 120, Seed: 9, WithBaseline: true}
+			return &sigfim.Config{Delta: 120, Seed: 9, Correction: sigfim.CorrectionBY}
 		}},
 		{"swap", func() *sigfim.Config {
 			return &sigfim.Config{Delta: 60, Seed: 9, SwapNull: true}
@@ -267,7 +267,7 @@ func TestFindSMinMatchesSignificant(t *testing.T) {
 // through the identical code path) without changing a byte of the report.
 func TestDistributedWorkerFailure(t *testing.T) {
 	d := goldenDataset(t)
-	local, err := d.Significant(2, &sigfim.Config{Delta: 120, Seed: 9, WithBaseline: true})
+	local, err := d.Significant(2, &sigfim.Config{Delta: 120, Seed: 9, Correction: sigfim.CorrectionBY})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestDistributedWorkerFailure(t *testing.T) {
 	for name, pool := range pools {
 		t.Run(name, func(t *testing.T) {
 			dist, err := d.Significant(2, &sigfim.Config{
-				Delta: 120, Seed: 9, WithBaseline: true,
+				Delta: 120, Seed: 9, Correction: sigfim.CorrectionBY,
 				RemotePool: testPool(t, pool, sigfim.WorkerPoolOptions{}),
 			})
 			if err != nil {
@@ -403,10 +403,9 @@ func testPool(t *testing.T, urls []string, opts sigfim.WorkerPoolOptions) *sigfi
 // outcomes can eject the worker before every class was injected.
 func chaosPool(t *testing.T, chaos string) *sigfim.WorkerPool {
 	t.Helper()
-	return testPool(t, []string{chaos}, sigfim.PinRangeSize(sigfim.WorkerPoolOptions{
-		Timeout:    500 * time.Millisecond,
-		EjectAfter: len(chaosSchedule),
-	}, 3))
+	return testPool(t, []string{chaos}, sigfim.PinRangeSize(sigfim.EjectAfter(sigfim.WorkerPoolOptions{
+		Timeout: 500 * time.Millisecond,
+	}, len(chaosSchedule)), 3))
 }
 
 // chaosWorker proxies /v1/partials to target, applying the schedule one
@@ -535,7 +534,7 @@ func TestDistributedChaosBitIdentity(t *testing.T) {
 		cfg  func() *sigfim.Config
 	}{
 		{"independence", func() *sigfim.Config {
-			return &sigfim.Config{Delta: 120, Seed: 9, WithBaseline: true}
+			return &sigfim.Config{Delta: 120, Seed: 9, Correction: sigfim.CorrectionBY}
 		}},
 		{"swap", func() *sigfim.Config {
 			return &sigfim.Config{Delta: 60, Seed: 9, SwapNull: true}
@@ -610,7 +609,7 @@ func hungWorker(t *testing.T) string {
 // TestHungWorkerCannotStallJob is the acceptance criterion for the deadline:
 // with a hung worker in the pool and a short per-range timeout, the job must
 // finish promptly (every range that lands on the hung worker times out, is
-// retried on the live one, and the hung worker is ejected after EjectAfter
+// retried on the live one, and the hung worker is ejected after two
 // consecutive timeouts) with a byte-identical report.
 func TestHungWorkerCannotStallJob(t *testing.T) {
 	d := goldenDataset(t)
@@ -622,10 +621,9 @@ func TestHungWorkerCannotStallJob(t *testing.T) {
 
 	hung := hungWorker(t)
 	live := startWorkers(t, 1)
-	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.PinRangeSize(sigfim.WorkerPoolOptions{
-		Timeout:    300 * time.Millisecond,
-		EjectAfter: 2,
-	}, 10))
+	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.PinRangeSize(sigfim.EjectAfter(sigfim.WorkerPoolOptions{
+		Timeout: 300 * time.Millisecond,
+	}, 2), 10))
 	defer pool.Close()
 
 	start := time.Now()
@@ -675,11 +673,13 @@ func TestHedgedDispatch(t *testing.T) {
 
 	hung := hungWorker(t)
 	live := startWorkers(t, 1)
-	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.PinRangeSize(sigfim.WorkerPoolOptions{
-		Timeout:    10 * time.Second, // deadline alone would be slow; hedging wins first
-		EjectAfter: 1000,             // keep the hung worker in rotation so hedges keep firing
+	// The deadline alone would be slow, so hedging wins first; the hung
+	// worker stays in rotation (ejected only after 1000 failures) so hedges
+	// keep firing.
+	pool := sigfim.NewWorkerPool([]string{hung, live[0]}, sigfim.PinRangeSize(sigfim.EjectAfter(sigfim.WorkerPoolOptions{
+		Timeout:    10 * time.Second,
 		HedgeDelay: 50 * time.Millisecond,
-	}, 10))
+	}, 1000), 10))
 	defer pool.Close()
 
 	dist, err := d.Significant(2, &sigfim.Config{Delta: 120, Seed: 9, RemotePool: pool})

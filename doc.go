@@ -42,11 +42,12 @@
 // job with it at submission, so the service refuses (400, with the same
 // message) exactly the configurations the library rejects, and a bad one
 // never costs a replicate. Budgets must lie in [0, 1) and counts must be
-// >= 0, with 0 selecting the default and NaN an error; the algorithm and
-// correction must be known names; FindSMin refuses SwapNull; and a swap
-// chain's length must fit an int. The resolved Config has every default
-// filled, the baseline settled (a Correction implies it), and what the
-// analysis ignores zeroed; sigfimd keys its result cache on it.
+// >= 0, with 0 selecting the default and NaN an error; Delta must not
+// exceed 1<<20; the algorithm and correction must be known names; FindSMin
+// refuses SwapNull; and a swap chain's length must fit an int. The
+// resolved Config has every default filled, the correction normalized (""
+// exactly when no baseline runs), and what the analysis ignores zeroed;
+// sigfimd keys its result cache on it.
 //
 // # Architecture: paper concepts to packages
 //
@@ -60,7 +61,7 @@
 // along with the alternative swap-randomization null (*SwapModel) that
 // additionally preserves transaction lengths. Exported as
 // Dataset.RandomTwin, Dataset.SwapTwin, GenerateRandom, and — for the
-// significance pipeline — Config.SwapNull with its chain-length knobs
+// significance pipeline — Config.SwapNull with its chain length
 // (see "Null models" below).
 //
 // Poisson regime search, s_min (Algorithm 1). Above a threshold s_min the
@@ -84,25 +85,26 @@
 // Per-itemset baseline (Procedure 1). A multiple-testing correction over
 // individual itemset p-values, implemented in internal/mht and driven by
 // internal/core; the power ratio r = Q_{k,s*}/|R| is the paper's Table 5
-// comparison. Exported via Config.WithBaseline and Report.Baseline.
+// comparison. Exported via Config.Correction, which runs the baseline when
+// it names a correction, and Report.Baseline.
 //
 // Statistics layer. The correction itself is pluggable (Config.Correction;
-// the Correction* constants; setting it implies WithBaseline). internal/mht
-// is the pure statistics layer — selection and adjusted-p functions over
-// sorted p-value slices, no mining types — and internal/core.Procedure1Ex
-// dispatches on the chosen mode: the paper's Benjamini-Yekutieli step-up
-// (FDR, the default), Bonferroni and Holm adjusted p-values (FWER), or the
-// Westfall-Young min-p resampling adjustment (FWER learned from the joint
-// null distribution rather than bounded analytically). Westfall-Young rides
-// the replicate engine: under montecarlo.Config.CollectMinPs each Monte
-// Carlo replicate also records the minimum p-value over its own mined
-// k-itemsets, the per-replicate minima travel inside the fabric's partials
-// (so the correction shards across remote workers bit-identically), and
-// mht.WestfallYoung turns observed p-values plus the Delta null minima into
-// step-down monotone adjusted p-values. Every correction rejects a prefix
-// of the sorted p-values with ties kept together, so all four modes share
-// Procedure 1's threshold and family-size machinery, and since FWER control
-// implies FDR control each slots into the same beta budget. The report's
+// the Correction* constants). internal/mht is the pure statistics layer —
+// selection and adjusted-p functions over sorted p-value slices, no mining
+// types — and internal/core.Procedure1Ex dispatches on the chosen mode: the
+// paper's Benjamini-Yekutieli step-up (FDR), Bonferroni and Holm adjusted
+// p-values (FWER), or the Westfall-Young min-p resampling adjustment (FWER
+// learned from the joint null distribution rather than bounded
+// analytically). Westfall-Young rides the replicate engine: under
+// montecarlo.Config.CollectMinPs each Monte Carlo replicate also records
+// the minimum p-value over its own mined k-itemsets, the per-replicate
+// minima travel inside the fabric's partials (so the correction shards
+// across remote workers bit-identically), and mht.WestfallYoung turns
+// observed p-values plus the Delta null minima into step-down monotone
+// adjusted p-values. Every correction rejects a prefix of the sorted
+// p-values with ties kept together, so all four modes share Procedure 1's
+// threshold and family-size machinery, and since FWER control implies FDR
+// control each slots into the same beta budget. The report's
 // Baseline.Correction field records which mode produced the family.
 //
 // Mining engine. internal/mining implements the miners — Eclat over sorted
@@ -263,9 +265,8 @@
 // the chain from the observed dataset, so replicates are independent):
 // Config.SwapProposalsPerOccurrence sets it relative to the number of ones
 // in the transaction matrix (default 8; Gionis et al. report mixing after a
-// small constant), and Config.SwapProposals, when positive, fixes the
-// absolute per-replicate proposal count instead. Negative values of either
-// are an error.
+// small constant). It is the chain's only length setting; a negative value
+// is an error.
 //
 // The chain state is one item per occurrence slot. Occurrences are
 // enumerated in (transaction, ascending item) order, so transaction t owns
@@ -293,10 +294,10 @@
 // Significant report.
 //
 // The sigfimd result cache keys a job on its resolved Config (see
-// Configuration), which carries only the chain knob the null reads: none
-// under the independence null, and under the swap null either the absolute
-// SwapProposals or the per-occurrence length with its default of 8 filled
-// in. Stray chain knobs therefore never split the cache.
+// Configuration), which carries the chain length only where the null reads
+// it: not under the independence null, and under the swap null with its
+// default of 8 filled in. A stray chain length therefore never splits the
+// cache.
 //
 // # Parallelism and determinism
 //

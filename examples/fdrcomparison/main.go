@@ -41,9 +41,9 @@ func main() {
 
 	for k := 2; k <= 4; k++ {
 		report, err := d.Significant(k, &sigfim.Config{
-			Delta:        *delta,
-			Seed:         11,
-			WithBaseline: true,
+			Delta:      *delta,
+			Seed:       11,
+			Correction: sigfim.CorrectionBY,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -92,7 +92,7 @@ power. Ratios above 1 are exactly the paper's Table 5 phenomenon.`)
 		log.Fatal(err)
 	}
 	d2 := demo.Real(3)
-	rep, err := d2.Significant(2, &sigfim.Config{Delta: 150, Seed: 11, WithBaseline: true})
+	rep, err := d2.Significant(2, &sigfim.Config{Delta: 150, Seed: 11, Correction: sigfim.CorrectionBY})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func TestHedgeLossLatencyRecorded(t *testing.T) {
 	live := partialEcho(t, func(rp *RangePartial) any { return rp })
 	defer live.Close()
 
-	pool := NewWorkerPool([]string{hung.URL, live.URL}, WorkerPoolOptions{EjectAfter: 1000})
+	pool := NewWorkerPool([]string{hung.URL, live.URL}, WorkerPoolOptions{ejectAfter: 1000})
 	defer pool.Close()
 	f := &remoteFabric{pool: pool, hc: pool.client(), retries: 2, hedgeDelay: 20 * time.Millisecond}
 
@@ -196,7 +196,7 @@ func TestHedgeNotDoubleCounted(t *testing.T) {
 	live := partialEcho(t, func(rp *RangePartial) any { return rp })
 	defer live.Close()
 
-	pool := NewWorkerPool([]string{hung.URL, failing.URL, live.URL}, WorkerPoolOptions{EjectAfter: 1000})
+	pool := NewWorkerPool([]string{hung.URL, failing.URL, live.URL}, WorkerPoolOptions{ejectAfter: 1000})
 	defer pool.Close()
 	f := &remoteFabric{pool: pool, hc: pool.client(), retries: 3, hedgeDelay: 20 * time.Millisecond}
 

@@ -51,7 +51,7 @@ func goldenTransactions() [][]uint32 {
 }
 
 func goldenConfig() *Config {
-	return &Config{Delta: 120, Seed: 9, WithBaseline: true}
+	return &Config{Delta: 120, Seed: 9, Correction: CorrectionBY}
 }
 
 func TestGoldenSignificantReport(t *testing.T) {

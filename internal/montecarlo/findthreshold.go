@@ -54,8 +54,6 @@ type Config struct {
 	// records; the estimator fails rather than exhaust memory when the
 	// mining floor would collect more. Zero means 50 million.
 	MaxEntries int
-	// MaxHalvings bounds the s-tilde halving loop. Zero means 20.
-	MaxHalvings int
 	// Workers bounds the total mining parallelism. Zero means GOMAXPROCS.
 	// Workers are split between replicate-level and intra-mine parallelism:
 	// up to Delta goroutines each mine one replicate (replicates are
@@ -104,12 +102,12 @@ type Config struct {
 	CollectMinPs bool
 }
 
+// maxHalvings bounds the s-tilde halving loop.
+const maxHalvings = 20
+
 func (c Config) withDefaults() Config {
 	if c.MaxEntries == 0 {
 		c.MaxEntries = 50_000_000
-	}
-	if c.MaxHalvings == 0 {
-		c.MaxHalvings = 20
 	}
 	return c
 }
@@ -398,8 +396,8 @@ func FindPoissonThresholdCtx(ctx context.Context, m randmodel.Model, cfg Config)
 	epsQuarter := cfg.Epsilon / 4
 
 	for halving := 0; ; halving++ {
-		if halving > cfg.MaxHalvings {
-			return nil, fmt.Errorf("montecarlo: exceeded %d s-tilde halvings", cfg.MaxHalvings)
+		if halving > maxHalvings {
+			return nil, fmt.Errorf("montecarlo: exceeded %d s-tilde halvings", maxHalvings)
 		}
 		floor := floorOf(sTilde)
 		hctx, hsp := trace.Start(ctx, "montecarlo.halving",

@@ -224,7 +224,7 @@ func TestSampleQPoissonAboveSMin(t *testing.T) {
 // and counted afresh each time at the same seed, under both null models.
 func TestSampleQPooledMatchesFresh(t *testing.T) {
 	indep := randmodel.IndependentModel{T: 400, Freqs: []float64{0.3, 0.05, 0.2, 0.15, 0.35, 0.1, 0.25, 0.02}}
-	swap := &randmodel.SwapModel{Base: indep.Generate(stats.NewRNG(5)).Horizontal(), Proposals: 600}
+	swap := &randmodel.SwapModel{Base: indep.Generate(stats.NewRNG(5)).Horizontal(), ProposalsPerOccurrence: 1}
 	const k, s, reps, seed = 2, 12, 40, 77
 	for _, m := range []randmodel.Model{indep, swap} {
 		r := stats.NewRNG(seed)

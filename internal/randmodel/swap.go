@@ -59,9 +59,6 @@ type SwapModel struct {
 	// ones in the matrix (DefaultProposalsPerOccurrence when zero): each
 	// replicate runs ProposalsPerOccurrence * |occurrences| proposals.
 	ProposalsPerOccurrence int
-	// Proposals, when positive, fixes the absolute number of proposals per
-	// replicate and overrides ProposalsPerOccurrence.
-	Proposals int
 
 	prepOnce sync.Once
 	prep     *swapBase
@@ -81,9 +78,6 @@ func (m *SwapModel) ItemFrequencies() []float64 { return m.Base.Frequencies() }
 // proposals returns the per-replicate chain length for occ occurrences,
 // saturated at math.MaxInt (CheckChainLength reports that case).
 func (m *SwapModel) proposals(occ int) int {
-	if m.Proposals > 0 {
-		return m.Proposals
-	}
 	return chainLength(m.proposalsPerOccurrence(), occ)
 }
 
@@ -101,9 +95,6 @@ func (m *SwapModel) proposalsPerOccurrence() int {
 // to a short (or empty) chain, but a chain that long never ends, so callers
 // that take the length from user input reject it up front.
 func (m *SwapModel) CheckChainLength() error {
-	if m.Proposals > 0 {
-		return nil
-	}
 	ppo, occ := m.proposalsPerOccurrence(), numOccurrences(m.Base)
 	if occ > 0 && ppo > math.MaxInt/occ {
 		return fmt.Errorf("swap chain length of %d proposals per occurrence over %d occurrences exceeds %d proposals", ppo, occ, math.MaxInt)

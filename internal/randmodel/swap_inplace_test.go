@@ -209,8 +209,7 @@ func TestSwapReplicateZeroAllocs(t *testing.T) {
 
 func TestSwapGenerateIntoMatchesGenerate(t *testing.T) {
 	// Small enough to cross-check many seeds exhaustively against the
-	// oracle, with a Proposals override in the mix so the absolute-length
-	// knob follows the same stream-identity contract.
+	// oracle, at the default chain length and two others.
 	d := dataset.MustNew(12, [][]uint32{
 		{0, 1, 2}, {1, 2, 3}, {3, 4, 5}, {0, 5, 6}, {6, 7},
 		{2, 7, 8}, {8, 9, 10}, {0, 9, 11}, {4, 10, 11}, {1, 6, 9},
@@ -218,7 +217,7 @@ func TestSwapGenerateIntoMatchesGenerate(t *testing.T) {
 	for _, m := range []*SwapModel{
 		{Base: d},
 		{Base: d, ProposalsPerOccurrence: 3},
-		{Base: d, Proposals: 137},
+		{Base: d, ProposalsPerOccurrence: 5},
 	} {
 		v := &dataset.Vertical{}
 		for seed := uint64(0); seed < 50; seed++ {
@@ -230,8 +229,8 @@ func TestSwapGenerateIntoMatchesGenerate(t *testing.T) {
 				}
 				for it := range want.Tids {
 					if !reflect.DeepEqual(append([]uint32{}, want.Tids[it]...), append([]uint32{}, got.Tids[it]...)) {
-						t.Fatalf("seed %d (ppo=%d proposals=%d): column %d differs between %s and the oracle",
-							seed, m.ProposalsPerOccurrence, m.Proposals, it, name)
+						t.Fatalf("seed %d (ppo=%d): column %d differs between %s and the oracle",
+							seed, m.ProposalsPerOccurrence, it, name)
 					}
 				}
 			}
@@ -241,7 +240,7 @@ func TestSwapGenerateIntoMatchesGenerate(t *testing.T) {
 
 func TestSwapGenerateIntoPreservesMargins(t *testing.T) {
 	d := swapGoldenBase()
-	m := &SwapModel{Base: d, Proposals: 20000}
+	m := &SwapModel{Base: d, ProposalsPerOccurrence: 2}
 	v := &dataset.Vertical{}
 	m.GenerateInto(stats.NewRNG(7), v)
 	wantSup := d.ItemSupports()
@@ -354,7 +353,7 @@ func TestSwapSignatureCoversItems(t *testing.T) {
 // TestSwapChainLengthSaturates: a per-occurrence chain length whose
 // product with the occurrence count overflows saturates at math.MaxInt
 // instead of wrapping (2^62 * 4 wraps to 0, an empty chain), and
-// CheckChainLength reports it; an absolute Proposals count is exempt.
+// CheckChainLength reports it.
 func TestSwapChainLengthSaturates(t *testing.T) {
 	d := dataset.MustNew(4, [][]uint32{{0, 1}, {2}, {3}})
 	const big = math.MaxInt/2 + 1
@@ -365,9 +364,9 @@ func TestSwapChainLengthSaturates(t *testing.T) {
 	if err := m.CheckChainLength(); err == nil {
 		t.Errorf("CheckChainLength accepted %d proposals per occurrence over 4 occurrences", big)
 	}
-	for _, ok := range []*SwapModel{{Base: d}, {Base: d, ProposalsPerOccurrence: math.MaxInt / 4}, {Base: d, ProposalsPerOccurrence: big, Proposals: 10}} {
+	for _, ok := range []*SwapModel{{Base: d}, {Base: d, ProposalsPerOccurrence: math.MaxInt / 4}} {
 		if err := ok.CheckChainLength(); err != nil {
-			t.Errorf("CheckChainLength(ppo=%d, proposals=%d): %v", ok.ProposalsPerOccurrence, ok.Proposals, err)
+			t.Errorf("CheckChainLength(ppo=%d): %v", ok.ProposalsPerOccurrence, err)
 		}
 	}
 	for _, c := range []struct{ ppo, occ, want int }{

@@ -1,6 +1,8 @@
 package service_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"net/http"
 	"strings"
@@ -13,7 +15,10 @@ import (
 // TestLibraryAndServiceAgreeOnConfigs: Significant and FindSMin error on a
 // configuration exactly when POST /v1/jobs answers 400 for the same kind,
 // and the 400 carries the library's message. NaN rows run against the
-// library only: JSON cannot carry NaN.
+// library only: JSON cannot carry NaN. Rows at the Delta cap would run a
+// million replicates when accepted, so the library runs them under a
+// context canceled before the call and an accepted job is canceled at
+// once.
 func TestLibraryAndServiceAgreeOnConfigs(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Workers: 1})
 	d, err := sigfim.OpenFIMI(goldenPath)
@@ -30,7 +35,13 @@ func TestLibraryAndServiceAgreeOnConfigs(t *testing.T) {
 		bad   bool
 	}{
 		{"defaults", sigfim.Config{}, both, false},
-		{"ignored swap knobs", sigfim.Config{SwapProposalsPerOccurrence: 5, SwapProposals: 9}, both, false},
+		{"ignored swap length", sigfim.Config{SwapProposalsPerOccurrence: 5}, both, false},
+		{"no correction", sigfim.Config{Correction: ""}, both, false},
+		{"by correction", sigfim.Config{Correction: "by"}, both, false},
+		{"spaced upper-case correction", sigfim.Config{Correction: " BY "}, both, false},
+		{"holm correction", sigfim.Config{Correction: "holm"}, both, false},
+		{"delta at the cap", sigfim.Config{Delta: 1 << 20}, both, false},
+		{"delta above the cap", sigfim.Config{Delta: 1<<20 + 1}, both, true},
 		{"alpha 1", sigfim.Config{Alpha: 1}, both, true},
 		{"alpha above 1", sigfim.Config{Alpha: 1.5}, both, true},
 		{"negative alpha", sigfim.Config{Alpha: -0.1}, both, true},
@@ -45,7 +56,6 @@ func TestLibraryAndServiceAgreeOnConfigs(t *testing.T) {
 		{"negative max patterns", sigfim.Config{MaxPatterns: -1}, both, true},
 		{"negative workers", sigfim.Config{Workers: -1}, both, true},
 		{"negative swap ppo", sigfim.Config{SwapNull: true, SwapProposalsPerOccurrence: -1}, sig, true},
-		{"negative swap proposals", sigfim.Config{SwapNull: true, SwapProposals: -7}, sig, true},
 		{"negative ignored swap ppo", sigfim.Config{SwapProposalsPerOccurrence: -1}, both, true},
 		{"unknown algorithm", sigfim.Config{Algorithm: "quantum"}, both, true},
 		{"unknown correction", sigfim.Config{Correction: "bh"}, both, true},
@@ -56,12 +66,21 @@ func TestLibraryAndServiceAgreeOnConfigs(t *testing.T) {
 		if cfg.Delta == 0 {
 			cfg.Delta = 20 // keeps an accepted row cheap
 		}
+		costly := cfg.Delta >= 1<<20
 		for _, kind := range c.kinds {
+			ctx, cancel := context.WithCancel(context.Background())
+			if costly {
+				cancel()
+			}
 			var libErr error
 			if kind == service.KindSMin {
-				_, libErr = d.FindSMin(2, &cfg)
+				_, libErr = d.FindSMinCtx(ctx, 2, &cfg)
 			} else {
-				_, libErr = d.Significant(2, &cfg)
+				_, libErr = d.SignificantCtx(ctx, 2, &cfg)
+			}
+			cancel()
+			if errors.Is(libErr, context.Canceled) {
+				libErr = nil
 			}
 			if (libErr != nil) != c.bad {
 				t.Errorf("%s, %s: library err = %v, want bad = %v", c.name, kind, libErr, c.bad)
@@ -70,6 +89,9 @@ func TestLibraryAndServiceAgreeOnConfigs(t *testing.T) {
 				continue
 			}
 			st, code := submit(t, ts, service.JobRequest{Dataset: "golden", Kind: kind, K: 2, Config: &cfg})
+			if costly && code == http.StatusAccepted {
+				doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil, nil)
+			}
 			if (code == http.StatusBadRequest) != (libErr != nil) {
 				t.Errorf("%s, %s: service answered %d (%q) but library err = %v", c.name, kind, code, st.Error, libErr)
 				continue
@@ -90,5 +112,30 @@ func TestUnknownDatasetBeforeBadConfig(t *testing.T) {
 		Config: &sigfim.Config{Alpha: 1.5}})
 	if code != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", code)
+	}
+}
+
+// TestRemovedConfigFieldsRejected: WithBaseline and SwapProposals are not
+// Config fields (Correction alone selects the baseline, and
+// SwapProposalsPerOccurrence alone sets the chain length), so a job
+// request naming either answers 400 with the field's name instead of
+// running another analysis than the one asked for.
+func TestRemovedConfigFieldsRejected(t *testing.T) {
+	srv, ts := newTestServer(t, service.Options{Workers: 1})
+	for field, config := range map[string]string{
+		"WithBaseline":  `{"WithBaseline":true}`,
+		"SwapProposals": `{"SwapNull":true,"SwapProposals":20000}`,
+	} {
+		body := `{"dataset":"golden","kind":"significant","k":2,"config":` + config + `}`
+		var e map[string]string
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body), &e); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", field, code)
+		}
+		if !strings.Contains(e["error"], field) {
+			t.Errorf("%s: error %q does not name the field", field, e["error"])
+		}
+	}
+	if n := srv.Engine().Counters().Submitted; n != 0 {
+		t.Errorf("%d jobs admitted, want 0", n)
 	}
 }

@@ -50,31 +50,34 @@ func otherFrac(v, def float64) float64 {
 // FuzzCacheKeyCanonical fuzzes the cache-key normal form, which keys a
 // statistical job on its Config as sigfim.ResolveConfig resolves it against
 // the job's dataset. From one fuzzed configuration it derives a second
-// request that spells every implicit default out explicitly and perturbs
-// every knob the analysis ignores (Workers and Algorithm always; alpha,
-// beta, baseline, correction and max patterns for smin jobs; swap knobs the
-// chosen null does not read), and asserts both requests land on the same
-// cache key; no accepted algorithm name may move it. Then it moves each
+// request that spells every implicit default out explicitly, changes the
+// correction's case and surrounding whitespace, and perturbs every knob the
+// analysis ignores (Workers and Algorithm always; alpha, beta, correction
+// and max patterns for smin jobs; the swap chain length under the
+// independence null), and asserts both requests land on the same cache
+// key; no accepted algorithm name may move it. Then it moves each
 // result-bearing field in turn, and the key must move with it: seed,
-// delta, epsilon, k, kind and the dataset hash always; alpha, beta, correction and max patterns for significant jobs;
-// and the swap knob the chosen null reads. A resolver that drifts from the
-// pipeline's defaults, leaks an ignored knob into the key (splitting cache
-// slots), or drops a relevant one (serving one analysis's bytes for
-// another) fails here.
+// delta, epsilon, k, kind and the dataset hash always; alpha, beta, the
+// correction (including turning the baseline on or off: "" against "by")
+// and max patterns for significant jobs; and the swap chain length under
+// the swap null. A resolver that drifts from the pipeline's defaults, leaks
+// an ignored knob into the key (splitting cache slots), or drops a relevant
+// one (serving one analysis's bytes for another) fails here.
 func FuzzCacheKeyCanonical(f *testing.F) {
-	f.Add(true, 2, 0.0, 0.0, 0.0, 0, uint64(9), false, 0, false, 0, 0, uint8(0), 3, "h1")
-	f.Add(true, 3, 0.1, 0.2, 0.05, 500, uint64(1), true, 50, true, 4, 0, uint8(1), 0, "h2")
-	f.Add(true, 1, 0.0, 0.0, 0.0, 0, uint64(0), false, 0, true, 0, 900, uint8(2), 8, "")
-	f.Add(false, 4, 0.9, 0.0, 0.5, 12, uint64(777), true, 3, false, 5, 6, uint8(3), 1, "deadbeef")
-	f.Add(true, 2, 0.0, 0.0, 0.0, 40, uint64(5), false, 0, false, 0, 0, uint8(16), 0, "h3")
-	f.Add(true, 2, 0.5, 0.5, 0.5, 40, uint64(5), true, 0, false, 0, 0, uint8(23), 0, "h4")
+	f.Add(true, 2, 0.0, 0.0, 0.0, 0, uint64(9), 0, false, 0, uint8(0), 3, "h1")
+	f.Add(true, 3, 0.1, 0.2, 0.05, 500, uint64(1), 50, true, 4, uint8(6), 0, "h2")
+	f.Add(true, 1, 0.0, 0.0, 0.0, 0, uint64(0), 0, true, 0, uint8(2), 8, "")
+	f.Add(false, 4, 0.9, 0.0, 0.5, 12, uint64(777), 3, false, 5, uint8(3), 1, "deadbeef")
+	f.Add(true, 2, 0.0, 0.0, 0.0, 40, uint64(5), 0, false, 0, uint8(16), 0, "h3")
+	f.Add(true, 2, 0.5, 0.5, 0.5, 40, uint64(5), 0, false, 0, uint8(23), 0, "h4")
+	f.Add(true, 2, 0.0, 0.0, 0.0, 40, uint64(5), 0, true, 3, uint8(5), 0, "h5")
 	ds, err := sigfim.ReadFIMI(strings.NewReader(fuzzPartialData))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, significant bool, k int,
 		alpha, beta, epsilon float64, delta int, seed uint64,
-		baseline bool, maxPatterns int, swapNull bool, swapPPO, swapProposals int,
+		maxPatterns int, swapNull bool, swapPPO int,
 		sel uint8, workersB int, hash string) {
 
 		kind := KindSMin
@@ -88,14 +91,12 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 			Alpha:                      clampFrac(alpha),
 			Beta:                       clampFrac(beta),
 			Epsilon:                    clampFrac(epsilon),
-			Delta:                      clampNonNeg(delta),
+			Delta:                      clampNonNeg(delta) % (1 << 20), // below the resolver's cap
 			Seed:                       seed,
-			WithBaseline:               baseline,
 			Correction:                 corrections[int(sel)/len(algos)%len(corrections)],
 			MaxPatterns:                clampNonNeg(maxPatterns),
 			SwapNull:                   significant && swapNull, // smin jobs reject SwapNull
 			SwapProposalsPerOccurrence: clampNonNeg(swapPPO),
-			SwapProposals:              clampNonNeg(swapProposals),
 			Algorithm:                  algos[int(sel)%len(algos)],
 		}
 		k = max(1, clampNonNeg(k))
@@ -122,41 +123,25 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 			if bcfg.MaxPatterns == 0 {
 				bcfg.MaxPatterns = 100000
 			}
-			switch {
-			case bcfg.Correction != "":
-				// A correction implies the baseline, and its name is
-				// case-normalized.
-				bcfg.WithBaseline = true
-				bcfg.Correction = strings.ToUpper(bcfg.Correction)
-			case bcfg.WithBaseline:
-				bcfg.Correction = sigfim.CorrectionBY
-			}
+			// A correction's name is matched after trimming and
+			// lowercasing, and a blank one runs no baseline, like "".
+			bcfg.Correction = " " + strings.ToUpper(bcfg.Correction) + "\t"
 			switch {
 			case !bcfg.SwapNull:
-				// Independence null: the swap chain knobs cannot matter.
+				// Independence null: the swap chain length cannot matter.
 				bcfg.SwapProposalsPerOccurrence = clampNonNeg(swapPPO) + 3
-				bcfg.SwapProposals = clampNonNeg(swapProposals) + 7
-			case bcfg.SwapProposals > 0:
-				// An absolute chain length overrides the per-occurrence
-				// knob, so the latter cannot matter.
-				bcfg.SwapProposalsPerOccurrence = clampNonNeg(swapPPO) + 3
-			default:
-				// Per-occurrence path: spelling out the default of 8 must
-				// not split the slot.
-				if bcfg.SwapProposalsPerOccurrence == 0 {
-					bcfg.SwapProposalsPerOccurrence = 8
-				}
+			case bcfg.SwapProposalsPerOccurrence == 0:
+				// Spelling out the default of 8 must not split the slot.
+				bcfg.SwapProposalsPerOccurrence = 8
 			}
 		} else {
 			// smin jobs ignore Procedure 2's knobs, the baseline and the
 			// null selection.
 			bcfg.Alpha = clampFrac(alpha + 0.25)
 			bcfg.Beta = clampFrac(beta + 0.25)
-			bcfg.WithBaseline = !baseline
 			bcfg.Correction = corrections[(int(sel)+1)%len(corrections)]
 			bcfg.MaxPatterns = clampNonNeg(maxPatterns) + 11
 			bcfg.SwapProposalsPerOccurrence = clampNonNeg(swapPPO) + 3
-			bcfg.SwapProposals = clampNonNeg(swapProposals) + 7
 		}
 		b := JobRequest{Dataset: "d", Kind: kind, K: k, Config: &bcfg}
 
@@ -232,11 +217,14 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 					c.Correction = sigfim.CorrectionBY
 				}
 			}))
-			switch {
-			case !cfg.SwapNull:
-			case cfg.SwapProposals > 0:
-				moves("swap proposals", kind, k, perturb(func(c *sigfim.Config) { c.SwapProposals++ }))
-			default:
+			moves("baseline", kind, k, perturb(func(c *sigfim.Config) {
+				// "" runs no baseline and "by" runs one.
+				c.Correction = sigfim.CorrectionBY
+				if cfg.Correction != "" {
+					c.Correction = ""
+				}
+			}))
+			if cfg.SwapNull {
 				moves("swap proposals per occurrence", kind, k, perturb(func(c *sigfim.Config) { c.SwapProposalsPerOccurrence++ }))
 			}
 		}
@@ -293,7 +281,7 @@ func FuzzPartialRequest(f *testing.F) {
 	f.Add([]byte(valid + " \n\t"))
 	f.Add([]byte(valid[:len(valid)-5]))
 	f.Add([]byte(`{"dataset_hash":"@hash","from":3,"to":5,"k":3,"floor":1,"stat_floor":2,"seeds":[7,8],"workers":3}`))
-	f.Add([]byte(`{"dataset_hash":"@hash","from":0,"to":1,"k":2,"floor":1,"seeds":[4],"swap_null":true,"swap_proposals":50}`))
+	f.Add([]byte(`{"dataset_hash":"@hash","from":0,"to":1,"k":2,"floor":1,"seeds":[4],"swap_null":true,"swap_ppo":3}`))
 	f.Add([]byte(`{"dataset_hash":"@hash","from":0,"to":1,"k":2,"floor":1,"seeds":[4],"extra":1}`))
 	f.Add([]byte(`{"dataset_hash":"nope","from":0,"to":1,"k":2,"floor":1,"seeds":[4]}`))
 	f.Add([]byte(`{"dataset_hash":"@hash","from":2,"to":1,"k":0,"floor":-1,"seeds":[]}`))
@@ -306,7 +294,7 @@ func FuzzPartialRequest(f *testing.F) {
 		body := bytes.ReplaceAll(data, []byte("@hash"), []byte(hash))
 		var peek sigfim.PartialRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&peek) == nil &&
-			(peek.To-peek.From > 64 || peek.SwapProposals > 10_000 || peek.SwapProposalsPerOccurrence > 100) {
+			(peek.To-peek.From > 64 || peek.SwapProposalsPerOccurrence > 100) {
 			return
 		}
 		rec := httptest.NewRecorder()

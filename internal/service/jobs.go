@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,9 +94,11 @@ type JobRequest struct {
 	MaxLen int `json:"max_len,omitempty"`
 	// Config carries the full analysis configuration; nil selects the
 	// paper's defaults. Field names follow sigfim.Config (Alpha, Beta,
-	// Epsilon, Delta, Seed, WithBaseline, Correction, MaxPatterns, SwapNull,
-	// SwapProposalsPerOccurrence, SwapProposals, Workers, Algorithm; the
-	// last is checked and otherwise ignored). Rules jobs read only Beta
+	// Epsilon, Delta, Seed, Correction, MaxPatterns, SwapNull,
+	// SwapProposalsPerOccurrence, Workers, Algorithm; the last is checked
+	// and otherwise ignored), and an unknown field is a 400 that names it.
+	// A non-empty Correction adds the Procedure 1 baseline. Workers is
+	// capped at the server's GOMAXPROCS. Rules jobs read only Beta
 	// (> 0 switches to SignificantRules at that FDR budget); closed and
 	// maximal jobs ignore Config entirely.
 	Config *sigfim.Config `json:"config,omitempty"`
@@ -325,10 +328,10 @@ func (e *Engine) validate(req JobRequest) error {
 // canonicalRequest is the cache-key normal form of a job request. A
 // significant or smin job keys on its Config as sigfim.ResolveConfig
 // resolves it: defaults filled, fields the analysis ignores zeroed, the
-// baseline flag and correction settled. Workers is cleared, since the
-// engine is bit-identical for every worker count. Algorithm needs no
-// clearing: every analysis mines with auto, so the resolver keys every
-// accepted name to that one slot.
+// correction normalized ("" exactly when no baseline runs). Workers is
+// cleared, since the engine is bit-identical for every worker count.
+// Algorithm needs no clearing: every analysis mines with auto, so the
+// resolver keys every accepted name to that one slot.
 //
 // The mining kinds (closed, maximal, rules) read no analysis config, so
 // they carry only the fields that parameterize them; rules jobs keep Beta
@@ -372,6 +375,14 @@ func canonicalize(ds *sigfim.Dataset, req JobRequest) (canonicalRequest, error) 
 	c.K = req.K
 	c.Config = &cfg
 	return c, nil
+}
+
+// boundWorkers caps a request's Workers (a job's Config.Workers or a
+// partial's PartialRequest.Workers) at this process's GOMAXPROCS, so a
+// request cannot set how many goroutines the server starts; 0, every CPU,
+// stays 0. Results are bit-identical for every worker count.
+func boundWorkers(n int) int {
+	return min(n, runtime.GOMAXPROCS(0))
 }
 
 // cacheKeyFor composes the full cache key: dataset identity plus the
@@ -548,6 +559,7 @@ func (e *Engine) run(j *job) {
 	if j.req.Config != nil {
 		cfg = *j.req.Config // copy: the engine attaches its own Progress
 	}
+	cfg.Workers = boundWorkers(cfg.Workers)
 	// Coordinator mode: shard the replicates across the supervised worker
 	// pool. RemotePool is json:"-", so a job request can never inject its own
 	// workers — this assignment is the only source.

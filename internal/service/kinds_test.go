@@ -140,9 +140,9 @@ func TestCorrectionInCacheKey(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Workers: 1})
 	base := service.JobRequest{Dataset: "golden", Kind: service.KindSignificant, K: 2}
 
-	// {WithBaseline: true} and {Correction: "by"} canonicalize identically:
+	// {Correction: " BY "} and {Correction: "by"} canonicalize identically:
 	// the second submission must be a cache hit.
-	base.Config = &sigfim.Config{Delta: 40, Seed: 3, WithBaseline: true}
+	base.Config = &sigfim.Config{Delta: 40, Seed: 3, Correction: " BY "}
 	st1, code := submit(t, ts, base)
 	if code != http.StatusAccepted {
 		t.Fatalf("baseline submit: status %d (err %q)", code, st1.Error)
@@ -155,7 +155,7 @@ func TestCorrectionInCacheKey(t *testing.T) {
 		t.Fatalf("correction=by resubmit: status %d cacheHit %v, want cache hit", code, st2.CacheHit)
 	}
 	if !bytes.Equal(st2.Result, first.Result) {
-		t.Error("correction=by served different bytes than with_baseline=true")
+		t.Error("correction=by served different bytes than correction=\" BY \"")
 	}
 
 	// A different correction is a different analysis: must miss and produce

@@ -508,6 +508,7 @@ func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: missing dataset_hash", ErrBadRequest))
 		return
 	}
+	req.Workers = boundWorkers(req.Workers)
 	ds, _, ok := s.registry.GetByHash(req.DatasetHash)
 	if !ok {
 		writeError(w, fmt.Errorf("%w: no dataset with hash %s", ErrNotFound, req.DatasetHash))

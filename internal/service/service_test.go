@@ -122,7 +122,7 @@ func TestEndToEndBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := &sigfim.Config{Delta: 120, Seed: 9, WithBaseline: true}
+	cfg := &sigfim.Config{Delta: 120, Seed: 9, Correction: sigfim.CorrectionBY}
 	rep, err := direct.Significant(2, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -606,5 +606,37 @@ func TestStatsEndpointShape(t *testing.T) {
 	}
 	if code := doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &jobs); code != 200 || len(jobs.Jobs) != 0 {
 		t.Errorf("job listing: %d %+v", code, jobs.Jobs)
+	}
+}
+
+// TestJobWorkersBounded: a job asking for 1<<20 workers runs with the
+// server's GOMAXPROCS instead and stores the bytes of a serial run.
+func TestJobWorkersBounded(t *testing.T) {
+	direct, err := sigfim.OpenFIMI(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := direct.Significant(2, &sigfim.Config{Delta: 8, Seed: 9, Workers: 1, Correction: sigfim.CorrectionBY})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, service.Options{Workers: 1})
+	st, code := submit(t, ts, service.JobRequest{
+		Dataset: "golden", Kind: service.KindSignificant, K: 2,
+		Config: &sigfim.Config{Delta: 8, Seed: 9, Workers: 1 << 20, Correction: sigfim.CorrectionBY},
+	})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (err %q)", code, st.Error)
+	}
+	final := waitState(t, ts, st.ID, service.StateDone)
+	if final.CacheHit {
+		t.Fatal("first submission reported a cache hit")
+	}
+	if !bytes.Equal(final.Result, want) {
+		t.Errorf("job with 1<<20 workers differs from a serial run.\njob:    %s\nserial: %s", final.Result, want)
 	}
 }

@@ -112,26 +112,33 @@ func TestPartialShedsOverInflightCap(t *testing.T) {
 }
 
 // TestPartialRejectsNegativeSwapChainLength: the worker answers 400 to a
-// negative swap chain length instead of mining with the default chain.
+// negative swap chain length instead of mining with the default chain, and
+// to the removed absolute chain length.
 func TestPartialRejectsNegativeSwapChainLength(t *testing.T) {
 	s := shedTestServer(t, Options{Workers: 1})
 	ds, _, ok := s.Registry().Get("golden")
 	if !ok {
 		t.Fatal("golden dataset missing")
 	}
-	for _, field := range []string{"swap_ppo", "swap_proposals"} {
+	// swap_proposals is not a request field (swap_ppo alone sets the chain
+	// length), so a positive one is refused too, naming the field.
+	for field, v := range map[string]int{"swap_ppo": -1, "swap_proposals": 50} {
 		b, err := json.Marshal(map[string]any{
 			"dataset_hash": ds.Hash(),
 			"from":         0, "to": 1, "k": 2, "floor": 2,
 			"seeds":     []uint64{1},
 			"swap_null": true,
-			field:       -1,
+			field:       v,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec := postPartialReq(s, string(b)); rec.Code != 400 {
-			t.Fatalf("negative %s: HTTP %d, want 400: %s", field, rec.Code, rec.Body)
+		rec := postPartialReq(s, string(b))
+		if rec.Code != 400 {
+			t.Fatalf("%s %d: HTTP %d, want 400: %s", field, v, rec.Code, rec.Body)
+		}
+		if field == "swap_proposals" && !strings.Contains(rec.Body.String(), field) {
+			t.Errorf("%s: error %s does not name the field", field, rec.Body)
 		}
 	}
 }

@@ -89,8 +89,8 @@ func TestSwapSignificantEndToEnd(t *testing.T) {
 func TestSwapCanonicalizationIgnoresIrrelevantKnobs(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Workers: 1})
 
-	// Swap knobs are meaningless under the independence null and must not
-	// split the cache.
+	// The swap chain length is meaningless under the independence null and
+	// must not split the cache.
 	first, code := submit(t, ts, service.JobRequest{
 		Dataset: "golden", Kind: service.KindSignificant, K: 2,
 		Config: &sigfim.Config{Delta: 40, Seed: 3},
@@ -101,42 +101,19 @@ func TestSwapCanonicalizationIgnoresIrrelevantKnobs(t *testing.T) {
 	waitState(t, ts, first.ID, service.StateDone)
 	st, code := submit(t, ts, service.JobRequest{
 		Dataset: "golden", Kind: service.KindSignificant, K: 2,
-		Config: &sigfim.Config{Delta: 40, Seed: 3, SwapProposalsPerOccurrence: 5, SwapProposals: 123},
+		Config: &sigfim.Config{Delta: 40, Seed: 3, SwapProposalsPerOccurrence: 5},
 	})
 	if code != http.StatusOK || !st.CacheHit {
-		t.Fatalf("independence + stray swap knobs: status %d, cache_hit %v (want cache hit)", code, st.CacheHit)
-	}
-
-	// An absolute SwapProposals override makes the per-occurrence knob
-	// irrelevant; requests differing only there share a slot.
-	swapFirst, code := submit(t, ts, service.JobRequest{
-		Dataset: "golden", Kind: service.KindSignificant, K: 2,
-		Config: &sigfim.Config{Delta: 40, Seed: 3, SwapNull: true, SwapProposals: 400},
-	})
-	if code != http.StatusAccepted {
-		t.Fatalf("swap proposals submit: status %d", code)
-	}
-	waitState(t, ts, swapFirst.ID, service.StateDone)
-	st, code = submit(t, ts, service.JobRequest{
-		Dataset: "golden", Kind: service.KindSignificant, K: 2,
-		Config: &sigfim.Config{Delta: 40, Seed: 3, SwapNull: true, SwapProposals: 400, SwapProposalsPerOccurrence: 2},
-	})
-	if code != http.StatusOK || !st.CacheHit {
-		t.Fatalf("override + shadowed ppo: status %d, cache_hit %v (want cache hit)", code, st.CacheHit)
+		t.Fatalf("independence + stray swap length: status %d, cache_hit %v (want cache hit)", code, st.CacheHit)
 	}
 }
 
 func TestSwapKnobValidation(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Workers: 1})
-	for _, body := range []string{
-		`{"dataset":"golden","kind":"significant","k":2,"config":{"SwapNull":true,"SwapProposalsPerOccurrence":-1}}`,
-		`{"dataset":"golden","kind":"significant","k":2,"config":{"SwapNull":true,"SwapProposals":-7}}`,
-	} {
-		var e map[string]string
-		code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader([]byte(body)), &e)
-		if code != http.StatusBadRequest {
-			t.Errorf("body %s: status %d, want 400", body, code)
-		}
+	body := `{"dataset":"golden","kind":"significant","k":2,"config":{"SwapNull":true,"SwapProposalsPerOccurrence":-1}}`
+	var e map[string]string
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader([]byte(body)), &e); code != http.StatusBadRequest {
+		t.Errorf("body %s: status %d, want 400", body, code)
 	}
 }
 

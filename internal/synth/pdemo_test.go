@@ -11,7 +11,7 @@ func TestPowerDemoExhibitsRatioAboveOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := spec.Real(3).Significant(2, &sigfim.Config{Delta: 150, Seed: 11, WithBaseline: true})
+	rep, err := spec.Real(3).Significant(2, &sigfim.Config{Delta: 150, Seed: 11, Correction: sigfim.CorrectionBY})
 	if err != nil {
 		t.Fatal(err)
 	}

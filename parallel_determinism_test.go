@@ -88,7 +88,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Delta: 80, Seed: 12345, WithBaseline: true}
+	base := Config{Delta: 80, Seed: 12345, Correction: CorrectionBY}
 
 	cfg1, cfg8 := base, base
 	cfg1.Workers = 1

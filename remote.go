@@ -74,14 +74,14 @@ type PartialRequest struct {
 	// replicate's substream never depends on which worker executes it.
 	Seeds []uint64 `json:"seeds"`
 	// Workers bounds the worker-side intra-mine parallelism (0 = worker's
-	// choice). It cannot influence the mined result.
+	// choice); sigfimd caps it at its GOMAXPROCS. It cannot influence the
+	// mined result.
 	Workers int `json:"workers,omitempty"`
 	// SwapNull selects swap randomization as the null model; the zero value
-	// is the paper's independence model. SwapProposalsPerOccurrence and
-	// SwapProposals parameterize the chain exactly as in Config.
+	// is the paper's independence model. SwapProposalsPerOccurrence sets the
+	// chain's length exactly as in Config.
 	SwapNull                   bool `json:"swap_null,omitempty"`
 	SwapProposalsPerOccurrence int  `json:"swap_ppo,omitempty"`
-	SwapProposals              int  `json:"swap_proposals,omitempty"`
 }
 
 // RangePartial is the serializable product of mining one replicate range:
@@ -125,7 +125,7 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, o
 	if req.DatasetHash != "" && req.DatasetHash != ds.Hash() {
 		return fmt.Errorf("sigfim: dataset hash mismatch: request %s, dataset %s", req.DatasetHash, ds.Hash())
 	}
-	perOccurrence, proposals, err := ds.swapLengths(req.SwapNull, req.SwapProposalsPerOccurrence, req.SwapProposals)
+	perOccurrence, err := ds.swapLength(req.SwapNull, req.SwapProposalsPerOccurrence)
 	if err != nil {
 		return err
 	}
@@ -141,7 +141,7 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, o
 	// The null model is the one Significant and FindSMin build, so the
 	// worker and the coordinator generate value-identical replicates. It
 	// comes prepared: one request draws a whole range of replicates from it.
-	null := randmodel.Prepare(ds.nullModel(req.SwapNull, perOccurrence, proposals))
+	null := randmodel.Prepare(ds.nullModel(req.SwapNull, perOccurrence))
 	scr := ds.takeRangeScratch()
 	defer ds.putRangeScratch(scr)
 	return montecarlo.MineRange(ctx, null, mreq, scr, (*montecarlo.Partial)(out))
@@ -229,7 +229,6 @@ func (ds *Dataset) newRangeRunner(cfg *Config) montecarlo.RangeRunner {
 			DatasetHash:                ds.Hash(),
 			SwapNull:                   cfg.SwapNull,
 			SwapProposalsPerOccurrence: cfg.SwapProposalsPerOccurrence,
-			SwapProposals:              cfg.SwapProposals,
 		},
 	}
 	return f.run

@@ -1,6 +1,7 @@
 package sigfim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -61,7 +62,7 @@ func TestBadConfigRejectedBeforeAnyReplicate(t *testing.T) {
 		{"negative workers", 2, Config{Workers: -1}, true},
 		{"unknown algorithm", 2, Config{Algorithm: "quantum"}, false},
 		{"unknown correction", 2, Config{Correction: "bh"}, false},
-		{"negative swap length", 2, Config{SwapNull: true, SwapProposals: -1}, false},
+		{"negative swap length", 2, Config{SwapNull: true, SwapProposalsPerOccurrence: -1}, false},
 		{"swap chain overflow", 2, Config{SwapNull: true, SwapProposalsPerOccurrence: math.MaxInt}, false},
 		{"smin swap null", 2, Config{SwapNull: true}, true},
 		{"k 0", 0, Config{}, false},
@@ -83,8 +84,8 @@ func TestBadConfigRejectedBeforeAnyReplicate(t *testing.T) {
 	}
 }
 
-// TestResolveConfig pins the resolved form: defaults filled, the baseline
-// settled, what the analysis ignores zeroed, and a resolved Config
+// TestResolveConfig pins the resolved form: defaults filled, the
+// correction normalized, what the analysis ignores zeroed, and a resolved Config
 // resolving to itself.
 func TestResolveConfig(t *testing.T) {
 	d, err := FromTransactions([][]uint32{{0, 1}, {1, 2}, {0, 2, 3}})
@@ -105,16 +106,22 @@ func TestResolveConfig(t *testing.T) {
 	}{
 		{"nil", nil, false, defaults},
 		{"spelled-out defaults", &defaults, false, defaults},
-		{"baseline runs BY", &Config{WithBaseline: true}, false,
-			with(func(c *Config) { c.WithBaseline, c.Correction = true, CorrectionBY })},
-		{"correction implies the baseline", &Config{Correction: " Holm "}, false,
-			with(func(c *Config) { c.WithBaseline, c.Correction = true, CorrectionHolm })},
-		{"independence ignores swap knobs", &Config{SwapProposalsPerOccurrence: 3, SwapProposals: 9, Workers: 2}, false,
+		{"no correction runs no baseline", &Config{Correction: ""}, false, defaults},
+		{"blank correction runs no baseline", &Config{Correction: "  "}, false, defaults},
+		{"by runs BY", &Config{Correction: "by"}, false,
+			with(func(c *Config) { c.Correction = CorrectionBY })},
+		{"correction is trimmed and lowercased", &Config{Correction: " BY "}, false,
+			with(func(c *Config) { c.Correction = CorrectionBY })},
+		{"holm runs Holm", &Config{Correction: "holm"}, false,
+			with(func(c *Config) { c.Correction = CorrectionHolm })},
+		{"delta at the cap", &Config{Delta: maxDelta}, false,
+			with(func(c *Config) { c.Delta = maxDelta })},
+		{"independence ignores the swap length", &Config{SwapProposalsPerOccurrence: 3, Workers: 2}, false,
 			with(func(c *Config) { c.Workers = 2 })},
 		{"swap default length", &Config{SwapNull: true}, false,
 			with(func(c *Config) { c.SwapNull, c.SwapProposalsPerOccurrence = true, 8 })},
-		{"absolute swap length wins", &Config{SwapNull: true, SwapProposalsPerOccurrence: 3, SwapProposals: 9}, false,
-			with(func(c *Config) { c.SwapNull, c.SwapProposals = true, 9 })},
+		{"swap length kept", &Config{SwapNull: true, SwapProposalsPerOccurrence: 3}, false,
+			with(func(c *Config) { c.SwapNull, c.SwapProposalsPerOccurrence = true, 3 })},
 		{"smin drops Procedure 2 and the baseline", &Config{Alpha: 0.1, Beta: 0.2, MaxPatterns: 5, Correction: "holm", Seed: 4}, true,
 			with(func(c *Config) { c.Alpha, c.Beta, c.MaxPatterns, c.Seed = 0, 0, 0, 4 })},
 	} {
@@ -146,7 +153,7 @@ func TestAlgorithm1CollectsMinPsOnlyForWestfallYoung(t *testing.T) {
 		want     bool
 	}{
 		{Config{}, false, false},
-		{Config{WithBaseline: true}, false, false},
+		{Config{Correction: CorrectionBY}, false, false},
 		{Config{Correction: CorrectionHolm}, false, false},
 		{Config{Correction: CorrectionWestfallYoung}, false, true},
 		{Config{Correction: CorrectionWestfallYoung}, true, false},
@@ -158,5 +165,27 @@ func TestAlgorithm1CollectsMinPsOnlyForWestfallYoung(t *testing.T) {
 		if _, mcfg := d.algorithm1(2, &r); mcfg.CollectMinPs != c.want {
 			t.Errorf("%+v (FindSMin %v): CollectMinPs = %v, want %v", c.cfg, c.findSMin, mcfg.CollectMinPs, c.want)
 		}
+	}
+}
+
+// TestDeltaCapRejectedBeforeAnyAllocation: a Delta above maxDelta is an
+// error from the resolver and from Significant, which must refuse it before
+// Algorithm 1 sizes its per-replicate seeds. The context is canceled before
+// the call, so a build without the cap gives up before mining too.
+func TestDeltaCapRejectedBeforeAnyAllocation(t *testing.T) {
+	d, err := FromTransactions([][]uint32{{0, 1}, {1, 2}, {0, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ResolveConfig(2, &Config{Delta: maxDelta}, false); err != nil {
+		t.Errorf("Delta = %d: %v", maxDelta, err)
+	}
+	if _, err := d.ResolveConfig(2, &Config{Delta: maxDelta + 1}, true); err == nil || !strings.Contains(err.Error(), "Delta") {
+		t.Errorf("Delta = %d: err = %v, want an error naming Delta", maxDelta+1, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := d.SignificantCtx(ctx, 2, &Config{Delta: maxDelta + 1}); err == nil || !strings.Contains(err.Error(), "Delta must be") {
+		t.Errorf("SignificantCtx with Delta = %d: err = %v, want the resolver's Delta error", maxDelta+1, err)
 	}
 }

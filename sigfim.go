@@ -204,7 +204,7 @@ func (ds *Dataset) RandomTwin(seed uint64) *Dataset {
 // the transaction lengths exactly, via swap randomization (Gionis et al.
 // 2006) — the alternative null model discussed in the paper.
 func (ds *Dataset) SwapTwin(seed uint64) *Dataset {
-	out := randmodel.SwapRandomize(ds.d, 8, stats.NewRNG(seed))
+	out := randmodel.SwapRandomize(ds.d, randmodel.DefaultProposalsPerOccurrence, stats.NewRNG(seed))
 	return &Dataset{d: out}
 }
 

@@ -273,7 +273,7 @@ func TestSignificantEndToEndPlanted(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := spec.Scale(16).Real(7)
-	rep, err := d.Significant(2, &Config{Delta: 120, Seed: 5, WithBaseline: true})
+	rep, err := d.Significant(2, &Config{Delta: 120, Seed: 5, Correction: CorrectionBY})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestSignificantReportIndependentOfMiner(t *testing.T) {
 		var want []byte
 		var wantSMin int
 		for _, algo := range names {
-			cfg := &Config{Delta: 40, Seed: 3, Workers: 1, Correction: CorrectionWestfallYoung, SwapNull: c.swapNull, SwapProposals: 20000, Algorithm: algo}
+			cfg := &Config{Delta: 40, Seed: 3, Workers: 1, Correction: CorrectionWestfallYoung, SwapNull: c.swapNull, SwapProposalsPerOccurrence: 1, Algorithm: algo}
 			if resolved, err := c.d.ResolveConfig(c.k, cfg, false); err != nil || resolved.Algorithm != AlgoAuto {
 				t.Fatalf("%q resolved to algorithm %q (%v), want %q", algo, resolved.Algorithm, err, AlgoAuto)
 			}

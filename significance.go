@@ -3,6 +3,7 @@ package sigfim
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"sigfim/internal/core"
 	"sigfim/internal/mining"
@@ -12,7 +13,7 @@ import (
 )
 
 // The multiple-testing corrections Config.Correction accepts. See the
-// Correction field for the decision guide; "" selects CorrectionBY.
+// Correction field for the decision guide; "" runs no baseline.
 const (
 	CorrectionBonferroni    = core.CorrectionBonferroni
 	CorrectionHolm          = core.CorrectionHolm
@@ -21,9 +22,13 @@ const (
 )
 
 // ParseCorrection normalizes a correction name the way Config.Correction is
-// interpreted: trimmed, lowercased, with "" meaning CorrectionBY. Unknown
-// names return an error enumerating the accepted set.
+// interpreted: trimmed and lowercased, with "" (or only spaces) meaning no
+// baseline and returned as "". Unknown names return an error enumerating
+// the accepted set.
 func ParseCorrection(s string) (string, error) {
+	if strings.TrimSpace(s) == "" {
+		return "", nil
+	}
 	c, err := core.ParseCorrection(s)
 	if err != nil {
 		return "", fmt.Errorf("sigfim: unknown correction %q (want %q, %q, %q, or %q)",
@@ -45,23 +50,24 @@ type Config struct {
 	Beta float64
 	// Epsilon is the Poisson-approximation tolerance of Algorithm 1.
 	Epsilon float64
-	// Delta is the Monte Carlo replicate count.
+	// Delta is the Monte Carlo replicate count, at most 1<<20 (about 1000
+	// times the paper's 1000; each replicate costs Algorithm 1 a seed and,
+	// under Westfall-Young, a min-p value before any mining starts).
 	Delta int
 	// Seed fixes all random streams; runs are fully deterministic per seed.
 	Seed uint64
-	// WithBaseline additionally runs the per-itemset baseline (Procedure 1,
-	// under Correction) and fills Report.Baseline.
-	WithBaseline bool
-	// Correction selects the multiple-testing correction Procedure 1 flags
-	// discoveries with: one of CorrectionBonferroni, CorrectionHolm,
-	// CorrectionBY (the default, the paper's Theorem 5 procedure), or
-	// CorrectionWestfallYoung. Setting it implies WithBaseline.
-	// Westfall-Young calibrates against the per-replicate minimum p-value
-	// distribution collected from the same Monte Carlo replicates Algorithm 1
-	// mines — under either null model — so it costs no extra replicates, only
-	// one exact Binomial tail per mined itemset. It controls FWER (hence also
-	// FDR) at Beta while adapting to the dependence among supports instead of
-	// paying the worst-case C(n, k) penalty. Ignored by FindSMin.
+	// Correction, when set, additionally runs the per-itemset baseline
+	// (Procedure 1) under that multiple-testing correction and fills
+	// Report.Baseline: one of CorrectionBonferroni, CorrectionHolm,
+	// CorrectionBY (the paper's Theorem 5 procedure), or
+	// CorrectionWestfallYoung, matched after trimming and lowercasing. ""
+	// runs no baseline. Westfall-Young calibrates against the per-replicate
+	// minimum p-value distribution collected from the same Monte Carlo
+	// replicates Algorithm 1 mines — under either null model — so it costs
+	// no extra replicates, only one exact Binomial tail per mined itemset. It
+	// controls FWER (hence also FDR) at Beta while adapting to the dependence
+	// among supports instead of paying the worst-case C(n, k) penalty.
+	// Ignored by FindSMin.
 	Correction string
 	// MaxPatterns caps how many significant itemsets Report.Significant
 	// materializes (0 = 100000). The count NumSignificant is always exact.
@@ -79,18 +85,15 @@ type Config struct {
 	// relative to the number of ones in the transaction matrix: each
 	// replicate runs SwapProposalsPerOccurrence * |occurrences| swap
 	// proposals before the randomized dataset is mined (default 8 when zero;
-	// Gionis et al. report mixing after a small constant). Ignored unless
-	// SwapNull is set; a negative value is an error either way.
+	// Gionis et al. report mixing after a small constant). It is the chain's
+	// only length setting. Ignored unless SwapNull is set; a negative value
+	// is an error either way.
 	SwapProposalsPerOccurrence int
-	// SwapProposals, when positive, fixes the absolute number of swap
-	// proposals per replicate and overrides SwapProposalsPerOccurrence.
-	// Ignored unless SwapNull is set; a negative value is an error either
-	// way.
-	SwapProposals int
 	// Workers bounds the goroutines of every parallel stage (Monte Carlo
 	// replicate mining, observed-dataset counting, pattern materialization):
-	// 0 uses every CPU, 1 forces serial execution. For a fixed Seed the
-	// report is identical for every worker count.
+	// 0 uses every CPU, 1 forces serial execution; sigfimd caps a job's
+	// Workers at its GOMAXPROCS. For a fixed Seed the report is identical
+	// for every worker count.
 	Workers int
 	// Algorithm is accepted for compatibility and otherwise ignored: it
 	// must be "" or one of the Algo* constants, and every analysis mines
@@ -131,17 +134,15 @@ type Config struct {
 //   - every default is filled: Alpha, Beta, Epsilon, Delta, MaxPatterns
 //     and, under the swap null, SwapProposalsPerOccurrence;
 //   - Algorithm is AlgoAuto for every accepted name;
-//   - WithBaseline reports whether the baseline runs (WithBaseline or a
-//     Correction), and Correction is normalized when it does and empty
-//     otherwise;
-//   - what the analysis ignores is zero: the swap knobs the chosen null
-//     does not read and, for FindSMin, Procedure 2's and the baseline's
-//     fields.
+//   - Correction is normalized, and "" exactly when no baseline runs;
+//   - what the analysis ignores is zero: the swap length under the
+//     independence null and, for FindSMin, Procedure 2's and the
+//     baseline's fields.
 //
 // Budgets must lie in [0, 1) and counts must be >= 0, with 0 selecting the
-// default; NaN is an error. Only a swap-null configuration reads the
-// dataset, to check that the chain length fits an int. A resolved Config
-// resolves to itself.
+// default; Delta must not exceed 1<<20; NaN is an error. Only a swap-null
+// configuration reads the dataset, to check that the chain length fits an
+// int. A resolved Config resolves to itself.
 func (ds *Dataset) ResolveConfig(k int, cfg *Config, findSMin bool) (Config, error) {
 	var c Config
 	if cfg != nil {
@@ -184,65 +185,55 @@ func (ds *Dataset) ResolveConfig(k int, cfg *Config, findSMin bool) (Config, err
 			*n.v = n.def
 		}
 	}
+	if c.Delta > maxDelta {
+		return Config{}, fmt.Errorf("sigfim: Delta must be <= %d, got %d", maxDelta, c.Delta)
+	}
 	if _, err := parseAlgorithm(c.Algorithm); err != nil {
 		return Config{}, err
 	}
 	c.Algorithm = AlgoAuto
-	correction, err := ParseCorrection(c.Correction)
-	if err != nil {
+	var err error
+	if c.Correction, err = ParseCorrection(c.Correction); err != nil {
 		return Config{}, err
 	}
-	c.WithBaseline = c.WithBaseline || c.Correction != ""
 	if findSMin {
 		if c.SwapNull {
 			return Config{}, fmt.Errorf("sigfim: FindSMin supports only the independence null (Config.SwapNull must be false); run Significant for a swap-null analysis")
 		}
-		c.Alpha, c.Beta, c.MaxPatterns, c.WithBaseline = 0, 0, 0, false
+		c.Alpha, c.Beta, c.MaxPatterns, c.Correction = 0, 0, 0, ""
 	}
-	c.Correction = ""
-	if c.WithBaseline {
-		c.Correction = correction
-	}
-	c.SwapProposalsPerOccurrence, c.SwapProposals, err = ds.swapLengths(c.SwapNull, c.SwapProposalsPerOccurrence, c.SwapProposals)
-	if err != nil {
+	if c.SwapProposalsPerOccurrence, err = ds.swapLength(c.SwapNull, c.SwapProposalsPerOccurrence); err != nil {
 		return Config{}, err
 	}
 	return c, nil
 }
 
-// swapLengths checks the swap chain lengths (Config.SwapProposalsPerOccurrence
-// and Config.SwapProposals) and returns the ones the chosen null reads:
-// none under the independence null, the absolute length when it is set,
-// and otherwise the per-occurrence length with its default filled in.
-// Negative lengths are an error under either null, and so is a
-// per-occurrence length whose chain over the dataset's occurrences
-// overflows an int, which would otherwise run practically forever.
-func (ds *Dataset) swapLengths(swapNull bool, perOccurrence, proposals int) (int, int, error) {
-	if perOccurrence < 0 || proposals < 0 {
-		return 0, 0, fmt.Errorf("sigfim: swap chain lengths must be >= 0, got %d proposals per occurrence and %d proposals", perOccurrence, proposals)
+// maxDelta bounds Config.Delta: Algorithm 1 allocates its per-replicate
+// seeds (and Westfall-Young's min-p values) up front, 8 MiB each at this
+// bound, so a larger request would claim memory before any check of its
+// cost could run.
+const maxDelta = 1 << 20
+
+// swapLength checks the swap chain length (Config.SwapProposalsPerOccurrence)
+// and returns the one the chosen null reads: none under the independence
+// null, and otherwise the per-occurrence length with its default filled in.
+// A negative length is an error under either null, and so is one whose
+// chain over the dataset's occurrences overflows an int, which would
+// otherwise run practically forever.
+func (ds *Dataset) swapLength(swapNull bool, perOccurrence int) (int, error) {
+	if perOccurrence < 0 {
+		return 0, fmt.Errorf("sigfim: swap chain length must be >= 0, got %d proposals per occurrence", perOccurrence)
 	}
-	switch {
-	case !swapNull:
-		return 0, 0, nil
-	case proposals > 0:
-		return 0, proposals, nil
-	case perOccurrence == 0:
+	if !swapNull {
+		return 0, nil
+	}
+	if perOccurrence == 0 {
 		perOccurrence = randmodel.DefaultProposalsPerOccurrence
 	}
-	if err := ds.swapModel(perOccurrence, 0).CheckChainLength(); err != nil {
-		return 0, 0, fmt.Errorf("sigfim: %w", err)
+	if err := (&randmodel.SwapModel{Base: ds.d, ProposalsPerOccurrence: perOccurrence}).CheckChainLength(); err != nil {
+		return 0, fmt.Errorf("sigfim: %w", err)
 	}
-	return perOccurrence, 0, nil
-}
-
-// swapModel builds the swap null over ds for chain lengths swapLengths
-// returned.
-func (ds *Dataset) swapModel(perOccurrence, proposals int) *randmodel.SwapModel {
-	return &randmodel.SwapModel{
-		Base:                   ds.d,
-		ProposalsPerOccurrence: perOccurrence,
-		Proposals:              proposals,
-	}
+	return perOccurrence, nil
 }
 
 // LadderStep reports one comparison of the support-threshold ladder.
@@ -254,8 +245,8 @@ type LadderStep struct {
 	Rejected bool
 }
 
-// BaselineReport carries the Procedure 1 outcome under the configured
-// multiple-testing correction (Benjamini-Yekutieli unless overridden).
+// BaselineReport carries the Procedure 1 outcome under the multiple-testing
+// correction Config.Correction names.
 type BaselineReport struct {
 	// Correction names the multiple-testing correction the family was
 	// flagged under (one of the Correction* constants).
@@ -292,7 +283,8 @@ type Report struct {
 	// Significant materializes the flagged itemsets (up to the configured
 	// cap), descending by support. Empty when Infinite.
 	Significant []Pattern
-	// Baseline is the Procedure 1 comparison (nil unless requested).
+	// Baseline is the Procedure 1 comparison (nil unless Config.Correction
+	// requested one).
 	Baseline *BaselineReport
 	// PowerRatio is NumSignificant / |R| when the baseline ran and both
 	// families are nonempty; the paper's Table 5 ratio r. It is 0 otherwise,
@@ -338,7 +330,7 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 		return nil, err
 	}
 	var p1 *core.Procedure1Result
-	if c.WithBaseline {
+	if c.Correction != "" {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -407,15 +399,15 @@ func (ds *Dataset) algorithm1(k int, c *Config) (randmodel.Model, montecarlo.Con
 		mcfg.Runner = ds.newRangeRunner(c)
 		mcfg.RangeSize = c.RemotePool.rangeSize(c.Delta)
 	}
-	return ds.nullModel(c.SwapNull, c.SwapProposalsPerOccurrence, c.SwapProposals), mcfg
+	return ds.nullModel(c.SwapNull, c.SwapProposalsPerOccurrence), mcfg
 }
 
-// nullModel builds the null for chain lengths swapLengths returned: swap
+// nullModel builds the null for a chain length swapLength returned: swap
 // randomization over the dataset, or the paper's independence model from
 // its item frequencies.
-func (ds *Dataset) nullModel(swapNull bool, perOccurrence, proposals int) randmodel.Model {
+func (ds *Dataset) nullModel(swapNull bool, perOccurrence int) randmodel.Model {
 	if swapNull {
-		return ds.swapModel(perOccurrence, proposals)
+		return &randmodel.SwapModel{Base: ds.d, ProposalsPerOccurrence: perOccurrence}
 	}
 	return randmodel.IndependentModel{T: ds.d.NumTransactions(), Freqs: ds.frequencies()}
 }

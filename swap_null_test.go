@@ -66,18 +66,17 @@ func TestNegativeSwapChainLengthRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ ppo, proposals int }{{-1, 0}, {0, -5}, {4, -1}} {
-		_, err := d.Significant(2, &Config{Delta: 4, Seed: 1, SwapNull: true,
-			SwapProposalsPerOccurrence: c.ppo, SwapProposals: c.proposals})
-		if err == nil || !strings.Contains(err.Error(), "swap chain lengths") {
-			t.Errorf("Significant(ppo=%d, proposals=%d): err = %v, want a swap chain length error", c.ppo, c.proposals, err)
+	for _, ppo := range []int{-1, -5} {
+		_, err := d.Significant(2, &Config{Delta: 4, Seed: 1, SwapNull: true, SwapProposalsPerOccurrence: ppo})
+		if err == nil || !strings.Contains(err.Error(), "swap chain length") {
+			t.Errorf("Significant(ppo=%d): err = %v, want a swap chain length error", ppo, err)
 		}
 		err = d.MineReplicateRange(context.Background(), PartialRequest{
 			From: 0, To: 1, K: 2, Floor: 2, Seeds: []uint64{42},
-			SwapNull: true, SwapProposalsPerOccurrence: c.ppo, SwapProposals: c.proposals,
+			SwapNull: true, SwapProposalsPerOccurrence: ppo,
 		}, new(RangePartial))
-		if err == nil || !strings.Contains(err.Error(), "swap chain lengths") {
-			t.Errorf("MineReplicateRange(ppo=%d, proposals=%d): err = %v, want a swap chain length error", c.ppo, c.proposals, err)
+		if err == nil || !strings.Contains(err.Error(), "swap chain length") {
+			t.Errorf("MineReplicateRange(ppo=%d): err = %v, want a swap chain length error", ppo, err)
 		}
 	}
 }
@@ -103,11 +102,5 @@ func TestOverflowingSwapChainLengthRejected(t *testing.T) {
 	}, new(RangePartial))
 	if err == nil || !strings.Contains(err.Error(), "swap chain length") {
 		t.Errorf("MineReplicateRange(ppo=%d): err = %v, want a swap chain length error", ppo, err)
-	}
-	// An absolute chain length overrides the per-occurrence one, so the
-	// same ppo is harmless next to it.
-	if _, err := d.Significant(2, &Config{Delta: 4, Seed: 1, SwapNull: true,
-		SwapProposalsPerOccurrence: ppo, SwapProposals: 10}); err != nil {
-		t.Errorf("Significant(ppo=%d, proposals=10): %v", ppo, err)
 	}
 }

@@ -21,7 +21,7 @@ func TestTracingDoesNotChangeSignificantBytes(t *testing.T) {
 		cfg  func() *sigfim.Config
 	}{
 		{"independence", func() *sigfim.Config {
-			return &sigfim.Config{Delta: 120, Seed: 9, WithBaseline: true}
+			return &sigfim.Config{Delta: 120, Seed: 9, Correction: sigfim.CorrectionBY}
 		}},
 		{"swap", func() *sigfim.Config {
 			return &sigfim.Config{Delta: 60, Seed: 9, SwapNull: true}

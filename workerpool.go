@@ -19,10 +19,11 @@ import (
 //   - healthy: the worker answers; ranges are dispatched to it.
 //   - suspect: recent consecutive failures, but fewer than the ejection
 //     threshold; still eligible, but healthy workers are preferred.
-//   - ejected: the circuit breaker tripped after EjectAfter consecutive hard
-//     failures. Ejected workers receive no ranges; the pool re-probes their
-//     /healthz with exponential backoff plus jitter and re-admits them on the
-//     first successful probe, so a restarted worker rejoins automatically.
+//   - ejected: the circuit breaker tripped after defaultEjectAfter
+//     consecutive hard failures. Ejected workers receive no ranges; the pool
+//     re-probes their /healthz with exponential backoff plus jitter and
+//     re-admits them on the first successful probe, so a restarted worker
+//     rejoins automatically.
 //
 // A 503 (or 429) response is load shedding, not death: the worker is backed
 // off for its Retry-After window without counting toward ejection, and
@@ -67,58 +68,48 @@ func (e *workerHTTPError) shedding() bool {
 // WorkerPoolOptions tunes a WorkerPool; the zero value selects the defaults
 // documented per field.
 type WorkerPoolOptions struct {
-	// EjectAfter is the number of consecutive hard failures after which a
-	// worker is ejected (default 3). Load-shedding responses (503/429) never
-	// count.
-	EjectAfter int
 	// Timeout bounds every HTTP round trip to a worker — range dispatches and
 	// health probes alike (default 2 minutes). This is the per-range deadline
 	// that keeps a hung worker from stalling a job: when it expires the range
 	// is retried elsewhere and the timeout counts as a hard failure.
 	Timeout time.Duration
-	// ProbeInterval is the delay before the first re-probe of an ejected
-	// worker (default 2s). Each failed probe doubles the delay up to
-	// MaxProbeBackoff; every delay is jittered by ±25% so a fleet of
-	// coordinators doesn't probe in lockstep.
-	ProbeInterval time.Duration
-	// MaxProbeBackoff caps the probe backoff (default 60s).
-	MaxProbeBackoff time.Duration
-	// BackoffDefault is the back-off window applied on a 503/429 without a
-	// parseable Retry-After header (default 1s).
-	BackoffDefault time.Duration
 	// HedgeDelay, when positive, enables hedged dispatch: a range whose
 	// first attempt has not answered within the delay is additionally sent
 	// to a second worker, and the first valid partial wins. Hedging trades
 	// duplicate work for tail latency; it cannot influence the result
 	// because partials are deterministic and validated before merging.
 	HedgeDelay time.Duration
-	// Transport overrides the HTTP transport (nil builds a dedicated one with
-	// bounded connection reuse). Tests use this to inject faults.
-	Transport http.RoundTripper
 
-	// Test seams (package-internal): a fake clock, a fake probe, a pinned
-	// range size and another autotuning target (see rangeSize).
-	now       func() time.Time
-	probe     func(ctx context.Context, base string) error
-	rangeSize int
-	rangeWall time.Duration
+	// Test seams (package-internal): the ejection threshold (0 =
+	// defaultEjectAfter), a fake clock, a fake probe, a pinned range size
+	// and another autotuning target (see rangeSize).
+	ejectAfter int
+	now        func() time.Time
+	probe      func(ctx context.Context, base string) error
+	rangeSize  int
+	rangeWall  time.Duration
 }
 
+// The supervisor's fixed schedule. A worker is ejected after
+// defaultEjectAfter consecutive hard failures (load-shedding 503/429
+// responses never count). An ejected worker is first re-probed after
+// firstProbeDelay; each failed probe doubles the delay up to maxProbeDelay,
+// and every delay is jittered by ±25% so a fleet of coordinators does not
+// probe in lockstep. A 503/429 without a parseable Retry-After header backs
+// the worker off for shedWindow.
+const (
+	defaultEjectAfter = 3
+	firstProbeDelay   = 2 * time.Second
+	maxProbeDelay     = 60 * time.Second
+	shedWindow        = time.Second
+)
+
 func (o WorkerPoolOptions) withDefaults() WorkerPoolOptions {
-	if o.EjectAfter <= 0 {
-		o.EjectAfter = 3
+	if o.ejectAfter <= 0 {
+		o.ejectAfter = defaultEjectAfter
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Minute
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 2 * time.Second
-	}
-	if o.MaxProbeBackoff <= 0 {
-		o.MaxProbeBackoff = 60 * time.Second
-	}
-	if o.BackoffDefault <= 0 {
-		o.BackoffDefault = time.Second
 	}
 	if o.now == nil {
 		o.now = time.Now
@@ -271,17 +262,14 @@ type WorkerPool struct {
 // prober. Call Close when the pool is no longer needed.
 func NewWorkerPool(urls []string, opts WorkerPoolOptions) *WorkerPool {
 	opts = opts.withDefaults()
-	hc := &http.Client{Timeout: opts.Timeout, Transport: opts.Transport}
-	if hc.Transport == nil {
-		hc.Transport = &http.Transport{
-			Proxy:               http.ProxyFromEnvironment,
-			DialContext:         (&net.Dialer{Timeout: 10 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-			MaxIdleConns:        128,
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-			TLSHandshakeTimeout: 10 * time.Second,
-		}
-	}
+	hc := &http.Client{Timeout: opts.Timeout, Transport: &http.Transport{
+		Proxy:               http.ProxyFromEnvironment,
+		DialContext:         (&net.Dialer{Timeout: 10 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConns:        128,
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     90 * time.Second,
+		TLSHandshakeTimeout: 10 * time.Second,
+	}}
 	p := &WorkerPool{
 		opts: opts,
 		hc:   hc,
@@ -389,8 +377,8 @@ func (p *WorkerPool) probeOne(w *fabricWorker) {
 		return
 	}
 	w.probeBackoff *= 2
-	if w.probeBackoff > p.opts.MaxProbeBackoff {
-		w.probeBackoff = p.opts.MaxProbeBackoff
+	if w.probeBackoff > maxProbeDelay {
+		w.probeBackoff = maxProbeDelay
 	}
 	w.nextProbeAt = p.opts.now().Add(p.jitterLocked(w.probeBackoff))
 }
@@ -502,7 +490,7 @@ func (p *WorkerPool) reportSuccess(url string, d time.Duration, replicates int) 
 // load-shedding response (503/429) backs the worker off for its Retry-After
 // window without touching the failure streak; anything else — connect errors,
 // timeouts, other HTTP statuses, invalid partials — is a hard failure that
-// advances the streak and trips the breaker at EjectAfter.
+// advances the streak and trips the breaker at the ejection threshold.
 func (p *WorkerPool) reportFailure(url string, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -515,7 +503,7 @@ func (p *WorkerPool) reportFailure(url string, err error) {
 		w.backoffs++
 		window := he.retryAfter
 		if window <= 0 {
-			window = p.opts.BackoffDefault
+			window = shedWindow
 		}
 		w.backoffUntil = now.Add(window)
 		return
@@ -526,10 +514,10 @@ func (p *WorkerPool) reportFailure(url string, err error) {
 	case w.state == WorkerEjected:
 		// Already ejected (a hedged attempt finishing late); leave the probe
 		// schedule alone.
-	case w.consecFails >= p.opts.EjectAfter:
+	case w.consecFails >= p.opts.ejectAfter:
 		w.state = WorkerEjected
 		w.ejections++
-		w.probeBackoff = p.opts.ProbeInterval
+		w.probeBackoff = firstProbeDelay
 		w.nextProbeAt = now.Add(p.jitterLocked(w.probeBackoff))
 	default:
 		w.state = WorkerSuspect

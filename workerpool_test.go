@@ -63,7 +63,7 @@ func (p *WorkerPool) state(url string) string {
 func TestWorkerPoolEjectionAfterConsecutiveFailures(t *testing.T) {
 	clk := newFakeClock()
 	p := NewWorkerPool([]string{"http://a", "http://b"}, WorkerPoolOptions{
-		EjectAfter: 3,
+		ejectAfter: 3,
 		now:        clk.now,
 		probe:      func(ctx context.Context, base string) error { return errors.New("down") },
 	})
@@ -96,7 +96,7 @@ func TestWorkerPoolEjectionAfterConsecutiveFailures(t *testing.T) {
 
 func TestWorkerPoolSuccessResetsStreak(t *testing.T) {
 	clk := newFakeClock()
-	p := NewWorkerPool([]string{"http://a"}, WorkerPoolOptions{EjectAfter: 3, now: clk.now})
+	p := NewWorkerPool([]string{"http://a"}, WorkerPoolOptions{ejectAfter: 3, now: clk.now})
 	defer p.Close()
 
 	hard := errors.New("timeout")
@@ -119,7 +119,7 @@ func TestWorkerPoolSuccessResetsStreak(t *testing.T) {
 // must never trip on load shedding.
 func TestWorkerPoolSheddingClassification(t *testing.T) {
 	clk := newFakeClock()
-	p := NewWorkerPool([]string{"http://a"}, WorkerPoolOptions{EjectAfter: 1, now: clk.now})
+	p := NewWorkerPool([]string{"http://a"}, WorkerPoolOptions{ejectAfter: 1, now: clk.now})
 	defer p.Close()
 
 	for i := 0; i < 5; i++ {
@@ -128,7 +128,7 @@ func TestWorkerPoolSheddingClassification(t *testing.T) {
 		})
 	}
 	if got := p.state("http://a"); got != WorkerHealthy {
-		t.Fatalf("after 5 shed responses with EjectAfter=1: state %q, want healthy", got)
+		t.Fatalf("after 5 shed responses with ejectAfter=1: state %q, want healthy", got)
 	}
 	// Backed off: ineligible until the Retry-After window passes.
 	if got := p.pick(1); len(got) != 0 {
@@ -143,10 +143,20 @@ func TestWorkerPoolSheddingClassification(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want 5 backoffs and 0 failures", st.Workers[0])
 	}
 
-	// A plain 500 is a hard failure and (EjectAfter=1) ejects immediately.
+	// A shed response without a Retry-After backs off for shedWindow.
+	p.reportFailure("http://a", &workerHTTPError{url: "http://a", status: http.StatusTooManyRequests})
+	if got := p.pick(1); len(got) != 0 {
+		t.Fatalf("pick during the default shed window = %v, want none", got)
+	}
+	clk.advance(shedWindow)
+	if got := p.pick(1); len(got) != 1 {
+		t.Fatalf("pick after the default shed window = %v, want [http://a]", got)
+	}
+
+	// A plain 500 is a hard failure and (ejectAfter=1) ejects immediately.
 	p.reportFailure("http://a", &workerHTTPError{url: "http://a", status: http.StatusInternalServerError})
 	if got := p.state("http://a"); got != WorkerEjected {
-		t.Fatalf("after a 500 with EjectAfter=1: state %q, want ejected", got)
+		t.Fatalf("after a 500 with ejectAfter=1: state %q, want ejected", got)
 	}
 }
 
@@ -156,9 +166,8 @@ func TestWorkerPoolReadmission(t *testing.T) {
 	clk := newFakeClock()
 	var probeOK sync.Map // url -> bool
 	p := NewWorkerPool([]string{"http://a", "http://b"}, WorkerPoolOptions{
-		EjectAfter:    1,
-		ProbeInterval: 2 * time.Second,
-		now:           clk.now,
+		ejectAfter: 1,
+		now:        clk.now,
 		probe: func(ctx context.Context, base string) error {
 			if ok, _ := probeOK.Load(base); ok == true {
 				return nil
@@ -200,38 +209,42 @@ func TestWorkerPoolReadmission(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolProbeBackoffSchedule: failed probes double the re-probe
-// delay up to MaxProbeBackoff, and every scheduled delay is jittered within
-// ±25% of the nominal backoff.
+// TestWorkerPoolProbeBackoffSchedule: an ejected worker is first probed
+// after firstProbeDelay, failed probes double the delay up to
+// maxProbeDelay, and every scheduled delay is jittered within ±25% of the
+// nominal backoff. The fake clock walks the whole 2 s → 60 s schedule.
 func TestWorkerPoolProbeBackoffSchedule(t *testing.T) {
 	clk := newFakeClock()
 	p := NewWorkerPool([]string{"http://a"}, WorkerPoolOptions{
-		EjectAfter:      1,
-		ProbeInterval:   2 * time.Second,
-		MaxProbeBackoff: 8 * time.Second,
-		now:             clk.now,
-		probe:           func(ctx context.Context, base string) error { return errors.New("down") },
+		ejectAfter: 1,
+		now:        clk.now,
+		probe:      func(ctx context.Context, base string) error { return errors.New("down") },
 	})
 	defer p.Close()
 
+	checkDelay := func(round int, from time.Time, want time.Duration) {
+		t.Helper()
+		p.mu.Lock()
+		next := p.workers[0].nextProbeAt
+		p.mu.Unlock()
+		if delay := next.Sub(from); delay < time.Duration(float64(want)*0.75) || delay > time.Duration(float64(want)*1.25) {
+			t.Fatalf("round %d: next probe in %v, want within ±25%% of %v", round, delay, want)
+		}
+	}
 	p.reportFailure("http://a", errors.New("boom"))
-	wantBackoffs := []time.Duration{4 * time.Second, 8 * time.Second, 8 * time.Second}
+	checkDelay(0, clk.now(), firstProbeDelay)
+	wantBackoffs := []time.Duration{4 * time.Second, 8 * time.Second, 16 * time.Second,
+		32 * time.Second, maxProbeDelay, maxProbeDelay}
 	for round, want := range wantBackoffs {
-		before := clk.now()
-		clk.advance(time.Minute) // past any jittered nextProbeAt
+		clk.advance(2 * time.Minute) // past any jittered nextProbeAt
+		at := clk.now()
 		p.probeDue()
-		waitFor(t, fmt.Sprintf("probe round %d", round), func() bool {
+		waitFor(t, fmt.Sprintf("probe round %d", round+1), func() bool {
 			p.mu.Lock()
 			defer p.mu.Unlock()
 			return !p.workers[0].probing && p.workers[0].probeBackoff == want
 		})
-		p.mu.Lock()
-		next := p.workers[0].nextProbeAt
-		p.mu.Unlock()
-		delay := next.Sub(before.Add(time.Minute))
-		if delay < time.Duration(float64(want)*0.75) || delay > time.Duration(float64(want)*1.25) {
-			t.Fatalf("round %d: next probe in %v, want within ±25%% of %v", round, delay, want)
-		}
+		checkDelay(round+1, at, want)
 	}
 }
 

@@ -68,10 +68,10 @@
 // count Q_{k,s} of frequent k-itemsets in a random dataset is approximately
 // Poisson, by a Chen-Stein argument whose b1/b2 terms are estimated by Monte
 // Carlo: internal/montecarlo generates Delta random replicates, mines each,
-// and searches the empirical bound curve for b1+b2 <= eps/4.
-// internal/chenstein provides the exact analytic counterpart used as a test
-// oracle. Exported as Dataset.FindSMin; Theorem 4 puts the replicate
-// count for confidence 1 - delta at 8 ln(1/delta)/eps.
+// and searches the empirical bound curve for b1+b2 <= eps/4. The tests
+// check it against the exact analytic counterpart in internal/oracle.
+// Exported as Dataset.FindSMin; Theorem 4 puts the replicate count for
+// confidence 1 - delta at 8 ln(1/delta)/eps.
 //
 // Threshold selection with FDR control, s* (Procedure 2). internal/core
 // tests the geometric ladder s_i = s_min + 2^i against exact Poisson tails
@@ -89,13 +89,15 @@
 // it names a correction, and Report.Baseline.
 //
 // Statistics layer. The correction itself is pluggable (Config.Correction;
-// the Correction* constants). internal/mht is the pure statistics layer —
-// selection and adjusted-p functions over sorted p-value slices, no mining
-// types — and internal/core.Procedure1Ex dispatches on the chosen mode: the
-// paper's Benjamini-Yekutieli step-up (FDR), Bonferroni and Holm adjusted
-// p-values (FWER), or the Westfall-Young min-p resampling adjustment (FWER
-// learned from the joint null distribution rather than bounded
-// analytically). Westfall-Young rides the replicate engine: under
+// the Correction* constants). internal/mht is the pure statistics layer
+// over sorted p-value slices, with no mining types: the BY prefix rule
+// (mht.BYPrefix, also what internal/rules selects rules with) and the
+// adjusted-p functions. internal/core.Procedure1Ex dispatches on the
+// chosen mode: the paper's Benjamini-Yekutieli step-up (FDR), Bonferroni
+// and Holm adjusted p-values (FWER), or the Westfall-Young min-p
+// resampling adjustment (FWER learned from the joint null distribution
+// rather than bounded analytically). The rejection masks the tests hold
+// these against live in internal/oracle, which no binary links. Westfall-Young rides the replicate engine: under
 // montecarlo.Config.CollectMinPs each Monte Carlo replicate also records
 // the minimum p-value over its own mined k-itemsets, the per-replicate
 // minima travel inside the fabric's partials (so the correction shards

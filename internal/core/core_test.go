@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"sigfim/internal/dataset"
-	"sigfim/internal/mht"
 	"sigfim/internal/mining"
 	"sigfim/internal/montecarlo"
+	"sigfim/internal/oracle"
 	"sigfim/internal/randmodel"
 	"sigfim/internal/stats"
 )
@@ -366,7 +366,7 @@ func TestProcedure1StreamingMatchesDirectBY(t *testing.T) {
 		pvals[i] = stats.Binomial{N: 200, P: fX}.UpperTail(r.Support)
 	}
 	m := math.Exp(stats.LogChoose(15, 2))
-	reject := mht.BenjaminiYekutieli(pvals, 0.05, m)
+	reject := oracle.BenjaminiYekutieli(pvals, 0.05, m)
 	direct := 0
 	for _, b := range reject {
 		if b {

@@ -15,7 +15,6 @@ import (
 
 func TestParseCorrection(t *testing.T) {
 	cases := map[string]string{
-		"":                CorrectionBY,
 		"by":              CorrectionBY,
 		" BY ":            CorrectionBY,
 		"bonferroni":      CorrectionBonferroni,
@@ -29,7 +28,7 @@ func TestParseCorrection(t *testing.T) {
 			t.Errorf("ParseCorrection(%q) = %q, %v; want %q", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"bh", "westfall", "fdr", "none"} {
+	for _, bad := range []string{"", " ", "bh", "westfall", "fdr", "none"} {
 		_, err := ParseCorrection(bad)
 		if err == nil {
 			t.Errorf("ParseCorrection(%q) accepted", bad)
@@ -79,14 +78,9 @@ func TestProcedure1ExFamilyOrdering(t *testing.T) {
 			size[CorrectionBonferroni], size[CorrectionHolm])
 	}
 
-	// The empty correction must normalize to BY, the paper's default.
-	def, err := Procedure1Ex(v, 2, 10, 0.05, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.FamilySize != size[CorrectionBY] || def.Correction != CorrectionBY {
-		t.Errorf("Procedure1Ex(\"\") = %d under %q, Procedure1Ex(by) = %d",
-			def.FamilySize, def.Correction, size[CorrectionBY])
+	// A blank correction is refused, not quietly run as BY.
+	if _, err := Procedure1Ex(v, 2, 10, 0.05, "", nil); err == nil {
+		t.Error(`Procedure1Ex("") ran a correction`)
 	}
 }
 

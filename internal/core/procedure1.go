@@ -35,13 +35,12 @@ const (
 	CorrectionWestfallYoung = "westfall-young"
 )
 
-// ParseCorrection normalizes a user-supplied correction name: trimmed,
-// lowercased, empty defaulting to CorrectionBY. Unknown names return an
-// error enumerating the valid set.
+// ParseCorrection normalizes a user-supplied correction name: trimmed and
+// lowercased. Unknown names, the blank one included, return an error
+// enumerating the valid set; whether a blank name means "no baseline" is
+// the caller's decision (sigfim.ParseCorrection makes it).
 func ParseCorrection(s string) (string, error) {
 	switch c := strings.ToLower(strings.TrimSpace(s)); c {
-	case "":
-		return CorrectionBY, nil
 	case CorrectionBonferroni, CorrectionHolm, CorrectionBY, CorrectionWestfallYoung:
 		return c, nil
 	default:
@@ -70,13 +69,14 @@ const maxMaterializedFamily = 200_000
 //
 // The mined p-values are identical for every correction; only the
 // rejection rule applied to their order statistics differs. The correction
-// name is normalized via ParseCorrection. For CorrectionWestfallYoung, minPs
-// must be the replicate min-p null distribution (montecarlo.Result.MinPs,
-// collected under Config.CollectMinPs); every other correction ignores
-// minPs. Because the replicate minima range over the superset family mined
-// at the halving floor (<= sMin), the resampled distribution is
-// stochastically smaller than the exact one, so the adjusted p-values are
-// conservative, never liberal.
+// name is normalized via ParseCorrection, so a blank one is an error. For
+// CorrectionWestfallYoung, minPs must be the replicate min-p null
+// distribution (montecarlo.Result.MinPs, collected under
+// Config.CollectMinPs); every other correction ignores minPs. Because the
+// replicate minima range over the superset family mined at the halving
+// floor (<= sMin), the resampled distribution is stochastically smaller
+// than the exact one, so the adjusted p-values are conservative, never
+// liberal.
 func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction string, minPs []float64) (*Procedure1Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
@@ -132,14 +132,7 @@ func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction str
 	ell := 0
 	switch correction {
 	case CorrectionBY:
-		// Step-up: largest i with p_(i) <= i * beta / (m * H(m)).
-		denom := m * mht.Harmonic(m)
-		for i := len(pvals); i >= 1; i-- {
-			if pvals[i-1] <= float64(i)/denom*beta {
-				ell = i
-				break
-			}
-		}
+		ell = mht.BYPrefix(pvals, beta, m)
 	case CorrectionBonferroni, CorrectionHolm, CorrectionWestfallYoung:
 		// Adjusted-p semantics: over sorted input every *Adjust function is
 		// monotone with ties mapped to one value, so the rejected set is the

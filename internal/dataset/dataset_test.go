@@ -239,14 +239,6 @@ func TestProfile(t *testing.T) {
 	if got := p.AvgTransactionLen(); math.Abs(got-13.0/6) > 1e-12 {
 		t.Errorf("avg len = %v", got)
 	}
-	top := p.TopFrequencies(2)
-	if len(top) != 2 || top[0] != 0.5 || top[1] != 0.5 {
-		t.Errorf("top2 = %v", top)
-	}
-	// s-tilde for k=2: t * f1 * f2 = 6 * 0.5 * 0.5 = 1.5.
-	if got := p.MaxExpectedSupport(2); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("max expected support = %v", got)
-	}
 	pv := ExtractVertical("small", d.Vertical())
 	if pv.T != p.T || pv.NumItems() != p.NumItems() {
 		t.Error("vertical profile mismatch")
@@ -259,12 +251,5 @@ func TestProfileIgnoresZeroFreqItems(t *testing.T) {
 	fmin, fmax := p.FreqRange()
 	if fmin != 1 || fmax != 1 {
 		t.Errorf("zero-frequency items should be ignored: [%v, %v]", fmin, fmax)
-	}
-}
-
-func TestMaxExpectedSupportTooFewItems(t *testing.T) {
-	p := Profile{T: 100, Freqs: []float64{0.5}}
-	if got := p.MaxExpectedSupport(2); got != 0 {
-		t.Errorf("k beyond universe should give 0, got %v", got)
 	}
 }

@@ -1,7 +1,5 @@
 package dataset
 
-import "sort"
-
 // Profile captures everything the paper's methodology reads from a dataset:
 // the item universe size n, the transaction count t, and the individual item
 // frequencies f_i. The derived values (frequency range, mean transaction
@@ -56,31 +54,4 @@ func (p Profile) AvgTransactionLen() float64 {
 		s += f
 	}
 	return s
-}
-
-// TopFrequencies returns the k largest frequencies in descending order
-// (fewer if the universe is smaller). Used to compute s-tilde, the largest
-// expected k-itemset support, in Algorithm 1.
-func (p Profile) TopFrequencies(k int) []float64 {
-	fs := append([]float64(nil), p.Freqs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(fs)))
-	if k > len(fs) {
-		k = len(fs)
-	}
-	return fs[:k]
-}
-
-// MaxExpectedSupport returns t times the product of the k largest item
-// frequencies: the largest expected support of any k-itemset under the
-// independence null model (the paper's s-tilde).
-func (p Profile) MaxExpectedSupport(k int) float64 {
-	top := p.TopFrequencies(k)
-	prod := float64(p.T)
-	for _, f := range top {
-		prod *= f
-	}
-	if len(top) < k {
-		return 0
-	}
-	return prod
 }

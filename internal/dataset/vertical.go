@@ -59,9 +59,6 @@ func (v *Vertical) Reuse(numTransactions, numItems int) {
 	}
 }
 
-// ItemSupport returns n(i) for one item.
-func (v *Vertical) ItemSupport(item uint32) int { return len(v.Tids[item]) }
-
 // ItemSupports returns the support of every item.
 func (v *Vertical) ItemSupports() []int {
 	s := make([]int, len(v.Tids))

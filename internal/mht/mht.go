@@ -1,24 +1,23 @@
-// Package mht implements the multiple hypothesis testing corrections the
-// significance pipeline selects between:
+// Package mht implements the multiple hypothesis testing corrections
+// Procedure 1 and rule selection apply. Each one rejects a prefix of the
+// p-values in ascending order, and ties never split that prefix:
 //
-//   - Bonferroni and Holm, the classical FWER procedures (Holm is the
-//     uniformly more powerful step-down refinement);
 //   - Benjamini-Yekutieli, the FDR step-up procedure of the paper's
 //     Theorem 5 and the default engine of Procedure 1, valid under
-//     arbitrary dependence;
-//   - Westfall-Young, the resampling-based min-p step-down procedure,
-//     whose null distribution is the per-replicate minimum p-value that
+//     arbitrary dependence: BYPrefix returns the length of the rejected
+//     prefix of the sorted p-values;
+//   - Bonferroni and Holm, the classical FWER procedures (Holm is the
+//     uniformly more powerful step-down refinement), and Westfall-Young,
+//     the resampling-based min-p step-down procedure, whose null
+//     distribution is the per-replicate minimum p-value that
 //     montecarlo.MineRange collects while Algorithm 1's replicates are
-//     mined (Config.CollectMinPs).
+//     mined (Config.CollectMinPs). Each returns one adjusted p-value per
+//     hypothesis, the smallest level at which the procedure would reject
+//     it, which is what reports carry: an adjusted p-value is
+//     interpretable without knowing the procedure's bookkeeping.
 //
-// Two API shapes coexist. The mask functions (Bonferroni, Holm,
-// BenjaminiYekutieli) answer "which hypotheses does this procedure reject
-// at this level" directly. The adjusted-p functions
-// (BonferroniAdjust, HolmAdjust, WestfallYoung) instead return one adjusted
-// p-value per hypothesis — the smallest level at which the procedure would
-// reject it — which composes with any downstream threshold via
-// RejectAdjusted and is what reports should carry: an adjusted p-value is
-// interpretable without knowing the procedure's bookkeeping.
+// The rejection masks the tests compare these against live in
+// internal/oracle.
 package mht
 
 import (
@@ -49,105 +48,37 @@ func Harmonic(m float64) float64 {
 	return math.Log(m) + eulerMascheroni + 1/(2*m) - 1/(12*m*m)
 }
 
-// stepUp runs a generic step-up procedure: find the largest i (1-based on
-// the sorted p-values) with p_(i) <= threshold(i), and reject hypotheses
-// 1..i. Returns the rejection mask aligned with the input order.
-func stepUp(pvalues []float64, threshold func(i int) float64) []bool {
-	n := len(pvalues)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return pvalues[idx[a]] < pvalues[idx[b]] })
-	cut := 0 // number of rejections
-	for i := n; i >= 1; i-- {
-		if pvalues[idx[i-1]] <= threshold(i) {
-			cut = i
-			break
-		}
-	}
-	reject := make([]bool, n)
-	for i := 0; i < cut; i++ {
-		reject[idx[i]] = true
-	}
-	return reject
-}
-
-// Bonferroni rejects hypothesis i when p_i <= alpha/m, controlling the
-// family-wise error rate (the probability of even one false rejection) at
-// alpha under arbitrary dependence. Returns the rejection mask aligned with
-// the input order. m defaults to len(pvalues) when mTotal <= 0; pass the
-// full hypothesis count (Procedure 1 passes C(n, k)) when only a subset of
-// p-values was computed — the uncomputed hypotheses are implicitly
-// non-rejected, which is conservative.
-func Bonferroni(pvalues []float64, alpha float64, mTotal float64) []bool {
-	m := mTotal
-	if m <= 0 {
-		m = float64(len(pvalues))
-	}
-	reject := make([]bool, len(pvalues))
-	if m == 0 {
-		return reject
-	}
-	thr := alpha / m
-	for i, p := range pvalues {
-		reject[i] = p <= thr
-	}
-	return reject
-}
-
-// Holm is the step-down refinement of Bonferroni: the sorted p-values
-// p_(1) <= ... <= p_(m) are compared against alpha/(m-i+1) in order,
-// stopping at the first failure, and hypotheses before the stopping point
-// are rejected. Returns the rejection mask aligned with the input order.
-// Uniformly more powerful than Bonferroni with the same FWER guarantee
-// under arbitrary dependence; here m is len(pvalues) — use HolmAdjust with
-// an explicit mTotal when only a subset of the family was computed.
-func Holm(pvalues []float64, alpha float64) []bool {
-	n := len(pvalues)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return pvalues[idx[a]] < pvalues[idx[b]] })
-	reject := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if pvalues[idx[i]] <= alpha/float64(n-i) {
-			reject[idx[i]] = true
-		} else {
-			break
-		}
-	}
-	return reject
-}
-
-// BenjaminiYekutieli runs the BY step-up procedure at level beta with an
-// explicit total hypothesis count mTotal (paper Theorem 5): reject the
-// smallest ell p-values where
+// BYPrefix runs the Benjamini-Yekutieli step-up procedure at level beta
+// (paper Theorem 5) over the ascending p-values sorted and returns the
+// number of them it rejects,
 //
 //	ell = max{ i : p_(i) <= (i / (m * H(m))) * beta },
 //
-// which controls FDR at beta under arbitrary dependence. mTotal <= 0
-// defaults to len(pvalues). Procedure 1 passes mTotal = C(n, k) — the
-// hypotheses whose p-values were never computed are implicitly non-rejected,
-// which is conservative and exactly what the paper prescribes.
-func BenjaminiYekutieli(pvalues []float64, beta float64, mTotal float64) []bool {
-	m := mTotal
+// which controls FDR at beta under arbitrary dependence. m is the total
+// hypothesis count; m <= 0 counts only the given p-values. Procedure 1
+// passes m = C(n, k): the hypotheses whose p-values were never computed are
+// implicitly non-rejected, which is conservative and exactly what the paper
+// prescribes. Ties never split the prefix: the line rises with i, so a
+// p-value equal to p_(ell) after it would lie under the line too. The
+// rejected set is therefore exactly the p-values at most sorted[ell-1].
+func BYPrefix(sorted []float64, beta, m float64) int {
 	if m <= 0 {
-		m = float64(len(pvalues))
-	}
-	if m == 0 {
-		return make([]bool, len(pvalues))
+		m = float64(len(sorted))
 	}
 	denom := m * Harmonic(m)
-	return stepUp(pvalues, func(i int) float64 { return float64(i) / denom * beta })
+	for i := len(sorted); i >= 1; i-- {
+		if sorted[i-1] <= float64(i)/denom*beta {
+			return i
+		}
+	}
+	return 0
 }
 
 // BonferroniAdjust returns the Bonferroni adjusted p-values
 // min(1, m * p_i), aligned with the input order: hypothesis i is rejected
-// at FWER level alpha exactly when the adjusted value is <= alpha
-// (RejectAdjusted). m defaults to len(pvalues) when mTotal <= 0; pass the
-// full hypothesis count when only a subset of the family was computed.
+// at FWER level alpha exactly when the adjusted value is <= alpha. m
+// defaults to len(pvalues) when mTotal <= 0; pass the full hypothesis count
+// when only a subset of the family was computed.
 func BonferroniAdjust(pvalues []float64, mTotal float64) []float64 {
 	m := mTotal
 	if m <= 0 {
@@ -255,60 +186,4 @@ func WestfallYoung(pvalues, nullMin []float64) []float64 {
 		out[idx[i]] = adj
 	}
 	return out
-}
-
-// RejectAdjusted converts adjusted p-values into a rejection mask at level
-// alpha: reject[i] = adjusted[i] <= alpha. Because every *Adjust function
-// returns monotone-coherent values, the mask is always downward closed in
-// the raw p-value order.
-func RejectAdjusted(adjusted []float64, alpha float64) []bool {
-	reject := make([]bool, len(adjusted))
-	for i, a := range adjusted {
-		reject[i] = a <= alpha
-	}
-	return reject
-}
-
-// EmpiricalFDR computes V/R — the realized fraction of false rejections —
-// given a rejection mask and ground-truth null indicators (isNull[i] true
-// when hypothesis i is a true null). It is the simulation-side check that a
-// procedure's FDR guarantee holds: averaging EmpiricalFDR over independent
-// trials estimates the procedure's actual FDR. Returns 0 when nothing was
-// rejected, matching the FDR convention E[V/max(R,1)].
-func EmpiricalFDR(reject []bool, isNull []bool) float64 {
-	v, r := 0, 0
-	for i, rej := range reject {
-		if !rej {
-			continue
-		}
-		r++
-		if isNull[i] {
-			v++
-		}
-	}
-	if r == 0 {
-		return 0
-	}
-	return float64(v) / float64(r)
-}
-
-// Power computes the fraction of false nulls (true signals) that were
-// rejected — the procedure's sensitivity in a simulation with known ground
-// truth, the natural companion to EmpiricalFDR. Returns 0 when the ground
-// truth contains no signals.
-func Power(reject []bool, isNull []bool) float64 {
-	caught, total := 0, 0
-	for i, null := range isNull {
-		if null {
-			continue
-		}
-		total++
-		if reject[i] {
-			caught++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(caught) / float64(total)
 }

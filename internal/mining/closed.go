@@ -48,17 +48,6 @@ func IsClosed(v *dataset.Vertical, items Itemset) bool {
 	return Closure(v, items).Equal(items)
 }
 
-// FilterClosed keeps only the closed itemsets from the results.
-func FilterClosed(v *dataset.Vertical, rs []Result) []Result {
-	out := make([]Result, 0, len(rs))
-	for _, r := range rs {
-		if IsClosed(v, r.Items) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // ClosedAll enumerates every closed itemset (size >= 1) with support >=
 // minSupport, in no particular order, sorted on return for determinism.
 func ClosedAll(v *dataset.Vertical, minSupport int) []Result {

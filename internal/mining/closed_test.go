@@ -139,16 +139,3 @@ func TestMaxClosedCardinalityEmpty(t *testing.T) {
 		t.Fatalf("expected none, got %v at %d", best, sup)
 	}
 }
-
-func TestFilterClosed(t *testing.T) {
-	d := dataset.MustNew(3, [][]uint32{{0, 1}, {0, 1}, {0, 1, 2}})
-	v := d.Vertical()
-	rs := []Result{
-		{Items: Itemset{0}, Support: 3},
-		{Items: Itemset{0, 1}, Support: 3},
-	}
-	got := FilterClosed(v, rs)
-	if len(got) != 1 || !got[0].Items.Equal(Itemset{0, 1}) {
-		t.Fatalf("FilterClosed = %v", got)
-	}
-}

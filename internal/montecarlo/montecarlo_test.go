@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"sigfim/internal/chenstein"
 	"sigfim/internal/mining"
+	"sigfim/internal/oracle"
 	"sigfim/internal/randmodel"
 	"sigfim/internal/stats"
 )
@@ -94,7 +94,7 @@ func TestSMinNearAnalytic(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = p
 	}
-	exactQuarter, ok := chenstein.SMinExact(freqs, tt, 2, 0.01) // eps/4 = 0.01
+	exactQuarter, ok := oracle.SMinExact(freqs, tt, 2, 0.01) // eps/4 = 0.01
 	if !ok {
 		t.Fatal("no exact threshold")
 	}
@@ -157,7 +157,7 @@ func TestLambdaEstimatorAgainstExact(t *testing.T) {
 		if s < res.Floor {
 			continue
 		}
-		want := chenstein.ExactLambda(freqs, tt, 2, s)
+		want := oracle.ExactLambda(freqs, tt, 2, s)
 		got := res.Lambda(s)
 		se := math.Sqrt(want / float64(res.Delta))
 		if math.Abs(got-want) > 6*se+0.05*want+0.02 {
@@ -187,7 +187,7 @@ func TestEstimateLambdaMatchesExact(t *testing.T) {
 	freqs := []float64{0.3, 0.25, 0.2, 0.15, 0.35}
 	m := randmodel.IndependentModel{T: 80, Freqs: freqs}
 	k, s := 2, 5
-	want := chenstein.ExactLambda(freqs, 80, k, s)
+	want := oracle.ExactLambda(freqs, 80, k, s)
 	got := EstimateLambda(m, k, s, 4000, 7)
 	se := math.Sqrt(want / 4000)
 	if math.Abs(got-want) > 8*se+0.02 {
@@ -213,7 +213,7 @@ func TestSampleQPoissonAboveSMin(t *testing.T) {
 	if lam == 0 {
 		t.Skip("degenerate: no itemsets at s_min")
 	}
-	tv := stats.TotalVariationPoisson(sample, lam)
+	tv := oracle.TotalVariationPoisson(sample, lam)
 	if tv > 0.08 {
 		t.Errorf("TV distance to Poisson at ŝ_min = %v", tv)
 	}

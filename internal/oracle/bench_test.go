@@ -1,4 +1,4 @@
-package chenstein
+package oracle
 
 import (
 	"testing"

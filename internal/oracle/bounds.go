@@ -1,16 +1,25 @@
-// Package chenstein implements the Chen-Stein Poisson-approximation
-// machinery of the paper's Section 2: the dependency bounds b1(s) and b2(s)
-// of Theorem 1, their closed forms in the uniform-frequency regime of
-// Theorem 2 and the mixture regime of Theorem 3, exact and bucketed
-// computation of lambda = E[Q̂_{k,s}], and the analytic support threshold
-// s_min = min{s : b1(s)+b2(s) <= eps} of Equation (1).
+// Package oracle holds the analytic and simulation references the tests
+// check the production code against; no non-test file outside this
+// package imports it, which TestOnlyTestsImportOracle enforces.
+//
+// The Chen-Stein Poisson-approximation machinery of the paper's Section 2
+// checks Algorithm 1: the dependency bounds b1(s) and b2(s) of Theorem 1,
+// their closed forms in the uniform-frequency regime of Theorem 2 and the
+// mixture regime of Theorem 3 (the RDist frequency distributions), exact
+// and bucketed computation of lambda = E[Q̂_{k,s}], and the analytic
+// support threshold s_min = min{s : b1(s)+b2(s) <= eps} of Equation (1).
 //
 // The variation distance between the law of Q̂_{k,s} (the number of
 // k-itemsets with support >= s in a random dataset) and a Poisson law of the
 // same mean is at most b1(s) + b2(s), where b1 sums p_X p_Y over ordered
 // pairs of overlapping k-itemsets (including X = Y) and b2 sums E[Z_X Z_Y]
 // over ordered pairs of distinct overlapping k-itemsets.
-package chenstein
+//
+// The multiple-testing masks (Bonferroni, Holm, Benjamini-Hochberg and the
+// Benjamini-Yekutieli step-up of Theorem 5) check Procedure 1 and rule
+// selection, EmpiricalFDR and Power score a rejection mask against ground
+// truth, and the chi-square and total-variation checks test the samplers.
+package oracle
 
 import (
 	"math"

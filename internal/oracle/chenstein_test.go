@@ -1,4 +1,4 @@
-package chenstein
+package oracle
 
 import (
 	"math"
@@ -213,7 +213,7 @@ func TestMixtureBoundsDominateUniform(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = p
 	}
-	pr := randmodel.PointR{P: p}
+	pr := PointR{P: p}
 	m := MixtureBounds{N: n, K: k, T: tt, Moments: pr.Moment}
 	for _, s := range []int{2, 4, 6} {
 		exactB1, exactB2 := ExactPairBounds(freqs, tt, k, s)
@@ -227,7 +227,7 @@ func TestMixtureBoundsDominateUniform(t *testing.T) {
 }
 
 func TestMixtureSMinFindsThreshold(t *testing.T) {
-	pr := randmodel.TwoPointR{Lo: 0.01, Hi: 0.2, W: 0.1}
+	pr := TwoPointR{Lo: 0.01, Hi: 0.2, W: 0.1}
 	m := MixtureBounds{N: 200, K: 2, T: 500, Moments: pr.Moment}
 	s, ok := m.SMin(0.01, 1)
 	if !ok {
@@ -250,15 +250,5 @@ func TestSMinExactSmallUniverse(t *testing.T) {
 	}
 	if s > 1 && VariationDistanceBound(freqs, tt, 2, s-1) <= 0.01 {
 		t.Error("exact s_min not minimal")
-	}
-}
-
-func TestMaxExpectedSupport(t *testing.T) {
-	freqs := []float64{0.1, 0.5, 0.3, 0.2}
-	if got := MaxExpectedSupport(freqs, 100, 2); !almostEq(got, 15, 1e-12) {
-		t.Errorf("s-tilde = %v, want 15", got)
-	}
-	if got := MaxExpectedSupport(freqs, 100, 5); got != 0 {
-		t.Errorf("k > n should give 0, got %v", got)
 	}
 }

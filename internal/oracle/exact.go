@@ -1,4 +1,4 @@
-package chenstein
+package oracle
 
 import (
 	"math"
@@ -174,29 +174,4 @@ func SMinExact(freqs []float64, t, k int, eps float64) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MaxExpectedSupport returns t times the product of the k largest
-// frequencies (the paper's s-tilde) — duplicated here in float form for
-// callers that have a raw frequency vector rather than a dataset profile.
-func MaxExpectedSupport(freqs []float64, t, k int) float64 {
-	if k > len(freqs) {
-		return 0
-	}
-	top := append([]float64(nil), freqs...)
-	// Partial selection of the k largest.
-	for i := 0; i < k; i++ {
-		maxIdx := i
-		for j := i + 1; j < len(top); j++ {
-			if top[j] > top[maxIdx] {
-				maxIdx = j
-			}
-		}
-		top[i], top[maxIdx] = top[maxIdx], top[i]
-	}
-	prod := float64(t)
-	for i := 0; i < k; i++ {
-		prod *= top[i]
-	}
-	return prod
 }

@@ -1,6 +1,10 @@
-package stats
+package oracle
 
-import "math"
+import (
+	"math"
+
+	"sigfim/internal/stats"
+)
 
 // Goodness-of-fit checks the test suite compares against: chi-square tests
 // against discrete distributions and total variation distance between an
@@ -21,7 +25,7 @@ type ChiSquareResult struct {
 // degrees of freedom.
 func ChiSquareTest(observed []float64, expected []float64, minExpected float64, dfAdjust int) ChiSquareResult {
 	if len(observed) != len(expected) {
-		panic("stats: chi-square length mismatch")
+		panic("oracle: chi-square length mismatch")
 	}
 	var obsPooled, expPooled []float64
 	accO, accE := 0.0, 0.0
@@ -64,7 +68,7 @@ func ChiSquareUpperTail(x float64, df int) float64 {
 	if x <= 0 {
 		return 1
 	}
-	return RegUpperGamma(float64(df)/2, x/2)
+	return stats.RegUpperGamma(float64(df)/2, x/2)
 }
 
 // TotalVariationPoisson returns the total variation distance between the
@@ -84,7 +88,7 @@ func TotalVariationPoisson(sample []int, lambda float64) float64 {
 			maxK = v
 		}
 	}
-	p := Poisson{Lambda: lambda}
+	p := stats.Poisson{Lambda: lambda}
 	// Sum over observed support plus enough Poisson mass beyond it.
 	limit := maxK
 	for p.UpperTail(limit+1) > 1e-12 {

@@ -1,4 +1,4 @@
-package chenstein
+package oracle
 
 import (
 	"math"
@@ -51,7 +51,7 @@ type Buckets struct {
 // never contribute to any itemset's support.
 func NewBuckets(freqs []float64, ratio float64) Buckets {
 	if ratio <= 1 {
-		panic("chenstein: bucket ratio must exceed 1")
+		panic("oracle: bucket ratio must exceed 1")
 	}
 	pos := make([]float64, 0, len(freqs))
 	for _, f := range freqs {
@@ -63,7 +63,6 @@ func NewBuckets(freqs []float64, ratio float64) Buckets {
 		return Buckets{}
 	}
 	sort.Float64s(pos)
-	logRatio := math.Log(ratio)
 	var b Buckets
 	start := 0
 	for start < len(pos) {
@@ -74,7 +73,6 @@ func NewBuckets(freqs []float64, ratio float64) Buckets {
 			logSum += math.Log(pos[end])
 			end++
 		}
-		_ = logRatio
 		b.Count = append(b.Count, end-start)
 		b.Rep = append(b.Rep, math.Exp(logSum/float64(end-start)))
 		start = end

@@ -1,12 +1,12 @@
-package randmodel
+package oracle
 
 import "math"
 
 // RDist is a distribution over per-item frequencies, the R of Theorem 3:
 // each item x draws R_x ~ R independently, then joins each transaction with
-// probability R_x. The analytic Chen-Stein bounds
-// (chenstein.MixtureBounds) depend on R only through the moments E[R^j],
-// which implementations expose exactly.
+// probability R_x. The analytic Chen-Stein bounds (MixtureBounds) depend
+// on R only through the moments E[R^j], which implementations expose
+// exactly.
 type RDist interface {
 	// Moment returns E[R^j].
 	Moment(j int) float64

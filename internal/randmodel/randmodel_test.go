@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sigfim/internal/dataset"
+	"sigfim/internal/oracle"
 	"sigfim/internal/stats"
 )
 
@@ -95,7 +96,7 @@ func TestItemSupportsMatchBinomial(t *testing.T) {
 	for v := lo; v <= hi; v++ {
 		exp[v-lo+1] = reps * b.PMF(v)
 	}
-	res := stats.ChiSquareTest(obs, exp, 5, 0)
+	res := oracle.ChiSquareTest(obs, exp, 5, 0)
 	if res.PValue < 1e-4 {
 		t.Errorf("item support not Binomial: chi2 p=%v", res.PValue)
 	}
@@ -153,18 +154,18 @@ func TestReplicates(t *testing.T) {
 
 // drawR draws one frequency from d, so TestRDistMoments can check each
 // analytic moment against an empirical one.
-func drawR(d RDist, r *stats.RNG) float64 {
+func drawR(d oracle.RDist, r *stats.RNG) float64 {
 	switch d := d.(type) {
-	case PointR:
+	case oracle.PointR:
 		return d.P
-	case UniformR:
+	case oracle.UniformR:
 		return d.A + (d.B-d.A)*r.Float64()
-	case TwoPointR:
+	case oracle.TwoPointR:
 		if r.Bernoulli(d.W) {
 			return d.Hi
 		}
 		return d.Lo
-	case EmpiricalR:
+	case oracle.EmpiricalR:
 		return d.Freqs[r.Intn(len(d.Freqs))]
 	}
 	panic(fmt.Sprintf("drawR: unknown RDist %T", d))
@@ -172,11 +173,11 @@ func drawR(d RDist, r *stats.RNG) float64 {
 
 func TestRDistMoments(t *testing.T) {
 	r := stats.NewRNG(11)
-	dists := []RDist{
-		PointR{P: 0.3},
-		UniformR{A: 0.1, B: 0.4},
-		TwoPointR{Lo: 0.01, Hi: 0.3, W: 0.2},
-		EmpiricalR{Freqs: []float64{0.1, 0.2, 0.3, 0.4}},
+	dists := []oracle.RDist{
+		oracle.PointR{P: 0.3},
+		oracle.UniformR{A: 0.1, B: 0.4},
+		oracle.TwoPointR{Lo: 0.01, Hi: 0.3, W: 0.2},
+		oracle.EmpiricalR{Freqs: []float64{0.1, 0.2, 0.3, 0.4}},
 	}
 	const trials = 200000
 	for _, d := range dists {
@@ -195,7 +196,7 @@ func TestRDistMoments(t *testing.T) {
 }
 
 func TestUniformRDegenerate(t *testing.T) {
-	d := UniformR{A: 0.25, B: 0.25}
+	d := oracle.UniformR{A: 0.25, B: 0.25}
 	if got := d.Moment(2); math.Abs(got-0.0625) > 1e-12 {
 		t.Errorf("degenerate uniform moment = %v", got)
 	}

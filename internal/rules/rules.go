@@ -158,18 +158,21 @@ func visitProperSubsets(items mining.Itemset, fn func(ant, cons mining.Itemset))
 // input order restricted to the selected ones; FDR among them is at most
 // beta.
 func SelectSignificant(rs []Rule, beta float64, mTotal float64) []Rule {
-	if len(rs) == 0 {
-		return nil
-	}
 	pvals := make([]float64, len(rs))
 	for i, r := range rs {
 		pvals[i] = r.PValue
 	}
-	reject := mht.BenjaminiYekutieli(pvals, beta, mTotal)
+	sort.Float64s(pvals)
+	ell := mht.BYPrefix(pvals, beta, mTotal)
+	if ell == 0 {
+		return nil
+	}
+	// BY never splits ties, so the rejected rules are exactly those at or
+	// below the prefix's last p-value.
 	var out []Rule
-	for i, rej := range reject {
-		if rej {
-			out = append(out, rs[i])
+	for _, r := range rs {
+		if r.PValue <= pvals[ell-1] {
+			out = append(out, r)
 		}
 	}
 	return out

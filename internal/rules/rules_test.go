@@ -2,10 +2,12 @@ package rules
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sigfim/internal/dataset"
 	"sigfim/internal/mining"
+	"sigfim/internal/oracle"
 	"sigfim/internal/randmodel"
 	"sigfim/internal/stats"
 )
@@ -149,6 +151,36 @@ func TestSelectSignificantOnPlantedVsNull(t *testing.T) {
 	nullSig := SelectSignificant(nullRules, 0.05, 0)
 	if len(nullSig) > 2 {
 		t.Errorf("null data yielded %d significant rules", len(nullSig))
+	}
+}
+
+func TestSelectSignificantMatchesBYMask(t *testing.T) {
+	// The selection is the oracle's BY mask in input order, tied p-values
+	// and larger hypothesis counts included.
+	r := stats.NewRNG(79)
+	for trial := 0; trial < 200; trial++ {
+		rs := make([]Rule, 1+r.Intn(30))
+		for i := range rs {
+			rs[i] = Rule{Support: i, PValue: math.Pow(10, -float64(r.Intn(8)))}
+			if r.Bernoulli(0.5) {
+				rs[i].PValue *= r.Float64()
+			}
+		}
+		pvals := make([]float64, len(rs))
+		for i, rule := range rs {
+			pvals[i] = rule.PValue
+		}
+		for _, mTotal := range []float64{0, float64(len(rs)), 1e4} {
+			var want []Rule
+			for i, rej := range oracle.BenjaminiYekutieli(pvals, 0.05, mTotal) {
+				if rej {
+					want = append(want, rs[i])
+				}
+			}
+			if got := SelectSignificant(rs, 0.05, mTotal); !reflect.DeepEqual(got, want) {
+				t.Fatalf("m = %v, p = %v: selected %v, oracle %v", mTotal, pvals, got, want)
+			}
+		}
 	}
 }
 

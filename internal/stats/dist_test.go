@@ -86,30 +86,6 @@ func TestPoissonZeroLambda(t *testing.T) {
 	}
 }
 
-func TestGeometricPMFAndSampler(t *testing.T) {
-	// Gaps drawn through GeometricGap must follow the Geometric(p) PMF
-	// (1-p)^k p; the far tail is pooled into the last cell.
-	const p, cells, trials = 0.25, 30, 50000
-	g := NewGeometricGap(p)
-	r := NewRNG(5)
-	obs := make([]float64, cells+1)
-	for i := 0; i < trials; i++ {
-		gap, ok := gapBelow(g, r.Float64Open(), cells)
-		if !ok {
-			gap = cells
-		}
-		obs[gap]++
-	}
-	exp := make([]float64, cells+1)
-	for k := 0; k < cells; k++ {
-		exp[k] = trials * math.Pow(1-p, float64(k)) * p
-	}
-	exp[cells] = trials * math.Pow(1-p, cells)
-	if res := ChiSquareTest(obs, exp, 5, 0); res.PValue < 1e-4 {
-		t.Errorf("geometric gaps fail chi-square: p=%v stat=%v df=%d", res.PValue, res.Statistic, res.DF)
-	}
-}
-
 func TestTruncatedPowerLawFit(t *testing.T) {
 	n, fmin, fmax, target := 1000, 1e-4, 0.5, 8.0
 	z := FitPowerLaw(n, fmin, fmax, target)

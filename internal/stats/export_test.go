@@ -17,3 +17,7 @@ func WalkKernelOff() (restore func()) {
 	useWalkKernel = false
 	return func() { useWalkKernel = prev }
 }
+
+// GapBelow exports gapBelow, the column walk's one-gap step, to the
+// goodness-of-fit tests of the external test package.
+func GapBelow(g GeometricGap, u float64, limit int) (int, bool) { return gapBelow(g, u, limit) }

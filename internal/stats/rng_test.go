@@ -46,46 +46,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestFloat64Uniformity(t *testing.T) {
-	r := NewRNG(31337)
-	const bins = 20
-	const trials = 200000
-	counts := make([]float64, bins)
-	for i := 0; i < trials; i++ {
-		counts[int(r.Float64()*bins)]++
-	}
-	expected := make([]float64, bins)
-	for i := range expected {
-		expected[i] = trials / bins
-	}
-	res := ChiSquareTest(counts, expected, 5, 0)
-	if res.PValue < 1e-4 {
-		t.Errorf("uniformity chi-square p=%v", res.PValue)
-	}
-}
-
-func TestIntnUnbiased(t *testing.T) {
-	r := NewRNG(2024)
-	const n = 7
-	const trials = 140000
-	counts := make([]float64, n)
-	for i := 0; i < trials; i++ {
-		v := r.Intn(n)
-		if v < 0 || v >= n {
-			t.Fatalf("Intn out of range: %d", v)
-		}
-		counts[v]++
-	}
-	expected := make([]float64, n)
-	for i := range expected {
-		expected[i] = trials / n
-	}
-	res := ChiSquareTest(counts, expected, 5, 0)
-	if res.PValue < 1e-4 {
-		t.Errorf("Intn chi-square p=%v", res.PValue)
-	}
-}
-
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -130,26 +90,5 @@ func TestSampleKOfN(t *testing.T) {
 	s := SampleKOfN(10, 10, r)
 	if len(s) != 10 {
 		t.Fatal("k=n sample wrong size")
-	}
-}
-
-func TestSampleKOfNUniform(t *testing.T) {
-	// Each element should appear with probability k/n.
-	r := NewRNG(23)
-	const trials = 50000
-	k, n := 3, 10
-	counts := make([]float64, n)
-	for i := 0; i < trials; i++ {
-		for _, v := range SampleKOfN(k, n, r) {
-			counts[v]++
-		}
-	}
-	expected := make([]float64, n)
-	for i := range expected {
-		expected[i] = trials * float64(k) / float64(n)
-	}
-	res := ChiSquareTest(counts, expected, 5, 0)
-	if res.PValue < 1e-4 {
-		t.Errorf("Floyd sampling chi-square p=%v", res.PValue)
 	}
 }

@@ -211,16 +211,6 @@ func (a *Active) End(attrs ...Attr) {
 	})
 }
 
-// Annotate appends attributes to the span before it ends. Not safe for
-// concurrent use with End on the same handle (spans are owned by one
-// goroutine; concurrency safety lives in the Recorder).
-func (a *Active) Annotate(attrs ...Attr) {
-	if a == nil {
-		return
-	}
-	a.attrs = append(a.attrs, attrs...)
-}
-
 // FormatHeader renders trace context for the wire: "traceID/spanID".
 func FormatHeader(traceID string, spanID int) string {
 	return traceID + "/" + strconv.Itoa(spanID)

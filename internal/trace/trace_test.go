@@ -57,7 +57,6 @@ func TestNilSafety(t *testing.T) {
 	if ctx2 != ctx {
 		t.Error("Start without recorder should return ctx unchanged")
 	}
-	sp.Annotate(String("k", "v")) // must not panic
 	sp.End()
 	Add(ctx, "retro", time.Now(), time.Second)
 	if HeaderValue(ctx) != "" {
@@ -112,7 +111,6 @@ func TestRecorderConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				sctx, sp := Start(ctx, "range", Int("worker", w))
 				_ = HeaderValue(sctx)
-				sp.Annotate(Int("i", i))
 				sp.End(String("outcome", "ok"))
 			}
 		}(w)

@@ -532,10 +532,9 @@ func (e *Engine) run(j *job) {
 	j.startedAt = time.Now().UTC()
 	j.cancel = cancel
 	running := e.statusLocked(j, false)
-	e.mu.Unlock()
 	e.queued.Add(-1)
 	e.inFlight.Add(1)
-	defer e.inFlight.Add(-1)
+	e.mu.Unlock()
 	e.events.publish(j.id, JobEvent{Type: EventState, Status: running})
 
 	// Every computed job records a trace: the recorder rides the context
@@ -647,6 +646,10 @@ func (e *Engine) run(j *job) {
 		j.errMsg = err.Error()
 		e.failed.Add(1)
 	}
+	// The job leaves the in-flight count under the lock that publishes its
+	// terminal state: a reader that has seen the state (every status read
+	// takes e.mu) then reads in_flight without this job.
+	e.inFlight.Add(-1)
 	final := e.statusLocked(j, true)
 	e.mu.Unlock()
 	root.End(trace.String("state", string(final.State)))

@@ -257,6 +257,33 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// TestInFlightSettledAtTerminalState: a client that has read a job's
+// terminal state reads in_flight = 0 from /v1/stats right after, for each
+// of 50 short jobs run one at a time. The client polls the job without
+// sleeping, so it reads the terminal state as soon as the engine sets it.
+func TestInFlightSettledAtTerminalState(t *testing.T) {
+	_, ts := newTestServer(t, service.Options{Workers: 1})
+	for i := 0; i < 50; i++ {
+		st, code := submit(t, ts, service.JobRequest{
+			Dataset: "golden", Kind: service.KindClosed, MinSupport: 200 + i,
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("job %d: submit status %d", i, code)
+		}
+		for st.State == service.StateQueued || st.State == service.StateRunning {
+			if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, nil, &st); code != http.StatusOK {
+				t.Fatalf("job %d: GET status %d", i, code)
+			}
+		}
+		if st.State != service.StateDone {
+			t.Fatalf("job %d ended %s (error %q)", i, st.State, st.Error)
+		}
+		if n := getStats(t, ts).Jobs.InFlight; n != 0 {
+			t.Fatalf("job %d: in_flight = %d after its terminal state was read", i, n)
+		}
+	}
+}
+
 // TestQueueBackpressure fills the bounded queue and verifies the 503 path.
 func TestQueueBackpressure(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Workers: 1, QueueCap: 1})

@@ -21,3 +21,9 @@ func WalkKernelOff() (restore func()) {
 // GapBelow exports gapBelow, the column walk's one-gap step, to the
 // goodness-of-fit tests of the external test package.
 func GapBelow(g GeometricGap, u float64, limit int) (int, bool) { return gapBelow(g, u, limit) }
+
+// FitPowerLawSums exports fitPowerLaw, FitPowerLaw with its count of exact
+// sums, to the external test package.
+func FitPowerLawSums(n int, fmin, fmax, targetSum float64) (TruncatedPowerLaw, int) {
+	return fitPowerLaw(n, fmin, fmax, targetSum)
+}

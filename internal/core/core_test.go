@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sigfim/internal/dataset"
@@ -212,6 +213,44 @@ func TestProcedure1FlagsPlantedPair(t *testing.T) {
 	}
 	if res.M != math.Exp(stats.LogChoose(30, 2)) {
 		t.Errorf("M = %v", res.M)
+	}
+}
+
+// TestProcedure1CapKeepsMostSignificant lowers the materialization cap below
+// the family size: the kept itemsets must be the head of the whole family
+// in its order, not the first ones the miner emits.
+func TestProcedure1CapKeepsMostSignificant(t *testing.T) {
+	v := genNull(400, uniformFreqs(30, 0.1), 5)
+	// A clique of 8 items over 40..100 transactions: 28 planted pairs whose
+	// supports, and so p-values, differ.
+	for i := uint32(0); i < 8; i++ {
+		tids := make([]uint32, 40+8*i)
+		for j := range tids {
+			tids[j] = uint32(3*j) + i
+		}
+		for x := i + 1; x < 8; x++ {
+			v = plant(v, []uint32{20 + i, 20 + x}, tids)
+		}
+	}
+	full, err := Procedure1Ex(v, 2, 10, 0.05, CorrectionBY, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Family) != full.FamilySize || full.FamilySize < 20 {
+		t.Fatalf("uncapped family: %d of %d itemsets, want all of at least 20", len(full.Family), full.FamilySize)
+	}
+	for _, limit := range []int{1, 2, 5, full.FamilySize / 2, full.FamilySize - 1, full.FamilySize, full.FamilySize + 1} {
+		res, err := Procedure1Capped(v, 2, 10, 0.05, CorrectionBY, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FamilySize != full.FamilySize {
+			t.Errorf("cap %d: FamilySize %d, want %d", limit, res.FamilySize, full.FamilySize)
+		}
+		want := full.Family[:min(limit, len(full.Family))]
+		if !reflect.DeepEqual(res.Family, want) {
+			t.Errorf("cap %d: family %v, want the family's head %v", limit, res.Family, want)
+		}
 	}
 }
 

@@ -50,9 +50,10 @@ func ParseCorrection(s string) (string, error) {
 }
 
 // maxMaterializedFamily caps how many flagged itemsets Procedure1Ex keeps in
-// memory; FamilySize always reports the exact count. The paper's Bms1 k=4
-// row has |R| = 219706 and the mined family F_k(s_min) runs to tens of
-// millions, so both the testing pass and the collection pass stream.
+// memory: the most significant ones, in the family's order. FamilySize
+// always reports the exact count. The paper's Bms1 k=4 row has |R| = 219706
+// and the mined family F_k(s_min) runs to tens of millions, so both the
+// testing pass and the collection pass stream.
 const maxMaterializedFamily = 200_000
 
 // Procedure1Ex mines F_k(sMin) from the dataset and flags significant
@@ -65,7 +66,7 @@ const maxMaterializedFamily = 200_000
 // The computation streams in two passes over the mined family: pass one
 // records only the p-values (8 bytes per itemset), determines the rejection
 // threshold, and pass two re-mines to materialize the rejected itemsets
-// (capped at maxMaterializedFamily; FamilySize is always exact).
+// (the maxMaterializedFamily most significant; FamilySize is always exact).
 //
 // The mined p-values are identical for every correction; only the
 // rejection rule applied to their order statistics differs. The correction
@@ -78,6 +79,11 @@ const maxMaterializedFamily = 200_000
 // than the exact one, so the adjusted p-values are conservative, never
 // liberal.
 func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction string, minPs []float64) (*Procedure1Result, error) {
+	return procedure1(v, k, sMin, beta, correction, minPs, maxMaterializedFamily)
+}
+
+// procedure1 is Procedure1Ex materializing at most maxFamily itemsets.
+func procedure1(v *dataset.Vertical, k, sMin int, beta float64, correction string, minPs []float64, maxFamily int) (*Procedure1Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
@@ -158,22 +164,35 @@ func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction str
 	// is rejected (ties at the threshold are all below the step-up line).
 	res.FamilySize = sort.SearchFloat64s(pvals, math.Nextafter(threshold, 2))
 
-	// Pass 2: materialize the rejected itemsets (capped).
+	// Pass 2: materialize the keep most significant rejected itemsets. Only
+	// p-values up to the keep-th smallest can be among them; ties at that
+	// cut are settled by the family's order, so the buffer is cut back to
+	// keep whenever it reaches twice that.
+	keep := min(res.FamilySize, maxFamily)
+	cut := pvals[keep-1]
 	mining.VisitKAlgoScratch(v, k, sMin, 1, mining.Auto, s, func(items mining.Itemset, sup int) {
-		if len(res.Family) >= maxMaterializedFamily {
-			return
-		}
-		if p := pvalOf(items, sup); p <= threshold {
+		if p := pvalOf(items, sup); p <= cut {
 			res.Family = append(res.Family, SignificantItemset{
 				Items:   items.Clone(),
 				Support: sup,
 				PValue:  p,
 			})
+			if len(res.Family) == 2*keep {
+				sortFamily(res.Family)
+				res.Family = res.Family[:keep]
+			}
 		}
 	})
-	// A total order (ties in p-value and support broken by the item ids),
-	// so the family's order never depends on the miner's emission order.
-	slices.SortFunc(res.Family, func(a, b SignificantItemset) int {
+	sortFamily(res.Family)
+	res.Family = res.Family[:min(len(res.Family), keep)]
+	return res, nil
+}
+
+// sortFamily puts rejected itemsets in the family's order: p-value
+// ascending, then support descending, then item ids. The order is total,
+// so it never depends on the miner's emission order.
+func sortFamily(family []SignificantItemset) {
+	slices.SortFunc(family, func(a, b SignificantItemset) int {
 		if c := cmp.Compare(a.PValue, b.PValue); c != 0 {
 			return c
 		}
@@ -182,5 +201,4 @@ func Procedure1Ex(v *dataset.Vertical, k, sMin int, beta float64, correction str
 		}
 		return slices.Compare(a.Items, b.Items)
 	})
-	return res, nil
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,7 +164,8 @@ type RulesResult struct {
 
 // job is the engine's mutable job record. Mutable fields are guarded by the
 // engine mutex except the progress counters, which the pipeline's merge
-// goroutine updates through atomics.
+// goroutine updates through atomics. Engine.moveLocked alone writes state
+// and the timestamps.
 type job struct {
 	id       string
 	req      JobRequest
@@ -183,7 +186,10 @@ type job struct {
 	progressTotal atomic.Int64
 }
 
-// EngineCounters are the lifetime job counters exposed by /v1/stats.
+// EngineCounters are the job counters exposed by /v1/stats, summed from the
+// engine's job tally: Submitted counts every accepted job, Queued and
+// InFlight the jobs now queued and running, Completed, Failed and Canceled
+// the jobs that ended so. CacheHits is the result cache's hit count.
 type EngineCounters struct {
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
@@ -192,6 +198,52 @@ type EngineCounters struct {
 	CacheHits int64 `json:"cache_hits"`
 	InFlight  int64 `json:"in_flight"`
 	Queued    int64 `json:"queued"`
+}
+
+// tallyKey names one cell of an engine's job tally.
+type tallyKey struct {
+	kind  string
+	state JobState
+}
+
+// jobTally counts an engine's jobs by kind and state. Every accepted job
+// sits in exactly one cell, so the live states (queued, running) read as
+// gauges and the terminal ones as lifetime totals: evicting a finished
+// record leaves the tally as it is.
+type jobTally map[tallyKey]int64
+
+// counters sums the tally into the /v1/stats job counters; cacheHits is the
+// result cache's own hit count.
+func (t jobTally) counters(cacheHits uint64) EngineCounters {
+	c := EngineCounters{CacheHits: int64(cacheHits)}
+	for key, n := range t {
+		c.Submitted += n
+		switch key.state {
+		case StateQueued:
+			c.Queued += n
+		case StateRunning:
+			c.InFlight += n
+		case StateDone:
+			c.Completed += n
+		case StateFailed:
+			c.Failed += n
+		case StateCanceled:
+			c.Canceled += n
+		}
+	}
+	return c
+}
+
+// finishedKinds lists, sorted, the job kinds with at least one terminal job.
+func (t jobTally) finishedKinds() []string {
+	var kinds []string
+	for key := range t {
+		if key.state.Terminal() && !slices.Contains(kinds, key.kind) {
+			kinds = append(kinds, key.kind)
+		}
+	}
+	slices.Sort(kinds)
+	return kinds
 }
 
 // Engine runs jobs on a bounded worker pool with a bounded queue. Submit
@@ -231,15 +283,9 @@ type Engine struct {
 	nextID int
 	closed bool
 
-	wg sync.WaitGroup // running workers
+	tally jobTally // written only by moveLocked
 
-	submitted atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-	canceled  atomic.Int64
-	cacheHits atomic.Int64
-	inFlight  atomic.Int64
-	queued    atomic.Int64
+	wg sync.WaitGroup // running workers
 }
 
 // NewEngine starts an engine with the given worker pool size (minimum 1),
@@ -263,6 +309,7 @@ func NewEngine(registry *Registry, cache *ResultCache, workers, queueCap, retent
 		metrics:   NewMetrics(),
 		events:    newEventBus(),
 		jobs:      make(map[string]*job),
+		tally:     make(jobTally),
 	}
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -425,20 +472,16 @@ func (e *Engine) Submit(req JobRequest) (JobStatus, error) {
 	}
 	e.nextID++
 	j := &job{
-		id:        fmt.Sprintf("j%06d", e.nextID),
-		req:       req,
-		ds:        ds,
-		dsHash:    info.Hash,
-		cacheKey:  key,
-		createdAt: time.Now().UTC(),
+		id:       fmt.Sprintf("j%06d", e.nextID),
+		req:      req,
+		ds:       ds,
+		dsHash:   info.Hash,
+		cacheKey: key,
 	}
-	e.submitted.Add(1)
 
 	if cached, ok := e.cache.Get(key); ok {
-		j.state = StateDone
 		j.cacheHit = true
 		j.result = cached
-		j.finishedAt = j.createdAt
 		// A cache hit is a completed run: report the same terminal progress a
 		// computed job ends with (all Delta replicates merged), so watchers
 		// and dashboards never see a done job stuck at 0/0.
@@ -448,9 +491,7 @@ func (e *Engine) Submit(req JobRequest) (JobStatus, error) {
 		}
 		j.progressDone.Store(delta)
 		j.progressTotal.Store(delta)
-		e.cacheHits.Add(1)
-		e.completed.Add(1)
-		e.metrics.jobFinished(j.req.Kind, StateDone, 0, false)
+		st := e.moveLocked(j, StateDone, "")
 		// A cache hit still gets a (one-span) trace so `jobs trace` works
 		// uniformly on any completed job.
 		rec := trace.NewRecorder(j.id)
@@ -459,27 +500,58 @@ func (e *Engine) Submit(req JobRequest) (JobStatus, error) {
 			trace.String("dataset_hash", j.dsHash), trace.Int("k", j.req.K),
 			trace.String("state", string(StateDone)), trace.String("cache", "hit"))
 		e.traces.Put(j.id, rec.Snapshot())
-		e.jobs[j.id] = j
-		e.order = append(e.order, j.id)
-		e.evictLocked()
-		return e.statusLocked(j, true), nil
+		return st, nil
 	}
 
 	select {
 	case e.queue <- j:
 	default:
-		e.submitted.Add(-1)
 		return JobStatus{}, ErrQueueFull
 	}
-	j.state = StateQueued
-	e.queued.Add(1)
-	e.jobs[j.id] = j
-	e.order = append(e.order, j.id)
-	e.evictLocked()
+	st := e.moveLocked(j, StateQueued, "")
 	// No event is published here: the id was allocated under the lock just
 	// now, so no watcher can be subscribed yet — the SSE handler's initial
 	// snapshot is what covers the queued state.
-	return e.statusLocked(j, true), nil
+	return st, nil
+}
+
+// moveLocked moves j to state to; it is the only write of a job's state.
+// The moves are: new (the zero state) to queued, or to done on a cache hit;
+// queued to running or canceled; running to done, failed or canceled. It
+// stamps the move's time as j's creation, start or finish, enters a new job
+// in the job table, keeps errMsg on a terminal state, moves j's count in the
+// tally, and times a computed job that ends done. It returns j's status
+// after the move. Callers hold e.mu.
+func (e *Engine) moveLocked(j *job, to JobState, errMsg string) JobStatus {
+	now := time.Now().UTC()
+	from := j.state
+	switch {
+	case from == "":
+		j.createdAt = now
+		e.jobs[j.id] = j
+		e.order = append(e.order, j.id)
+	case to == StateRunning:
+		j.startedAt = now
+	}
+	if to.Terminal() {
+		j.finishedAt = now
+		j.errMsg = errMsg
+	}
+	if from != "" {
+		e.tally[tallyKey{j.req.Kind, from}]--
+	}
+	e.tally[tallyKey{j.req.Kind, to}]++
+	// Only computed jobs that end done are timed: a cache hit's ~0s would
+	// drown the real latency signal, and a canceled or failed run measures
+	// when it was interrupted, not how long the work takes.
+	if from == StateRunning && to == StateDone {
+		e.metrics.duration(j.req.Kind).observe(j.finishedAt.Sub(j.startedAt))
+	}
+	j.state = to
+	if from == "" {
+		e.evictLocked()
+	}
+	return e.statusLocked(j, true)
 }
 
 // evictLocked drops the oldest terminal job records until at most retention
@@ -488,21 +560,12 @@ func (e *Engine) Submit(req JobRequest) (JobStatus, error) {
 // enough headroom for all of them). Callers hold e.mu.
 func (e *Engine) evictLocked() {
 	for len(e.order) > e.retention {
-		evicted := false
-		for i, id := range e.order {
-			switch e.jobs[id].state {
-			case StateDone, StateFailed, StateCanceled:
-				delete(e.jobs, id)
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				evicted = true
-			}
-			if evicted {
-				break
-			}
-		}
-		if !evicted {
+		i := slices.IndexFunc(e.order, func(id string) bool { return e.jobs[id].state.Terminal() })
+		if i < 0 {
 			return // every tracked job is still live
 		}
+		delete(e.jobs, e.order[i])
+		e.order = slices.Delete(e.order, i, i+1)
 	}
 }
 
@@ -528,12 +591,8 @@ func (e *Engine) run(j *job) {
 		e.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
-	j.startedAt = time.Now().UTC()
+	running := e.moveLocked(j, StateRunning, "")
 	j.cancel = cancel
-	running := e.statusLocked(j, false)
-	e.queued.Add(-1)
-	e.inFlight.Add(1)
 	e.mu.Unlock()
 	e.events.publish(j.id, JobEvent{Type: EventState, Status: running})
 
@@ -627,30 +686,20 @@ func (e *Engine) run(j *job) {
 	}
 
 	e.mu.Lock()
-	j.finishedAt = time.Now().UTC()
 	j.cancel = nil
+	var final JobStatus
 	switch {
 	case err == nil:
 		// Publish to the cache only after the computation fully succeeded;
 		// identical future submissions are then served these exact bytes.
 		e.cache.Put(j.cacheKey, result)
-		j.state = StateDone
 		j.result = result
-		e.completed.Add(1)
+		final = e.moveLocked(j, StateDone, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCanceled
-		j.errMsg = "canceled"
-		e.canceled.Add(1)
+		final = e.moveLocked(j, StateCanceled, "canceled")
 	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		e.failed.Add(1)
+		final = e.moveLocked(j, StateFailed, err.Error())
 	}
-	// The job leaves the in-flight count under the lock that publishes its
-	// terminal state: a reader that has seen the state (every status read
-	// takes e.mu) then reads in_flight without this job.
-	e.inFlight.Add(-1)
-	final := e.statusLocked(j, true)
 	e.mu.Unlock()
 	root.End(trace.String("state", string(final.State)))
 	e.traces.Put(j.id, rec.Snapshot())
@@ -658,7 +707,6 @@ func (e *Engine) run(j *job) {
 		jlog.Info("job finished", "state", final.State,
 			"duration_ms", j.finishedAt.Sub(j.startedAt).Milliseconds())
 	}
-	e.metrics.jobFinished(j.req.Kind, final.State, j.finishedAt.Sub(j.startedAt), true)
 	e.events.publish(j.id, JobEvent{Type: EventState, Status: final})
 }
 
@@ -732,31 +780,22 @@ func (e *Engine) Cancel(id string) (JobStatus, error) {
 		e.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
-	canceledNow := false
-	switch j.state {
-	case StateQueued:
-		j.state = StateCanceled
-		j.errMsg = "canceled before start"
-		j.finishedAt = time.Now().UTC()
-		e.queued.Add(-1)
-		e.canceled.Add(1)
-		canceledNow = true
-	case StateRunning:
-		if j.cancel != nil {
-			j.cancel() // state transition happens in run when the pipeline unwinds
-		}
+	if j.state == StateQueued {
+		st := e.moveLocked(j, StateCanceled, "canceled before start")
+		e.mu.Unlock()
+		e.events.publish(j.id, JobEvent{Type: EventState, Status: st})
+		return st, nil
+	}
+	if j.state == StateRunning && j.cancel != nil {
+		j.cancel() // the move to canceled happens in run when the pipeline unwinds
 	}
 	st := e.statusLocked(j, true)
 	e.mu.Unlock()
-	if canceledNow {
-		e.metrics.jobFinished(j.req.Kind, StateCanceled, 0, false)
-		e.events.publish(j.id, JobEvent{Type: EventState, Status: st})
-	}
 	return st, nil
 }
 
 // List returns the status of every job in submission order. Listings omit
-// the jobs' result bytes: with retention at its default of 1024 done jobs,
+// the jobs' result bytes: with retention at 1024 done jobs,
 // embedding every stored Result would make the listing payload unbounded in
 // practice — results are served by Get (one job) and by the result cache.
 func (e *Engine) List() []JobStatus {
@@ -771,15 +810,18 @@ func (e *Engine) List() []JobStatus {
 
 // Counters snapshots the lifetime job counters.
 func (e *Engine) Counters() EngineCounters {
-	return EngineCounters{
-		Submitted: e.submitted.Load(),
-		Completed: e.completed.Load(),
-		Failed:    e.failed.Load(),
-		Canceled:  e.canceled.Load(),
-		CacheHits: e.cacheHits.Load(),
-		InFlight:  e.inFlight.Load(),
-		Queued:    e.queued.Load(),
-	}
+	c, _ := e.counters()
+	return c
+}
+
+// counters sums the job tally and returns it with a copy of the tally.
+// The cache's hit count is read under e.mu too: Submit looks the cache up
+// under e.mu, so every hit it counts is a done job in the tally.
+func (e *Engine) counters() (EngineCounters, jobTally) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	hits, _ := e.cache.Counters()
+	return e.tally.counters(hits), maps.Clone(e.tally)
 }
 
 // statusLocked builds the public view of a job; callers hold e.mu. The
@@ -838,22 +880,13 @@ drain:
 		select {
 		case j := <-e.queue:
 			e.mu.Lock()
-			drained := false
-			var st JobStatus
-			if j.state == StateQueued {
-				j.state = StateCanceled
-				j.errMsg = "canceled: server shutting down"
-				j.finishedAt = time.Now().UTC()
-				e.queued.Add(-1)
-				e.canceled.Add(1)
-				st = e.statusLocked(j, true)
-				drained = true
+			if j.state != StateQueued { // canceled while queued
+				e.mu.Unlock()
+				continue
 			}
+			st := e.moveLocked(j, StateCanceled, "canceled: server shutting down")
 			e.mu.Unlock()
-			if drained {
-				e.metrics.jobFinished(j.req.Kind, StateCanceled, 0, false)
-				e.events.publish(j.id, JobEvent{Type: EventState, Status: st})
-			}
+			e.events.publish(j.id, JobEvent{Type: EventState, Status: st})
 		default:
 			break drain
 		}

@@ -42,20 +42,12 @@ func (h *histogram) observe(d time.Duration) {
 	h.sumNanos.Add(int64(d))
 }
 
-// kindMetrics are the per-job-kind counters and the latency histogram.
-type kindMetrics struct {
-	done     atomic.Int64
-	failed   atomic.Int64
-	canceled atomic.Int64
-	duration *histogram // computed (non-cache-hit) jobs that ended done
-}
-
 // Metrics is the service's dependency-free metrics registry: atomic counters
-// and gauges plus fixed-bucket latency histograms per job kind, rendered in
-// the Prometheus text exposition format by WritePrometheus. The engine owns
-// one (Engine.Metrics) and instruments it from Submit, run, and the
-// replicate-progress hook; values that already live elsewhere as atomics
-// (queue depth, in-flight, cache hits) are snapshotted at render time rather
+// plus fixed-bucket latency histograms per job kind, rendered in the
+// Prometheus text exposition format by WritePrometheus. The engine owns one
+// (Engine.Metrics) and instruments it from its job moves and the
+// replicate-progress hook; values that already live elsewhere (the engine's
+// job tally, the cache's counters) are snapshotted at render time rather
 // than double-counted. Instrumentation never touches result bytes, so the
 // service's bit-identity contracts are unaffected.
 type Metrics struct {
@@ -66,49 +58,25 @@ type Metrics struct {
 	partialReplicates atomic.Int64 // replicates inside those ranges
 	partialsShed      atomic.Int64 // partial requests shed with 503 (draining / over cap)
 
-	mu    sync.RWMutex
-	kinds map[string]*kindMetrics
+	mu        sync.Mutex
+	durations map[string]*histogram // by job kind
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{kinds: make(map[string]*kindMetrics)}
+	return &Metrics{durations: make(map[string]*histogram)}
 }
 
-// kind returns the per-kind slot, creating it on first use.
-func (m *Metrics) kind(kind string) *kindMetrics {
-	m.mu.RLock()
-	km := m.kinds[kind]
-	m.mu.RUnlock()
-	if km != nil {
-		return km
-	}
+// duration returns the kind's latency histogram, creating it on first use.
+func (m *Metrics) duration(kind string) *histogram {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if km = m.kinds[kind]; km == nil {
-		km = &kindMetrics{duration: newHistogram()}
-		m.kinds[kind] = km
+	h := m.durations[kind]
+	if h == nil {
+		h = newHistogram()
+		m.durations[kind] = h
 	}
-	return km
-}
-
-// jobFinished records one terminal job. The latency histogram observes only
-// computed jobs that ended done: cache hits are synchronous (their ~0s would
-// drown the real latency signal) and canceled/failed runs measure when the
-// job was interrupted, not how long the work takes.
-func (m *Metrics) jobFinished(kind string, state JobState, d time.Duration, computed bool) {
-	km := m.kind(kind)
-	switch state {
-	case StateDone:
-		km.done.Add(1)
-		if computed {
-			km.duration.observe(d)
-		}
-	case StateFailed:
-		km.failed.Add(1)
-	case StateCanceled:
-		km.canceled.Add(1)
-	}
+	return h
 }
 
 // addReplicates advances the replicate-throughput counter.
@@ -141,17 +109,11 @@ func (m *Metrics) observeHTTP(status int) {
 }
 
 // metricsSnapshot carries the point-in-time values that live outside the
-// registry — engine counters, cache counters, registry size, uptime — so the
-// render is one consistent pass.
+// registry, read once by Server.snapshot: the /v1/stats body, and the job
+// tally whose terminal cells are the per-kind finished counts.
 type metricsSnapshot struct {
-	uptimeSeconds          float64
-	datasets               int
-	jobs                   EngineCounters
-	cacheHits, cacheMisses uint64
-	cacheEntries           int
-	// fabric is the coordinator's worker-supervision snapshot; nil on a
-	// non-coordinator, which omits the fabric families entirely.
-	fabric *sigfim.FabricStats
+	Stats
+	tally jobTally
 }
 
 // fnum renders a float the way Prometheus expects: shortest exact form.
@@ -165,56 +127,44 @@ func (m *Metrics) WritePrometheus(w io.Writer, snap metricsSnapshot) {
 
 	p("# HELP sigfimd_uptime_seconds Seconds since the server started.\n")
 	p("# TYPE sigfimd_uptime_seconds gauge\n")
-	p("sigfimd_uptime_seconds %s\n", fnum(snap.uptimeSeconds))
+	p("sigfimd_uptime_seconds %s\n", fnum(snap.UptimeSeconds))
 
 	p("# HELP sigfimd_datasets Registered datasets.\n")
 	p("# TYPE sigfimd_datasets gauge\n")
-	p("sigfimd_datasets %d\n", snap.datasets)
+	p("sigfimd_datasets %d\n", snap.Datasets)
 
 	p("# HELP sigfimd_jobs_submitted_total Jobs accepted by the engine (cache hits included, rejected submissions excluded).\n")
 	p("# TYPE sigfimd_jobs_submitted_total counter\n")
-	p("sigfimd_jobs_submitted_total %d\n", snap.jobs.Submitted)
+	p("sigfimd_jobs_submitted_total %d\n", snap.Jobs.Submitted)
 
 	p("# HELP sigfimd_jobs_queued Jobs waiting in the bounded queue (queue depth).\n")
 	p("# TYPE sigfimd_jobs_queued gauge\n")
-	p("sigfimd_jobs_queued %d\n", snap.jobs.Queued)
+	p("sigfimd_jobs_queued %d\n", snap.Jobs.Queued)
 
 	p("# HELP sigfimd_jobs_in_flight Jobs currently executing on the worker pool.\n")
 	p("# TYPE sigfimd_jobs_in_flight gauge\n")
-	p("sigfimd_jobs_in_flight %d\n", snap.jobs.InFlight)
+	p("sigfimd_jobs_in_flight %d\n", snap.Jobs.InFlight)
 
-	m.mu.RLock()
-	kinds := make([]string, 0, len(m.kinds))
-	for k := range m.kinds {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	byKind := make([]*kindMetrics, len(kinds))
-	for i, k := range kinds {
-		byKind[i] = m.kinds[k]
-	}
-	m.mu.RUnlock()
-
+	kinds := snap.tally.finishedKinds()
 	p("# HELP sigfimd_jobs_finished_total Jobs by kind and terminal state (done includes cache hits).\n")
 	p("# TYPE sigfimd_jobs_finished_total counter\n")
-	for i, k := range kinds {
-		km := byKind[i]
-		p("sigfimd_jobs_finished_total{kind=%q,state=\"done\"} %d\n", k, km.done.Load())
-		p("sigfimd_jobs_finished_total{kind=%q,state=\"failed\"} %d\n", k, km.failed.Load())
-		p("sigfimd_jobs_finished_total{kind=%q,state=\"canceled\"} %d\n", k, km.canceled.Load())
+	for _, k := range kinds {
+		for _, state := range []JobState{StateDone, StateFailed, StateCanceled} {
+			p("sigfimd_jobs_finished_total{kind=%q,state=%q} %d\n", k, state, snap.tally[tallyKey{k, state}])
+		}
 	}
 
 	p("# HELP sigfimd_cache_hits_total Result cache hits.\n")
 	p("# TYPE sigfimd_cache_hits_total counter\n")
-	p("sigfimd_cache_hits_total %d\n", snap.cacheHits)
+	p("sigfimd_cache_hits_total %d\n", snap.Cache.Hits)
 
 	p("# HELP sigfimd_cache_misses_total Result cache misses.\n")
 	p("# TYPE sigfimd_cache_misses_total counter\n")
-	p("sigfimd_cache_misses_total %d\n", snap.cacheMisses)
+	p("sigfimd_cache_misses_total %d\n", snap.Cache.Misses)
 
 	p("# HELP sigfimd_cache_entries Results currently cached.\n")
 	p("# TYPE sigfimd_cache_entries gauge\n")
-	p("sigfimd_cache_entries %d\n", snap.cacheEntries)
+	p("sigfimd_cache_entries %d\n", snap.Cache.Entries)
 
 	p("# HELP sigfimd_replicates_total Monte Carlo replicates merged across all jobs (replicate throughput).\n")
 	p("# TYPE sigfimd_replicates_total counter\n")
@@ -232,7 +182,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, snap metricsSnapshot) {
 	p("# TYPE sigfimd_partials_shed_total counter\n")
 	p("sigfimd_partials_shed_total %d\n", m.partialsShed.Load())
 
-	if f := snap.fabric; f != nil {
+	if f := snap.Fabric; f != nil {
 		p("# HELP sigfimd_fabric_worker_state Remote worker supervision state (1 = the worker is in the labeled state).\n")
 		p("# TYPE sigfimd_fabric_worker_state gauge\n")
 		for _, w := range f.Workers {
@@ -307,8 +257,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, snap metricsSnapshot) {
 
 	p("# HELP sigfimd_job_duration_seconds Wall-clock duration of computed jobs that ended done, by kind (cache hits excluded).\n")
 	p("# TYPE sigfimd_job_duration_seconds histogram\n")
-	for i, k := range kinds {
-		h := byKind[i].duration
+	for _, k := range kinds {
+		h := m.duration(k)
 		var cum int64
 		for b, le := range durationBuckets {
 			cum += h.counts[b].Load()

@@ -1,11 +1,22 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"sigfim"
 )
 
 // nonFlusher is a ResponseWriter that does not implement http.Flusher.
@@ -113,17 +124,17 @@ func TestEventBusFanout(t *testing.T) {
 
 // TestHistogramRender pins the Prometheus exposition of the duration
 // histogram: cumulative buckets, a +Inf bucket equal to the count, and a sum
-// in seconds.
+// in seconds. The finished counts come from the tally, which also counts
+// the jobs the histogram does not observe (a cache hit, a failed run).
 func TestHistogramRender(t *testing.T) {
 	m := NewMetrics()
-	m.jobFinished(KindSMin, StateDone, 30*time.Millisecond, true)
-	m.jobFinished(KindSMin, StateDone, 70*time.Millisecond, true)
-	m.jobFinished(KindSMin, StateDone, 2*time.Second, true)
-	m.jobFinished(KindSMin, StateDone, 0, false)          // cache hit: counted, not observed
-	m.jobFinished(KindSMin, StateFailed, time.Hour, true) // failed: not observed
+	m.duration(KindSMin).observe(30 * time.Millisecond)
+	m.duration(KindSMin).observe(70 * time.Millisecond)
+	m.duration(KindSMin).observe(2 * time.Second)
+	tally := jobTally{{KindSMin, StateDone}: 4, {KindSMin, StateFailed}: 1}
 
 	var sb strings.Builder
-	m.WritePrometheus(&sb, metricsSnapshot{})
+	m.WritePrometheus(&sb, metricsSnapshot{tally: tally})
 	out := sb.String()
 
 	for _, want := range []string{
@@ -148,11 +159,11 @@ func TestHistogramRender(t *testing.T) {
 // largest boundary land only in +Inf.
 func TestHistogramBucketEdges(t *testing.T) {
 	m := NewMetrics()
-	m.jobFinished("x", StateDone, 10*time.Millisecond, true) // exactly le="0.01"
-	m.jobFinished("x", StateDone, 301*time.Second, true)     // beyond 300: +Inf only
+	m.duration("x").observe(10 * time.Millisecond) // exactly le="0.01"
+	m.duration("x").observe(301 * time.Second)     // beyond 300: +Inf only
 
 	var sb strings.Builder
-	m.WritePrometheus(&sb, metricsSnapshot{})
+	m.WritePrometheus(&sb, metricsSnapshot{tally: jobTally{{"x", StateDone}: 2}})
 	out := sb.String()
 	for _, want := range []string{
 		`sigfimd_job_duration_seconds_bucket{kind="x",le="0.01"} 1`,
@@ -164,4 +175,161 @@ func TestHistogramBucketEdges(t *testing.T) {
 			t.Errorf("exposition lacks %q\n%s", want, out)
 		}
 	}
+}
+
+// awaitState follows job id's event stream until it reaches want, failing
+// if it ends in another terminal state first.
+func awaitState(t *testing.T, e *Engine, id string, want JobState) {
+	t.Helper()
+	st, sub, stop, err := e.Watch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	for st.State != want {
+		if st.State.Terminal() {
+			t.Fatalf("job %s ended %s (error %q), want %s", id, st.State, st.Error, want)
+		}
+		<-sub.notify
+		for _, ev := range sub.takeStates() {
+			if st = ev.Status; st.State == want || st.State.Terminal() {
+				break
+			}
+		}
+	}
+}
+
+// TestJobCountersAgree drives every way a job ends — computed done, cache
+// hit, canceled while queued, canceled while running, drained by Shutdown
+// — and a queue-full refusal, and after each step checks that Counters(),
+// the /metrics job lines and a recount of List() agree. Jobs wait on their
+// event streams, never on the clock.
+func TestJobCountersAgree(t *testing.T) {
+	srv := New(Options{Workers: 1, QueueCap: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if _, err := srv.Registry().RegisterFile("golden", "../../testdata/golden_input.dat"); err != nil {
+		t.Fatal(err)
+	}
+	e := srv.Engine()
+	quick := JobRequest{Dataset: "golden", Kind: KindSMin, K: 2, Config: &sigfim.Config{Delta: 20, Seed: 1}}
+	// A maxDelta smin job runs until it is canceled.
+	long := func(seed uint64) JobRequest {
+		return JobRequest{Dataset: "golden", Kind: KindSMin, K: 2, Config: &sigfim.Config{Delta: 1 << 20, Seed: seed}}
+	}
+	submit := func(req JobRequest) JobStatus {
+		t.Helper()
+		st, err := e.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	cancel := func(id string) {
+		t.Helper()
+		if _, err := e.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	check := func(step string) {
+		t.Helper()
+		var want EngineCounters
+		wantLines := map[string]int64{}
+		computed := int64(0)
+		for _, st := range e.List() {
+			want.Submitted++
+			switch st.State {
+			case StateQueued:
+				want.Queued++
+			case StateRunning:
+				want.InFlight++
+			case StateDone:
+				want.Completed++
+			case StateFailed:
+				want.Failed++
+			case StateCanceled:
+				want.Canceled++
+			}
+			if st.CacheHit {
+				want.CacheHits++
+			} else if st.State == StateDone {
+				computed++
+			}
+			if st.State.Terminal() {
+				wantLines[fmt.Sprintf("sigfimd_jobs_finished_total{kind=%q,state=%q}", st.Kind, st.State)]++
+			}
+		}
+		wantLines["sigfimd_jobs_submitted_total"] = want.Submitted
+		wantLines["sigfimd_jobs_queued"] = want.Queued
+		wantLines["sigfimd_jobs_in_flight"] = want.InFlight
+		wantLines["sigfimd_cache_hits_total"] = want.CacheHits
+		wantLines["sigfimd_job_duration_seconds_count"] = computed
+		if got := e.Counters(); got != want {
+			t.Errorf("%s: Counters() = %+v, List() recounts %+v", step, got, want)
+		}
+
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		got := map[string]int64{}
+		for _, line := range strings.Split(rr.Body.String(), "\n") {
+			name, v, _ := strings.Cut(line, " ")
+			if strings.HasPrefix(name, "sigfimd_job_duration_seconds_count") {
+				name = "sigfimd_job_duration_seconds_count" // summed over kinds
+			} else if !strings.HasPrefix(name, "sigfimd_jobs_") && name != "sigfimd_cache_hits_total" {
+				continue
+			}
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: metric line %q: %v", step, line, err)
+			}
+			got[name] += n
+		}
+		zero := func(_ string, n int64) bool { return n == 0 }
+		maps.DeleteFunc(got, zero)
+		maps.DeleteFunc(wantLines, zero)
+		if !maps.Equal(got, wantLines) {
+			t.Errorf("%s: /metrics job lines %v, List() recounts %v", step, got, wantLines)
+		}
+	}
+
+	done := submit(quick)
+	awaitState(t, e, done.ID, StateDone)
+	check("computed done")
+
+	if st := submit(quick); !st.CacheHit || st.State != StateDone {
+		t.Fatalf("resubmit: cache hit %v, state %s; want a done cache hit", st.CacheHit, st.State)
+	}
+	check("cache hit")
+
+	running := submit(long(1))
+	awaitState(t, e, running.ID, StateRunning)
+	queued := submit(long(2))
+	body, _ := json.Marshal(long(3))
+	rr := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("submit to a full queue: status %d, want 503", rr.Code)
+	}
+	check("queue full")
+
+	cancel(queued.ID)
+	check("canceled while queued")
+
+	cancel(running.ID)
+	awaitState(t, e, running.ID, StateCanceled)
+	check("canceled while running")
+
+	running = submit(long(4))
+	awaitState(t, e, running.ID, StateRunning)
+	queued = submit(long(5))
+	ctx, stop := context.WithCancel(context.Background())
+	stop() // running jobs are canceled at once
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Shutdown = %v, want context.Canceled", err)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if st, _ := e.Get(id); st.State != StateCanceled {
+			t.Errorf("after Shutdown job %s is %s, want canceled", id, st.State)
+		}
+	}
+	check("drained by Shutdown")
 }

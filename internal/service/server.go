@@ -61,11 +61,6 @@ type Options struct {
 	// CacheSize bounds the LRU result cache entry count (default 256;
 	// negative disables caching).
 	CacheSize int
-	// JobRetention bounds how many job records (including their result
-	// bytes) the engine keeps; the oldest finished jobs beyond it are
-	// evicted and their ids answer 404 (default 1024, floored at
-	// Workers+QueueCap so live jobs are never evicted).
-	JobRetention int
 	// MaxUploadBytes bounds POST /v1/datasets request bodies
 	// (default 1 GiB).
 	MaxUploadBytes int64
@@ -100,6 +95,13 @@ type Options struct {
 	// Logger receives structured request and lifecycle logs; nil selects
 	// slog.Default().
 	Logger *slog.Logger
+
+	// jobRetention bounds how many job records (including their result
+	// bytes) the engine keeps; the oldest finished jobs beyond it are
+	// evicted and their ids answer 404. It is 1024 unless a test lowers it
+	// through RetainJobs, and NewEngine floors it at Workers+QueueCap so
+	// live jobs are never evicted.
+	jobRetention int
 }
 
 func (o Options) withDefaults() Options {
@@ -112,8 +114,8 @@ func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
 		o.CacheSize = 256
 	}
-	if o.JobRetention == 0 {
-		o.JobRetention = 1024
+	if o.jobRetention == 0 {
+		o.jobRetention = 1024
 	}
 	if o.MaxUploadBytes == 0 {
 		o.MaxUploadBytes = 1 << 30
@@ -174,7 +176,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		registry:    reg,
 		cache:       cache,
-		engine:      NewEngine(reg, cache, opts.Workers, opts.QueueCap, opts.JobRetention),
+		engine:      NewEngine(reg, cache, opts.Workers, opts.QueueCap, opts.jobRetention),
 		log:         opts.Logger,
 		maxUpload:   opts.MaxUploadBytes,
 		partialsCap: int64(opts.PartialsInflight),
@@ -414,19 +416,29 @@ type CacheStats struct {
 	Entries int    `json:"entries"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// snapshot reads what /v1/stats and /metrics report from outside the
+// metrics registry.
+func (s *Server) snapshot() metricsSnapshot {
+	jobs, tally := s.engine.counters()
 	hits, misses := s.cache.Counters()
-	st := Stats{
-		UptimeSeconds: time.Since(s.startedAt).Seconds(),
-		Datasets:      s.registry.Len(),
-		Jobs:          s.engine.Counters(),
-		Cache:         CacheStats{Hits: hits, Misses: misses, Entries: s.cache.Len()},
+	snap := metricsSnapshot{
+		Stats: Stats{
+			UptimeSeconds: time.Since(s.startedAt).Seconds(),
+			Datasets:      s.registry.Len(),
+			Jobs:          jobs,
+			Cache:         CacheStats{Hits: hits, Misses: misses, Entries: s.cache.Len()},
+		},
+		tally: tally,
 	}
 	if s.pool != nil {
 		fs := s.pool.Snapshot()
-		st.Fabric = &fs
+		snap.Fabric = &fs
 	}
-	writeJSON(w, http.StatusOK, st)
+	return snap
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.snapshot().Stats)
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
@@ -646,21 +658,8 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.cache.Counters()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	snap := metricsSnapshot{
-		uptimeSeconds: time.Since(s.startedAt).Seconds(),
-		datasets:      s.registry.Len(),
-		jobs:          s.engine.Counters(),
-		cacheHits:     hits,
-		cacheMisses:   misses,
-		cacheEntries:  s.cache.Len(),
-	}
-	if s.pool != nil {
-		fs := s.pool.Snapshot()
-		snap.fabric = &fs
-	}
-	s.metrics.WritePrometheus(w, snap)
+	s.metrics.WritePrometheus(w, s.snapshot())
 }
 
 // handleJobEvents serves GET /v1/jobs/{id}/events: a Server-Sent Events

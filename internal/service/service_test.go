@@ -508,11 +508,11 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestJobRetention verifies the engine's job-table bound: once more than
-// JobRetention jobs are tracked, the oldest finished records are evicted
+// TestJobRetention verifies the engine's job-table bound: once more jobs
+// are tracked than it retains (2 here), the oldest finished records are evicted
 // (404), while the result cache still answers their queries.
 func TestJobRetention(t *testing.T) {
-	_, ts := newTestServer(t, service.Options{Workers: 1, QueueCap: 1, JobRetention: 2})
+	_, ts := newTestServer(t, service.RetainJobs(service.Options{Workers: 1, QueueCap: 1}, 2))
 	var ids []string
 	for seed := uint64(0); seed < 3; seed++ {
 		st, code := submit(t, ts, service.JobRequest{

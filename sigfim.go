@@ -183,11 +183,6 @@ func (ds *Dataset) Profile(name string) Profile {
 	}
 }
 
-// internalProfile converts back to the internal representation.
-func (p Profile) internalProfile() dataset.Profile {
-	return dataset.Profile{Name: p.Name, T: p.NumTransactions, Freqs: p.Freqs}
-}
-
 // RandomTwin draws a random dataset from the paper's null model matched to
 // this dataset: same transaction count, same item frequencies, items placed
 // independently. Comparing a statistic between a dataset and its random

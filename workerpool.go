@@ -457,7 +457,7 @@ func (p *WorkerPool) pick(max int) []string {
 	return out
 }
 
-// find returns the record for url; nil if unknown. Callers hold p.mu.
+// findLocked returns the record for url; nil if unknown. Callers hold p.mu.
 func (p *WorkerPool) findLocked(url string) *fabricWorker {
 	for _, w := range p.workers {
 		if w.url == url {

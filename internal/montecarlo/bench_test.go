@@ -90,13 +90,6 @@ func BenchmarkMineAllLowFloor(b *testing.B) {
 	}
 }
 
-func BenchmarkEstimateLambda(b *testing.B) {
-	m := benchModelMC()
-	for i := 0; i < b.N; i++ {
-		EstimateLambda(m, 2, 30, 20, 7)
-	}
-}
-
 func BenchmarkEvaluatorEval(b *testing.B) {
 	m := benchModelMC()
 	res, err := FindPoissonThreshold(m, Config{K: 2, Delta: 60, Epsilon: 0.01, Seed: 3})

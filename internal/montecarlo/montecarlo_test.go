@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -183,15 +184,42 @@ func TestLambdaBelowFloorPanics(t *testing.T) {
 	res.Lambda(res.Floor - 1)
 }
 
+// replicateQ returns Q̂_{k,s} of each of reps replicates of m: MineRange
+// at Floor s counts each replicate's k-itemsets with support >= s, and
+// replicate i is seeded by the i-th draw of seed's stream, as Algorithm 1
+// seeds its replicates.
+func replicateQ(t *testing.T, m randmodel.Model, k, s, reps int, seed uint64) []int {
+	t.Helper()
+	r := stats.NewRNG(seed)
+	seeds := make([]uint64, reps)
+	for i := range seeds {
+		seeds[i] = r.Uint64()
+	}
+	var p Partial
+	req := RangeRequest{Range: ReplicateRange{From: 0, To: reps}, K: k, Floor: s, Seeds: seeds}
+	if err := MineRange(context.Background(), randmodel.Prepare(m), req, nil, &p); err != nil {
+		t.Fatal(err)
+	}
+	q := make([]int, reps)
+	for i, c := range p.Counts {
+		q[i] = int(c)
+	}
+	return q
+}
+
 func TestEstimateLambdaMatchesExact(t *testing.T) {
 	freqs := []float64{0.3, 0.25, 0.2, 0.15, 0.35}
 	m := randmodel.IndependentModel{T: 80, Freqs: freqs}
 	k, s := 2, 5
 	want := oracle.ExactLambda(freqs, 80, k, s)
-	got := EstimateLambda(m, k, s, 4000, 7)
+	total := 0
+	for _, q := range replicateQ(t, m, k, s, 4000, 7) {
+		total += q
+	}
+	got := float64(total) / 4000
 	se := math.Sqrt(want / 4000)
 	if math.Abs(got-want) > 8*se+0.02 {
-		t.Errorf("EstimateLambda = %v, exact %v", got, want)
+		t.Errorf("mean Q̂ = %v, exact λ %v", got, want)
 	}
 }
 
@@ -204,7 +232,7 @@ func TestSampleQPoissonAboveSMin(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := res.SMin
-	sample := SampleQ(m, 2, s, 1500, 17)
+	sample := replicateQ(t, m, 2, s, 1500, 17)
 	lam := 0.0
 	for _, q := range sample {
 		lam += float64(q)
@@ -217,44 +245,6 @@ func TestSampleQPoissonAboveSMin(t *testing.T) {
 	if tv > 0.08 {
 		t.Errorf("TV distance to Poisson at ŝ_min = %v", tv)
 	}
-}
-
-// TestSampleQPooledMatchesFresh pins EstimateLambda and SampleQ, which reuse
-// one Vertical and one Scratch across replicates, to replicates generated
-// and counted afresh each time at the same seed, under both null models.
-func TestSampleQPooledMatchesFresh(t *testing.T) {
-	indep := randmodel.IndependentModel{T: 400, Freqs: []float64{0.3, 0.05, 0.2, 0.15, 0.35, 0.1, 0.25, 0.02}}
-	swap := &randmodel.SwapModel{Base: indep.Generate(stats.NewRNG(5)).Horizontal(), ProposalsPerOccurrence: 1}
-	const k, s, reps, seed = 2, 12, 40, 77
-	for _, m := range []randmodel.Model{indep, swap} {
-		r := stats.NewRNG(seed)
-		want := make([]int, reps)
-		total := 0
-		for i := range want {
-			hist := mining.SupportHistogramAlgoScratch(m.Generate(r.Split()), k, s, 1, mining.Auto, nil)
-			want[i] = int(mining.CumulativeQ(hist)[0])
-			total += want[i]
-		}
-		if total == 0 {
-			t.Fatalf("%T: every replicate counted 0; the test is vacuous", m)
-		}
-		if got := SampleQ(m, k, s, reps, seed); !reflect.DeepEqual(got, want) {
-			t.Errorf("%T: SampleQ = %v, fresh replicates give %v", m, got, want)
-		}
-		if got, wantL := EstimateLambda(m, k, s, reps, seed), float64(total)/reps; got != wantL {
-			t.Errorf("%T: EstimateLambda = %v, fresh replicates give %v", m, got, wantL)
-		}
-	}
-}
-
-func TestSampleQValidation(t *testing.T) {
-	m := uniformModel(5, 10, 0.1)
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid SampleQ args should panic")
-		}
-	}()
-	SampleQ(m, 1, 0, 10, 1)
 }
 
 func TestMaxEntriesGuard(t *testing.T) {

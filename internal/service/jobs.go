@@ -255,7 +255,7 @@ func (t jobTally) finishedKinds() []string {
 // the long-term result store.
 type Engine struct {
 	registry  *Registry
-	cache     *ResultCache
+	cache     *LRU[[]byte]
 	queue     chan *job
 	retention int
 	metrics   *Metrics
@@ -271,10 +271,11 @@ type Engine struct {
 	// timeout and hedging; it sizes ranges itself.
 	pool *sigfim.WorkerPool
 
-	// traces retains the last N completed job traces (nil disables
-	// tracing); log, when non-nil, carries job lifecycle lines tagged with
-	// job_id and trace_id. Both are set by the server before any submission.
-	traces *trace.Store
+	// traces retains the last N completed job traces (capacity <= 0
+	// disables tracing); log, when non-nil, carries job lifecycle lines
+	// tagged with job_id and trace_id. Both are set by the server before
+	// any submission.
+	traces *LRU[*trace.Trace]
 	log    *slog.Logger
 
 	mu     sync.Mutex
@@ -291,7 +292,7 @@ type Engine struct {
 // NewEngine starts an engine with the given worker pool size (minimum 1),
 // queue capacity (minimum 1), and finished-job retention bound (minimum the
 // queue capacity plus the pool size, so live jobs are never evicted).
-func NewEngine(registry *Registry, cache *ResultCache, workers, queueCap, retention int) *Engine {
+func NewEngine(registry *Registry, cache *LRU[[]byte], workers, queueCap, retention int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}

@@ -108,6 +108,35 @@ func (m *Metrics) observeHTTP(status int) {
 	}
 }
 
+// snapshot returns the per-bucket counts, the last for +Inf.
+func (h *histogram) snapshot() []uint64 {
+	counts := make([]uint64, len(h.counts))
+	for b := range h.counts {
+		counts[b] = uint64(h.counts[b].Load())
+	}
+	return counts
+}
+
+// writeHistogram writes one labeled series of a Prometheus histogram:
+// counts holds per-bucket (non-cumulative) counts over the upper bounds,
+// the one past them for +Inf (missing cells count 0), and the render
+// accumulates them into cumulative le-buckets, then the sum and the count.
+func writeHistogram(w io.Writer, name, label string, bounds []float64, counts []uint64, sum float64) {
+	var cum uint64
+	for b, le := range bounds {
+		if b < len(counts) {
+			cum += counts[b]
+		}
+		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, label, fnum(le), cum)
+	}
+	if n := len(bounds); n < len(counts) {
+		cum += counts[n]
+	}
+	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, label, cum)
+	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, label, fnum(sum))
+	fmt.Fprintf(w, "%s_count{%s} %d\n", name, label, cum)
+}
+
 // metricsSnapshot carries the point-in-time values that live outside the
 // registry, read once by Server.snapshot: the /v1/stats body, and the job
 // tally whose terminal cells are the per-kind finished counts.
@@ -225,24 +254,10 @@ func (m *Metrics) WritePrometheus(w io.Writer, snap metricsSnapshot) {
 
 		p("# HELP sigfimd_fabric_range_seconds Wall-clock latency of range dispatches per remote worker (successes and hedge-loser cancellations).\n")
 		p("# TYPE sigfimd_fabric_range_seconds histogram\n")
-		for _, w := range f.Workers {
-			rl := w.RangeLatency
-			if rl == nil {
-				continue
+		for _, wk := range f.Workers {
+			if rl := wk.RangeLatency; rl != nil {
+				writeHistogram(w, "sigfimd_fabric_range_seconds", "worker="+strconv.Quote(wk.URL), sigfim.RangeLatencyBuckets, rl.Buckets, rl.SumSeconds)
 			}
-			var cum uint64
-			for b, le := range sigfim.RangeLatencyBuckets {
-				if b < len(rl.Buckets) {
-					cum += rl.Buckets[b]
-				}
-				p("sigfimd_fabric_range_seconds_bucket{worker=%q,le=%q} %d\n", w.URL, fnum(le), cum)
-			}
-			if n := len(sigfim.RangeLatencyBuckets); n < len(rl.Buckets) {
-				cum += rl.Buckets[n]
-			}
-			p("sigfimd_fabric_range_seconds_bucket{worker=%q,le=\"+Inf\"} %d\n", w.URL, cum)
-			p("sigfimd_fabric_range_seconds_sum{worker=%q} %s\n", w.URL, fnum(rl.SumSeconds))
-			p("sigfimd_fabric_range_seconds_count{worker=%q} %d\n", w.URL, cum)
 		}
 
 		p("# HELP sigfimd_fabric_replicate_seconds_ewma Exponentially weighted moving average of seconds per replicate on successful ranges, per remote worker (drives range-size autotuning).\n")
@@ -259,15 +274,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, snap metricsSnapshot) {
 	p("# TYPE sigfimd_job_duration_seconds histogram\n")
 	for _, k := range kinds {
 		h := m.duration(k)
-		var cum int64
-		for b, le := range durationBuckets {
-			cum += h.counts[b].Load()
-			p("sigfimd_job_duration_seconds_bucket{kind=%q,le=%q} %d\n", k, fnum(le), cum)
-		}
-		cum += h.counts[len(durationBuckets)].Load()
-		p("sigfimd_job_duration_seconds_bucket{kind=%q,le=\"+Inf\"} %d\n", k, cum)
-		p("sigfimd_job_duration_seconds_sum{kind=%q} %s\n", k, fnum(float64(h.sumNanos.Load())/1e9))
-		p("sigfimd_job_duration_seconds_count{kind=%q} %d\n", k, cum)
+		writeHistogram(w, "sigfimd_job_duration_seconds", "kind="+strconv.Quote(k), durationBuckets, h.snapshot(), float64(h.sumNanos.Load())/1e9)
 	}
 
 	p("# HELP sigfimd_http_requests_total HTTP responses by status class.\n")

@@ -41,13 +41,13 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"sigfim"
+	"sigfim/internal/idle"
 	"sigfim/internal/trace"
 )
 
@@ -121,7 +121,9 @@ func (o Options) withDefaults() Options {
 		o.MaxUploadBytes = 1 << 30
 	}
 	if o.PartialsInflight == 0 {
-		o.PartialsInflight = defaultPartialsInflight()
+		// As many as the idle lists of partials and range scratches keep
+		// buffers for.
+		o.PartialsInflight = idle.Bound()
 	}
 	if o.TraceRetention == 0 {
 		o.TraceRetention = 128
@@ -132,17 +134,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// defaultPartialsInflight is the default cap on concurrently executing
-// POST /v1/partials requests, max(8, 4*GOMAXPROCS).
-func defaultPartialsInflight() int {
-	return max(8, 4*runtime.GOMAXPROCS(0))
-}
-
 // Server ties the registry, the job engine, and the result cache together
 // behind an http.Handler.
 type Server struct {
 	registry  *Registry
-	cache     *ResultCache
+	cache     *LRU[[]byte]
 	engine    *Engine
 	metrics   *Metrics
 	log       *slog.Logger
@@ -157,22 +153,15 @@ type Server struct {
 	// instance's own jobs.
 	partialsInflight atomic.Int64
 	partialsCap      int64
-	// partialFree recycles POST /v1/partials result buffers, so a warm
-	// worker mines range after range without regrowing them.
-	// It holds at most as many partials as the worker admits at once, and
-	// one once the worker is idle.
-	partialFree chan *sigfim.RangePartial
+	// partials recycles POST /v1/partials result buffers.
+	partials idle.List[*sigfim.RangePartial]
 }
 
 // New assembles a Server and starts its worker pool.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
-	freeCap := opts.PartialsInflight
-	if freeCap < 0 { // unlimited admission
-		freeCap = defaultPartialsInflight()
-	}
 	reg := NewRegistry()
-	cache := NewResultCache(opts.CacheSize)
+	cache := NewLRU[[]byte](opts.CacheSize)
 	s := &Server{
 		registry:    reg,
 		cache:       cache,
@@ -180,12 +169,11 @@ func New(opts Options) *Server {
 		log:         opts.Logger,
 		maxUpload:   opts.MaxUploadBytes,
 		partialsCap: int64(opts.PartialsInflight),
-		partialFree: make(chan *sigfim.RangePartial, freeCap),
 		startedAt:   time.Now().UTC(),
 	}
 	s.metrics = s.engine.Metrics()
 	s.engine.log = opts.Logger
-	s.engine.traces = trace.NewStore(opts.TraceRetention)
+	s.engine.traces = NewLRU[*trace.Trace](opts.TraceRetention)
 	if len(opts.RemoteWorkers) > 0 {
 		s.pool = sigfim.NewWorkerPool(opts.RemoteWorkers, sigfim.WorkerPoolOptions{
 			Timeout:    opts.RemoteTimeout,
@@ -486,7 +474,7 @@ func (s *Server) shedPartial(w http.ResponseWriter, reason string, retryAfter in
 // hash and names a replicate range with its per-replicate seeds, as
 // exactly one JSON document (trailing bytes are a 400); the response is
 // the mined partial, mined into buffers recycled from request to request
-// (see Server.partialFree) and sent with a Content-Length. Execution is
+// (see Server.partials) and sent with a Content-Length. Execution is
 // synchronous on the request goroutine (the coordinator bounds its own
 // fan-out concurrency) and honors client disconnects through the request
 // context. A draining or saturated worker sheds the request with 503 +
@@ -527,8 +515,8 @@ func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mineStart := time.Now()
-	p := s.takePartial()
-	defer s.putPartial(p)
+	p := s.partials.Take(newRangePartial)
+	defer s.partials.Put(p)
 	if err := ds.MineReplicateRange(r.Context(), req, p); err != nil {
 		if r.Context().Err() != nil {
 			return // client gone; nothing useful to write
@@ -562,41 +550,8 @@ func (s *Server) handleMinePartial(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body.Bytes()) // the status line is already out; nothing to recover
 }
 
-// takePartial returns an idle partial buffer for POST /v1/partials, or a
-// new one.
-func (s *Server) takePartial() *sigfim.RangePartial {
-	select {
-	case p := <-s.partialFree:
-		return p
-	default:
-		return new(sigfim.RangePartial)
-	}
-}
-
-// putPartial returns a served partial's buffers for the next request,
-// dropping them when the list is full. The last request in flight leaves
-// only its own partial behind: an idle worker keeps one set of buffers
-// warm for the next range, not one per request it once served at once.
-func (s *Server) putPartial(p *sigfim.RangePartial) {
-	if s.partialsInflight.Load() == 1 {
-		s.dropIdlePartials()
-	}
-	select {
-	case s.partialFree <- p:
-	default:
-	}
-}
-
-// dropIdlePartials empties the partial free list.
-func (s *Server) dropIdlePartials() {
-	for {
-		select {
-		case <-s.partialFree:
-		default:
-			return
-		}
-	}
-}
+// newRangePartial returns an empty partial for the idle list.
+func newRangePartial() *sigfim.RangePartial { return new(sigfim.RangePartial) }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.engine.List()})

@@ -570,9 +570,12 @@ func TestSMinRejectsSwapNull(t *testing.T) {
 	}
 }
 
-// TestCacheLRU exercises the eviction order of the result cache directly.
+// TestCacheLRU exercises the LRU behind the result cache directly:
+// eviction order, recency refresh on Get, hit and miss counts, a re-put
+// that keeps the first value, and capacity 0 turned off. The trace store's
+// tests live with the trace package.
 func TestCacheLRU(t *testing.T) {
-	c := service.NewResultCache(2)
+	c := service.NewLRU[[]byte](2)
 	c.Put("a", []byte("A"))
 	c.Put("b", []byte("B"))
 	if _, ok := c.Get("a"); !ok { // refresh a; b is now LRU
@@ -595,11 +598,23 @@ func TestCacheLRU(t *testing.T) {
 	if hits != 3 || misses != 1 {
 		t.Errorf("counters = %d hits %d misses, want 3/1", hits, misses)
 	}
-	// Disabled cache: never stores, never hits.
-	d := service.NewResultCache(0)
+	// A re-put refreshes the key but keeps its first value, without growing.
+	c.Put("a", []byte("A2"))
+	if v, _ := c.Get("a"); string(v) != "A" {
+		t.Errorf("re-put replaced the first value: %q", v)
+	}
+	if c.Len() != 2 {
+		t.Errorf("len after re-put = %d, want 2", c.Len())
+	}
+
+	// Capacity 0 turns it off: never stores, never hits.
+	d := service.NewLRU[[]byte](0)
 	d.Put("x", []byte("X"))
 	if _, ok := d.Get("x"); ok {
 		t.Error("disabled cache returned a value")
+	}
+	if d.Len() != 0 {
+		t.Errorf("disabled cache len = %d", d.Len())
 	}
 }
 

@@ -102,20 +102,20 @@ func TestCacheHitGetAllocationFlat(t *testing.T) {
 	}
 }
 
-// TestPartialFreeListTrimsWhenIdle: the partial free list holds one buffer
-// per request that was in flight at once, up to the admission cap, and the
-// last request to finish leaves one behind.
+// TestPartialFreeListTrimsWhenIdle: POST /v1/partials takes its partial
+// from the server's idle list and gives it back, so when the last partial
+// is given back the list keeps one. The trim counts the list's holders,
+// not admitted requests: a request being shed does not hold it off.
 func TestPartialFreeListTrimsWhenIdle(t *testing.T) {
-	s := New(Options{Workers: 1, PartialsInflight: 2, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	t.Cleanup(func() { s.Shutdown(context.Background()) })
-	// Three requests in flight, finishing one after another.
-	s.partialsInflight.Store(3)
-	for i, want := range []int{1, 2, 1} {
-		s.putPartial(new(sigfim.RangePartial))
-		s.partialsInflight.Add(-1)
-		if got := len(s.partialFree); got != want {
-			t.Fatalf("after request %d finished: %d idle partials, want %d", i+1, got, want)
-		}
+	s := shedTestServer(t, Options{Workers: 1})
+	held := s.partials.Take(newRangePartial) // a request still mining
+	s.partialsInflight.Add(1)                // a request being shed
+	if rec := postPartialReq(s, validPartialBody(t, s)); rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/partials: HTTP %d: %s", rec.Code, rec.Body)
+	}
+	s.partials.Put(held)
+	if got := s.partials.Len(); got != 1 {
+		t.Fatalf("%d idle partials after the last request finished, want 1", got)
 	}
 }
 

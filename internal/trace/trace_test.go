@@ -2,7 +2,6 @@ package trace
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -165,75 +164,6 @@ func TestHeaderRoundTrip(t *testing.T) {
 	for _, bad := range []string{"", "/", "abc", "abc/", "abc/x", "/5", "abc/-1"} {
 		if _, _, ok := ParseHeader(bad); ok {
 			t.Errorf("ParseHeader(%q) accepted", bad)
-		}
-	}
-}
-
-func TestStoreLRU(t *testing.T) {
-	s := NewStore(3)
-	put := func(id string) { s.Put(id, &Trace{TraceID: id, JobID: id}) }
-	put("a")
-	put("b")
-	put("c")
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s.Len())
-	}
-	// Touch "a" so "b" is the LRU victim.
-	if _, ok := s.Get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	put("d")
-	if _, ok := s.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	for _, id := range []string{"a", "c", "d"} {
-		if _, ok := s.Get(id); !ok {
-			t.Errorf("%s should survive", id)
-		}
-	}
-	// Re-put replaces in place without growing.
-	s.Put("d", &Trace{TraceID: "d2"})
-	if tr, _ := s.Get("d"); tr.TraceID != "d2" {
-		t.Errorf("re-put did not replace: %q", tr.TraceID)
-	}
-	if s.Len() != 3 {
-		t.Errorf("len after re-put = %d, want 3", s.Len())
-	}
-}
-
-func TestStoreDisabledAndNil(t *testing.T) {
-	s := NewStore(0)
-	s.Put("a", &Trace{})
-	if _, ok := s.Get("a"); ok {
-		t.Error("capacity 0 store retained a trace")
-	}
-	var nilStore *Store
-	nilStore.Put("a", &Trace{})
-	if _, ok := nilStore.Get("a"); ok {
-		t.Error("nil store returned a trace")
-	}
-	if nilStore.Len() != 0 {
-		t.Error("nil store Len != 0")
-	}
-}
-
-func TestStoreEvictionOrderIsLRU(t *testing.T) {
-	s := NewStore(8)
-	for i := 0; i < 24; i++ {
-		id := fmt.Sprintf("j%03d", i)
-		s.Put(id, &Trace{JobID: id})
-	}
-	if s.Len() != 8 {
-		t.Fatalf("len = %d, want 8", s.Len())
-	}
-	for i := 0; i < 16; i++ {
-		if _, ok := s.Get(fmt.Sprintf("j%03d", i)); ok {
-			t.Errorf("old trace j%03d survived", i)
-		}
-	}
-	for i := 16; i < 24; i++ {
-		if _, ok := s.Get(fmt.Sprintf("j%03d", i)); !ok {
-			t.Errorf("recent trace j%03d evicted", i)
 		}
 	}
 }

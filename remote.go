@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -118,7 +117,7 @@ type RangePartial struct {
 // calls it — and also the coordinator's local fallback when every remote
 // worker fails, which is what guarantees the two paths cannot diverge: they
 // are the same function. The generation and mining buffers come from a
-// bounded free list on the dataset, so a warm dataset mines range after
+// bounded idle list on the dataset, so a warm dataset mines range after
 // range without regrowing them. The context is honored at replicate
 // boundaries.
 func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, out *RangePartial) error {
@@ -142,48 +141,9 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest, o
 	// worker and the coordinator generate value-identical replicates. It
 	// comes prepared: one request draws a whole range of replicates from it.
 	null := randmodel.Prepare(ds.nullModel(req.SwapNull, perOccurrence))
-	scr := ds.takeRangeScratch()
-	defer ds.putRangeScratch(scr)
+	scr := ds.scratches.Take(montecarlo.NewRangeScratch)
+	defer ds.scratches.Put(scr)
 	return montecarlo.MineRange(ctx, null, mreq, scr, (*montecarlo.Partial)(out))
-}
-
-// maxIdleRangeScratches bounds the range scratches a dataset keeps for
-// reuse. It matches the concurrent partials a sigfimd worker admits by
-// default, max(8, 4·GOMAXPROCS): an idle list never holds more scratches
-// than were mining at once, and that many are then reused instead of
-// regrown.
-func maxIdleRangeScratches() int {
-	return max(8, 4*runtime.GOMAXPROCS(0))
-}
-
-// takeRangeScratch returns an idle range scratch, or a new one.
-func (ds *Dataset) takeRangeScratch() *montecarlo.RangeScratch {
-	ds.scrMu.Lock()
-	defer ds.scrMu.Unlock()
-	ds.scrBusy++
-	if n := len(ds.scrIdle); n > 0 {
-		scr := ds.scrIdle[n-1]
-		ds.scrIdle = ds.scrIdle[:n-1]
-		return scr
-	}
-	return montecarlo.NewRangeScratch()
-}
-
-// putRangeScratch returns a scratch to the idle list, dropping it when the
-// list is full. The last range in flight leaves only its own scratch
-// behind: a dataset nobody is mining keeps one scratch warm for the next
-// range, not one per range it once mined at once.
-func (ds *Dataset) putRangeScratch(scr *montecarlo.RangeScratch) {
-	ds.scrMu.Lock()
-	defer ds.scrMu.Unlock()
-	ds.scrBusy--
-	if ds.scrBusy == 0 {
-		clear(ds.scrIdle)
-		ds.scrIdle = ds.scrIdle[:0]
-	}
-	if len(ds.scrIdle) < maxIdleRangeScratches() {
-		ds.scrIdle = append(ds.scrIdle, scr)
-	}
 }
 
 // remoteFabric is the coordinator's RangeRunner: it fans replicate ranges

@@ -44,19 +44,21 @@ func TestMineReplicateRangeWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestRangeScratchIdleListTrims: a dataset keeps one range scratch per
-// range mined at once while ranges are in flight, and one once the last of
-// them finishes.
+// TestRangeScratchIdleListTrims: MineReplicateRange takes its scratch
+// from the dataset's idle list and gives it back, so once the last range
+// in flight finishes the dataset keeps one scratch.
 func TestRangeScratchIdleListTrims(t *testing.T) {
 	d, err := OpenFIMI("testdata/golden_input.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scrs := []*montecarlo.RangeScratch{d.takeRangeScratch(), d.takeRangeScratch(), d.takeRangeScratch()}
-	for i, want := range []int{1, 2, 1} {
-		d.putRangeScratch(scrs[i])
-		if got := len(d.scrIdle); got != want {
-			t.Fatalf("after range %d finished: %d idle scratches, want %d", i+1, got, want)
-		}
+	held := d.scratches.Take(montecarlo.NewRangeScratch) // a range still in flight
+	req := PartialRequest{From: 0, To: 2, K: 2, Floor: 2, Seeds: []uint64{1, 2}}
+	if err := d.MineReplicateRange(context.Background(), req, new(RangePartial)); err != nil {
+		t.Fatal(err)
+	}
+	d.scratches.Put(held)
+	if got := d.scratches.Len(); got != 1 {
+		t.Fatalf("%d idle scratches after the last range finished, want 1", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"sigfim/internal/dataset"
+	"sigfim/internal/idle"
 	"sigfim/internal/mining"
 	"sigfim/internal/montecarlo"
 	"sigfim/internal/randmodel"
@@ -29,11 +30,8 @@ type Dataset struct {
 	hashOnce sync.Once // guards hash
 	hash     string
 
-	// scrIdle holds idle replicate-range scratches for MineReplicateRange,
-	// at most maxIdleRangeScratches of them; scrBusy counts those in use.
-	scrMu   sync.Mutex
-	scrIdle []*montecarlo.RangeScratch
-	scrBusy int
+	// scratches recycles MineReplicateRange's replicate-range scratches.
+	scratches idle.List[*montecarlo.RangeScratch]
 }
 
 // FromTransactions builds a Dataset from raw transactions. Item ids may
